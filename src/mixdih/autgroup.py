@@ -1,13 +1,17 @@
 """Full automorphism group order via individualization-refinement.
 
-Backtracking over the equitable-refinement tree in the usual style: the
-leftmost path fixes a base of vertices; sibling branches are pruned by
-refinement traces (canonical cell-size profiles) and by orbits of the
-automorphisms already found; every non-pruned sibling subtree is searched
-until it either yields an automorphism mapping the base point to that
-sibling or is exhausted.  The group order is then the product over base
-points of the orbit sizes under the discovered generators that fix the
-earlier base points -- plain orbit closure, no stabilizer chains.
+Backtracking over the refinement tree in the usual style: the leftmost
+path fixes a base of vertices; sibling branches are pruned by refinement
+traces (canonical cell-size profiles) and by orbits of the automorphisms
+already found; every non-pruned sibling subtree is searched until it
+either yields an automorphism mapping the base point to that sibling or is
+exhausted.  The group order is then the product over base points of the
+orbit sizes under the discovered generators that fix the earlier base
+points -- no stabilizer chains.
+
+The search owns only the tree walk.  Refinement, orbits and the
+automorphism test are the shared ``symmetry.color_refinement``,
+``symmetry.orbits`` and ``symmetry.is_graph_automorphism``.
 """
 
 from __future__ import annotations
@@ -16,56 +20,17 @@ import numpy as np
 
 from .graphs import GraphData
 from .group import CapExceededError
+from .symmetry import color_refinement, is_graph_automorphism, orbits
 
 DEFAULT_AUT_CAP = 1024
 
 
-class _Refiner:
-    """Canonical 1-dimensional refinement on padded neighbor tables."""
-
-    def __init__(self, g: GraphData):
-        self.nv = g.num_vertices
-        degs = g.degrees()
-        self.max_deg = int(degs.max()) if self.nv else 0
-        nb = np.full((self.nv, self.max_deg), -1, dtype=np.int64)
-        for v in range(self.nv):
-            row = g.neighbors(v)
-            nb[v, :len(row)] = row
-        self.nb = nb
-        self.pad = nb < 0
-
-    def refine(self, colors: np.ndarray) -> tuple[np.ndarray, int]:
-        """Stable point of (color, sorted neighbor colors) re-ranking."""
-        ncol = int(colors.max()) + 1
-        while True:
-            nbc = colors[self.nb]
-            nbc[self.pad] = -1
-            nbc.sort(axis=1)
-            sig = np.column_stack([colors, nbc])
-            _, new = np.unique(sig, axis=0, return_inverse=True)
-            nnew = int(new.max()) + 1
-            if nnew == ncol:
-                return new.astype(np.int64), nnew
-            colors, ncol = new.astype(np.int64), nnew
-
-    def individualize(self, colors: np.ndarray, v: int) -> np.ndarray:
-        out = colors * 2
-        out[v] -= 1
-        _, out = np.unique(out, return_inverse=True)
-        return out.astype(np.int64)
-
-
-def _closure(point: int, gens: list[np.ndarray]) -> set[int]:
-    orbit = {point}
-    queue = [point]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = int(g[x])
-            if y not in orbit:
-                orbit.add(y)
-                queue.append(y)
-    return orbit
+def _individualize(colors: np.ndarray, v: int) -> np.ndarray:
+    """Split v off just before the rest of its cell."""
+    out = colors * 2
+    out[v] -= 1
+    _, out = np.unique(out, return_inverse=True)
+    return out.astype(np.int64)
 
 
 def automorphism_group_order(g: GraphData,
@@ -76,15 +41,8 @@ def automorphism_group_order(g: GraphData,
             f"automorphism search capped at {max_vertices} vertices")
     if g.num_vertices == 0:
         return 1
-    ref = _Refiner(g)
+    nb = g.neighbor_table()
     nv = g.num_vertices
-    eu, ev = g.edge_array()
-    edge_keys = np.sort(eu * np.int64(nv) + ev)
-
-    def is_auto(p: np.ndarray) -> bool:
-        pu, pv = p[eu], p[ev]
-        keys = np.sort(np.minimum(pu, pv) * np.int64(nv) + np.maximum(pu, pv))
-        return bool(np.array_equal(keys, edge_keys))
 
     state = {
         "first_leaf": None,   # colors at the leftmost discrete leaf
@@ -106,8 +64,12 @@ def automorphism_group_order(g: GraphData,
         c = int(np.nonzero(counts > 1)[0][0])
         return np.nonzero(colors == c)[0].tolist()
 
+    def orbit_of(b: int, fixed: list[int]) -> list[int]:
+        gens = [p for p in state["gens"] if all(p[f] == f for f in fixed)]
+        return orbits(gens, [b])[0]
+
     def search_left(colors: np.ndarray, level: int) -> None:
-        colors, ncol = ref.refine(colors)
+        colors, ncol = color_refinement(nb, colors)
         state["traces"][level] = invariant(colors, ncol)
         if ncol == nv:
             state["first_leaf"] = colors.copy()
@@ -115,26 +77,24 @@ def automorphism_group_order(g: GraphData,
         cell = target_cell(colors, ncol)
         b = cell[0]
         state["base"].append((level, b))
-        search_left(ref.individualize(colors, b), level + 1)
+        search_left(_individualize(colors, b), level + 1)
         fixed = [v for (lv, v) in state["base"] if lv < level]
         for v in cell[1:]:
-            gens_here = [p for p in state["gens"]
-                         if all(p[f] == f for f in fixed)]
-            if v in _closure(b, gens_here):
+            if v in orbit_of(b, fixed):
                 continue
-            p = search_other(ref.individualize(colors, v), level + 1)
+            p = search_other(_individualize(colors, v), level + 1)
             if p is not None:
                 state["gens"].append(p)
 
     def search_other(colors: np.ndarray, level: int) -> np.ndarray | None:
-        colors, ncol = ref.refine(colors)
+        colors, ncol = color_refinement(nb, colors)
         if state["traces"].get(level) != invariant(colors, ncol):
             return None
         if ncol == nv:
             p = leaf_perm(colors)
-            return p if is_auto(p) else None
+            return p if is_graph_automorphism(g, p) else None
         for v in target_cell(colors, ncol):
-            p = search_other(ref.individualize(colors, v), level + 1)
+            p = search_other(_individualize(colors, v), level + 1)
             if p is not None:
                 return p
         return None
@@ -143,8 +103,5 @@ def automorphism_group_order(g: GraphData,
 
     order = 1
     for idx, (_, b) in enumerate(state["base"]):
-        fixed = [v for (_, v) in state["base"][:idx]]
-        gens_here = [p for p in state["gens"]
-                     if all(p[f] == f for f in fixed)]
-        order *= len(_closure(b, gens_here))
+        order *= len(orbit_of(b, [v for (_, v) in state["base"][:idx]]))
     return order

@@ -64,6 +64,15 @@ class GraphData:
         i = np.searchsorted(nb, v)
         return bool(i < len(nb) and nb[i] == v)
 
+    def neighbor_table(self) -> np.ndarray:
+        """Neighbor lists as rows, padded with -1 to the maximum degree."""
+        degs = self.degrees()
+        width = int(degs.max()) if self.num_vertices else 0
+        table = np.full((self.num_vertices, width), -1, dtype=np.int64)
+        rows = np.repeat(np.arange(self.num_vertices), degs)
+        table[rows, np.arange(len(rows)) - self.indptr[rows]] = self.indices
+        return table
+
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""
         for u in range(self.num_vertices):
@@ -111,22 +120,33 @@ def graph_from_edges(num_vertices: int, u, v, sides=None, labels=None,
                      dst.astype(dtype), sides, labels)
 
 
-def bfs_layers(g: GraphData, root: int) -> tuple[list[int], int]:
-    """Layer sizes by distance from root; also the unreachable count."""
+def bfs_distances(g: GraphData, root: int,
+                  max_depth: int | None = None) -> np.ndarray:
+    """Distance from root to every vertex (-1 where unreached), stopping
+    after max_depth layers when a depth limit is given.
+
+    Each layer is read back as ``flatnonzero(dist == d)``, which dedupes
+    the frontier without sorting but scans all vertices once per layer:
+    O(V * diameter), cheap on the family's graphs (diameter <= 14 at n=3).
+    """
     dist = np.full(g.num_vertices, -1, dtype=np.int64)
     dist[root] = 0
     frontier = np.array([root], dtype=np.int64)
-    layers = [1]
-    while len(frontier):
-        nxt = np.unique(_expand(g, frontier))
+    d = 0
+    while len(frontier) and (max_depth is None or d < max_depth):
+        nxt = _expand(g, frontier)
         nxt = nxt[dist[nxt] < 0]
-        if not len(nxt):
-            break
-        dist[nxt] = len(layers)
-        layers.append(int(len(nxt)))
-        frontier = nxt
-    unreachable = int(np.count_nonzero(dist < 0))
-    return layers, unreachable
+        d += 1
+        dist[nxt] = d
+        frontier = np.flatnonzero(dist == d)
+    return dist
+
+
+def bfs_layers(g: GraphData, root: int) -> tuple[list[int], int]:
+    """Layer sizes by distance from root; also the unreachable count."""
+    dist = bfs_distances(g, root)
+    reached = dist[dist >= 0]
+    return np.bincount(reached).tolist(), len(dist) - len(reached)
 
 
 def _expand(g: GraphData, frontier: np.ndarray) -> np.ndarray:

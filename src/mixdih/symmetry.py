@@ -1,8 +1,15 @@
 """Symmetry machinery for the coset graph: the two vertex actions (right
 multiplication by group elements and the GL x GL generator automorphisms),
-plain orbit closure, the local 2-arc-transitivity check, BFS distance
-diagrams, coarsest equitable refinement, the radius-4 ball identity in the
-Cayley graph, and the semisymmetry certificate.
+orbit closure, the local 2-arc-transitivity check, BFS distance diagrams,
+coarsest equitable refinement, the radius-4 ball identity in the Cayley
+graph, and the semisymmetry certificate.
+
+Each shared graph algorithm has one implementation.  BFS is
+``graphs.bfs_distances`` (``graphs.bfs_layers`` counts its layers).  This
+module owns the other three: ``color_refinement`` (behind
+``equitable_refinement`` and the individualization-refinement search in
+``autgroup``), ``orbits`` and the automorphism predicate
+``is_graph_automorphism``.
 
 Vertex intransitivity is certified by a side-separating invariant (the BFS
 layer profile) rather than a full automorphism search: an automorphism
@@ -23,6 +30,7 @@ from .graphs import (
     CosetVertex,
     GraphData,
     Sigma,
+    bfs_distances,
     bfs_layers,
     canonical_coset,
     connection_set,
@@ -81,15 +89,15 @@ def is_permutation(perm: VertexPermutation) -> bool:
 
 
 def is_graph_automorphism(g: GraphData, perm: VertexPermutation) -> bool:
-    """Adjacency preservation tested on all edges (both directions)."""
-    if not is_permutation(perm):
+    """Adjacency preservation tested on all edges: the sorted image edge
+    keys must equal the edge keys, which the CSR order already sorts."""
+    if len(perm) != g.num_vertices or not is_permutation(perm):
         return False
     eu, ev = g.edge_array()
     pu, pv = perm[eu], perm[ev]
     nv = np.int64(g.num_vertices)
-    orig = np.sort(np.minimum(eu, ev) * nv + np.maximum(eu, ev))
     img = np.sort(np.minimum(pu, pv) * nv + np.maximum(pu, pv))
-    return bool(np.array_equal(orig, img))
+    return bool(np.array_equal(eu * nv + ev, img))
 
 
 def compose(p: VertexPermutation, q: VertexPermutation) -> VertexPermutation:
@@ -99,36 +107,35 @@ def compose(p: VertexPermutation, q: VertexPermutation) -> VertexPermutation:
 
 # -- orbits ---------------------------------------------------------------------
 
-def orbits(perms: Sequence, points: Iterable) -> list[list]:
-    """Orbit partition of the points under the closure of the generators.
+def orbits(perms: Sequence[np.ndarray],
+           points: Iterable[int]) -> list[list[int]]:
+    """Orbits through the given points under the group generated by the
+    permutation arrays, in order of first point, each sorted.
 
-    Generators may be index arrays/dicts or callables; points anything
-    hashable.  Plain breadth-first closure.
+    Min-label propagation: every point x and its image p[x] hook the larger
+    of their labels onto the smaller, then pointer jumping flattens the
+    labels, until each orbit carries its least point as label.
     """
-    def apply(p, x):
-        if callable(p):
-            return p(x)
-        return p[x]
-
-    remaining = list(points)
-    seen: set = set()
-    out: list[list] = []
-    for start in remaining:
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for p in perms:
-                y = apply(p, x)
-                if y not in seen:
-                    seen.add(y)
-                    orbit.append(y)
-                    queue.append(y)
-        out.append(sorted(orbit))
-    return out
+    points = np.asarray(points, dtype=np.int64)
+    size = len(perms[0]) if len(perms) else int(points.max(initial=-1)) + 1
+    label = np.arange(size)
+    while True:
+        before = label.copy()
+        for p in perms:
+            a, b = label, label[p]
+            np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(label[label], label):
+            label = label[label]
+        if np.array_equal(label, before):
+            break
+    roots = label[points]
+    _, first = np.unique(roots, return_index=True)
+    order = np.argsort(label, kind="stable")
+    ranked = label[order]
+    wanted = roots[np.sort(first)]
+    lo = np.searchsorted(ranked, wanted, "left")
+    hi = np.searchsorted(ranked, wanted, "right")
+    return [order[a:b].tolist() for a, b in zip(lo, hi)]
 
 
 # -- local 2-arc machinery ---------------------------------------------------
@@ -209,8 +216,7 @@ def rooted_two_arcs(ctx: GroupContext, side: str) -> list[TwoArc]:
     return arcs
 
 
-def check_local_2at(ctx: GroupContext, sigma: Sigma | None = None,
-                    use_gl: bool = True) -> dict:
+def check_local_2at(ctx: GroupContext, use_gl: bool = True) -> dict:
     """Transitivity of the base-vertex stabilizers on rooted 2-arcs.
 
     The stabilizer generators (right multiplications by the side's
@@ -218,8 +224,7 @@ def check_local_2at(ctx: GroupContext, sigma: Sigma | None = None,
     vertex of each side; the check passes iff each side yields a single
     orbit.  Vertex transitivity of the group on each side then certifies
     local 2-arc-transitivity at every root.  The computation is local and
-    does not need the full graph (sigma is accepted for interface
-    symmetry; use_gl=False exists for mutation tests).
+    does not need the full graph (use_gl=False exists for mutation tests).
     """
     report: dict = {"n": ctx.n, "sides": {}}
     ok = True
@@ -228,16 +233,11 @@ def check_local_2at(ctx: GroupContext, sigma: Sigma | None = None,
         maps = _stabilizer_maps(ctx, side)
         if not use_gl:
             maps = maps[:ctx.n]
-        root_tok = arcs[0].u
-
-        def arc_map(m):
-            def act(arc: TwoArc) -> TwoArc:
-                u = m(arc.u)
-                assert u == root_tok, "stabilizer generator moved the root"
-                return TwoArc(u, m(arc.v), m(arc.w))
-            return act
-
-        parts = orbits([arc_map(m) for m in maps], arcs)
+        # a KeyError here means a generator moved the root
+        index = {arc: i for i, arc in enumerate(arcs)}
+        perms = [np.array([index[TwoArc(m(a.u), m(a.v), m(a.w))]
+                           for a in arcs]) for m in maps]
+        parts = orbits(perms, range(len(arcs)))
         expected = (1 << ctx.n) * ((1 << ctx.n) - 1)
         report["sides"][side] = {
             "two_arcs": len(arcs),
@@ -275,103 +275,98 @@ def distance_layers(g: GraphData, root: int,
 class EquitablePartition:
     """Coarsest equitable partition refining a seed, with edge counts.
 
-    cells[i] is a sorted vertex list; counts[i][j] is the number of
+    cells[i] is a sorted vertex array; counts[i][j] is the number of
     neighbors in cell j of any vertex of cell i (well-defined at the
     fixed point, and verified).
     """
 
-    cells: list[list[int]]
+    cells: list[np.ndarray]
     counts: list[list[int]]
     cell_of: np.ndarray
 
 
-def equitable_refinement(g: GraphData, seed: Sequence[Sequence[int]],
-                         max_rounds: int = 10000) -> EquitablePartition:
-    """Iterated neighbor-count splitting to the coarsest equitable
-    refinement of the seed partition.
+def _neighbor_colors(nb: np.ndarray, colors: np.ndarray,
+                     ncol: int) -> np.ndarray:
+    """Each vertex's neighbor colors sorted ascending, padding (ncol) last."""
+    nbc = colors[nb]
+    nbc[nb < 0] = ncol
+    nbc.sort(axis=1)
+    return nbc
+
+
+def color_refinement(nb: np.ndarray,
+                     colors: np.ndarray) -> tuple[np.ndarray, int]:
+    """Stable coloring of 1-dimensional refinement on a padded neighbor
+    table (``GraphData.neighbor_table``), with the number of colors.
+
+    Each round re-ranks the vertices by (color, negated sorted neighbor
+    colors).  A vertex with more neighbors of the first color where two
+    count vectors differ has the larger negated entry there, so the new
+    colors follow sorted (old color, neighbor-count vector) pairs.  Colors
+    must be 0..k-1; a stable input comes back unchanged.
+    """
+    ncol = int(colors.max()) + 1
+    while True:
+        sig = np.column_stack([colors, -_neighbor_colors(nb, colors, ncol)])
+        _, new = np.unique(sig, axis=0, return_inverse=True)
+        nnew = int(new.max()) + 1
+        if nnew == ncol:
+            return new.astype(np.int64), nnew
+        colors, ncol = new.astype(np.int64), nnew
+
+
+def equitable_refinement(g: GraphData,
+                         seed: Sequence[Sequence[int]]) -> EquitablePartition:
+    """Coarsest equitable refinement of the seed partition.
 
     New cell ids are assigned by sorting (old cell id, count signature),
     which makes diagrams reproducible.
     """
     nv = g.num_vertices
+    seed_cells = [np.asarray(c, dtype=np.int64) for c in seed]
+    flat = np.concatenate(seed_cells) if seed_cells else np.zeros(0, int)
     color = np.full(nv, -1, dtype=np.int64)
-    for i, cell in enumerate(seed):
-        for v in cell:
-            if color[v] != -1:
-                raise ValueError("seed cells overlap")
-            color[v] = i
-    if np.any(color < 0):
-        raise ValueError("seed does not cover all vertices")
+    color[flat] = np.repeat(np.arange(len(seed_cells)),
+                            [len(c) for c in seed_cells])
+    if len(flat) != nv or np.any(color < 0):
+        raise ValueError("seed cells must partition the vertices")
 
-    ncolors = len(seed)
-    for _ in range(max_rounds):
-        sigs: dict[int, tuple] = {}
-        for v in range(nv):
-            counts = [0] * ncolors
-            for w in g.neighbors(v):
-                counts[color[w]] += 1
-            sigs[v] = (int(color[v]), tuple(counts))
-        distinct = sorted(set(sigs.values()))
-        rank = {s: i for i, s in enumerate(distinct)}
-        new_color = np.array([rank[sigs[v]] for v in range(nv)], dtype=np.int64)
-        if len(distinct) == ncolors:
-            color = new_color
-            break
-        color, ncolors = new_color, len(distinct)
-    else:
-        raise RuntimeError("equitable refinement did not stabilize")
-
-    cells = [[] for _ in range(ncolors)]
-    for v in range(nv):
-        cells[color[v]].append(v)
-    counts_mat = []
-    for i, cell in enumerate(cells):
-        row0 = None
-        for v in cell:
-            row = [0] * ncolors
-            for w in g.neighbors(v):
-                row[color[w]] += 1
-            if row0 is None:
-                row0 = row
-            elif row != row0:
-                raise RuntimeError("refinement fixed point is not equitable")
-        counts_mat.append(row0)
-    return EquitablePartition(cells, counts_mat, color)
+    nb = g.neighbor_table()
+    color, ncol = color_refinement(nb, color)
+    nbc = _neighbor_colors(nb, color, ncol)
+    first = np.unique(color, return_index=True)[1]
+    if not np.array_equal(nbc, nbc[first][color]):
+        raise RuntimeError("refinement fixed point is not equitable")
+    rows = nbc[first]
+    real = rows < ncol
+    counts = np.bincount(
+        (np.arange(ncol)[:, None] * ncol + rows)[real],
+        minlength=ncol * ncol).reshape(ncol, ncol)
+    cells = np.split(np.argsort(color, kind="stable"),
+                     np.cumsum(np.bincount(color, minlength=ncol))[:-1])
+    return EquitablePartition(cells, counts.tolist(), color)
 
 
 def refined_diagram(g: GraphData, root: int,
                     root_label: str | None = None) -> DistanceDiagram:
     """Distance diagram with the distance partition refined equitably."""
-    diag = distance_layers(g, root, root_label)
-    # rebuild the distance partition as seed cells
-    dist = np.full(g.num_vertices, -1, dtype=np.int64)
-    dist[root] = 0
-    frontier = [root]
-    d = 0
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in g.neighbors(v):
-                if dist[w] < 0:
-                    dist[w] = d + 1
-                    nxt.append(int(w))
-        frontier, d = nxt, d + 1
+    dist = bfs_distances(g, root)
     ndist = int(dist.max()) + 1
-    seed = [np.nonzero(dist == k)[0].tolist() for k in range(ndist)]
-    part = equitable_refinement(g, seed)
+    part = equitable_refinement(
+        g, [np.flatnonzero(dist == d) for d in range(ndist)])
     cell_dist = [int(dist[cell[0]]) for cell in part.cells]
     cells_per_layer: list[list[int]] = [[] for _ in range(ndist)]
-    for ci, cell in enumerate(part.cells):
-        cells_per_layer[cell_dist[ci]].append(len(cell))
+    for d, cell in zip(cell_dist, part.cells):
+        cells_per_layer[d].append(len(cell))
     rows = []
     for i, row in enumerate(part.counts):
         for j, cnt in enumerate(row):
             if cnt:
                 rows.append((cell_dist[i], len(part.cells[i]),
                              cell_dist[j], len(part.cells[j]), cnt))
-    diag.cells = cells_per_layer
-    diag.cell_edges = rows
-    return diag
+    return DistanceDiagram(root_label or str(root),
+                           [sum(sizes) for sizes in cells_per_layer], 0,
+                           cells_per_layer, rows)
 
 
 # -- ball identity ------------------------------------------------------------------
@@ -381,47 +376,23 @@ def ball_intersect_derived(ctx: GroupContext, radius: int,
     """Elements of the derived subgroup within the given Cayley-ball radius
     of the identity.
 
-    Works lazily from the group when no prebuilt Cayley graph is passed
-    (the radius-4 ball is tiny compared to the group).
+    Uses the shared BFS on a prebuilt Cayley graph; without one it grows
+    the ball lazily from the group as B_r = B_{r-1} u S B_{r-1} (the
+    radius-4 ball is tiny compared to the group).
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if gamma is not None:
-        dist = np.full(gamma.num_vertices, -1, dtype=np.int64)
-        dist[0] = 0
-        frontier = np.array([0], dtype=np.int64)
-        for d in range(radius):
-            starts = gamma.indptr[frontier]
-            counts = gamma.indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            base = np.repeat(starts, counts)
-            within = np.arange(total) - np.repeat(np.cumsum(counts) - counts,
-                                                  counts)
-            nxt = np.unique(gamma.indices[base + within])
-            nxt = nxt[dist[nxt] < 0]
-            if not len(nxt):
-                break
-            dist[nxt] = d + 1
-            frontier = nxt
-        ball = np.nonzero(dist >= 0)[0]
+        ball = np.flatnonzero(bfs_distances(gamma, 0, radius) >= 0)
     else:
         ops = packed_ops(ctx)
-        seen = np.zeros(1 << ctx.total_bits, dtype=bool)
-        seen[0] = True
-        frontier = np.array([0], dtype=np.uint32)
+        ball = np.zeros(1, dtype=np.uint32)
         s_list = connection_set(ctx)
         for _ in range(radius):
-            imgs = np.concatenate([ops.left_mul(s, frontier) for s in s_list])
-            nxt = np.unique(imgs)
-            nxt = nxt[~seen[nxt]]
-            if not len(nxt):
-                break
-            seen[nxt] = True
-            frontier = nxt
-        ball = np.nonzero(seen)[0]
+            ball = np.unique(np.concatenate(
+                [ball] + [ops.left_mul(s, ball) for s in s_list]))
     mask_ab = (1 << (2 * ctx.n)) - 1
-    derived = [int(z) for z in ball if (int(z) & mask_ab) == 0]
-    return [ctx.unpack(z) for z in sorted(derived)]
+    return [ctx.unpack(int(z)) for z in ball[(ball & mask_ab) == 0]]
 
 
 def commutator_square(ctx: GroupContext) -> list[Element]:
@@ -449,20 +420,20 @@ def edge_regular_witness(ctx: GroupContext, sigma: Sigma,
     out = {"edge_count_matches_group": g.num_edges == 1 << ctx.total_bits}
     if g.num_edges <= full_closure_limit:
         eu, ev = g.edge_array()
-        eid = {(int(a), int(b)): i for i, (a, b) in enumerate(zip(eu, ev))}
+        nv = np.int64(g.num_vertices)
+        keys = eu * nv + ev
         gens = [xgen(ctx, i) for i in range(1, ctx.n + 1)] + \
                [ygen(ctx, j) for j in range(1, ctx.n + 1)]
-        perms = [right_action(ctx, sigma, h) for h in gens]
-
-        def edge_map(p):
-            def act(e):
-                u, v = int(eu[e]), int(ev[e])
-                a, b = int(p[u]), int(p[v])
-                return eid[(min(a, b), max(a, b))]
-            return act
-
+        perms = []
+        for h in gens:
+            p = right_action(ctx, sigma, h)
+            if not is_graph_automorphism(g, p):
+                raise ValueError("right action is not an automorphism")
+            pu, pv = p[eu], p[ev]
+            perms.append(np.searchsorted(
+                keys, np.minimum(pu, pv) * nv + np.maximum(pu, pv)))
         base = sigma.phi.edge_of(IDENTITY)
-        orbit = orbits([edge_map(p) for p in perms], [base])[0]
+        orbit = orbits(perms, [base])[0]
         out["base_edge_orbit"] = len(orbit)
         out["edge_transitive"] = len(orbit) == g.num_edges
     else:

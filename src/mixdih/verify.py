@@ -618,8 +618,6 @@ def check_gl_action(ctx, samples, rng, cache):
 
 
 def check_vertex_orbits_sides(ctx, samples, rng, cache):
-    if 2 << (ctx.total_bits - ctx.n) > 4096:
-        raise CapExceededError("orbit closure over all vertices kept small")
     sig = _build_sigma_cached(ctx, cache)
     gens = [xgen(ctx, i) for i in range(1, ctx.n + 1)] + \
            [ygen(ctx, j) for j in range(1, ctx.n + 1)]

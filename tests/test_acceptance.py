@@ -50,6 +50,7 @@ from mixdih.verify import (
     check_h3_central,
     check_jacobi,
     check_product_formula,
+    check_vertex_orbits_sides,
     check_commutator_symmetry,
     check_witt_hall,
     check_y_absorption,
@@ -71,6 +72,12 @@ def ctx3():
 @pytest.fixture(scope="module")
 def sigma2(ctx2):
     return build_sigma(ctx2)
+
+
+@pytest.fixture(scope="module")
+def sigma3(ctx3):
+    # built once for the module: Sigma_3 has 2^22 vertices and 2^24 edges
+    return build_sigma(ctx3)
 
 
 @pytest.fixture(scope="module")
@@ -201,9 +208,8 @@ def test_criterion_07_quotient_n2(ctx2, sigma2):
 
 
 @pytest.mark.slow
-def test_criterion_07_quotient_n3(ctx3):
-    sig = build_sigma(ctx3)
-    q = quotient_by_derived(ctx3, sig)
+def test_criterion_07_quotient_n3(ctx3, sigma3):
+    q = quotient_by_derived(ctx3, sigma3)
     complete = all(q.has_edge(u, 8 + v) for u in range(8) for v in range(8))
     ok = (q.num_vertices == 16 and q.num_edges == 64 and complete
           and set(q.degrees().tolist()) == {8})
@@ -233,6 +239,15 @@ def test_criterion_09_semisymmetry(ctx2, sigma2):
               "Y", cert["layers_Y"], "vs", EXPECTED_LAYERS_Y_N2)
     report("criterion-09 semisymmetry certificate", ok,
            "profiles differ first at distance 4 (54 vs 81)")
+
+
+@pytest.mark.slow
+def test_criterion_09_side_orbits_n3(ctx3, sigma3):
+    status, _, actual = check_vertex_orbits_sides(
+        ctx3, SAMPLES, random.Random(0), {"sigma": sigma3})
+    ok = status == "pass" and actual == {"orbit_sizes": [2**21, 2**21]}
+    report("criterion-09 vertex orbits are the sides n=3", ok,
+           "the group's right action has two orbits of 2^21 vertices")
 
 
 @pytest.mark.parametrize("n,count", [(2, 9), (3, 49)])

@@ -76,6 +76,21 @@ def test_right_action_is_automorphism(ctx2, sigma2):
         assert np.all((p < 256) == (np.arange(512) < 256))
 
 
+def test_automorphism_rejects_swap(sigma2):
+    # X vertices 0 and 1 have different neighborhoods
+    p = np.arange(512)
+    p[[0, 1]] = p[[1, 0]]
+    assert set(sigma2.graph.neighbors(0)) != set(sigma2.graph.neighbors(1))
+    assert not is_graph_automorphism(sigma2.graph, p)
+
+
+def test_automorphism_rejects_non_bijection(sigma2):
+    p = np.arange(512)
+    p[1] = 0
+    assert not is_graph_automorphism(sigma2.graph, p)
+    assert not is_graph_automorphism(sigma2.graph, np.arange(511))
+
+
 def test_right_action_homomorphism(ctx2, sigma2):
     rng = random.Random(1)
     for _ in range(50):
@@ -138,6 +153,37 @@ def test_orbits_h_on_vertices(ctx2, sigma2):
     assert sorted(len(p) for p in parts) == [256, 256]
     sides = [set(p) for p in parts]
     assert set(range(256)) in sides and set(range(256, 512)) in sides
+
+
+def closure_orbits(perms, points):
+    """Reference: plain breadth-first closure from each new point."""
+    seen, out = set(), []
+    for start in points:
+        if start not in seen:
+            orbit, queue = {start}, [start]
+            while queue:
+                x = queue.pop()
+                for p in perms:
+                    if int(p[x]) not in orbit:
+                        orbit.add(int(p[x]))
+                        queue.append(int(p[x]))
+            seen |= orbit
+            out.append(sorted(orbit))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_orbits_match_closure(seed):
+    rng = random.Random(seed)
+    nv = rng.randint(1, 60)
+    perms = [np.array(rng.sample(range(nv), nv))
+             for _ in range(rng.randint(0, 3))]
+    # a product of 3-cycles makes many small orbits
+    tail = nv - nv % 3
+    perms.append(np.array([x - x % 3 + (x + 1) % 3 for x in range(tail)]
+                          + list(range(tail, nv))))
+    points = rng.sample(range(nv), rng.randint(0, nv))
+    assert orbits(perms, points) == closure_orbits(perms, points)
 
 
 # -- local 2-arc transitivity ------------------------------------------------------
@@ -217,6 +263,38 @@ def test_equitable_refines_seed():
     assert sorted(len(c) for c in part.cells) == [1, 2]
 
 
+def reference_refinement(g, seed):
+    """Reference: per-vertex re-ranking by (color, neighbor-count vector)."""
+    color = {v: i for i, cell in enumerate(seed) for v in cell}
+    ncol = len(seed)
+    while True:
+        sig = {}
+        for v in range(g.num_vertices):
+            counts = [0] * ncol
+            for w in g.neighbors(v):
+                counts[color[int(w)]] += 1
+            sig[v] = (color[v], tuple(counts))
+        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        color = {v: rank[sig[v]] for v in sig}
+        if len(rank) == ncol:
+            return [color[v] for v in range(g.num_vertices)]
+        ncol = len(rank)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_equitable_matches_reference(seed):
+    rng = random.Random(seed)
+    nv = rng.randint(2, 40)
+    pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)
+             if rng.random() < 0.2] or [(0, 1)]
+    g = from_pairs(nv, pairs)
+    order = rng.sample(range(nv), nv)
+    cut = rng.randint(1, nv)
+    seed_cells = [order[:cut], order[cut:]] if cut < nv else [order]
+    part = equitable_refinement(g, seed_cells)
+    assert part.cell_of.tolist() == reference_refinement(g, seed_cells)
+
+
 def test_refined_diagram_x(ctx2, sigma2):
     d = refined_diagram(sigma2.graph, sigma2.vid_of("X", IDENTITY), "X")
     assert [sorted(c) for c in d.cells] == EXPECTED_CELLS_X_N2
@@ -229,6 +307,40 @@ def test_refined_diagram_y(ctx2, sigma2):
     backwards_only = [(d_, s) for (d_, s, d2, s2, cnt) in d.cell_edges
                       if d_ == 4 and s == 9 and d2 == 5]
     assert backwards_only == []
+
+
+# The full n=2 refined diagrams, cells in order and every cell_edges row,
+# as the per-vertex refinement computed them before the vectorized one.
+REFINED_N2 = {
+    "X": (
+        [[1], [4], [12], [36], [54], [108], [108], [108], [81]],
+        [
+        (0, 1, 1, 4, 4), (1, 4, 0, 1, 1), (1, 4, 2, 12, 3), (2, 12, 1, 4, 1),
+        (2, 12, 3, 36, 3), (3, 36, 2, 12, 1), (3, 36, 4, 54, 3),
+        (4, 54, 3, 36, 2), (4, 54, 5, 108, 2), (5, 108, 4, 54, 1),
+        (5, 108, 6, 108, 3), (6, 108, 5, 108, 3), (6, 108, 7, 108, 1),
+        (7, 108, 6, 108, 1), (7, 108, 8, 81, 3), (8, 81, 7, 108, 4),
+        ]),
+    "Y": (
+        [[1], [4], [12], [36], [72, 9], [108], [108, 27], [108], [27]],
+        [
+        (0, 1, 1, 4, 4), (1, 4, 0, 1, 1), (1, 4, 2, 12, 3), (2, 12, 1, 4, 1),
+        (2, 12, 3, 36, 3), (3, 36, 2, 12, 1), (3, 36, 4, 72, 2),
+        (3, 36, 4, 9, 1), (4, 72, 3, 36, 1), (4, 72, 5, 108, 3),
+        (4, 9, 3, 36, 4), (5, 108, 4, 72, 2), (5, 108, 6, 108, 1),
+        (5, 108, 6, 27, 1), (6, 108, 5, 108, 1), (6, 108, 7, 108, 3),
+        (6, 27, 5, 108, 4), (7, 108, 6, 108, 3), (7, 108, 8, 27, 1),
+        (8, 27, 7, 108, 4),
+        ]),
+}
+
+
+@pytest.mark.parametrize("side", ["X", "Y"])
+def test_refined_diagram_full(ctx2, sigma2, side):
+    cells, edges = REFINED_N2[side]
+    d = refined_diagram(sigma2.graph, sigma2.vid_of(side, IDENTITY), side)
+    assert d.cells == cells
+    assert d.cell_edges == edges
 
 
 def test_equitable_seed_validation(ctx2, sigma2):
@@ -263,10 +375,11 @@ def test_ball_negative_radius(ctx2):
         ball_intersect_derived(ctx2, -1)
 
 
-def test_ball_with_prebuilt_gamma(ctx2):
+@pytest.mark.parametrize("radius", range(5))
+def test_ball_with_prebuilt_gamma(ctx2, radius):
     gamma = build_gamma(ctx2)
-    assert ball_intersect_derived(ctx2, 4, gamma=gamma) == \
-        ball_intersect_derived(ctx2, 4)
+    assert ball_intersect_derived(ctx2, radius, gamma=gamma) == \
+        ball_intersect_derived(ctx2, radius)
 
 
 def test_commutator_square_distinct(ctx2):
