@@ -111,6 +111,19 @@ class PackedOps:
         t2 = t ^ self.psi[ab]
         return a | (m2 << n) | (t2 << np.uint32(self.n + self.nn))
 
+    def y_rep(self, keys: np.ndarray) -> np.ndarray:
+        """Packed b = 0 representatives of the Y cosets with these keys."""
+        keys = np.asarray(keys, dtype=np.uint32)
+        return (keys & self.mask_n) | ((keys >> np.uint32(self.n))
+                                       << np.uint32(2 * self.n))
+
+    def y_coset(self, keys: np.ndarray) -> np.ndarray:
+        """Members of the Y-side cosets with these keys, one row per key:
+        column c holds y^c times the representative."""
+        rep = self.y_rep(keys)
+        return np.stack([self.left_mul(Element(b=c), rep)
+                         for c in range(1 << self.n)], axis=1)
+
     def x_rep_of_key(self, key: int) -> Element:
         return self.ctx.unpack(int(key) << self.n)
 

@@ -75,16 +75,23 @@ class GraphData:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""
-        for u in range(self.num_vertices):
-            for v in self.neighbors(u):
-                if u < v:
-                    yield (u, int(v))
+        u, v = self.edge_array()
+        return zip(u.tolist(), v.tolist())
 
-    def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized edge list (u < v), sorted ascending."""
-        src = np.repeat(np.arange(self.num_vertices), self.degrees())
-        keep = src < self.indices
-        return src[keep], self.indices[keep]
+    def edge_array(self, start: int = 0,
+                   stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized edge list (u < v), sorted ascending; restricted to
+        the edges whose smaller end u lies in [start, stop)."""
+        stop = self.num_vertices if stop is None else stop
+        src = np.repeat(np.arange(start, stop),
+                        np.diff(self.indptr[start:stop + 1]))
+        dst = self.indices[self.indptr[start]:self.indptr[stop]]
+        keep = src < dst
+        return src[keep], dst[keep]
+
+
+def _index_dtype(num_vertices: int):
+    return np.int32 if num_vertices <= (1 << 31) - 1 else np.int64
 
 
 def graph_from_edges(num_vertices: int, u, v, sides=None, labels=None,
@@ -115,9 +122,24 @@ def graph_from_edges(num_vertices: int, u, v, sides=None, labels=None,
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.add.at(indptr, src + 1, 1)
     np.cumsum(indptr, out=indptr)
-    dtype = np.int32 if num_vertices <= (1 << 31) - 1 else np.int64
     return GraphData(num_vertices, int(num_edges), indptr,
-                     dst.astype(dtype), sides, labels)
+                     dst.astype(_index_dtype(num_vertices)), sides, labels)
+
+
+def graph_from_rows(rows: np.ndarray, sides=None, labels=None) -> GraphData:
+    """Build a regular GraphData from its neighbor table, one sorted row
+    per vertex.
+
+    A row that is not strictly increasing repeats an edge and raises
+    GraphConsistencyError.  Loops and the symmetry of the table are the
+    caller's to check.
+    """
+    nv, degree = rows.shape
+    if not np.all(rows[:, 1:] > rows[:, :-1]):
+        raise GraphConsistencyError("repeated neighbor in an adjacency row")
+    indptr = np.arange(nv + 1, dtype=np.int64) * degree
+    indices = rows.astype(_index_dtype(nv), copy=False).ravel()
+    return GraphData(nv, nv * degree // 2, indptr, indices, sides, labels)
 
 
 def bfs_distances(g: GraphData, root: int,
@@ -189,25 +211,27 @@ def build_gamma(ctx: GroupContext, force: bool = False) -> GraphData:
     """Cayley graph on all group elements: z adjacent to s*z for s in S.
 
     Vertex ids are the packed element encodings (identity is vertex 0).
-    Regular of valency 2(2^n - 1); connected since S generates.
+    Regular of valency 2(2^n - 1); connected since S generates.  Row z
+    is {s*z : s in S}; since every s is an involution, s*(s*z) = z puts
+    z back in the row of s*z, which the build checks.
     """
     nv = 1 << ctx.total_bits
     _check_cap(nv, force, "Cayley graph")
     ops = packed_ops(ctx)
     z = ops.all_elements()
-    s_list = connection_set(ctx)
-    us, vs = [], []
-    for s in s_list:
-        us.append(z)
-        vs.append(ops.left_mul(s, z))
-    u = np.concatenate(us).astype(np.int64)
-    v = np.concatenate(vs).astype(np.int64)
-    # each undirected edge {z, sz} arises twice (s is an involution)
-    keep = u < v
+    cols = []
+    for s in connection_set(ctx):
+        sz = ops.left_mul(s, z)
+        if not np.array_equal(ops.left_mul(s, sz), z):
+            raise GraphConsistencyError("adjacency is not symmetric")
+        cols.append(sz)
+    rows = np.sort(np.stack(cols, axis=1), axis=1)
+    if np.any(rows == z[:, None]):
+        raise GraphConsistencyError("loop edge in construction")
     labels = None
     if nv <= (1 << 16):
         labels = [format_element(ctx, ctx.unpack(i)) for i in range(nv)]
-    return graph_from_edges(nv, u[keep], v[keep], labels=labels)
+    return graph_from_rows(rows, labels=labels)
 
 
 # -- coset-intersection graph ---------------------------------------------------
@@ -297,29 +321,44 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     """Build the coset-intersection graph via the edge bijection.
 
     Vertices are the canonical coset representatives of both sides;
-    the edges are exactly {X-coset(z), Y-coset(z)} for z over the group,
-    and the build asserts that no duplicate edge arises.
+    the edges are exactly {X-coset(z), Y-coset(z)} for z over the group.
+    X-coset key k owns the block (k << n) | a of the element order, so
+    its row is the sorted Y keys of that block, and the edges sorted by
+    (u, v) are the X rows in order.  The Y row of key r is the sorted X
+    keys of the coset members y^c * rep(r).  The build asserts that the
+    edge bijection is injective (strictly increasing X rows) and that the
+    Y rows are the transpose of the X rows.
     """
     half = 1 << (ctx.total_bits - ctx.n)
     nv = 2 * half
     _check_cap(nv, force, "coset graph")
     ops = packed_ops(ctx)
-    z = ops.all_elements()
-    u = ops.x_coset_key(z).astype(np.int64)
-    v = (ops.y_coset_key(z).astype(np.int64)) + half
-    order = np.lexsort((v, u))
-    edge_id = np.empty(len(z), dtype=np.int64)
-    edge_id[order] = np.arange(len(z))
+    degree = 1 << ctx.n
+    rows = np.empty((nv, degree), dtype=_index_dtype(nv))
+    ykeys = ops.y_coset_key(ops.all_elements()).reshape(half, degree)
+    order = np.argsort(ykeys, axis=1)
+    rows[:half] = np.take_along_axis(ykeys, order, axis=1)
+    rows[:half] += half
+    del ykeys  # keeps the peak RSS down at rank 3
+    order += np.arange(half, dtype=np.int64)[:, None] << ctx.n
+    element_key = order.ravel()
+    edge_id = np.empty_like(element_key)
+    edge_id[element_key] = np.arange(len(element_key))
+    members = ops.y_coset(np.arange(half, dtype=np.uint32))
+    rows[half:] = np.sort(ops.x_coset_key(members), axis=1)
     sides = np.zeros(nv, dtype=np.uint8)
     sides[half:] = 1
     labels = None
     if nv <= (1 << 16):
         labels = [format_element(ctx, ops.x_rep_of_key(k)) for k in range(half)]
         labels += [format_element(ctx, ops.y_rep_of_key(k)) for k in range(half)]
-    graph = graph_from_edges(nv, u, v, sides=sides, labels=labels)
-    if graph.num_edges != len(z):
-        raise GraphConsistencyError("edge bijection is not injective")
-    phi = EdgeBijection(ctx, edge_id, order.astype(np.int64))
+    graph = graph_from_rows(rows, sides=sides, labels=labels)
+    # the X rows come first in indices, in edge order: the edge of coset
+    # member (r, c) must end at Y vertex r
+    if not np.all(graph.indices[edge_id[members]]
+                  == np.arange(half, 2 * half)[:, None]):
+        raise GraphConsistencyError("Y rows are not the transpose of X rows")
+    phi = EdgeBijection(ctx, edge_id, element_key)
     return Sigma(ctx, graph, phi, half)
 
 
@@ -452,25 +491,68 @@ def quotient_by_derived(ctx: GroupContext, sigma: Sigma) -> GraphData:
 
 # -- export -----------------------------------------------------------------------
 
+# adjacency entries formatted per write by export_graph
+EXPORT_CHUNK = 1 << 18
+
+
 def export_graph(g: GraphData, out: IO[str], fmt: str = "edgelist",
                  n: int | None = None, kind: str | None = None) -> None:
     """Write the graph deterministically (edges ascending, u < v)."""
     if fmt == "edgelist":
         out.write(f"# hn-graph n={n} kind={kind} "
                   f"vertices={g.num_vertices} edges={g.num_edges}\n")
-        for u, v in g.edges():
-            out.write(f"{u} {v}\n")
+        _write_edges(g, out, ("", " ", "\n"))
     elif fmt == "dot":
         out.write("graph {\n")
-        degs = g.degrees()
-        for v in range(g.num_vertices):
-            if degs[v] == 0:
-                out.write(f"  {v};\n")
-        for u, v in g.edges():
-            out.write(f"  {u} -- {v};\n")
+        out.write(_format_lines(("  ", ";\n"),
+                                np.flatnonzero(g.degrees() == 0)))
+        _write_edges(g, out, ("  ", " -- ", ";\n"))
         out.write("}\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
+
+
+def _write_edges(g: GraphData, out: IO[str], literals: Sequence[str]) -> None:
+    """Edge lines in runs of whole rows, about EXPORT_CHUNK entries each."""
+    start = 0
+    while start < g.num_vertices:
+        stop = int(np.searchsorted(g.indptr, g.indptr[start] + EXPORT_CHUNK,
+                                   side="right")) - 1
+        stop = max(stop, start + 1)
+        out.write(_format_lines(literals, *g.edge_array(start, stop)))
+        start = stop
+
+
+def _format_lines(literals: Sequence[str], *columns: np.ndarray) -> str:
+    """One line per row i: literals[0], columns[0][i], literals[1], ...,
+    literals[-1], the non-negative integers in decimal.
+
+    The lines are laid out as a byte matrix with every number right-aligned
+    in its column's widest width; dropping the leading pad bytes of each
+    number leaves the lines concatenated in row order.
+    """
+    rows = len(columns[0])
+    if rows == 0:
+        return ""
+    widths = [len(str(int(col.max()))) for col in columns]
+    width = sum(map(len, literals)) + sum(widths)
+    buf = np.empty((rows, width), dtype=np.uint8)
+    keep = np.ones((rows, width), dtype=bool)
+    pos = 0
+    for i, lit in enumerate(literals):
+        buf[:, pos:pos + len(lit)] = np.frombuffer(lit.encode(), np.uint8)
+        pos += len(lit)
+        if i == len(columns):
+            break
+        x = columns[i].astype(np.int64)
+        for j in range(pos + widths[i] - 1, pos - 1, -1):
+            q = x // 10
+            buf[:, j] = x - 10 * q + ord("0")
+            keep[:, j] = x > 0
+            x = q
+        keep[:, pos + widths[i] - 1] = True  # 0 is written as one digit
+        pos += widths[i]
+    return buf[keep].tobytes().decode("ascii")
 
 
 def export_labels(g: GraphData, out: IO[str]) -> None:

@@ -63,12 +63,10 @@ def right_action(ctx: GroupContext, sigma: Sigma, h: Element) -> VertexPermutati
     half = sigma.half
     n = np.uint32(ctx.n)
     hk = np.uint32(ctx.pack(h))
-    xkeys = np.arange(half, dtype=np.uint32)
-    perm_x = ops.x_coset_key(ops.mul(xkeys << n, hk))
-    ykeys = xkeys  # same range
-    zy = (ykeys & ops.mask_n) | ((ykeys >> n) << np.uint32(2 * ctx.n))
-    perm_y = ops.y_coset_key(ops.mul(zy, hk)).astype(np.int64) + half
-    return np.concatenate([perm_x.astype(np.int64), perm_y])
+    keys = np.arange(half, dtype=np.uint32)  # both sides have half keys
+    perm_x = ops.x_coset_key(ops.mul(keys << n, hk))
+    perm_y = ops.y_coset_key(ops.mul(ops.y_rep(keys), hk)).astype(np.int64)
+    return np.concatenate([perm_x.astype(np.int64), perm_y + half])
 
 
 def gl_action(ctx: GroupContext, sigma: Sigma,
@@ -308,11 +306,16 @@ def color_refinement(nb: np.ndarray,
     ncol = int(colors.max()) + 1
     while True:
         sig = np.column_stack([colors, -_neighbor_colors(nb, colors, ncol)])
-        _, new = np.unique(sig, axis=0, return_inverse=True)
+        # dense rank of the rows in lexicographic order
+        order = np.lexsort(sig.T[::-1])
+        ranked = sig[order]
+        step = np.any(ranked[1:] != ranked[:-1], axis=1)
+        new = np.empty(len(sig), dtype=np.int64)
+        new[order] = np.concatenate([[0], np.cumsum(step)])
         nnew = int(new.max()) + 1
         if nnew == ncol:
-            return new.astype(np.int64), nnew
-        colors, ncol = new.astype(np.int64), nnew
+            return new, nnew
+        colors, ncol = new, nnew
 
 
 def equitable_refinement(g: GraphData,

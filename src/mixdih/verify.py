@@ -455,6 +455,20 @@ def check_edge_bijection(ctx, samples, rng, cache):
     rx, ry = sig.vid_of("X", IDENTITY), sig.vid_of("Y", IDENTITY)
     ok = {int(eu[base]), int(ev[base])} == {rx, ry}
     ok = ok and sig.graph.num_edges == 1 << ctx.total_bits
+    # Exhaustive, one b block at a time: y^b * z is the b = 0 member of
+    # the Y-coset of z, which gives its Y key without y_coset_key.
+    ops = packed_ops(ctx)
+    by_b = ops.all_elements().reshape(-1, 1 << ctx.n, 1 << ctx.n)
+    for c in range(1 << ctx.n):
+        z = by_b[:, c, :].ravel()
+        rep = ops.left_mul(Element(b=c), z)
+        ykey = ops.a_of(rep) | (ops.m_of(rep) << np.uint32(ctx.n)) \
+            | (ops.t_of(rep) << np.uint32(ctx.n + ctx.dim_w))
+        e = sig.phi.edge_id[z]
+        ok = ok and bool(
+            np.array_equal(sig.phi.element_key[e], z)
+            and np.array_equal(eu[e], ops.x_coset_key(z))
+            and np.array_equal(ev[e], ykey.astype(np.int64) + sig.half))
     for _ in range(min(samples, 200)):
         z = _rand_elem(ctx, rng)
         e = sig.phi.edge_of(z)

@@ -4,14 +4,19 @@ networkx serves as an independent oracle for the line-graph, clique and
 connectivity checks alongside the exact structural assertions.
 """
 
+import dataclasses
 import io
+import random
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from mixdih import graphs
+from mixdih.bulk import PackedOps, packed_ops
 from mixdih.graphs import (
     CosetVertex,
+    EdgeBijection,
     GraphConsistencyError,
     GraphData,
     build_gamma,
@@ -22,6 +27,7 @@ from mixdih.graphs import (
     export_graph,
     export_labels,
     graph_from_edges,
+    graph_from_rows,
     is_connected,
     line_graph,
     maximal_cliques,
@@ -37,6 +43,7 @@ from mixdih.group import (
     mul,
     xgen,
 )
+from mixdih.verify import check_edge_bijection
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +91,17 @@ def test_graph_from_edges_dedupe():
     assert list(g.edges()) == [(0, 1), (1, 2)]
 
 
+def test_graph_from_rows():
+    g = graph_from_rows(np.array([[1, 2], [0, 2], [0, 1]]))
+    assert g.num_edges == 3
+    assert list(g.edges()) == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_graph_from_rows_rejects_repeated_neighbor():
+    with pytest.raises(GraphConsistencyError):
+        graph_from_rows(np.array([[1, 1], [0, 0]]))
+
+
 # -- connection set and Cayley graph -------------------------------------------
 
 def test_connection_set(ctx2):
@@ -106,6 +124,38 @@ def test_gamma_neighbors_of_identity(ctx2, gamma2):
     nbrs = {int(v) for v in gamma2.neighbors(0)}
     s = {ctx2.pack(e) for e in connection_set(ctx2)}
     assert nbrs == s
+
+
+def test_gamma_matches_edge_reference(ctx2, gamma2):
+    # the row build against the generic edge-list build of z -- s*z
+    ops = packed_ops(ctx2)
+    z = ops.all_elements().astype(np.int64)
+    u, v = [], []
+    for s in connection_set(ctx2):
+        sz = ops.left_mul(s, ops.all_elements()).astype(np.int64)
+        u.append(z[z < sz])
+        v.append(sz[z < sz])
+    ref = graph_from_edges(1024, np.concatenate(u), np.concatenate(v))
+    assert gamma2.num_edges == ref.num_edges
+    assert np.array_equal(gamma2.indptr, ref.indptr)
+    assert gamma2.indices.dtype == ref.indices.dtype
+    assert np.array_equal(gamma2.indices, ref.indices)
+
+
+@pytest.mark.parametrize("broken", ["identity", "shift"])
+def test_gamma_rejects_broken_left_mul(monkeypatch, broken):
+    # s*z = z gives a loop; z -> z+1 is no involution, so the rows are
+    # not symmetric
+    original = PackedOps.left_mul
+    x1 = xgen(context(2), 1)
+
+    def left_mul(self, s, z):
+        if s != x1:
+            return original(self, s, z)
+        return z.copy() if broken == "identity" else (z + 1) % 1024
+    monkeypatch.setattr(PackedOps, "left_mul", left_mul)
+    with pytest.raises(GraphConsistencyError):
+        build_gamma(context(2))
 
 
 def test_gamma_cap():
@@ -173,6 +223,68 @@ def test_edge_bijection(ctx2, sigma2):
         assert {int(eu[e]), int(ev[e])} == {cx, cy}
         assert ctx2.pack(sigma2.phi.element_of(e)) == z
     assert len(seen) == 1024
+
+
+def test_sigma_matches_edge_reference(ctx2, sigma2):
+    # the closed-form rows against the generic edge-list build of
+    # {X-key(z), half + Y-key(z)}, with edges numbered in (u, v) order
+    ops = packed_ops(ctx2)
+    z = ops.all_elements()
+    half = sigma2.half
+    u = ops.x_coset_key(z).astype(np.int64)
+    v = ops.y_coset_key(z).astype(np.int64) + half
+    ref = graph_from_edges(2 * half, u, v)
+    order = np.lexsort((v, u))
+    g = sigma2.graph
+    assert g.num_edges == ref.num_edges == 1024
+    assert np.array_equal(g.indptr, ref.indptr)
+    assert g.indices.dtype == ref.indices.dtype
+    assert np.array_equal(g.indices, ref.indices)
+    assert np.array_equal(sigma2.phi.element_key, order)
+    assert np.array_equal(sigma2.phi.edge_id[order], np.arange(1024))
+
+
+def _collapse_one_to_zero(keys):
+    return np.where(keys == 1, 0, keys).astype(np.uint32)
+
+
+def _swap_zero_and_one(keys):
+    return np.where(keys < 2, keys ^ 1, keys).astype(np.uint32)
+
+
+@pytest.mark.parametrize("corrupt", [_collapse_one_to_zero,
+                                     _swap_zero_and_one])
+def test_sigma_rejects_corrupted_coset_keys(monkeypatch, corrupt):
+    # collapsing keys 0 and 1 repeats a neighbor in the X row of the
+    # identity; swapping them keeps the X rows strictly increasing but
+    # breaks their transpose against the Y rows
+    original = PackedOps.y_coset_key
+    monkeypatch.setattr(PackedOps, "y_coset_key",
+                        lambda self, z: corrupt(original(self, z)))
+    with pytest.raises(GraphConsistencyError):
+        build_sigma(context(2))
+
+
+def _swapped(sigma, i, j, element_key_too):
+    eid = sigma.phi.edge_id.copy()
+    eid[[i, j]] = eid[[j, i]]
+    ek = sigma.phi.element_key.copy()
+    if element_key_too:
+        ek[eid] = np.arange(len(eid))
+    phi = EdgeBijection(sigma.ctx, eid, ek)
+    return dataclasses.replace(sigma, phi=phi)
+
+
+@pytest.mark.parametrize("element_key_too", [False, True])
+def test_edge_bijection_check_is_exhaustive(ctx2, sigma2, element_key_too):
+    # no samples: only the exhaustive route can see the two swapped edges
+    status, _, _ = check_edge_bijection(ctx2, 0, random.Random(0),
+                                        {"sigma": sigma2})
+    assert status == "pass"
+    bad = _swapped(sigma2, 5, 777, element_key_too)
+    status, _, actual = check_edge_bijection(ctx2, 0, random.Random(0),
+                                             {"sigma": bad})
+    assert (status, actual) == ("fail", "mismatch")
 
 
 def test_sigma_vertex_ids_sorted_by_encoding(ctx2, sigma2):
@@ -362,3 +474,70 @@ def test_export_deterministic(ctx2, sigma2):
 def test_export_unknown_format(ctx2, sigma2):
     with pytest.raises(ValueError):
         export_graph(sigma2.graph, io.StringIO(), "gml")
+
+
+def reference_export(g, fmt, n, kind):
+    """The export written one f-string per edge, from the CSR rows."""
+    edges = [(u, int(v)) for u in range(g.num_vertices)
+             for v in g.neighbors(u) if u < v]
+    if fmt == "edgelist":
+        lines = [f"# hn-graph n={n} kind={kind} "
+                 f"vertices={g.num_vertices} edges={g.num_edges}\n"]
+        lines += [f"{u} {v}\n" for u, v in edges]
+    else:
+        lines = ["graph {\n"]
+        lines += [f"  {v};\n" for v in range(g.num_vertices)
+                  if g.degree(v) == 0]
+        lines += [f"  {u} -- {v};\n" for u, v in edges]
+        lines.append("}\n")
+    return "".join(lines)
+
+
+def _family_graph(kind, ctx2, sigma2, gamma2):
+    if kind == "sigma":
+        return sigma2.graph
+    if kind == "gamma":
+        return gamma2
+    if kind == "quotient":
+        return quotient_by_derived(ctx2, sigma2)
+    return line_graph(sigma2.graph)
+
+
+@pytest.mark.parametrize("chunk", [graphs.EXPORT_CHUNK, 3])
+@pytest.mark.parametrize("fmt", ["edgelist", "dot"])
+@pytest.mark.parametrize("kind", ["sigma", "gamma", "quotient", "linegraph"])
+def test_export_matches_per_edge_reference(monkeypatch, ctx2, sigma2, gamma2,
+                                           kind, fmt, chunk):
+    # chunk 3 is below the valency: every write holds a single row
+    monkeypatch.setattr(graphs, "EXPORT_CHUNK", chunk)
+    g = _family_graph(kind, ctx2, sigma2, gamma2)
+    buf = io.StringIO()
+    export_graph(g, buf, fmt, n=2, kind=kind)
+    assert buf.getvalue() == reference_export(g, fmt, 2, kind)
+
+
+@pytest.mark.parametrize("chunk", [graphs.EXPORT_CHUNK, 1])
+@pytest.mark.parametrize("fmt", ["edgelist", "dot"])
+def test_export_hand_graph(monkeypatch, fmt, chunk):
+    # ids across digit-count boundaries; vertex 101 and most others isolated
+    monkeypatch.setattr(graphs, "EXPORT_CHUNK", chunk)
+    g = from_pairs(102, [(0, 9), (9, 10), (10, 99), (0, 100), (99, 100),
+                         (0, 10)])
+    buf = io.StringIO()
+    export_graph(g, buf, fmt, n=None, kind="hand")
+    text = buf.getvalue()
+    assert text == reference_export(g, fmt, None, "hand")
+    if fmt == "dot":
+        assert "  101;\n" in text and "  0;\n" not in text
+        assert "  9 -- 10;\n  10 -- 99;\n" in text
+    else:
+        assert text.endswith("0 9\n0 10\n0 100\n9 10\n10 99\n99 100\n")
+
+
+def test_export_empty_graph():
+    g = GraphData(2, 0, np.zeros(3, dtype=np.int64),
+                  np.zeros(0, dtype=np.int32))
+    for fmt in ("edgelist", "dot"):
+        buf = io.StringIO()
+        export_graph(g, buf, fmt, n=2, kind="empty")
+        assert buf.getvalue() == reference_export(g, fmt, 2, "empty")
