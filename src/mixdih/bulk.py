@@ -81,6 +81,39 @@ class PackedOps:
         return self.pack(a, b, m ^ self.outer[ab],
                          t ^ self.phi[(m << n) | a] ^ self.psi[ab])
 
+    def conj(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Elementwise g^h = h^-1 g h."""
+        return self.mul(self.mul(self.inv(h), g), h)
+
+    def comm(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Elementwise [g,h] = g^-1 h^-1 g h."""
+        return self.mul(self.mul(self.mul(self.inv(g), self.inv(h)), g), h)
+
+    def mul_gen(self, z: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """z*g for packed single generators g (0 stands for no letter).
+
+        The rewriting rule of group.mul_gen, not the closed-form mul: an
+        x_k turns each y_j of z into a new w_kj and picks up phi(m, x_k)
+        in the t block; every generator toggles its own bit.
+        """
+        n = self.n
+        a, b = self.a_of(g), self.b_of(z)
+        dm = np.zeros_like(z)
+        for k in range(n):
+            dm |= np.where(a == np.uint32(1 << k),
+                           b << np.uint32(k * n), np.uint32(0))
+        dt = self.phi[(self.m_of(z) << np.uint32(n)) | a]
+        return (z ^ g ^ (dm << np.uint32(2 * n))
+                ^ (dt << np.uint32(2 * n + self.nn)))
+
+    def evaluate_word(self, words: np.ndarray) -> np.ndarray:
+        """Left fold of mul_gen along each row of packed generators,
+        starting from 1 (the scalar evaluate_word, one word per row)."""
+        out = np.zeros(len(words), dtype=np.uint32)
+        for letters in words.T:
+            out = self.mul_gen(out, letters)
+        return out
+
     def left_mul(self, s: Element, z: np.ndarray) -> np.ndarray:
         """s*z for one fixed s in X union Y (the generator set of the
         Cayley graph); general s falls back to mul with a constant array."""

@@ -463,23 +463,29 @@ def quotient_by_derived(ctx: GroupContext, sigma: Sigma) -> GraphData:
 
     The X-side class of a vertex is the b block of its representative,
     the Y-side class the a block (both are constant under right
-    multiplication by derived elements).
+    multiplication by derived elements); on both sides that is the low n
+    bits of the vertex key.  The class pairs are counted from the X rows
+    of the CSR, one X class at a time, and every quotient edge must lift
+    to exactly one edge per vertex of its fibers.
     """
     g = sigma.graph
     half, n = sigma.half, ctx.n
     two_n = 1 << n
-    mask = (1 << n) - 1
-    vids = np.arange(g.num_vertices, dtype=np.int64)
-    cls = np.where(vids < half,
-                   vids & mask,                     # X key low bits = b
-                   two_n + ((vids - half) & mask))  # Y key low bits = a
-    # fibers must be uniform
-    fiber_sizes = np.bincount(cls, minlength=2 * two_n)
-    if len(set(fiber_sizes.tolist())) != 1:
+    mask = two_n - 1
+    fiber = half // two_n
+    if np.any(np.bincount(np.arange(half) & mask, minlength=two_n) != fiber):
         raise GraphConsistencyError("quotient fibers are not uniform")
-    eu, ev = g.edge_array()
-    qu, qv = cls[eu], cls[ev]
-    quotient = graph_from_edges(2 * two_n, qu, qv, dedupe=True,
+    if g.indptr[half] != half * two_n:
+        raise GraphConsistencyError("X rows are not regular of valency 2^n")
+    # [row block, X class, neighbor]; Y ids are half + key, half a
+    # multiple of 2^n, so the low n bits of an id are its class
+    rows = g.indices[:half * two_n].reshape(half >> n, two_n, two_n)
+    pairs = np.stack([np.bincount(rows[:, c, :].ravel() & mask,
+                                  minlength=two_n) for c in range(two_n)])
+    if np.any(pairs[pairs > 0] != fiber):
+        raise GraphConsistencyError("quotient edges do not lift uniformly")
+    qu, qv = np.nonzero(pairs)
+    quotient = graph_from_edges(2 * two_n, qu, two_n + qv,
                                 sides=np.array([0] * two_n + [1] * two_n,
                                                dtype=np.uint8))
     # normal cover: valency preserved

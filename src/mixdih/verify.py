@@ -36,12 +36,12 @@ from .group import (
     gl_enumerate,
     induced_automorphism,
     inv,
-    inv_by_word,
     mul,
     order_of,
     parse_element,
     subgroup_closure,
     verify_presentation,
+    word_of,
     xgen,
     ygen,
 )
@@ -99,14 +99,16 @@ def _rand_elem(ctx: GroupContext, rng: random.Random) -> Element:
     return ctx.unpack(rng.getrandbits(ctx.total_bits))
 
 
-def _count_failures(pairs) -> tuple[str, object, object]:
-    total = fails = 0
-    for ok in pairs:
-        total += 1
-        fails += not ok
+def _tally(ok: np.ndarray) -> tuple[str, object, object]:
+    total = len(ok)
+    fails = total - int(np.count_nonzero(ok))
     return ("pass" if fails == 0 else "fail",
             {"failures": 0, "samples": total},
             {"failures": fails, "samples": total})
+
+
+def _count_failures(pairs) -> tuple[str, object, object]:
+    return _tally(np.fromiter(pairs, dtype=bool))
 
 
 # -- core checks -------------------------------------------------------------
@@ -146,54 +148,199 @@ def check_presentation(ctx, samples, rng):
             {"failing_families": []}, {"failing_families": bad})
 
 
+# -- identity batteries --------------------------------------------------------
+#
+# Each random battery states its identity once, as a function over an ops
+# object that maps arrays of packed elements to per-sample verdicts.  The
+# samples are drawn as arrays from a numpy Generator seeded off the check's
+# own stream.  At n <= 3 every sample runs on PackedOps (bulk.py), and the
+# group.py kernel, through ScalarOps, recomputes the first
+# CROSS_CHECK_SAMPLES of them: a sample fails when its identity fails or
+# when any value the identity computed differs between the two kernels.
+# Above n = 3, where PackedOps has no tables, ScalarOps runs every sample.
+
+CROSS_CHECK_SAMPLES = 256
+
+
+def _dtype(ctx: GroupContext):
+    """Array dtype of packed elements: uint32 up to n = 3, Python ints
+    (object arrays) above."""
+    return np.uint32 if ctx.total_bits <= 32 else object
+
+
+def _generator(rng: random.Random) -> np.random.Generator:
+    return np.random.default_rng(rng.getrandbits(64))
+
+
+def _draw(ctx: GroupContext, gen: np.random.Generator, count: int,
+          bits: int | None = None, shift: int = 0) -> np.ndarray:
+    """count packed values whose `bits` bits from bit `shift` up are
+    uniformly random, the rest zero (default: whole elements)."""
+    bits = ctx.total_bits if bits is None else bits
+    dtype = _dtype(ctx)
+    out = np.zeros(count, dtype=dtype)
+    for low in range(0, bits, 32):
+        word = gen.integers(0, 1 << min(32, bits - low), size=count,
+                            dtype=np.uint64)
+        out |= word.astype(dtype) << low
+    return out << shift
+
+
+def _draw_letters(ctx: GroupContext, gen: np.random.Generator,
+                  shape: tuple[int, int]) -> np.ndarray:
+    """Packed generator letters: a uniform kind (x, y, w or t), then
+    uniform 0-based indices, with i < k for t."""
+    n = ctx.n
+    kind = gen.integers(0, 4, size=shape)
+    i, j = gen.integers(0, n, size=shape), gen.integers(0, n, size=shape)
+    ti = gen.integers(1, n, size=shape)  # t_(i,k,j) takes 1 <= i < k <= n
+    tk = gen.integers(ti + 1, n + 1)
+    pair = (ti - 1) * (2 * n - ti) // 2 + (tk - ti - 1)
+    pos = np.choose(kind, [i, n + i, 2 * n + i * n + j,
+                           2 * n + ctx.dim_w + pair * n + j])
+    dtype = _dtype(ctx)
+    return np.ones(shape, dtype=dtype) << pos.astype(dtype)
+
+
+class ScalarOps:
+    """The group.py kernel behind the array interface of PackedOps that
+    the identity batteries use: every call unpacks each sample, runs the
+    scalar function on it and packs the result."""
+
+    def __init__(self, ctx: GroupContext):
+        self.ctx = ctx
+
+    def _map(self, fn, *arrays) -> np.ndarray:
+        ctx = self.ctx
+        return np.array([ctx.pack(fn(ctx, *(ctx.unpack(int(z)) for z in zs)))
+                         for zs in zip(*arrays)], dtype=_dtype(ctx))
+
+    def mul(self, g, h):
+        return self._map(mul, g, h)
+
+    def inv(self, h):
+        return self._map(inv, h)
+
+    def conj(self, g, h):
+        return self._map(conj, g, h)
+
+    def comm(self, g, h):
+        return self._map(comm, g, h)
+
+    def evaluate_word(self, words):
+        ctx = self.ctx
+        # the symbol of each bit, in bit order: the word of the all-ones element
+        symbols = word_of(ctx, ctx.unpack((1 << ctx.total_bits) - 1))
+        return np.array([ctx.pack(evaluate_word(
+            ctx, [symbols[int(g).bit_length() - 1] for g in row if g]))
+            for row in words], dtype=_dtype(ctx))
+
+    def x_coset_key(self, z):
+        rep = self._map(lambda ctx, h: gr.canonical_coset(ctx, "X", h).rep, z)
+        return rep >> self.ctx.n
+
+    def y_coset_key(self, z):
+        n = self.ctx.n
+        rep = self._map(lambda ctx, h: gr.canonical_coset(ctx, "Y", h).rep, z)
+        return (rep & ((1 << n) - 1)) | ((rep >> 2 * n) << n)
+
+
+class _Recorded:
+    """Forwards to an ops object and keeps the first `keep` samples of
+    every array it returns."""
+
+    def __init__(self, ops, keep: int):
+        self.ops, self.keep, self.values = ops, keep, []
+
+    def __getattr__(self, name):
+        fn = getattr(self.ops, name)
+
+        def call(*args):
+            out = fn(*args)
+            self.values.append(out[:self.keep])
+            return out
+        return call
+
+
+def _packed_backend(ctx: GroupContext):
+    """PackedOps for ctx, or None above n = 3 where it has no tables."""
+    try:
+        return packed_ops(ctx)
+    except CapExceededError:
+        return None
+
+
+def _battery(ctx: GroupContext, identity, *samples: np.ndarray):
+    """Tally identity(ops, *samples), a per-sample bool array, with the
+    scalar cross-check on the leading samples where PackedOps runs."""
+    packed = _packed_backend(ctx)
+    if packed is None:
+        return _tally(identity(ScalarOps(ctx), *samples))
+    keep = min(len(samples[0]), CROSS_CHECK_SAMPLES)
+    full = _Recorded(packed, keep)
+    sub = _Recorded(ScalarOps(ctx), keep)
+    ok = identity(full, *samples)
+    ok[:keep] &= identity(sub, *(s[:keep] for s in samples))
+    for p, s in zip(full.values, sub.values, strict=True):
+        ok[:keep] &= p == s
+    return _tally(ok)
+
+
+def _whole_elements(ctx, gen, count, k):
+    return [_draw(ctx, gen, count) for _ in range(k)]
+
+
 def check_jacobi(ctx, samples, rng):
-    def one():
-        a, b, c = (_rand_elem(ctx, rng) for _ in range(3))
-        prod = mul(ctx, mul(ctx, comm(ctx, comm(ctx, a, b), c),
-                            comm(ctx, comm(ctx, b, c), a)),
-                   comm(ctx, comm(ctx, c, a), b))
-        return prod == IDENTITY
-    return _count_failures(one() for _ in range(samples))
+    def jacobi(ops, a, b, c):
+        prod = ops.mul(ops.mul(ops.comm(ops.comm(a, b), c),
+                               ops.comm(ops.comm(b, c), a)),
+                       ops.comm(ops.comm(c, a), b))
+        return prod == 0
+    return _battery(ctx, jacobi,
+                    *_whole_elements(ctx, _generator(rng), samples, 3))
 
 
 def check_witt_hall(ctx, samples, rng):
-    def one():
-        x, y, z = (_rand_elem(ctx, rng) for _ in range(3))
-        t1 = conj(ctx, comm(ctx, comm(ctx, x, inv(ctx, y)), z), y)
-        t2 = conj(ctx, comm(ctx, comm(ctx, y, inv(ctx, z)), x), z)
-        t3 = conj(ctx, comm(ctx, comm(ctx, z, inv(ctx, x)), y), x)
-        return mul(ctx, mul(ctx, t1, t2), t3) == IDENTITY
-    return _count_failures(one() for _ in range(samples))
+    def witt_hall(ops, x, y, z):
+        def term(u, v, w):
+            return ops.conj(ops.comm(ops.comm(u, ops.inv(v)), w), v)
+        return ops.mul(ops.mul(term(x, y, z), term(y, z, x)),
+                       term(z, x, y)) == 0
+    return _battery(ctx, witt_hall,
+                    *_whole_elements(ctx, _generator(rng), samples, 3))
 
 
 def check_class3(ctx, samples, rng):
-    def one():
-        g, h, k, l = (_rand_elem(ctx, rng) for _ in range(4))
-        return comm(ctx, comm(ctx, comm(ctx, g, h), k), l) == IDENTITY
-    return _count_failures(one() for _ in range(samples))
+    def vanishes(ops, g, h, k, l):
+        return ops.comm(ops.comm(ops.comm(g, h), k), l) == 0
+    return _battery(ctx, vanishes,
+                    *_whole_elements(ctx, _generator(rng), samples, 4))
 
 
 def check_h3_central(ctx, samples, rng):
-    def one():
-        t_only = Element(t=rng.getrandbits(ctx.dim_t))
-        return comm(ctx, t_only, _rand_elem(ctx, rng)) == IDENTITY
-    return _count_failures(one() for _ in range(samples))
+    def fixed(ops, t, r):
+        # t^r = t, written out so that r^-1 is one of the compared values
+        return ops.mul(ops.inv(r), ops.mul(t, r)) == t
+    gen = _generator(rng)
+    t_only = _draw(ctx, gen, samples, ctx.dim_t, 2 * ctx.n + ctx.dim_w)
+    return _battery(ctx, fixed, t_only, _draw(ctx, gen, samples))
 
 
 def check_double_comm_landing(ctx, samples, rng):
-    def one():
-        g, h, k = (_rand_elem(ctx, rng) for _ in range(3))
-        c = comm(ctx, comm(ctx, g, h), k)
-        return c.a == 0 and c.b == 0 and c.m == 0
-    return _count_failures(one() for _ in range(samples))
+    below_t = (1 << (2 * ctx.n + ctx.dim_w)) - 1  # the a, b and m blocks
+    def lands(ops, g, h, k):
+        return (ops.comm(ops.comm(g, h), k) & below_t) == 0
+    return _battery(ctx, lands,
+                    *_whole_elements(ctx, _generator(rng), samples, 3))
 
 
 def check_derived_involutions(ctx, samples, rng):
-    def one():
-        g = Element(m=rng.getrandbits(ctx.dim_w), t=rng.getrandbits(ctx.dim_t))
-        h = Element(m=rng.getrandbits(ctx.dim_w), t=rng.getrandbits(ctx.dim_t))
-        return mul(ctx, g, g) == IDENTITY and comm(ctx, g, h) == IDENTITY
-    return _count_failures(one() for _ in range(samples))
+    def involutions(ops, g, h):
+        return (ops.mul(g, g) == 0) & (ops.comm(g, h) == 0)
+    gen = _generator(rng)
+    g, h = (_draw(ctx, gen, samples, ctx.dim_w + ctx.dim_t, 2 * ctx.n)
+            for _ in range(2))
+    return _battery(ctx, involutions, g, h)
 
 
 def check_commutator_symmetry(ctx, samples, rng):
@@ -211,13 +358,13 @@ def check_commutator_symmetry(ctx, samples, rng):
 
 
 def check_y_absorption(ctx, samples, rng):
-    def one():
-        a = _rand_elem(ctx, rng)
-        b = Element(b=rng.getrandbits(ctx.n))
-        b2 = Element(b=rng.getrandbits(ctx.n))
-        return (comm(ctx, comm(ctx, b, a), b2) == IDENTITY
-                and comm(ctx, comm(ctx, a, b), b2) == IDENTITY)
-    return _count_failures(one() for _ in range(samples))
+    def absorbed(ops, a, b, b2):
+        return ((ops.comm(ops.comm(b, a), b2) == 0)
+                & (ops.comm(ops.comm(a, b), b2) == 0))
+    gen = _generator(rng)
+    a = _draw(ctx, gen, samples)
+    b, b2 = (_draw(ctx, gen, samples, ctx.n, ctx.n) for _ in range(2))
+    return _battery(ctx, absorbed, a, b, b2)
 
 
 def check_product_formula(ctx, samples, rng):
@@ -240,63 +387,48 @@ def check_product_formula(ctx, samples, rng):
 
 
 def check_abelianization_hom(ctx, samples, rng):
-    def one():
-        g, h = _rand_elem(ctx, rng), _rand_elem(ctx, rng)
-        ga, gb = abelianization(ctx, g)
-        ha, hb = abelianization(ctx, h)
-        return abelianization(ctx, mul(ctx, g, h)) == (ga ^ ha, gb ^ hb)
-    return _count_failures(one() for _ in range(samples))
+    ab = (1 << 2 * ctx.n) - 1  # the image in the derived quotient: (a, b)
+    def homomorphism(ops, g, h):
+        return (ops.mul(g, h) & ab) == ((g ^ h) & ab)
+    return _battery(ctx, homomorphism,
+                    *_whole_elements(ctx, _generator(rng), samples, 2))
+
+
+def _associative(ops, g, h, k):
+    return ops.mul(ops.mul(g, h), k) == ops.mul(g, ops.mul(h, k))
 
 
 def check_associativity(ctx, samples, rng):
-    def one():
-        g, h, k = (_rand_elem(ctx, rng) for _ in range(3))
-        return mul(ctx, mul(ctx, g, h), k) == mul(ctx, g, mul(ctx, h, k))
-    return _count_failures(one() for _ in range(10 * samples))
+    return _battery(ctx, _associative,
+                    *_whole_elements(ctx, _generator(rng), 10 * samples, 3))
 
 
 def check_associativity_exhaustive(ctx, samples, rng):
     if ctx.total_bits > 12:
         raise CapExceededError("exhaustive-subset associativity kept small")
-    subset = [_rand_elem(ctx, rng) for _ in range(32)]
-    def triples():
-        for g in subset:
-            for h in subset:
-                gh = mul(ctx, g, h)
-                for k in subset:
-                    yield mul(ctx, gh, k) == mul(ctx, g, mul(ctx, h, k))
-    return _count_failures(triples())
-
-
-def _random_symbol(ctx, rng):
-    n = ctx.n
-    kind = rng.randrange(4)
-    if kind == 0:
-        return ("x", rng.randint(1, n))
-    if kind == 1:
-        return ("y", rng.randint(1, n))
-    if kind == 2:
-        return ("w", rng.randint(1, n), rng.randint(1, n))
-    i = rng.randint(1, n - 1)
-    return ("t", i, rng.randint(i + 1, n), rng.randint(1, n))
+    subset = _draw(ctx, _generator(rng), 32)
+    return _battery(ctx, _associative,
+                    *subset[np.indices((32, 32, 32)).reshape(3, -1)])
 
 
 def check_strategy_independence(ctx, samples, rng):
-    def one():
-        word = [_random_symbol(ctx, rng) for _ in range(20)]
-        whole = evaluate_word(ctx, word)
-        halves = mul(ctx, evaluate_word(ctx, word[:10]),
-                     evaluate_word(ctx, word[10:]))
-        return whole == halves
-    return _count_failures(one() for _ in range(samples))
+    def independent(ops, words):
+        halves = ops.mul(ops.evaluate_word(words[:, :10]),
+                         ops.evaluate_word(words[:, 10:]))
+        return ops.evaluate_word(words) == halves
+    return _battery(ctx, independent,
+                    _draw_letters(ctx, _generator(rng), (samples, 20)))
 
 
 def check_inverse(ctx, samples, rng):
-    def one():
-        h = _rand_elem(ctx, rng)
-        return (mul(ctx, h, inv(ctx, h)) == IDENTITY
-                and inv(ctx, h) == inv_by_word(ctx, h))
-    return _count_failures(one() for _ in range(samples))
+    # the reversed normal-form word of h is its set bits, highest first
+    bits = np.array([1 << p for p in reversed(range(ctx.total_bits))],
+                    dtype=_dtype(ctx))
+    def involution(ops, h):
+        h_inv = ops.inv(h)
+        return ((ops.mul(h, h_inv) == 0)
+                & (h_inv == ops.evaluate_word(h[:, None] & bits)))
+    return _battery(ctx, involution, _draw(ctx, _generator(rng), samples))
 
 
 def check_encoding_roundtrip(ctx, samples, rng):
@@ -307,16 +439,14 @@ def check_encoding_roundtrip(ctx, samples, rng):
 
 
 def check_canonical_coset_invariance(ctx, samples, rng):
-    def one():
-        h = _rand_elem(ctx, rng)
-        gx = Element(a=rng.getrandbits(ctx.n))
-        gy = Element(b=rng.getrandbits(ctx.n))
-        okx = gr.canonical_coset(ctx, "X", mul(ctx, gx, h)) == \
-            gr.canonical_coset(ctx, "X", h)
-        oky = gr.canonical_coset(ctx, "Y", mul(ctx, gy, h)) == \
-            gr.canonical_coset(ctx, "Y", h)
-        return okx and oky
-    return _count_failures(one() for _ in range(samples))
+    def invariant(ops, h, gx, gy):
+        return ((ops.x_coset_key(ops.mul(gx, h)) == ops.x_coset_key(h))
+                & (ops.y_coset_key(ops.mul(gy, h)) == ops.y_coset_key(h)))
+    gen = _generator(rng)
+    h = _draw(ctx, gen, samples)
+    gx = _draw(ctx, gen, samples, ctx.n)
+    gy = _draw(ctx, gen, samples, ctx.n, ctx.n)
+    return _battery(ctx, invariant, h, gx, gy)
 
 
 def _gf2_rank(vectors: list[int]) -> int:

@@ -1,0 +1,175 @@
+"""The identity batteries: packed evaluation on PackedOps, the scalar
+cross-check of the leading samples, and the scalar path above n = 3."""
+
+import random
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from mixdih import verify
+from mixdih.bulk import packed_ops
+from mixdih.group import (
+    GroupContext,
+    comm,
+    conj,
+    context,
+    evaluate_word,
+    inv_by_word,
+    word_of,
+)
+from mixdih.verify import CORE_CHECKS, CROSS_CHECK_SAMPLES, run_suite
+
+CHECKS = dict(CORE_CHECKS)
+BATTERIES = [
+    "jacobi-identity", "witt-hall-identity", "class3-vanishing",
+    "h3-centrality", "double-commutator-landing", "derived-involutions",
+    "y-absorption", "abelianization-homomorphism", "associativity",
+    "associativity-exhaustive-subset", "strategy-independence",
+    "inverse-involution", "canonical-coset-invariance",
+]
+# Samples each battery reports for `samples`; a passing report is
+# {"failures": 0, "samples": this}.
+REPORTED = {"associativity": lambda s: 10 * s,
+            "associativity-exhaustive-subset": lambda s: 32**3}
+
+
+def run(name, ctx, samples=500, seed=0):
+    return CHECKS[name](ctx, samples, random.Random(seed))
+
+
+def letters_of_words(ctx, words):
+    """Packed single-generator letters, one word per row, 0-padded."""
+    bit = {sym: 1 << p for p, sym in
+           enumerate(word_of(ctx, ctx.unpack((1 << ctx.total_bits) - 1)))}
+    out = np.zeros((len(words), max(map(len, words))), dtype=np.uint32)
+    for r, word in enumerate(words):
+        out[r, :len(word)] = [bit[sym] for sym in word]
+    return out
+
+
+# -- packed kernel against the scalar one ---------------------------------------
+
+def test_mul_gen_fold_matches_evaluate_word():
+    ctx = context(2)
+    ops = packed_ops(ctx)
+    elems = [ctx.unpack(z) for z in range(1 << ctx.total_bits)]
+    words = [word_of(ctx, h) for h in elems]
+    letters = letters_of_words(ctx, words)
+    folded = np.zeros(len(elems), dtype=np.uint32)
+    for column in letters.T:
+        folded = ops.mul_gen(folded, column)
+    want = [ctx.pack(evaluate_word(ctx, w)) for w in words]
+    assert folded.tolist() == want
+    assert ops.evaluate_word(letters).tolist() == want
+    # the reversed words are the inverses, folded letter by letter
+    rev = letters_of_words(ctx, [w[::-1] for w in words])
+    assert ops.evaluate_word(rev).tolist() == \
+        [ctx.pack(inv_by_word(ctx, h)) for h in elems]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_random_words_match_evaluate_word(n):
+    ctx = context(n)
+    letters = verify._draw_letters(ctx, np.random.default_rng(n), (300, 20))
+    assert np.all(letters & (letters - np.uint32(1)) == 0)  # single bits
+    assert int(letters.max()) < 1 << ctx.total_bits
+    symbols = word_of(ctx, ctx.unpack((1 << ctx.total_bits) - 1))
+    words = [[symbols[int(g).bit_length() - 1] for g in row] for row in letters]
+    assert packed_ops(ctx).evaluate_word(letters).tolist() == \
+        [ctx.pack(evaluate_word(ctx, w)) for w in words]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_packed_comm_conj_match_scalar(n):
+    ctx = context(n)
+    ops = packed_ops(ctx)
+    gen = np.random.default_rng(n)
+    g, h = (verify._draw(ctx, gen, 2000) for _ in range(2))
+    pairs = [(ctx.unpack(int(a)), ctx.unpack(int(b))) for a, b in zip(g, h)]
+    assert ops.comm(g, h).tolist() == [ctx.pack(comm(ctx, a, b))
+                                       for a, b in pairs]
+    assert ops.conj(g, h).tolist() == [ctx.pack(conj(ctx, a, b))
+                                       for a, b in pairs]
+
+
+# -- the scalar cross-check -------------------------------------------------------
+
+@pytest.mark.parametrize("name,table", [
+    *((b, "phi") for b in BATTERIES if b not in (
+        "derived-involutions", "y-absorption", "canonical-coset-invariance")),
+    ("y-absorption", "psi"),
+    ("canonical-coset-invariance", "psi"),
+])
+def test_cross_check_catches_corrupted_packed_table(name, table, monkeypatch):
+    """A PackedOps with one zeroed table, over an intact scalar context.
+
+    y-absorption and canonical-coset-invariance never read phi at a
+    nonzero row in a value they compare, so they get a zeroed psi.
+    derived-involutions is left out: its products stay inside the
+    elementary abelian derived subgroup, read only row 0 of each table,
+    and every value it computes is the identity.
+    """
+    ctx = context(2)
+    ops = packed_ops(ctx)
+    monkeypatch.setattr(ops, table, np.zeros_like(getattr(ops, table)))
+    status, _, actual = run(name, ctx)
+    assert status == "fail", actual
+
+
+def test_only_the_cross_check_sees_a_zeroed_phi(monkeypatch):
+    """Without the tau term Jacobi still holds, so a packed kernel with
+    a zeroed phi fails Jacobi only on the cross-checked samples."""
+    assert run("jacobi-identity", GroupContext(2, _tau_mode="none"))[0] == \
+        "pass"
+    ctx = context(2)
+    ops = packed_ops(ctx)
+    monkeypatch.setattr(ops, "phi", np.zeros_like(ops.phi))
+    status, _, actual = run("jacobi-identity", ctx)
+    assert status == "fail"
+    assert 0 < actual["failures"] <= CROSS_CHECK_SAMPLES
+
+
+@pytest.mark.parametrize("mode", ["full", "asym", "none"])
+@pytest.mark.parametrize("name", BATTERIES)
+def test_verdict_matches_scalar_backend(name, mode, monkeypatch):
+    """Same draws, same report, whether PackedOps or group.py runs them,
+    on the mutated collection rules as well."""
+    ctx = GroupContext(2, _tau_mode=mode)
+    packed = run(name, ctx)
+    monkeypatch.setattr(verify, "_packed_backend", lambda ctx: None)
+    assert run(name, ctx) == packed
+
+
+def test_mutations_break_the_batteries():
+    asym = GroupContext(2, _tau_mode="asym")
+    none = GroupContext(2, _tau_mode="none")
+    assert run("jacobi-identity", asym)[0] == "fail"
+    assert run("jacobi-identity", none)[0] == "pass"
+    assert run("associativity", none)[0] == "fail"
+    assert run("associativity", context(2))[0] == "pass"
+
+
+# -- reports --------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_passing_reports_count_samples(n):
+    rep = run_suite(n, "core", samples=300, seed=5)
+    checks = {c.name: c for c in rep.checks}
+    for name in BATTERIES:
+        c = checks[name]
+        if c.status == "skip":  # the exhaustive subset is kept to n = 2
+            assert n == 3 and name == "associativity-exhaustive-subset"
+            continue
+        want = REPORTED.get(name, lambda s: s)(300)
+        assert c.status == "pass"
+        assert c.expected == c.actual == {"failures": 0, "samples": want}
+
+
+def test_rank4_core_runs_on_the_scalar_kernel():
+    rep = run_suite(4, "core", samples=200)
+    assert Counter(c.status for c in rep.checks) == {"pass": 23, "skip": 4}
+    checks = {c.name: c for c in rep.checks}
+    assert checks["associativity"].actual == {"failures": 0, "samples": 2000}
+    assert checks["inverse-involution"].actual == \
+        {"failures": 0, "samples": 200}

@@ -421,6 +421,32 @@ def test_quotient_fibers_uniform(ctx2, sigma2):
     assert len(counts) == 8
 
 
+
+def test_quotient_matches_edge_reference(ctx2, sigma2):
+    """The class pairs counted from the X rows give the graph that the
+    deduplicated class images of every edge give."""
+    g, half = sigma2.graph, sigma2.half
+    vids = np.arange(g.num_vertices)
+    cls = np.where(vids < half, vids & 3, 4 + ((vids - half) & 3))
+    eu, ev = g.edge_array()
+    ref = graph_from_edges(8, cls[eu], cls[ev], dedupe=True)
+    q = quotient_by_derived(ctx2, sigma2)
+    assert q.num_edges == ref.num_edges == 16
+    assert np.array_equal(q.indptr, ref.indptr)
+    assert np.array_equal(q.indices, ref.indices)
+    assert q.sides.tolist() == [0] * 4 + [1] * 4
+
+
+def test_quotient_rejects_corrupted_sigma(ctx2, sigma2):
+    g = sigma2.graph
+    indices = g.indices.copy()
+    # X vertex 0 trades one neighbor for a Y vertex of another class
+    indices[0] = indices[0] ^ 1
+    bad = dataclasses.replace(
+        sigma2, graph=dataclasses.replace(g, indices=indices))
+    with pytest.raises(GraphConsistencyError, match="lift uniformly"):
+        quotient_by_derived(ctx2, bad)
+
 # -- export -------------------------------------------------------------------------------
 
 def test_export_edgelist_header_and_content(ctx2, sigma2):
