@@ -79,12 +79,14 @@ def automorphism_group_order(g: GraphData,
         state["base"].append((level, b))
         search_left(_individualize(colors, b), level + 1)
         fixed = [v for (lv, v) in state["base"] if lv < level]
+        orbit = set(orbit_of(b, fixed))  # changes only with a new generator
         for v in cell[1:]:
-            if v in orbit_of(b, fixed):
+            if v in orbit:
                 continue
             p = search_other(_individualize(colors, v), level + 1)
             if p is not None:
                 state["gens"].append(p)
+                orbit = set(orbit_of(b, fixed))
 
     def search_other(colors: np.ndarray, level: int) -> np.ndarray | None:
         colors, ncol = color_refinement(nb, colors)

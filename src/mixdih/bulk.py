@@ -11,7 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .group import CapExceededError, Element, GroupContext
+from .group import CapExceededError, Element, GroupContext, InducedAutomorphism
+
+
+def _xor_span(images: list[int]) -> np.ndarray:
+    """Entry s is the XOR of images[k] over the set bits k of s."""
+    out = np.zeros(1, dtype=np.uint32)
+    for img in images:
+        out = np.concatenate([out, out ^ np.uint32(img)])
+    return out
 
 
 def packed_ops(ctx: GroupContext) -> "PackedOps":
@@ -156,6 +164,38 @@ class PackedOps:
         rep = self.y_rep(keys)
         return np.stack([self.left_mul(Element(b=c), rep)
                          for c in range(1 << self.n)], axis=1)
+
+    # -- induced automorphisms ---------------------------------------------------
+
+    def induced_tables(self, aut: InducedAutomorphism
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gather tables of an induced automorphism: the packed images of
+        x^a and of y^b, and the XOR-linear map D on the (m,t) bits.
+
+        The images of the w and t generators lie in the derived subgroup,
+        which is elementary abelian, so D is the XOR of the images of the
+        set bits; an image outside it raises ValueError.
+        """
+        ctx = self.ctx
+        basis = [0] * (self.nn + ctx.dim_t)
+        for (i, j), img in aut._w_img.items():
+            basis[ctx.w_index(i, j)] = ctx.pack(img)
+        for (i, k, j), img in aut._t_img.items():
+            basis[self.nn + ctx.t_index(i, k, j)] = ctx.pack(img)
+        if any(z & ((1 << 2 * self.n) - 1) for z in basis):
+            raise ValueError("a w or t image leaves the derived subgroup")
+        return (_xor_span([ctx.pack(e) for e in aut._x_img]),
+                _xor_span([ctx.pack(e) for e in aut._y_img]),
+                _xor_span(basis))
+
+    def induced_image(self, tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+                      z: np.ndarray) -> np.ndarray:
+        """Elementwise image of x^a y^b w^M t^T under the induced map:
+        x^{a g1} y^{b g2} times D(M, T), whose zero a block adds no
+        collection terms, so the product is an XOR."""
+        x_img, y_img, d_img = tables
+        return (x_img[self.a_of(z)] ^ y_img[self.b_of(z)]
+                ^ d_img[z >> np.uint32(2 * self.n)])
 
     def x_rep_of_key(self, key: int) -> Element:
         return self.ctx.unpack(int(key) << self.n)

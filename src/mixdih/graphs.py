@@ -65,9 +65,16 @@ class GraphData:
         return bool(i < len(nb) and nb[i] == v)
 
     def neighbor_table(self) -> np.ndarray:
-        """Neighbor lists as rows, padded with -1 to the maximum degree."""
+        """Neighbor lists as rows, padded with -1 to the maximum degree.
+
+        A regular graph's table is a read-only view of ``indices``.
+        """
         degs = self.degrees()
         width = int(degs.max()) if self.num_vertices else 0
+        if self.num_vertices and int(degs.min()) == width:
+            table = self.indices.reshape(self.num_vertices, width)
+            table.flags.writeable = False
+            return table
         table = np.full((self.num_vertices, width), -1, dtype=np.int64)
         rows = np.repeat(np.arange(self.num_vertices), degs)
         table[rows, np.arange(len(rows)) - self.indptr[rows]] = self.indices

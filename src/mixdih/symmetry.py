@@ -4,6 +4,13 @@ orbit closure, the local 2-arc-transitivity check, BFS distance diagrams,
 coarsest equitable refinement, the radius-4 ball identity in the Cayley
 graph, and the semisymmetry certificate.
 
+Both vertex actions send every representative through one packed element
+map (``PackedOps.mul`` or the induced gather tables of
+``PackedOps.induced_tables``) and read the image vertices off the coset
+keys.  The scalar ``InducedAutomorphism.apply`` stays as the oracle: it
+drives ``check_local_2at`` and recomputes a fixed sample of every
+``gl_action`` permutation.
+
 Each shared graph algorithm has one implementation.  BFS is
 ``graphs.bfs_distances`` (``graphs.bfs_layers`` counts its layers).  This
 module owns the other three: ``color_refinement`` (behind
@@ -28,6 +35,7 @@ import numpy as np
 from .bulk import packed_ops
 from .graphs import (
     CosetVertex,
+    GraphConsistencyError,
     GraphData,
     Sigma,
     bfs_distances,
@@ -53,6 +61,20 @@ VertexPermutation = np.ndarray
 
 # -- vertex actions -----------------------------------------------------------
 
+def _vertex_permutation(ctx: GroupContext, sigma: Sigma,
+                        image: Callable[[np.ndarray], np.ndarray]
+                        ) -> VertexPermutation:
+    """Vertex permutation of a packed element map that sends cosets to
+    cosets on the same side: each representative goes through the map and
+    back to its coset key."""
+    ops = packed_ops(ctx)
+    keys = np.arange(sigma.half, dtype=np.uint32)  # both sides have half keys
+    perm_x = ops.x_coset_key(image(keys << np.uint32(ctx.n)))
+    perm_y = ops.y_coset_key(image(ops.y_rep(keys)))
+    return np.concatenate([perm_x.astype(np.int64),
+                           perm_y.astype(np.int64) + sigma.half])
+
+
 def right_action(ctx: GroupContext, sigma: Sigma, h: Element) -> VertexPermutation:
     """Vertex permutation of the coset graph from right multiplication by h.
 
@@ -60,25 +82,35 @@ def right_action(ctx: GroupContext, sigma: Sigma, h: Element) -> VertexPermutati
     automorphism (the edge through z maps to the edge through z*h).
     """
     ops = packed_ops(ctx)
-    half = sigma.half
-    n = np.uint32(ctx.n)
     hk = np.uint32(ctx.pack(h))
-    keys = np.arange(half, dtype=np.uint32)  # both sides have half keys
-    perm_x = ops.x_coset_key(ops.mul(keys << n, hk))
-    perm_y = ops.y_coset_key(ops.mul(ops.y_rep(keys), hk)).astype(np.int64)
-    return np.concatenate([perm_x.astype(np.int64), perm_y + half])
+    return _vertex_permutation(ctx, sigma, lambda z: ops.mul(z, hk))
+
+
+GL_CROSS_CHECK = 16  # vertices per side recomputed by the scalar oracle
 
 
 def gl_action(ctx: GroupContext, sigma: Sigma,
               aut: InducedAutomorphism) -> VertexPermutation:
     """Vertex permutation from an induced automorphism (fixes the two base
-    vertices and the side partition)."""
-    half = sigma.half
-    perm = np.empty(sigma.graph.num_vertices, dtype=np.int64)
-    for vid in range(sigma.graph.num_vertices):
-        side = "X" if vid < half else "Y"
+    vertices and the side partition).
+
+    Every representative goes through the packed image map of
+    ``PackedOps.induced_tables``.  The scalar ``InducedAutomorphism.apply``
+    recomputes GL_CROSS_CHECK evenly spread keys per side, from the base
+    vertex to the key with every block set; a disagreement raises
+    GraphConsistencyError.
+    """
+    ops = packed_ops(ctx)
+    tables = ops.induced_tables(aut)
+    perm = _vertex_permutation(ctx, sigma,
+                               lambda z: ops.induced_image(tables, z))
+    keys = np.linspace(0, sigma.half - 1, GL_CROSS_CHECK).round()
+    for vid in np.concatenate([keys, keys + sigma.half]).astype(int).tolist():
+        side = sigma.side_of(vid)
         img = canonical_coset(ctx, side, aut.apply(sigma.rep_of(vid)))
-        perm[vid] = sigma.vid_of(side, img.rep)
+        if sigma.vid_of(side, img.rep) != perm[vid]:
+            raise GraphConsistencyError(
+                f"packed induced map disagrees with the scalar one at {vid}")
     return perm
 
 
@@ -86,16 +118,26 @@ def is_permutation(perm: VertexPermutation) -> bool:
     return bool(np.array_equal(np.sort(perm), np.arange(len(perm))))
 
 
+AUT_CHUNK = 1 << 16  # neighbor-table rows compared per step
+
+
 def is_graph_automorphism(g: GraphData, perm: VertexPermutation) -> bool:
-    """Adjacency preservation tested on all edges: the sorted image edge
-    keys must equal the edge keys, which the CSR order already sorts."""
+    """Adjacency preservation, row by row of the neighbor table: the sorted
+    images of N(v) must be N(perm[v]) for every v.  Padding (-1) stays -1
+    and sorts last, so the degrees must match too."""
     if len(perm) != g.num_vertices or not is_permutation(perm):
         return False
-    eu, ev = g.edge_array()
-    pu, pv = perm[eu], perm[ev]
-    nv = np.int64(g.num_vertices)
-    img = np.sort(np.minimum(pu, pv) * nv + np.maximum(pu, pv))
-    return bool(np.array_equal(eu * nv + ev, img))
+    nb = g.neighbor_table()
+    nv = g.num_vertices
+    padded = np.append(perm, nv)  # padding -1 reads nv, which sorts last
+    for lo in range(0, nv, AUT_CHUNK):
+        img = padded[nb[lo:lo + AUT_CHUNK]]
+        img.sort(axis=1)
+        img[img == nv] = -1
+        if not np.array_equal(
+                img, np.take(nb, perm[lo:lo + AUT_CHUNK], axis=0)):
+            return False
+    return True
 
 
 def compose(p: VertexPermutation, q: VertexPermutation) -> VertexPermutation:

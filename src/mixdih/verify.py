@@ -33,7 +33,9 @@ from .group import (
     enumerate_elements,
     evaluate_word,
     format_element,
+    gf2_identity,
     gl_enumerate,
+    gl_generators,
     induced_automorphism,
     inv,
     mul,
@@ -743,16 +745,16 @@ def check_edge_regular_action(ctx, samples, rng, cache):
 
 
 def check_gl_action(ctx, samples, rng, cache):
-    if 2 << (ctx.total_bits - ctx.n) > 4096:
-        raise CapExceededError("full GL-action permutations kept to small graphs")
     sig = _build_sigma_cached(ctx, cache)
     rx, ry = sig.vid_of("X", IDENTITY), sig.vid_of("Y", IDENTITY)
-    mats = gl_enumerate(ctx.n)
     if ctx.n == 2:
+        mats = gl_enumerate(ctx.n)
         pair_iter = [(g1, g2) for g1 in mats for g2 in mats]
     else:
-        pair_iter = [(mats[rng.randrange(len(mats))],
-                      mats[rng.randrange(len(mats))]) for _ in range(36)]
+        # automorphisms compose, so the generator pairs suffice
+        ident = gf2_identity(ctx.n)
+        pair_iter = [pair for mat in gl_generators(ctx.n)
+                     for pair in ((mat, ident), (ident, mat))]
     def one(pair):
         aut = induced_automorphism(ctx, *pair)
         p = sym.gl_action(ctx, sig, aut)

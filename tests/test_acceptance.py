@@ -47,6 +47,7 @@ from mixdih.verify import (
     check_abelianization_hom,
     check_class3,
     check_double_comm_landing,
+    check_gl_action,
     check_h3_central,
     check_jacobi,
     check_product_formula,
@@ -248,6 +249,15 @@ def test_criterion_09_side_orbits_n3(ctx3, sigma3):
     ok = status == "pass" and actual == {"orbit_sizes": [2**21, 2**21]}
     report("criterion-09 vertex orbits are the sides n=3", ok,
            "the group's right action has two orbits of 2^21 vertices")
+
+
+@pytest.mark.slow
+def test_criterion_08_gl_action_n3(ctx3, sigma3):
+    status, _, actual = check_gl_action(
+        ctx3, SAMPLES, random.Random(0), {"sigma": sigma3})
+    ok = status == "pass" and actual == {"failures": 0, "samples": 4}
+    report("criterion-08 GL x GL generator automorphisms n=3", ok,
+           "four generator pairs fix both base vertices")
 
 
 @pytest.mark.parametrize("n,count", [(2, 9), (3, 49)])

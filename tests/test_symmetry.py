@@ -6,10 +6,12 @@ import random
 import numpy as np
 import pytest
 
-from mixdih.graphs import build_gamma, build_sigma, graph_from_edges, \
-    quotient_by_derived
+from mixdih.bulk import PackedOps, packed_ops
+from mixdih.graphs import GraphConsistencyError, build_gamma, build_sigma, \
+    canonical_coset, graph_from_edges, quotient_by_derived
 from mixdih.group import (
     IDENTITY,
+    Element,
     context,
     gf2_identity,
     gl_enumerate,
@@ -19,6 +21,7 @@ from mixdih.group import (
     ygen,
 )
 from mixdih.symmetry import (
+    GL_CROSS_CHECK,
     ball_intersect_derived,
     check_local_2at,
     commutator_square,
@@ -41,6 +44,7 @@ from mixdih.verify import (
     EXPECTED_CELLS_Y_N2,
     EXPECTED_LAYERS_X_N2,
     EXPECTED_LAYERS_Y_N2,
+    run_suite,
 )
 
 
@@ -91,6 +95,64 @@ def test_automorphism_rejects_non_bijection(sigma2):
     assert not is_graph_automorphism(sigma2.graph, np.arange(511))
 
 
+def edge_key_automorphism(g, perm):
+    """Reference: the image edge keys, sorted, equal the edge keys."""
+    perm = np.asarray(perm)
+    if len(perm) != g.num_vertices or \
+            not np.array_equal(np.sort(perm), np.arange(g.num_vertices)):
+        return False
+    eu, ev = g.edge_array()
+    pu, pv = perm[eu], perm[ev]
+    nv = g.num_vertices
+    img = np.sort(np.minimum(pu, pv) * nv + np.maximum(pu, pv))
+    return bool(np.array_equal(eu * nv + ev, img))
+
+
+def relabeled(nv, pairs, q):
+    return from_pairs(nv, [(q[u], q[v]) for u, v in pairs])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_automorphism_matches_edge_key_reference(seed):
+    rng = random.Random(seed)
+    k = rng.randint(3, 12)
+    if seed % 2:
+        # circulant: regular, with the rotations as automorphisms
+        steps = rng.sample(range(1, k // 2 + 1), rng.randint(1, k // 2))
+        nv = k
+        pairs = sorted({(min(i, (i + s) % k), max(i, (i + s) % k))
+                        for i in range(k) for s in steps})
+        auto = [(i + 1) % k for i in range(k)]
+    else:
+        # two copies of a random graph: irregular, with the copy swap
+        nv = 2 * k
+        half = [(u, v) for u in range(k) for v in range(u + 1, k)
+                if rng.random() < 0.4] or [(0, 1)]
+        pairs = half + [(u + k, v + k) for u, v in half]
+        auto = [(i + k) % nv for i in range(nv)]
+    q = rng.sample(range(nv), nv)
+    g = relabeled(nv, pairs, q)
+    inv_q = np.argsort(q)
+    # the automorphism carried to the relabeled graph
+    aut = np.array(q)[np.array(auto)[inv_q]]
+    swapped = aut.copy()
+    i, j = rng.sample(range(nv), 2)
+    swapped[[i, j]] = swapped[[j, i]]
+    cases = [aut, swapped, np.arange(nv), np.array(rng.sample(range(nv), nv))]
+    cases += [np.r_[aut[:-1], aut[0]], aut[:-1]]  # not bijections
+    assert edge_key_automorphism(g, aut)
+    for perm in cases:
+        assert is_graph_automorphism(g, perm) == edge_key_automorphism(g, perm)
+
+
+def test_neighbor_table_of_regular_graph_is_a_view(sigma2):
+    nb = sigma2.graph.neighbor_table()
+    assert nb.shape == (512, 4) and not nb.flags.writeable
+    assert np.shares_memory(nb, sigma2.graph.indices)
+    assert all(np.array_equal(nb[v], sigma2.graph.neighbors(v))
+               for v in (0, 255, 256, 511))
+
+
 def test_right_action_homomorphism(ctx2, sigma2):
     rng = random.Random(1)
     for _ in range(50):
@@ -138,6 +200,68 @@ def test_gl_action_neighbor_orbits(ctx2, sigma2):
     parts = orbits(perms, nbrs)
     assert sorted(len(p) for p in parts) == [1, 3]
     assert [ry] in parts
+
+
+def scalar_gl_action(ctx, sigma, aut):
+    """Reference: each vertex through the scalar word rewrite."""
+    return np.array([
+        sigma.vid_of(sigma.side_of(v),
+                     canonical_coset(ctx, sigma.side_of(v),
+                                     aut.apply(sigma.rep_of(v))).rep)
+        for v in range(sigma.graph.num_vertices)])
+
+
+def test_gl_action_matches_scalar_reference(ctx2, sigma2):
+    mats = gl_enumerate(2)
+    for g1 in mats:
+        for g2 in mats:
+            aut = induced_automorphism(ctx2, g1, g2)
+            assert np.array_equal(gl_action(ctx2, sigma2, aut),
+                                  scalar_gl_action(ctx2, sigma2, aut))
+
+
+def test_gl_cross_check_reaches_the_derived_blocks(ctx2, sigma2):
+    # the scalar cross-check covers representatives whose m and t blocks
+    # are set, on both sides
+    aut = induced_automorphism(ctx2, gf2_identity(2), gf2_identity(2))
+    seen, apply = [], aut.apply
+    aut.apply = lambda h: seen.append(h) or apply(h)
+    gl_action(ctx2, sigma2, aut)
+    assert len(seen) == 2 * GL_CROSS_CHECK
+    for reps in (seen[:GL_CROSS_CHECK], seen[GL_CROSS_CHECK:]):
+        assert len(set(reps)) == GL_CROSS_CHECK
+        assert any(r.m and r.t for r in reps)
+
+
+def corrupt_derived_table(monkeypatch):
+    """Flip one bit in the last entry of the packed derived table, the
+    image of the (m,t) block with every bit set."""
+    induced_tables = PackedOps.induced_tables
+
+    def corrupted(self, aut):
+        x_img, y_img, d_img = induced_tables(self, aut)
+        d_img = d_img.copy()
+        d_img[-1] ^= np.uint32(1 << (2 * self.n))
+        return x_img, y_img, d_img
+    monkeypatch.setattr(PackedOps, "induced_tables", corrupted)
+
+
+def test_gl_action_rejects_a_corrupted_derived_table(ctx2, sigma2,
+                                                     monkeypatch):
+    corrupt_derived_table(monkeypatch)
+    aut = induced_automorphism(ctx2, gf2_identity(2), gf2_identity(2))
+    with pytest.raises(GraphConsistencyError):
+        gl_action(ctx2, sigma2, aut)
+    report = run_suite(2, "symmetry", samples=10)
+    status = {c.name: c.status for c in report.checks}
+    assert status["gl-action-automorphism"] == "fail"
+
+
+def test_induced_tables_reject_an_image_outside_the_derived_subgroup(ctx2):
+    aut = induced_automorphism(ctx2, gf2_identity(2), gf2_identity(2))
+    aut._w_img[(1, 2)] = Element(a=1, m=aut._w_img[(1, 2)].m)
+    with pytest.raises(ValueError, match="derived subgroup"):
+        packed_ops(ctx2).induced_tables(aut)
 
 
 # -- orbits ---------------------------------------------------------------------
