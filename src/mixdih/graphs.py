@@ -293,8 +293,18 @@ class Sigma:
         return self.half + (rep.a | (rep.m << ctx.n)
                             | (rep.t << (ctx.n + ctx.dim_w)))
 
-    def vertex_label(self, vid: int) -> str:
-        return format_element(self.ctx, self.rep_of(vid))
+    def edge_ends(self, e):
+        """X and Y ends of the edges with ids e.  build_sigma numbers the
+        edges along the regular X rows of the CSR, so edge e is entry e of
+        ``indices``, in the row of X vertex e >> n; any other layout
+        raises GraphConsistencyError."""
+        g, n = self.graph, self.ctx.n
+        rows = np.arange(self.half + 1, dtype=np.int64) << n
+        if not (np.array_equal(g.indptr[:self.half + 1], rows)
+                and g.num_edges == rows[-1]):
+            raise GraphConsistencyError(
+                "edges are not numbered along regular X rows")
+        return e >> n, g.indices[e]
 
 
 @dataclass(frozen=True)
@@ -309,19 +319,15 @@ def canonical_coset(ctx: GroupContext, side: str, h: Element) -> CosetVertex:
     """Canonical representative of the coset of h on the given side.
 
     X-side: zero the a block (left x-multiples only toggle it).  Y-side:
-    the blockwise-minimal element among the 2^n left y-multiples, which
-    is the unique member with b = 0.  Constant on cosets, idempotent.
+    y^b * h for b the b block of h, the unique member with b = 0 (left
+    y-multiples keep a, so it is also the blockwise-minimal member).
+    Constant on cosets, idempotent.
     """
     if side == "X":
         return CosetVertex("X", Element(0, h.b, h.m, h.t))
     if side != "Y":
         raise ValueError(f"side must be 'X' or 'Y', got {side!r}")
-    best = None
-    for b in range(1 << ctx.n):
-        cand = mul(ctx, Element(b=b), h)
-        if best is None or cand.key() < best.key():
-            best = cand
-    return CosetVertex("Y", best)
+    return CosetVertex("Y", mul(ctx, Element(b=h.b), h))
 
 
 def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:

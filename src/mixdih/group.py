@@ -100,6 +100,13 @@ class GroupContext:
         # "none" drops the w-over-x commutator entirely, "asym" drops its
         # symmetry normalisation for k < i.  Production code uses "full".
         self._tau_mode = _tau_mode
+        # the generator symbol of each packed bit, lowest bit first
+        self.bit_symbols: list[Symbol] = (
+            [("x", i) for i in range(1, n + 1)]
+            + [("y", j) for j in range(1, n + 1)]
+            + [("w", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+            + [("t", i, k, j) for i in range(1, n + 1)
+               for k in range(i + 1, n + 1) for j in range(1, n + 1)])
         self._outer_tab: list[int] | None = None
         self._psi_tab: list[int] | None = None
         self._phi_tab: list[int] | None = None
@@ -233,22 +240,6 @@ def context(n: int) -> GroupContext:
 
 # -- generator symbols ----------------------------------------------------
 
-def x_sym(i: int) -> Symbol:
-    return ("x", i)
-
-
-def y_sym(j: int) -> Symbol:
-    return ("y", j)
-
-
-def w_sym(i: int, j: int) -> Symbol:
-    return ("w", i, j)
-
-
-def t_sym(i: int, k: int, j: int) -> Symbol:
-    return ("t", i, k, j)
-
-
 def check_symbol(ctx: GroupContext, sym: Symbol) -> None:
     kind = sym[0]
     n = ctx.n
@@ -282,11 +273,11 @@ def generator(ctx: GroupContext, sym: Symbol) -> Element:
 
 
 def xgen(ctx: GroupContext, i: int) -> Element:
-    return generator(ctx, x_sym(i))
+    return generator(ctx, ("x", i))
 
 
 def ygen(ctx: GroupContext, j: int) -> Element:
-    return generator(ctx, y_sym(j))
+    return generator(ctx, ("y", j))
 
 
 # -- collection -----------------------------------------------------------
@@ -318,25 +309,10 @@ def mul_gen(ctx: GroupContext, h: Element, sym: Symbol) -> Element:
 
 
 def word_of(ctx: GroupContext, h: Element) -> list[Symbol]:
-    """The normal-form word of h: x block, y block, w block, t block."""
-    n = ctx.n
-    out: list[Symbol] = []
-    for i in range(1, n + 1):
-        if h.a >> (i - 1) & 1:
-            out.append(("x", i))
-    for j in range(1, n + 1):
-        if h.b >> (j - 1) & 1:
-            out.append(("y", j))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if h.m >> ctx.w_index(i, j) & 1:
-                out.append(("w", i, j))
-    for i in range(1, n + 1):
-        for k in range(i + 1, n + 1):
-            for j in range(1, n + 1):
-                if h.t >> ctx.t_index(i, k, j) & 1:
-                    out.append(("t", i, k, j))
-    return out
+    """The normal-form word of h: x block, y block, w block, t block,
+    which is the symbols of the set bits of pack(h), lowest first."""
+    z = ctx.pack(h)
+    return [sym for p, sym in enumerate(ctx.bit_symbols) if z >> p & 1]
 
 
 def evaluate_word(ctx: GroupContext, word: Word) -> Element:
@@ -359,14 +335,6 @@ def mul(ctx: GroupContext, g: Element, h: Element) -> Element:
     m = g.m ^ h.m ^ ctx.outer(a2, b1)
     t = g.t ^ h.t ^ ctx.phi(g.m, a2) ^ ctx.psi(a2, b1)
     return Element(g.a ^ h.a, g.b ^ h.b, m, t)
-
-
-def mul_by_word(ctx: GroupContext, g: Element, h: Element) -> Element:
-    """Reference product: fold mul_gen over h's normal-form word."""
-    out = g
-    for sym in word_of(ctx, h):
-        out = mul_gen(ctx, out, sym)
-    return out
 
 
 def inv(ctx: GroupContext, h: Element) -> Element:
@@ -566,12 +534,6 @@ def induced_automorphism(ctx: GroupContext, g1: Sequence[int],
 
 
 # -- presentation verification ---------------------------------------------
-
-def _gens_xy(ctx: GroupContext) -> list[Element]:
-    n = ctx.n
-    return [xgen(ctx, i) for i in range(1, n + 1)] + \
-           [ygen(ctx, j) for j in range(1, n + 1)]
-
 
 def verify_presentation(ctx: GroupContext) -> dict:
     """Evaluate every defining relator over all generator combinations.

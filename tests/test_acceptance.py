@@ -35,6 +35,9 @@ from mixdih.symmetry import (
     ball_intersect_derived,
     check_local_2at,
     commutator_square,
+    edge_regular_witness,
+    generator_actions,
+    layer_certificate,
     refined_diagram,
     semisymmetry_certificate,
 )
@@ -228,7 +231,11 @@ def test_criterion_08_local_2at(n, arcs):
 
 
 def test_criterion_09_semisymmetry(ctx2, sigma2):
-    cert = semisymmetry_certificate(ctx2, sigma2)
+    cert = semisymmetry_certificate(
+        edge_regular_witness(ctx2, sigma2, generator_actions(ctx2, sigma2)),
+        check_local_2at(ctx2),
+        layer_certificate(sigma2.graph, sigma2.vid_of("X", IDENTITY),
+                          sigma2.vid_of("Y", IDENTITY)))
     layers_ok = (cert["layers_X"] == EXPECTED_LAYERS_X_N2
                  and cert["layers_Y"] == EXPECTED_LAYERS_Y_N2)
     differ_at_4 = (cert["layers_X"][4], cert["layers_Y"][4]) == (54, 81)
@@ -249,6 +256,15 @@ def test_criterion_09_side_orbits_n3(ctx3, sigma3):
     ok = status == "pass" and actual == {"orbit_sizes": [2**21, 2**21]}
     report("criterion-09 vertex orbits are the sides n=3", ok,
            "the group's right action has two orbits of 2^21 vertices")
+
+
+@pytest.mark.slow
+def test_criterion_09_edge_regular_n3(ctx3, sigma3):
+    w = edge_regular_witness(ctx3, sigma3, generator_actions(ctx3, sigma3))
+    ok = w == {"generators": 6, "edges": 2**24, "mismatches": 0,
+               "edge_transitive": True}
+    report("criterion-09 group regular on the edges n=3", ok,
+           "6 generators moved every one of 2^24 edges as the bijection says")
 
 
 @pytest.mark.slow

@@ -28,7 +28,6 @@ from mixdih.group import (
     inv,
     inv_by_word,
     mul,
-    mul_by_word,
     mul_gen,
     order_of,
     parse_element,
@@ -148,7 +147,8 @@ def test_mul_equals_word_fold(ctx2, ctx3):
     for ctx in (ctx2, ctx3):
         for _ in range(300):
             g, h = rand_elem(ctx, rng), rand_elem(ctx, rng)
-            assert mul(ctx, g, h) == mul_by_word(ctx, g, h)
+            assert mul(ctx, g, h) == evaluate_word(
+                ctx, word_of(ctx, g) + word_of(ctx, h))
 
 
 def test_inv_examples(ctx2):
@@ -197,6 +197,30 @@ def test_word_of_roundtrip(ctx3):
     for _ in range(200):
         h = rand_elem(ctx3, rng)
         assert evaluate_word(ctx3, word_of(ctx3, h)) == h
+
+
+def block_word(ctx, h):
+    """Reference: the normal-form word read block by block through the
+    index maps."""
+    n = ctx.n
+    out = [("x", i) for i in range(1, n + 1) if h.a >> (i - 1) & 1]
+    out += [("y", j) for j in range(1, n + 1) if h.b >> (j - 1) & 1]
+    out += [("w", i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+            if h.m >> ctx.w_index(i, j) & 1]
+    out += [("t", i, k, j) for i in range(1, n + 1)
+            for k in range(i + 1, n + 1) for j in range(1, n + 1)
+            if h.t >> ctx.t_index(i, k, j) & 1]
+    return out
+
+
+def test_word_of_matches_block_loops(ctx2, ctx3):
+    rng = random.Random(5)
+    assert len(ctx3.bit_symbols) == ctx3.total_bits
+    for h in enumerate_elements(ctx2):
+        assert word_of(ctx2, h) == block_word(ctx2, h)
+    for _ in range(3000):
+        h = rand_elem(ctx3, rng)
+        assert word_of(ctx3, h) == block_word(ctx3, h)
 
 
 # -- presentation ---------------------------------------------------------------

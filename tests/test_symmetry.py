@@ -1,11 +1,14 @@
 """Actions, orbits, 2-arc transitivity, diagrams, the ball identity and
 the semisymmetry certificate."""
 
+import dataclasses
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from mixdih import graphs, symmetry
 from mixdih.bulk import PackedOps, packed_ops
 from mixdih.graphs import GraphConsistencyError, build_gamma, build_sigma, \
     canonical_coset, graph_from_edges, quotient_by_derived
@@ -30,6 +33,7 @@ from mixdih.symmetry import (
     distance_layers,
     edge_regular_witness,
     equitable_refinement,
+    generator_actions,
     gl_action,
     is_graph_automorphism,
     layer_certificate,
@@ -165,10 +169,107 @@ def test_right_action_homomorphism(ctx2, sigma2):
 
 
 def test_right_action_edge_regular(ctx2, sigma2):
-    w = edge_regular_witness(ctx2, sigma2)
-    assert w["edge_count_matches_group"]
-    assert w["base_edge_orbit"] == 1024
-    assert w["edge_transitive"]
+    actions = generator_actions(ctx2, sigma2)
+    assert edge_regular_witness(ctx2, sigma2, actions) == {
+        "generators": 4, "edges": 1024, "mismatches": 0,
+        "edge_transitive": True}
+    # reference: close the base-edge orbit under the generator actions,
+    # with each image edge found among the sorted edge keys
+    g = sigma2.graph
+    eu, ev = g.edge_array()
+    nv = g.num_vertices
+    keys = eu * nv + ev
+    perms = []
+    for p in actions:
+        assert is_graph_automorphism(g, p)
+        pu, pv = p[eu].astype(np.int64), p[ev].astype(np.int64)
+        perms.append(np.searchsorted(
+            keys, np.minimum(pu, pv) * nv + np.maximum(pu, pv)))
+    base = sigma2.phi.edge_of(IDENTITY)
+    assert len(orbits(perms, [base])[0]) == 1024
+
+
+def test_generator_actions_are_the_right_actions(ctx2, sigma2):
+    actions = generator_actions(ctx2, sigma2)
+    gens = [xgen(ctx2, 1), xgen(ctx2, 2), ygen(ctx2, 1), ygen(ctx2, 2)]
+    assert len(actions) == 4
+    for p, h in zip(actions, gens):
+        assert p.dtype == np.int32
+        assert np.array_equal(p, right_action(ctx2, sigma2, h))
+
+
+def with_edge_ids_swapped(sigma, z1, z2):
+    edge_id = sigma.phi.edge_id.copy()
+    edge_id[[z1, z2]] = edge_id[[z2, z1]]
+    return dataclasses.replace(
+        sigma, phi=dataclasses.replace(sigma.phi, edge_id=edge_id))
+
+
+def statuses(report):
+    return {c.name: c.status for c in report.checks}
+
+
+def test_witness_sees_swapped_edge_ids(ctx2, sigma2, monkeypatch):
+    bad = with_edge_ids_swapped(sigma2, 0, 1023)
+    assert sigma2.edge_ends(sigma2.phi.edge_id[0]) != \
+        sigma2.edge_ends(sigma2.phi.edge_id[1023])
+    w = edge_regular_witness(ctx2, bad, generator_actions(ctx2, bad))
+    assert w["mismatches"] > 0 and not w["edge_transitive"]
+    monkeypatch.setattr(graphs, "build_sigma", lambda ctx, force=False: bad)
+    got = statuses(run_suite(2, "symmetry"))
+    assert got["edge-regular-action"] == "fail"
+    assert got["semisymmetry-certificate"] == "fail"
+
+
+@pytest.mark.parametrize("pair", [[0, 1], [256, 257]], ids=["X", "Y"])
+def test_witness_sees_a_corrupted_generator_action(ctx2, sigma2, pair,
+                                                   monkeypatch):
+    real = symmetry.generator_actions
+
+    def corrupted(ctx, sigma):
+        actions = real(ctx, sigma)
+        actions[2] = actions[2].copy()
+        actions[2][pair] = actions[2][pair[::-1]]  # two vertices of a side
+        return actions
+
+    w = edge_regular_witness(ctx2, sigma2, corrupted(ctx2, sigma2))
+    assert w["mismatches"] > 0 and not w["edge_transitive"]
+    monkeypatch.setattr(symmetry, "generator_actions", corrupted)
+    got = statuses(run_suite(2, "symmetry"))
+    assert got["edge-regular-action"] == "fail"
+    assert got["right-action-automorphism"] == "fail"
+
+
+def test_suite_shares_actions_and_base_bfs(monkeypatch):
+    calls, roots = Counter(), Counter()
+    real_actions, real_layers = symmetry.generator_actions, graphs.bfs_layers
+
+    def counted_actions(ctx, sigma):
+        calls["generator_actions"] += 1
+        return real_actions(ctx, sigma)
+
+    def counted_layers(g, root):
+        roots[root] += 1
+        return real_layers(g, root)
+
+    monkeypatch.setattr(symmetry, "generator_actions", counted_actions)
+    monkeypatch.setattr(symmetry, "bfs_layers", counted_layers)
+    monkeypatch.setattr(graphs, "bfs_layers", counted_layers)
+    report = run_suite(2, "symmetry")
+    assert report.overall == "pass"
+    assert calls == {"generator_actions": 1}
+    assert roots == {0: 1, 256: 1}  # the X and Y base vertices
+
+
+def test_edge_ends_reject_another_edge_layout(sigma2):
+    assert sigma2.edge_ends(5) == (1, sigma2.graph.indices[5])
+    g = sigma2.graph
+    indptr = g.indptr.copy()
+    indptr[1] += 1  # the first X row takes one entry of the second
+    bad = dataclasses.replace(
+        sigma2, graph=dataclasses.replace(g, indptr=indptr))
+    with pytest.raises(GraphConsistencyError, match="X rows"):
+        bad.edge_ends(np.arange(4))
 
 
 def test_gl_action_all_pairs(ctx2, sigma2):
@@ -515,7 +616,11 @@ def test_commutator_square_distinct(ctx2):
 # -- semisymmetry certificate --------------------------------------------------------------------
 
 def test_certificate_passes(ctx2, sigma2):
-    cert = semisymmetry_certificate(ctx2, sigma2)
+    cert = semisymmetry_certificate(
+        edge_regular_witness(ctx2, sigma2, generator_actions(ctx2, sigma2)),
+        check_local_2at(ctx2),
+        layer_certificate(sigma2.graph, sigma2.vid_of("X", IDENTITY),
+                          sigma2.vid_of("Y", IDENTITY)))
     assert cert["pass"]
     assert cert["edge_transitive"]
     assert cert["intransitivity_certificate"] == "layer-profile"
