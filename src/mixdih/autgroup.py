@@ -33,12 +33,11 @@ def _individualize(colors: np.ndarray, v: int) -> np.ndarray:
     return out.astype(np.int64)
 
 
-def automorphism_group_order(g: GraphData,
-                             max_vertices: int = DEFAULT_AUT_CAP) -> int:
+def automorphism_group_order(g: GraphData) -> int:
     """Order of the full automorphism group of a simple graph."""
-    if g.num_vertices > max_vertices:
+    if g.num_vertices > DEFAULT_AUT_CAP:
         raise CapExceededError(
-            f"automorphism search capped at {max_vertices} vertices")
+            f"automorphism search capped at {DEFAULT_AUT_CAP} vertices")
     if g.num_vertices == 0:
         return 1
     nb = g.neighbor_table()
@@ -64,9 +63,10 @@ def automorphism_group_order(g: GraphData,
         c = int(np.nonzero(counts > 1)[0][0])
         return np.nonzero(colors == c)[0].tolist()
 
-    def orbit_of(b: int, fixed: list[int]) -> list[int]:
-        gens = [p for p in state["gens"] if all(p[f] == f for f in fixed)]
-        return orbits(gens, [b])[0]
+    def stabilizer_orbits(fixed: list[int]) -> np.ndarray:
+        """Orbit labels under the generators that fix every point of fixed."""
+        return orbits([p for p in state["gens"]
+                       if np.array_equal(p[fixed], fixed)], nv)
 
     def search_left(colors: np.ndarray, level: int) -> None:
         colors, ncol = color_refinement(nb, colors)
@@ -79,14 +79,14 @@ def automorphism_group_order(g: GraphData,
         state["base"].append((level, b))
         search_left(_individualize(colors, b), level + 1)
         fixed = [v for (lv, v) in state["base"] if lv < level]
-        orbit = set(orbit_of(b, fixed))  # changes only with a new generator
+        lab = stabilizer_orbits(fixed)  # changes only with a new generator
         for v in cell[1:]:
-            if v in orbit:
+            if lab[v] == lab[b]:
                 continue
             p = search_other(_individualize(colors, v), level + 1)
             if p is not None:
                 state["gens"].append(p)
-                orbit = set(orbit_of(b, fixed))
+                lab = stabilizer_orbits(fixed)
 
     def search_other(colors: np.ndarray, level: int) -> np.ndarray | None:
         colors, ncol = color_refinement(nb, colors)
@@ -105,5 +105,6 @@ def automorphism_group_order(g: GraphData,
 
     order = 1
     for idx, (_, b) in enumerate(state["base"]):
-        order *= len(orbit_of(b, [v for (_, v) in state["base"][:idx]]))
+        lab = stabilizer_orbits([v for (_, v) in state["base"][:idx]])
+        order *= int(np.count_nonzero(lab == lab[b]))
     return order

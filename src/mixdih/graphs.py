@@ -97,8 +97,9 @@ class GraphData:
         return src[keep], dst[keep]
 
 
-def _index_dtype(num_vertices: int):
-    return np.int32 if num_vertices <= (1 << 31) - 1 else np.int64
+def _index_dtype(count: int):
+    """int32 when the ids 0..count-1 fit, else int64."""
+    return np.int32 if count <= (1 << 31) - 1 else np.int64
 
 
 def graph_from_edges(num_vertices: int, u, v, sides=None, labels=None,
@@ -154,16 +155,22 @@ def bfs_distances(g: GraphData, root: int,
     """Distance from root to every vertex (-1 where unreached), stopping
     after max_depth layers when a depth limit is given.
 
-    Each layer is read back as ``flatnonzero(dist == d)``, which dedupes
-    the frontier without sorting but scans all vertices once per layer:
-    O(V * diameter), cheap on the family's graphs (diameter <= 14 at n=3).
+    Each layer gathers the frontier's rows of ``neighbor_table`` (dropping
+    the -1 padding of an irregular graph) and is read back as
+    ``flatnonzero(dist == d)``, which dedupes the frontier without sorting
+    but scans all vertices once per layer: O(V * diameter), cheap on the
+    family's graphs (diameter <= 14 at n=3).
     """
+    nb = g.neighbor_table()
+    padded = nb.size > len(g.indices)
     dist = np.full(g.num_vertices, -1, dtype=np.int64)
     dist[root] = 0
     frontier = np.array([root], dtype=np.int64)
     d = 0
     while len(frontier) and (max_depth is None or d < max_depth):
-        nxt = _expand(g, frontier)
+        nxt = nb[frontier].ravel()
+        if padded:
+            nxt = nxt[nxt >= 0]
         nxt = nxt[dist[nxt] < 0]
         d += 1
         dist[nxt] = d
@@ -176,16 +183,6 @@ def bfs_layers(g: GraphData, root: int) -> tuple[list[int], int]:
     dist = bfs_distances(g, root)
     reached = dist[dist >= 0]
     return np.bincount(reached).tolist(), len(dist) - len(reached)
-
-
-def _expand(g: GraphData, frontier: np.ndarray) -> np.ndarray:
-    """Gather the CSR slices of a whole frontier without a Python loop."""
-    counts = (g.indptr[frontier + 1] - g.indptr[frontier]).astype(np.int64)
-    total = int(counts.sum())
-    starts = np.repeat(g.indptr[frontier], counts)
-    within = np.arange(total, dtype=np.int64) - \
-        np.repeat(np.cumsum(counts) - counts, counts)
-    return g.indices[starts + within]
 
 
 def is_connected(g: GraphData) -> bool:
@@ -353,10 +350,13 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     rows[:half] = np.take_along_axis(ykeys, order, axis=1)
     rows[:half] += half
     del ykeys  # keeps the peak RSS down at rank 3
-    order += np.arange(half, dtype=np.int64)[:, None] << ctx.n
-    element_key = order.ravel()
+    eid = _index_dtype(half * degree)  # int32 through rank 3
+    element_key = order.astype(eid)
+    del order
+    element_key += np.arange(half, dtype=eid)[:, None] << ctx.n
+    element_key = element_key.ravel()
     edge_id = np.empty_like(element_key)
-    edge_id[element_key] = np.arange(len(element_key))
+    edge_id[element_key] = np.arange(len(element_key), dtype=eid)
     members = ops.y_coset(np.arange(half, dtype=np.uint32))
     rows[half:] = np.sort(ops.x_coset_key(members), axis=1)
     sides = np.zeros(nv, dtype=np.uint8)

@@ -34,7 +34,7 @@ base vertices rule such a map out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .graphs import (
     GraphConsistencyError,
     GraphData,
     Sigma,
+    _index_dtype,
     bfs_distances,
     bfs_layers,
     canonical_coset,
@@ -78,7 +79,7 @@ def _vertex_permutation(ctx: GroupContext, sigma: Sigma,
     keys = np.arange(half, dtype=np.uint32)  # both sides have half keys
     perm = np.concatenate([ops.x_coset_key(image(keys << np.uint32(ctx.n))),
                            ops.y_coset_key(image(ops.y_rep(keys))) + half])
-    return perm.astype(np.int32 if 2 * half < 1 << 31 else np.int64)
+    return perm.astype(_index_dtype(2 * half))
 
 
 def right_action(ctx: GroupContext, sigma: Sigma, h: Element) -> VertexPermutation:
@@ -166,35 +167,24 @@ def compose(p: VertexPermutation, q: VertexPermutation) -> VertexPermutation:
 
 # -- orbits ---------------------------------------------------------------------
 
-def orbits(perms: Sequence[np.ndarray],
-           points: Iterable[int]) -> list[list[int]]:
-    """Orbits through the given points under the group generated by the
-    permutation arrays, in order of first point, each sorted.
+def orbits(perms: Sequence[np.ndarray], num_points: int) -> np.ndarray:
+    """Orbit labels under the group generated by the permutation arrays:
+    label[x] is the least point of x's orbit (int32 where it fits).
 
     Min-label propagation: every point x and its image p[x] hook the larger
     of their labels onto the smaller, then pointer jumping flattens the
     labels, until each orbit carries its least point as label.
     """
-    points = np.asarray(points, dtype=np.int64)
-    size = len(perms[0]) if len(perms) else int(points.max(initial=-1)) + 1
-    label = np.arange(size)
+    label = np.arange(num_points, dtype=_index_dtype(num_points))
     while True:
         before = label.copy()
         for p in perms:
             a, b = label, label[p]
             np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
-        while not np.array_equal(label[label], label):
-            label = label[label]
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
         if np.array_equal(label, before):
-            break
-    roots = label[points]
-    _, first = np.unique(roots, return_index=True)
-    order = np.argsort(label, kind="stable")
-    ranked = label[order]
-    wanted = roots[np.sort(first)]
-    lo = np.searchsorted(ranked, wanted, "left")
-    hi = np.searchsorted(ranked, wanted, "right")
-    return [order[a:b].tolist() for a, b in zip(lo, hi)]
+            return label
 
 
 # -- local 2-arc machinery ---------------------------------------------------
@@ -275,7 +265,7 @@ def rooted_two_arcs(ctx: GroupContext, side: str) -> list[TwoArc]:
     return arcs
 
 
-def check_local_2at(ctx: GroupContext, use_gl: bool = True) -> dict:
+def check_local_2at(ctx: GroupContext) -> dict:
     """Transitivity of the base-vertex stabilizers on rooted 2-arcs.
 
     The stabilizer generators (right multiplications by the side's
@@ -283,26 +273,24 @@ def check_local_2at(ctx: GroupContext, use_gl: bool = True) -> dict:
     vertex of each side; the check passes iff each side yields a single
     orbit.  Vertex transitivity of the group on each side then certifies
     local 2-arc-transitivity at every root.  The computation is local and
-    does not need the full graph (use_gl=False exists for mutation tests).
+    does not need the full graph.
     """
     report: dict = {"n": ctx.n, "sides": {}}
     ok = True
     for side in ("X", "Y"):
         arcs = rooted_two_arcs(ctx, side)
         maps = _stabilizer_maps(ctx, side)
-        if not use_gl:
-            maps = maps[:ctx.n]
         # a KeyError here means a generator moved the root
         index = {arc: i for i, arc in enumerate(arcs)}
         perms = [np.array([index[TwoArc(m(a.u), m(a.v), m(a.w))]
                            for a in arcs]) for m in maps]
-        parts = orbits(perms, range(len(arcs)))
+        count = len(np.unique(orbits(perms, len(arcs))))
         expected = (1 << ctx.n) * ((1 << ctx.n) - 1)
         report["sides"][side] = {
             "two_arcs": len(arcs),
             "expected_two_arcs": expected,
-            "orbits": len(parts),
-            "pass": len(parts) == 1 and len(arcs) == expected,
+            "orbits": count,
+            "pass": count == 1 and len(arcs) == expected,
         }
         ok = ok and report["sides"][side]["pass"]
     report["pass"] = ok

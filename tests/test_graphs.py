@@ -7,6 +7,7 @@ connectivity checks alongside the exact structural assertions.
 import dataclasses
 import io
 import random
+from collections import deque
 
 import networkx as nx
 import numpy as np
@@ -19,6 +20,7 @@ from mixdih.graphs import (
     EdgeBijection,
     GraphConsistencyError,
     GraphData,
+    bfs_distances,
     build_gamma,
     build_sigma,
     canonical_coset,
@@ -100,6 +102,53 @@ def test_graph_from_rows():
 def test_graph_from_rows_rejects_repeated_neighbor():
     with pytest.raises(GraphConsistencyError):
         graph_from_rows(np.array([[1, 1], [0, 0]]))
+
+
+# -- BFS -----------------------------------------------------------------------
+
+def deque_bfs(nv, pairs, root, max_depth):
+    """Reference: textbook queue BFS, no expansion past max_depth."""
+    adj = [[] for _ in range(nv)]
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    dist = [-1] * nv
+    dist[root] = 0
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        if max_depth is not None and dist[x] >= max_depth:
+            continue
+        for y in adj[x]:
+            if dist[y] < 0:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_bfs_matches_deque_reference(seed):
+    # three components (a random tree plus chords each) over a shuffled
+    # vertex order, then one to three isolated vertices: irregular, so
+    # the neighbor table is padded
+    rng = random.Random(seed)
+    nv = rng.randint(8, 40)
+    order = rng.sample(range(nv), nv)
+    isolated = rng.randint(1, 3)
+    cut1, cut2 = sorted(rng.sample(range(1, nv - isolated), 2))
+    pairs = set()
+    for block in (order[:cut1], order[cut1:cut2], order[cut2:nv - isolated]):
+        for i in range(1, len(block)):
+            pairs.add(tuple(sorted((block[i], block[rng.randrange(i)]))))
+        for _ in range(len(block) if len(block) > 2 else 0):
+            pairs.add(tuple(sorted(rng.sample(block, 2))))
+    pairs = sorted(pairs)
+    g = from_pairs(nv, pairs)
+    assert g.neighbor_table().size > len(g.indices)
+    for root in (order[0], order[cut2], order[-1], rng.randrange(nv)):
+        for depth in (None, 0, 1, 2, 3):
+            assert bfs_distances(g, root, depth).tolist() == \
+                deque_bfs(nv, pairs, root, depth), (root, depth)
 
 
 # -- connection set and Cayley graph -------------------------------------------

@@ -185,8 +185,9 @@ def test_right_action_edge_regular(ctx2, sigma2):
         pu, pv = p[eu].astype(np.int64), p[ev].astype(np.int64)
         perms.append(np.searchsorted(
             keys, np.minimum(pu, pv) * nv + np.maximum(pu, pv)))
-    base = sigma2.phi.edge_of(IDENTITY)
-    assert len(orbits(perms, [base])[0]) == 1024
+    label = orbits(perms, 1024)
+    assert np.count_nonzero(label == label[sigma2.phi.edge_of(IDENTITY)]) \
+        == 1024
 
 
 def test_generator_actions_are_the_right_actions(ctx2, sigma2):
@@ -238,6 +239,21 @@ def test_witness_sees_a_corrupted_generator_action(ctx2, sigma2, pair,
     got = statuses(run_suite(2, "symmetry"))
     assert got["edge-regular-action"] == "fail"
     assert got["right-action-automorphism"] == "fail"
+
+
+def test_side_orbits_see_an_action_that_swaps_the_sides(monkeypatch):
+    real = symmetry.generator_actions
+
+    def swapping(ctx, sigma):
+        actions = real(ctx, sigma)
+        actions[0] = actions[0].copy()
+        actions[0][[5, 300]] = actions[0][[300, 5]]  # an X and a Y vertex
+        return actions
+
+    monkeypatch.setattr(symmetry, "generator_actions", swapping)
+    checks = {c.name: c for c in run_suite(2, "symmetry").checks}
+    assert checks["vertex-orbits-sides"].status == "fail"
+    assert checks["vertex-orbits-sides"].actual == {"orbit_sizes": [512]}
 
 
 def test_suite_shares_actions_and_base_bfs(monkeypatch):
@@ -297,10 +313,11 @@ def test_gl_action_neighbor_orbits(ctx2, sigma2):
                                induced_automorphism(ctx2, mat, ident)))
         perms.append(gl_action(ctx2, sigma2,
                                induced_automorphism(ctx2, ident, mat)))
-    nbrs = [int(v) for v in sigma2.graph.neighbors(rx)]
-    parts = orbits(perms, nbrs)
-    assert sorted(len(p) for p in parts) == [1, 3]
-    assert [ry] in parts
+    label = orbits(perms, sigma2.graph.num_vertices)
+    sizes = np.bincount(label)
+    roots = np.unique(label[sigma2.graph.neighbors(rx)])
+    assert sorted(sizes[roots].tolist()) == [1, 3]
+    assert sizes[label[ry]] == 1
 
 
 def scalar_gl_action(ctx, sigma, aut):
@@ -368,23 +385,24 @@ def test_induced_tables_reject_an_image_outside_the_derived_subgroup(ctx2):
 # -- orbits ---------------------------------------------------------------------
 
 def test_orbits_no_generators():
-    assert orbits([], [3, 1, 2]) == [[3], [1], [2]]
+    label = orbits([], 3)
+    assert label.dtype == np.int32
+    assert label.tolist() == [0, 1, 2]
 
 
 def test_orbits_h_on_vertices(ctx2, sigma2):
     gens = [xgen(ctx2, 1), xgen(ctx2, 2), ygen(ctx2, 1), ygen(ctx2, 2)]
     perms = [right_action(ctx2, sigma2, h) for h in gens]
-    parts = orbits(perms, range(512))
-    assert sorted(len(p) for p in parts) == [256, 256]
-    sides = [set(p) for p in parts]
-    assert set(range(256)) in sides and set(range(256, 512)) in sides
+    label = orbits(perms, 512)
+    assert np.array_equal(label, np.repeat([0, 256], 256))
 
 
-def closure_orbits(perms, points):
-    """Reference: plain breadth-first closure from each new point."""
-    seen, out = set(), []
-    for start in points:
-        if start not in seen:
+def closure_labels(perms, num_points):
+    """Reference: plain breadth-first closure from each new point, each
+    orbit labelled by its least point."""
+    label = [None] * num_points
+    for start in range(num_points):
+        if label[start] is None:
             orbit, queue = {start}, [start]
             while queue:
                 x = queue.pop()
@@ -392,9 +410,9 @@ def closure_orbits(perms, points):
                     if int(p[x]) not in orbit:
                         orbit.add(int(p[x]))
                         queue.append(int(p[x]))
-            seen |= orbit
-            out.append(sorted(orbit))
-    return out
+            for x in orbit:
+                label[x] = start
+    return label
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -407,8 +425,7 @@ def test_orbits_match_closure(seed):
     tail = nv - nv % 3
     perms.append(np.array([x - x % 3 + (x + 1) % 3 for x in range(tail)]
                           + list(range(tail, nv))))
-    points = rng.sample(range(nv), rng.randint(0, nv))
-    assert orbits(perms, points) == closure_orbits(perms, points)
+    assert orbits(perms, nv).tolist() == closure_labels(perms, nv)
 
 
 # -- local 2-arc transitivity ------------------------------------------------------
@@ -438,8 +455,11 @@ def test_local_2at_single_orbit(n):
         assert rep["sides"][side]["orbits"] == 1
 
 
-def test_local_2at_fails_without_gl():
-    rep = check_local_2at(context(2), use_gl=False)
+def test_local_2at_fails_without_gl(monkeypatch):
+    real = symmetry._stabilizer_maps
+    monkeypatch.setattr(symmetry, "_stabilizer_maps",
+                        lambda ctx, side: real(ctx, side)[:ctx.n])
+    rep = check_local_2at(context(2))
     assert not rep["pass"]
     assert rep["sides"]["X"]["orbits"] > 1
 
