@@ -1,17 +1,25 @@
 """Vectorized packed-element arithmetic for bulk graph construction.
 
 Elements are packed into uint32 words (a | b<<n | m<<2n | t<<(2n+n^2)),
-which covers ranks 2 and 3 (10 and 24 bits).  The quadratic collection
-terms come from the context's lookup tables, turned into numpy arrays so
-that whole-group maps (canonical coset keys, left multiplications) are a
-few gather/xor passes.
+which covers ranks 2 and 3 (10 and 24 bits).  ``PackedOps.mul`` is the
+closed form of a whole product: a few gather/xor passes over three
+tables of quadratic collection terms, so that whole-group maps (canonical
+coset keys, left multiplications) are array passes.  The phi table is the
+context's; outer and psi are read off the scalar products y^b x^a, so
+both kernels follow the one collection rule of ``group.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .group import CapExceededError, Element, GroupContext, InducedAutomorphism
+from .group import (
+    CapExceededError,
+    Element,
+    GroupContext,
+    InducedAutomorphism,
+    mul,
+)
 
 
 def _xor_span(images: list[int]) -> np.ndarray:
@@ -32,10 +40,15 @@ def packed_ops(ctx: GroupContext) -> "PackedOps":
 
 
 class PackedOps:
-    """Numpy mirrors of the collection tables for one context (n <= 3)."""
+    """Packed arithmetic on the collection tables of one context (n <= 3).
+
+    Entry (a << n) | b of ``outer`` and ``psi`` is the m and t block of
+    y^b x^a; entry (m << n) | a of ``phi`` is the t-block that x^a picks
+    up crossing w^m.
+    """
 
     def __init__(self, ctx: GroupContext):
-        if ctx.total_bits > 32 or ctx._outer_tab is None:
+        if ctx.total_bits > 32 or ctx._phi_tab is None:
             raise CapExceededError(
                 f"bulk ops require tabulated contexts (n <= 3), got n={ctx.n}")
         self.ctx = ctx
@@ -43,9 +56,10 @@ class PackedOps:
         self.nn = ctx.dim_w
         self.mask_n = np.uint32(ctx._mask_n)
         self.mask_w = np.uint32(ctx._mask_w)
-        self.mask_t = np.uint32(ctx._mask_t)
-        self.outer = np.asarray(ctx._outer_tab, dtype=np.uint32)
-        self.psi = np.asarray(ctx._psi_tab, dtype=np.uint32)
+        yx = [mul(ctx, Element(b=idx & ctx._mask_n), Element(a=idx >> ctx.n))
+              for idx in range(1 << (2 * ctx.n))]
+        self.outer = np.array([p.m for p in yx], dtype=np.uint32)
+        self.psi = np.array([p.t for p in yx], dtype=np.uint32)
         self.phi = np.asarray(ctx._phi_tab, dtype=np.uint32)
 
     # -- block access -------------------------------------------------------
@@ -62,32 +76,25 @@ class PackedOps:
     def t_of(self, z: np.ndarray) -> np.ndarray:
         return z >> np.uint32(2 * self.n + self.nn)
 
-    def pack(self, a, b, m, t) -> np.ndarray:
-        n = np.uint32(self.n)
-        return (a | (b << n) | (m << np.uint32(2 * self.n))
-                | (t << np.uint32(2 * self.n + self.nn))).astype(np.uint32)
-
     def all_elements(self) -> np.ndarray:
         return np.arange(1 << self.ctx.total_bits, dtype=np.uint32)
 
     # -- products -------------------------------------------------------------
 
     def mul(self, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-        """Elementwise product, same closed form as the scalar mul."""
+        """Elementwise product in closed form: every block XORs, and
+        x^a2 crossing y^b1 adds outer and psi, crossing w^m1 adds phi."""
         n = np.uint32(self.n)
-        a1, b1, m1, t1 = self.a_of(z1), self.b_of(z1), self.m_of(z1), self.t_of(z1)
-        a2, b2, m2, t2 = self.a_of(z2), self.b_of(z2), self.m_of(z2), self.t_of(z2)
-        ab = (a2 << n) | b1
-        m = m1 ^ m2 ^ self.outer[ab]
-        t = t1 ^ t2 ^ self.phi[(m1 << n) | a2] ^ self.psi[ab]
-        return self.pack(a1 ^ a2, b1 ^ b2, m, t)
+        a2 = self.a_of(z2)
+        ab = (a2 << n) | self.b_of(z1)
+        t = self.phi[(self.m_of(z1) << n) | a2] ^ self.psi[ab]
+        return (z1 ^ z2 ^ (self.outer[ab] << np.uint32(2 * self.n))
+                ^ (t << np.uint32(2 * self.n + self.nn)))
 
     def inv(self, z: np.ndarray) -> np.ndarray:
-        n = np.uint32(self.n)
-        a, b, m, t = self.a_of(z), self.b_of(z), self.m_of(z), self.t_of(z)
-        ab = (a << n) | b
-        return self.pack(a, b, m ^ self.outer[ab],
-                         t ^ self.phi[(m << n) | a] ^ self.psi[ab])
+        """Elementwise inverse: (y^b w^M t^T) * x^a, the reversed word."""
+        a = self.a_of(z)
+        return self.mul(z ^ a, a)
 
     def conj(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Elementwise g^h = h^-1 g h."""
@@ -106,7 +113,8 @@ class PackedOps:
         """
         n = self.n
         a, b = self.a_of(g), self.b_of(z)
-        dm = np.zeros_like(z)
+        dm = np.zeros(np.broadcast_shapes(np.shape(z), np.shape(g)),
+                      dtype=np.uint32)
         for k in range(n):
             dm |= np.where(a == np.uint32(1 << k),
                            b << np.uint32(k * n), np.uint32(0))
@@ -123,19 +131,11 @@ class PackedOps:
         return out
 
     def left_mul(self, s: Element, z: np.ndarray) -> np.ndarray:
-        """s*z for one fixed s in X union Y (the generator set of the
-        Cayley graph); general s falls back to mul with a constant array."""
-        n = np.uint32(self.n)
-        if s.m == 0 and s.t == 0 and s.b == 0:
+        """s*z for one fixed s: an XOR of the a block for s in X, which
+        adds no collection terms, else mul with s broadcast."""
+        if s.b == 0 and s.m == 0 and s.t == 0:
             return z ^ np.uint32(s.a)
-        if s.m == 0 and s.t == 0 and s.a == 0:
-            a = self.a_of(z)
-            idx = (a << n) | np.uint32(s.b)
-            return (z ^ np.uint32(s.b << self.n)
-                    ^ (self.outer[idx] << np.uint32(2 * self.n))
-                    ^ (self.psi[idx] << np.uint32(2 * self.n + self.nn)))
-        const = np.full(z.shape, self.ctx.pack(s), dtype=np.uint32)
-        return self.mul(const, z)
+        return self.mul(np.uint32(self.ctx.pack(s)), z)
 
     # -- canonical coset keys ---------------------------------------------------
 
@@ -144,13 +144,11 @@ class PackedOps:
         return z >> np.uint32(self.n)
 
     def y_coset_key(self, z: np.ndarray) -> np.ndarray:
-        """Key (a,m,t) of the Y-side coset: collect the b-zero member."""
-        n = np.uint32(self.n)
-        a, b, m, t = self.a_of(z), self.b_of(z), self.m_of(z), self.t_of(z)
-        ab = (a << n) | b
-        m2 = m ^ self.outer[ab]
-        t2 = t ^ self.psi[ab]
-        return a | (m2 << n) | (t2 << np.uint32(self.n + self.nn))
+        """Key (a,m,t) of the Y-side coset: the b-zero member y^b z with
+        its b block dropped."""
+        rep = self.mul(z & (self.mask_n << np.uint32(self.n)), z)
+        return self.a_of(rep) | ((rep >> np.uint32(2 * self.n))
+                                 << np.uint32(self.n))
 
     def y_rep(self, keys: np.ndarray) -> np.ndarray:
         """Packed b = 0 representatives of the Y cosets with these keys."""

@@ -26,6 +26,7 @@ from .group import (
 
 DEFAULT_VERTEX_CAP = 1 << 23
 DEFAULT_CLIQUE_CAP = 4096
+SIGMA_CHUNK = 1 << 16  # X rows whose Y keys build_sigma sorts per step
 
 
 class GraphConsistencyError(RuntimeError):
@@ -102,13 +103,10 @@ def _index_dtype(count: int):
     return np.int32 if count <= (1 << 31) - 1 else np.int64
 
 
-def graph_from_edges(num_vertices: int, u, v, sides=None, labels=None,
-                     dedupe: bool = False) -> GraphData:
-    """Build GraphData from endpoint arrays; validates simplicity.
-
-    With dedupe=False a repeated edge raises GraphConsistencyError (used
-    where a build promises each edge exactly once).
-    """
+def graph_from_edges(num_vertices: int, u, v, sides=None,
+                     labels=None) -> GraphData:
+    """Build GraphData from endpoint arrays, each edge given once; a loop
+    or a repeated edge raises GraphConsistencyError."""
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     if np.any(u == v):
@@ -116,12 +114,8 @@ def graph_from_edges(num_vertices: int, u, v, sides=None, labels=None,
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
     key = lo * np.int64(num_vertices) + hi
-    uniq = np.unique(key)
-    if len(uniq) != len(key):
-        if not dedupe:
-            raise GraphConsistencyError("duplicate edge in construction")
-        lo = uniq // num_vertices
-        hi = uniq % num_vertices
+    if len(np.unique(key)) != len(key):
+        raise GraphConsistencyError("duplicate edge in construction")
     num_edges = len(lo)
     src = np.concatenate([lo, hi])
     dst = np.concatenate([hi, lo])
@@ -334,7 +328,8 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     the edges are exactly {X-coset(z), Y-coset(z)} for z over the group.
     X-coset key k owns the block (k << n) | a of the element order, so
     its row is the sorted Y keys of that block, and the edges sorted by
-    (u, v) are the X rows in order.  The Y row of key r is the sorted X
+    (u, v) are the X rows in order, built SIGMA_CHUNK rows at a time.
+    The Y row of key r is the sorted X
     keys of the coset members y^c * rep(r).  The build asserts that the
     edge bijection is injective (strictly increasing X rows) and that the
     Y rows are the transpose of the X rows.
@@ -345,15 +340,17 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     ops = packed_ops(ctx)
     degree = 1 << ctx.n
     rows = np.empty((nv, degree), dtype=_index_dtype(nv))
-    ykeys = ops.y_coset_key(ops.all_elements()).reshape(half, degree)
-    order = np.argsort(ykeys, axis=1)
-    rows[:half] = np.take_along_axis(ykeys, order, axis=1)
-    rows[:half] += half
-    del ykeys  # keeps the peak RSS down at rank 3
     eid = _index_dtype(half * degree)  # int32 through rank 3
-    element_key = order.astype(eid)
-    del order
-    element_key += np.arange(half, dtype=eid)[:, None] << ctx.n
+    element_key = np.empty((half, degree), dtype=eid)
+    for lo in range(0, half, SIGMA_CHUNK):
+        hi = min(lo + SIGMA_CHUNK, half)
+        z = np.arange(lo << ctx.n, hi << ctx.n, dtype=np.uint32)
+        ykeys = ops.y_coset_key(z).reshape(hi - lo, degree)
+        order = np.argsort(ykeys, axis=1)
+        rows[lo:hi] = np.take_along_axis(ykeys, order, axis=1)
+        rows[lo:hi] += half
+        element_key[lo:hi] = order
+        element_key[lo:hi] += np.arange(lo, hi, dtype=eid)[:, None] << ctx.n
     element_key = element_key.ravel()
     edge_id = np.empty_like(element_key)
     edge_id[element_key] = np.arange(len(element_key), dtype=eid)
@@ -379,7 +376,8 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
 
 def line_graph(g: GraphData) -> GraphData:
     """Line graph: vertices are edge ids (sorted edge order), adjacency is
-    nonempty intersection of the edges."""
+    nonempty intersection of the edges.  Two edges of a simple graph share
+    at most one vertex, so each adjacent pair is emitted once."""
     edges = list(g.edges())
     eid = {e: i for i, e in enumerate(edges)}
     incident: list[list[int]] = [[] for _ in range(g.num_vertices)]
@@ -393,7 +391,7 @@ def line_graph(g: GraphData) -> GraphData:
                 us.append(min(ids[i], ids[j]))
                 vs.append(max(ids[i], ids[j]))
     return graph_from_edges(len(edges), np.array(us, dtype=np.int64),
-                            np.array(vs, dtype=np.int64), dedupe=True)
+                            np.array(vs, dtype=np.int64))
 
 
 def maximal_cliques(g: GraphData,

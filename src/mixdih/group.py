@@ -13,16 +13,18 @@ All four blocks are stored bit-packed in plain ints, little-endian, bit 0
 being the lowest index.
 
 Multiplication is defined by collecting generator words back into this
-normal form.  The single normative collection step is :func:`mul_gen`; it
-rewrites ``h * g`` for a generator symbol ``g`` using the commutation
-rules of the family:
+normal form, using the commutation rules of the family:
 
 * y_j x_k = x_k y_j w_kj
 * w_ij x_k = x_k w_ij t_(min(i,k),max(i,k),j)  (empty when k = i)
 * y, w, t all commute with each other; t is central.
 
-Everything else (mul, inv, comm, word evaluation, induced automorphisms)
-is derived from that step.
+Only x letters do collection work, so the rule is one helper that moves
+x letters left past a y, w and t block, one x_k at a time.  The
+one-letter step :func:`mul_gen`, :func:`mul` and :func:`inv` all run it;
+everything else (comm, word evaluation, induced automorphisms) is built
+on those.  The closed form of a whole product (outer, phi and psi terms
+at once) lives only in the packed kernel of ``bulk.py``.
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ Word = Sequence[Symbol]
 
 DEFAULT_ENUM_CAP_BITS = 24
 
-# Largest n for which the quadratic collection terms are fully tabulated.
-# Beyond that the bit-loop fallbacks are used (element ops at n >= 5 are
-# rare; the closed-form counting functions never need them).
+# Largest n for which the phi collection term is fully tabulated.  Beyond
+# that its bit loop is used (element ops at n >= 5 are rare; the
+# closed-form counting functions never need them).
 _TABLE_MAX_N = 3
 
 
@@ -107,8 +109,6 @@ class GroupContext:
             + [("w", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
             + [("t", i, k, j) for i in range(1, n + 1)
                for k in range(i + 1, n + 1) for j in range(1, n + 1)])
-        self._outer_tab: list[int] | None = None
-        self._psi_tab: list[int] | None = None
         self._phi_tab: list[int] | None = None
         if n <= _TABLE_MAX_N:
             self._build_tables()
@@ -155,24 +155,8 @@ class GroupContext:
     # -- quadratic collection terms ---------------------------------------
 
     def outer(self, a: int, b: int) -> int:
-        """w-block of the product of the x-support a and y-support b."""
-        if self._outer_tab is not None:
-            return self._outer_tab[(a << self.n) | b]
-        return self._outer_loop(a, b)
-
-    def phi(self, m: int, a: int) -> int:
-        """t-block picked up when x^a crosses w^m during collection."""
-        if self._phi_tab is not None:
-            return self._phi_tab[(m << self.n) | a]
-        return self._phi_loop(m, a)
-
-    def psi(self, a: int, b: int) -> int:
-        """t-block from x-pairs within a crossing the y-support b."""
-        if self._psi_tab is not None:
-            return self._psi_tab[(a << self.n) | b]
-        return self._psi_loop(a, b)
-
-    def _outer_loop(self, a: int, b: int) -> int:
+        """w-block of y^b x^a collected (and of [x^a, y^b]): row k is b
+        for each set bit k of a."""
         n, m = self.n, 0
         aa = a
         while aa:
@@ -181,6 +165,12 @@ class GroupContext:
             k = low.bit_length()  # 1-based row
             m ^= b << ((k - 1) * n)
         return m
+
+    def phi(self, m: int, a: int) -> int:
+        """t-block picked up when x^a crosses w^m during collection."""
+        if self._phi_tab is not None:
+            return self._phi_tab[(m << self.n) | a]
+        return self._phi_loop(m, a)
 
     def _phi_loop(self, m: int, a: int) -> int:
         if self._tau_mode == "none":
@@ -204,28 +194,8 @@ class GroupContext:
                 dt ^= row << (self.pair_index(lo, hi) * n)
         return dt
 
-    def _psi_loop(self, a: int, b: int) -> int:
-        n = self.n
-        dt = 0
-        bits = []
-        aa = a
-        while aa:
-            low = aa & -aa
-            aa ^= low
-            bits.append(low.bit_length())
-        for u in range(len(bits)):
-            for v in range(u + 1, len(bits)):
-                i, k = bits[u], bits[v]
-                dt ^= b << (self.pair_index(i, k) * n)
-        return dt
-
     def _build_tables(self) -> None:
         n = self.n
-        size = 1 << (2 * n)
-        self._outer_tab = [self._outer_loop(idx >> n, idx & self._mask_n)
-                           for idx in range(size)]
-        self._psi_tab = [self._psi_loop(idx >> n, idx & self._mask_n)
-                         for idx in range(size)]
         self._phi_tab = [self._phi_loop(idx >> n, idx & self._mask_n)
                          for idx in range(1 << (self.dim_w + n))]
 
@@ -282,25 +252,34 @@ def ygen(ctx: GroupContext, j: int) -> Element:
 
 # -- collection -----------------------------------------------------------
 
-def mul_gen(ctx: GroupContext, h: Element, sym: Symbol) -> Element:
-    """Normative collection step: the normal form of ``h * g``.
+def _collect_x(ctx: GroupContext, a: int, b: int, m: int,
+               t: int) -> tuple[int, int]:
+    """Move x^a from the right of y^b w^m t^t to its left, one x_k at a
+    time, lowest first.  x_k crosses the central t-block for free, picks
+    up phi(m, x_k) from the w-block, and turns each y_j into a new w_kj
+    (which then commutes with everything it still has to pass).  Returns
+    the new (m, t); the y-block is unchanged."""
+    n = ctx.n
+    while a:
+        low = a & -a
+        a ^= low
+        t ^= ctx.phi(m, low)
+        m ^= b << ((low.bit_length() - 1) * n)
+    return m, t
 
-    For g = x_k the x crosses the central t-block for free, picks up
-    t-terms from the w-block (phi), and turns each y_j in the y-block into
-    a new w_kj (which then commutes with everything it still has to pass).
+
+def mul_gen(ctx: GroupContext, h: Element, sym: Symbol) -> Element:
+    """One-letter collection step: the normal form of ``h * g``.
+
+    An x_k is collected past h's y, w and t blocks by :func:`_collect_x`;
     y, w and t generators merge into their own block directly.
     """
     check_symbol(ctx, sym)
     kind = sym[0]
     if kind == "x":
-        k = sym[1]
-        dt = ctx.phi(h.m, 1 << (k - 1))
-        return Element(
-            h.a ^ (1 << (k - 1)),
-            h.b,
-            h.m ^ (h.b << ((k - 1) * ctx.n)),
-            h.t ^ dt,
-        )
+        low = 1 << (sym[1] - 1)
+        m, t = _collect_x(ctx, low, h.b, h.m, h.t)
+        return Element(h.a ^ low, h.b, m, t)
     if kind == "y":
         return Element(h.a, h.b ^ (1 << (sym[1] - 1)), h.m, h.t)
     if kind == "w":
@@ -324,29 +303,18 @@ def evaluate_word(ctx: GroupContext, word: Word) -> Element:
 
 
 def mul(ctx: GroupContext, g: Element, h: Element) -> Element:
-    """Product g*h (closed form of folding mul_gen over h's word).
-
-    Folding the x block of h over g contributes, besides the xor of
-    blocks, the outer product of h's x-support with g's y-support to the
-    w block, plus two t contributions: x's of h crossing g's w block
-    (phi), and pairs of x's within h crossing g's y block (psi).
-    """
-    a2, b1 = h.a, g.b
-    m = g.m ^ h.m ^ ctx.outer(a2, b1)
-    t = g.t ^ h.t ^ ctx.phi(g.m, a2) ^ ctx.psi(a2, b1)
-    return Element(g.a ^ h.a, g.b ^ h.b, m, t)
+    """Product g*h, collected from the left: h's x letters are collected
+    past g's y, w and t blocks; h's y, w and t letters only toggle their
+    own bits."""
+    m, t = _collect_x(ctx, h.a, g.b, g.m, g.t)
+    return Element(g.a ^ h.a, g.b ^ h.b, m ^ h.m, t ^ h.t)
 
 
 def inv(ctx: GroupContext, h: Element) -> Element:
-    """Inverse of h: the collected reversed generator word of h.
-
-    All generators are involutions, so the inverse is the reversed word.
-    The closed form below is what that reversed-word collection produces;
-    inv_by_word is kept as the literal fold and the two are cross-checked
-    in the test suite.
-    """
-    m = h.m ^ ctx.outer(h.a, h.b)
-    t = h.t ^ ctx.phi(h.m, h.a) ^ ctx.psi(h.a, h.b)
+    """Inverse of h: all generators are involutions, so h^-1 is the
+    reversed word y^b w^M t^T x^a, collected.  inv_by_word is the literal
+    letter-by-letter fold; the test suite cross-checks the two."""
+    m, t = _collect_x(ctx, h.a, h.b, h.m, h.t)
     return Element(h.a, h.b, m, t)
 
 

@@ -423,26 +423,22 @@ def refined_diagram(g: GraphData, root: int,
 
 # -- ball identity ------------------------------------------------------------------
 
-def ball_intersect_derived(ctx: GroupContext, radius: int,
-                           gamma: GraphData | None = None) -> list[Element]:
+def ball_intersect_derived(ctx: GroupContext, radius: int) -> list[Element]:
     """Elements of the derived subgroup within the given Cayley-ball radius
     of the identity.
 
-    Uses the shared BFS on a prebuilt Cayley graph; without one it grows
-    the ball lazily from the group as B_r = B_{r-1} u S B_{r-1} (the
-    radius-4 ball is tiny compared to the group).
+    The ball grows lazily from the group as B_r = B_{r-1} u S B_{r-1}, so
+    no Cayley graph is built (the radius-4 ball is tiny compared to the
+    group).
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if gamma is not None:
-        ball = np.flatnonzero(bfs_distances(gamma, 0, radius) >= 0)
-    else:
-        ops = packed_ops(ctx)
-        ball = np.zeros(1, dtype=np.uint32)
-        s_list = connection_set(ctx)
-        for _ in range(radius):
-            ball = np.unique(np.concatenate(
-                [ball] + [ops.left_mul(s, ball) for s in s_list]))
+    ops = packed_ops(ctx)
+    ball = np.zeros(1, dtype=np.uint32)
+    s_list = connection_set(ctx)
+    for _ in range(radius):
+        ball = np.unique(np.concatenate(
+            [ball] + [ops.left_mul(s, ball) for s in s_list]))
     mask_ab = (1 << (2 * ctx.n)) - 1
     return [ctx.unpack(int(z)) for z in ball[(ball & mask_ab) == 0]]
 
@@ -470,6 +466,9 @@ def edge_regular_witness(ctx: GroupContext, sigma: Sigma,
     generate the group, so with the edge bijection the group acts on the
     edges as on itself, which is transitive.  The edges go AUT_CHUNK X
     rows at a time; each failing (generator, edge) pair is a mismatch.
+    The product z * h is the one-letter rule ``PackedOps.mul_gen`` while
+    p_h comes from the closed-form ``PackedOps.mul``, so the witness also
+    checks the two kernels against each other on every such product.
     """
     ops = packed_ops(ctx)
     phi = sigma.phi
@@ -485,7 +484,8 @@ def edge_regular_witness(ctx: GroupContext, sigma: Sigma,
         u, v = sigma.edge_ends(e)
         # row i: the ends of the edges of element_key[e] * h_i
         hu, hv = sigma.edge_ends(
-            phi.edge_id[ops.mul(phi.element_key[e].astype(np.uint32), gens)])
+            phi.edge_id[ops.mul_gen(phi.element_key[e].astype(np.uint32),
+                                    gens)])
         mismatches += int(np.count_nonzero(
             (hu != np.stack([p[u] for p in actions]))
             | (hv != np.stack([p[v] for p in actions]))))

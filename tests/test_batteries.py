@@ -80,6 +80,36 @@ def test_random_words_match_evaluate_word(n):
         [ctx.pack(evaluate_word(ctx, w)) for w in words]
 
 
+def psi_reference(ctx, a, b):
+    """t-block from the pairs i < k of x's in a crossing the y-support b,
+    the closed form that the collection rule produces."""
+    bits = [k + 1 for k in range(ctx.n) if a >> k & 1]
+    dt = 0
+    for u, i in enumerate(bits):
+        for k in bits[u + 1:]:
+            dt ^= b << (ctx.pair_index(i, k) * ctx.n)
+    return dt
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_packed_tables_match_closed_forms(n):
+    """outer and psi, read off the scalar products y^b x^a, equal their
+    closed forms; each phi entry is the XOR of its single-x entries."""
+    ctx = context(n)
+    ops = packed_ops(ctx)
+    mask = (1 << n) - 1
+    for idx in range(1 << 2 * n):
+        a, b = idx >> n, idx & mask
+        assert int(ops.outer[idx]) == ctx.outer(a, b)
+        assert int(ops.psi[idx]) == psi_reference(ctx, a, b)
+    for idx in range(len(ops.phi)):
+        want = 0
+        for k in range(n):
+            if idx >> k & 1:
+                want ^= int(ops.phi[(idx & ~mask) | 1 << k])
+        assert int(ops.phi[idx]) == want
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_packed_comm_conj_match_scalar(n):
     ctx = context(n)
@@ -98,14 +128,14 @@ def test_packed_comm_conj_match_scalar(n):
 @pytest.mark.parametrize("name,table", [
     *((b, "phi") for b in BATTERIES if b not in (
         "derived-involutions", "y-absorption", "canonical-coset-invariance")),
-    ("y-absorption", "psi"),
-    ("canonical-coset-invariance", "psi"),
+    *((b, table) for table in ("outer", "psi")
+      for b in BATTERIES if b != "derived-involutions"),
 ])
 def test_cross_check_catches_corrupted_packed_table(name, table, monkeypatch):
     """A PackedOps with one zeroed table, over an intact scalar context.
 
     y-absorption and canonical-coset-invariance never read phi at a
-    nonzero row in a value they compare, so they get a zeroed psi.
+    nonzero row in a value they compare, so they get no zeroed phi.
     derived-involutions is left out: its products stay inside the
     elementary abelian derived subgroup, read only row 0 of each table,
     and every value it computes is the identity.
@@ -142,12 +172,18 @@ def test_verdict_matches_scalar_backend(name, mode, monkeypatch):
 
 
 def test_mutations_break_the_batteries():
+    """"asym" breaks the group laws.  "none" is the class-2 quotient with
+    inert t bits, a group: only the derived-subgroup span sees it."""
     asym = GroupContext(2, _tau_mode="asym")
     none = GroupContext(2, _tau_mode="none")
     assert run("jacobi-identity", asym)[0] == "fail"
     assert run("jacobi-identity", none)[0] == "pass"
-    assert run("associativity", none)[0] == "fail"
+    assert run("associativity", asym)[0] == "fail"
+    assert run("associativity", none)[0] == "pass"
     assert run("associativity", context(2))[0] == "pass"
+    status, _, actual = run("derived-subgroup-structure", none)
+    assert status == "fail"
+    assert actual["span_size"] == 16
 
 
 # -- reports --------------------------------------------------------------------

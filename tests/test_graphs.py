@@ -87,12 +87,6 @@ def test_graph_from_edges_rejects_duplicates():
         graph_from_edges(3, [0, 1, 1], [1, 0, 2])
 
 
-def test_graph_from_edges_dedupe():
-    g = graph_from_edges(3, [0, 1, 1], [1, 0, 2], dedupe=True)
-    assert g.num_edges == 2
-    assert list(g.edges()) == [(0, 1), (1, 2)]
-
-
 def test_graph_from_rows():
     g = graph_from_rows(np.array([[1, 2], [0, 2], [0, 1]]))
     assert g.num_edges == 3
@@ -478,7 +472,8 @@ def test_quotient_matches_edge_reference(ctx2, sigma2):
     vids = np.arange(g.num_vertices)
     cls = np.where(vids < half, vids & 3, 4 + ((vids - half) & 3))
     eu, ev = g.edge_array()
-    ref = graph_from_edges(8, cls[eu], cls[ev], dedupe=True)
+    pairs = np.unique(np.stack([cls[eu], cls[ev]], axis=1), axis=0)
+    ref = graph_from_edges(8, pairs[:, 0], pairs[:, 1])
     q = quotient_by_derived(ctx2, sigma2)
     assert q.num_edges == ref.num_edges == 16
     assert np.array_equal(q.indptr, ref.indptr)

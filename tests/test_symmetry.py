@@ -10,8 +10,8 @@ import pytest
 
 from mixdih import graphs, symmetry
 from mixdih.bulk import PackedOps, packed_ops
-from mixdih.graphs import GraphConsistencyError, build_gamma, build_sigma, \
-    canonical_coset, graph_from_edges, quotient_by_derived
+from mixdih.graphs import GraphConsistencyError, bfs_distances, build_gamma, \
+    build_sigma, canonical_coset, graph_from_edges, quotient_by_derived
 from mixdih.group import (
     IDENTITY,
     Element,
@@ -622,9 +622,11 @@ def test_ball_negative_radius(ctx2):
 
 @pytest.mark.parametrize("radius", range(5))
 def test_ball_with_prebuilt_gamma(ctx2, radius):
-    gamma = build_gamma(ctx2)
-    assert ball_intersect_derived(ctx2, radius, gamma=gamma) == \
-        ball_intersect_derived(ctx2, radius)
+    """The lazily grown ball equals the BFS ball in the built Cayley graph
+    (whose vertex ids are the packed elements)."""
+    ball = np.flatnonzero(bfs_distances(build_gamma(ctx2), 0, radius) >= 0)
+    assert ball_intersect_derived(ctx2, radius) == \
+        [ctx2.unpack(int(z)) for z in ball if not z & 0xF]
 
 
 def test_commutator_square_distinct(ctx2):
