@@ -329,10 +329,10 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     X-coset key k owns the block (k << n) | a of the element order, so
     its row is the sorted Y keys of that block, and the edges sorted by
     (u, v) are the X rows in order, built SIGMA_CHUNK rows at a time.
-    The Y row of key r is the sorted X
-    keys of the coset members y^c * rep(r).  The build asserts that the
-    edge bijection is injective (strictly increasing X rows) and that the
-    Y rows are the transpose of the X rows.
+    The Y row of key r is the sorted X keys of the coset members
+    y^c * rep(r).  The build asserts that the edge bijection is injective
+    (strictly increasing X rows) and that the Y rows are the transpose of
+    the X rows.
     """
     half = 1 << (ctx.total_bits - ctx.n)
     nv = 2 * half
