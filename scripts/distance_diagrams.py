@@ -7,7 +7,7 @@ Usage: python scripts/distance_diagrams.py [--n 2]
 
 import argparse
 
-from mixdih.graphs import build_sigma
+from mixdih.graphs import build_sigma, coset_vertex
 from mixdih.group import IDENTITY, context
 from mixdih.symmetry import refined_diagram
 
@@ -20,7 +20,8 @@ def main():
     ctx = context(args.n)
     sig = build_sigma(ctx)
     for side in ("X", "Y"):
-        diag = refined_diagram(sig.graph, sig.vid_of(side, IDENTITY), side)
+        diag = refined_diagram(sig.graph, coset_vertex(ctx, side, IDENTITY),
+                               side)
         print(f"=== distance diagram at {side} "
               f"({sum(diag.layers)} vertices) ===")
         print("layers:", diag.layers)

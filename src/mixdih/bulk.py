@@ -144,22 +144,14 @@ class PackedOps:
         return z >> np.uint32(self.n)
 
     def y_coset_key(self, z: np.ndarray) -> np.ndarray:
-        """Key (a,m,t) of the Y-side coset: the b-zero member y^b z with
-        its b block dropped."""
+        """Key of the Y-side coset of z: that of its b = 0 member y^b z."""
         rep = self.mul(z & (self.mask_n << np.uint32(self.n)), z)
-        return self.a_of(rep) | ((rep >> np.uint32(2 * self.n))
-                                 << np.uint32(self.n))
-
-    def y_rep(self, keys: np.ndarray) -> np.ndarray:
-        """Packed b = 0 representatives of the Y cosets with these keys."""
-        keys = np.asarray(keys, dtype=np.uint32)
-        return (keys & self.mask_n) | ((keys >> np.uint32(self.n))
-                                       << np.uint32(2 * self.n))
+        return self.ctx.y_key(rep)
 
     def y_coset(self, keys: np.ndarray) -> np.ndarray:
         """Members of the Y-side cosets with these keys, one row per key:
         column c holds y^c times the representative."""
-        rep = self.y_rep(keys)
+        rep = self.ctx.y_rep(keys)
         return np.stack([self.left_mul(Element(b=c), rep)
                          for c in range(1 << self.n)], axis=1)
 
@@ -194,13 +186,3 @@ class PackedOps:
         x_img, y_img, d_img = tables
         return (x_img[self.a_of(z)] ^ y_img[self.b_of(z)]
                 ^ d_img[z >> np.uint32(2 * self.n)])
-
-    def x_rep_of_key(self, key: int) -> Element:
-        return self.ctx.unpack(int(key) << self.n)
-
-    def y_rep_of_key(self, key: int) -> Element:
-        key = int(key)
-        a = key & self.ctx._mask_n
-        m = (key >> self.n) & self.ctx._mask_w
-        t = key >> (self.n + self.nn)
-        return Element(a, 0, m, t)

@@ -167,7 +167,7 @@ def cmd_verify(args) -> int:
 def cmd_diagram(args) -> int:
     ctx = context(args.n)
     sig = gr.build_sigma(ctx, force=args.force)
-    root = sig.vid_of(args.root, IDENTITY)
+    root = gr.coset_vertex(ctx, args.root, IDENTITY)
     if args.refine:
         diag = sym.refined_diagram(sig.graph, root, args.root)
     else:

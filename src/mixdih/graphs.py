@@ -157,7 +157,7 @@ def bfs_distances(g: GraphData, root: int,
     """
     nb = g.neighbor_table()
     padded = nb.size > len(g.indices)
-    dist = np.full(g.num_vertices, -1, dtype=np.int64)
+    dist = np.full(g.num_vertices, -1, _index_dtype(g.num_vertices))
     dist[root] = 0
     frontier = np.array([root], dtype=np.int64)
     d = 0
@@ -251,38 +251,13 @@ class EdgeBijection:
 
 @dataclass
 class Sigma:
-    """The bipartite coset graph plus its vertex/edge indexing.
-
-    X-side vertex ids are the packed (b,m,t) keys of the canonical
-    representatives (a = 0); Y-side ids are half + packed (a,m,t) keys
-    (b = 0).  Both sides are therefore sorted by representative encoding,
-    X block first.
-    """
+    """The bipartite coset graph plus its edge indexing; its vertex ids
+    are those of :func:`coset_vertex`."""
 
     ctx: GroupContext
     graph: GraphData
     phi: EdgeBijection
     half: int
-
-    def side_of(self, vid: int) -> str:
-        return "X" if vid < self.half else "Y"
-
-    def rep_of(self, vid: int) -> Element:
-        ops = packed_ops(self.ctx)
-        if vid < self.half:
-            return ops.x_rep_of_key(vid)
-        return ops.y_rep_of_key(vid - self.half)
-
-    def vid_of(self, side: str, rep: Element) -> int:
-        ctx = self.ctx
-        if side == "X":
-            if rep.a:
-                raise ValueError("X-side representative must have a = 0")
-            return ctx.pack(rep) >> ctx.n
-        if rep.b:
-            raise ValueError("Y-side representative must have b = 0")
-        return self.half + (rep.a | (rep.m << ctx.n)
-                            | (rep.t << (ctx.n + ctx.dim_w)))
 
     def edge_ends(self, e):
         """X and Y ends of the edges with ids e.  build_sigma numbers the
@@ -298,33 +273,40 @@ class Sigma:
         return e >> n, g.indices[e]
 
 
-@dataclass(frozen=True)
-class CosetVertex:
-    """One vertex of the coset graph: side tag plus canonical rep."""
-
-    side: str  # "X" or "Y"
-    rep: Element
+def _half(ctx: GroupContext) -> int:
+    """Cosets per side, and the id of the first Y-side vertex."""
+    return 1 << (ctx.total_bits - ctx.n)
 
 
-def canonical_coset(ctx: GroupContext, side: str, h: Element) -> CosetVertex:
-    """Canonical representative of the coset of h on the given side.
+def coset_vertex(ctx: GroupContext, side: str, h: Element) -> int:
+    """Vertex id of the coset of h on the given side ("X" or "Y").
 
-    X-side: zero the a block (left x-multiples only toggle it).  Y-side:
+    X-side: the packed (b,m,t) key of h with its a block zeroed (left
+    x-multiples only toggle it).  Y-side: half plus the ``y_key`` of
     y^b * h for b the b block of h, the unique member with b = 0 (left
-    y-multiples keep a, so it is also the blockwise-minimal member).
-    Constant on cosets, idempotent.
+    y-multiples keep a).  So both sides are sorted by representative
+    encoding, X block first.  Constant on cosets; needs no built graph.
     """
     if side == "X":
-        return CosetVertex("X", Element(0, h.b, h.m, h.t))
+        return ctx.pack(h) >> ctx.n
     if side != "Y":
         raise ValueError(f"side must be 'X' or 'Y', got {side!r}")
-    return CosetVertex("Y", mul(ctx, Element(b=h.b), h))
+    return _half(ctx) + ctx.y_key(ctx.pack(mul(ctx, Element(b=h.b), h)))
+
+
+def vertex_rep(ctx: GroupContext, vid: int) -> Element:
+    """Canonical representative of vertex vid: a = 0 on the X side, b = 0
+    on the Y side; coset_vertex of it on its side gives vid back."""
+    half = _half(ctx)
+    if vid < half:
+        return ctx.unpack(vid << ctx.n)
+    return ctx.unpack(ctx.y_rep(vid - half))
 
 
 def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     """Build the coset-intersection graph via the edge bijection.
 
-    Vertices are the canonical coset representatives of both sides;
+    Vertices are the cosets of both sides, numbered by coset_vertex;
     the edges are exactly {X-coset(z), Y-coset(z)} for z over the group.
     X-coset key k owns the block (k << n) | a of the element order, so
     its row is the sorted Y keys of that block, and the edges sorted by
@@ -334,7 +316,7 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     (strictly increasing X rows) and that the Y rows are the transpose of
     the X rows.
     """
-    half = 1 << (ctx.total_bits - ctx.n)
+    half = _half(ctx)
     nv = 2 * half
     _check_cap(nv, force, "coset graph")
     ops = packed_ops(ctx)
@@ -360,8 +342,7 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     sides[half:] = 1
     labels = None
     if nv <= (1 << 16):
-        labels = [format_element(ctx, ops.x_rep_of_key(k)) for k in range(half)]
-        labels += [format_element(ctx, ops.y_rep_of_key(k)) for k in range(half)]
+        labels = [format_element(ctx, vertex_rep(ctx, v)) for v in range(nv)]
     graph = graph_from_rows(rows, sides=sides, labels=labels)
     # the X rows come first in indices, in edge order: the edge of coset
     # member (r, c) must end at Y vertex r

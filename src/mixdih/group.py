@@ -83,11 +83,9 @@ class GroupContext:
     functions, safe for concurrent use.
     """
 
-    def __init__(self, n: int, _tau_mode: str = "full"):
+    def __init__(self, n: int):
         if n < 2:
             raise UnsupportedParameterError(f"rank n must be >= 2, got {n}")
-        if _tau_mode not in ("full", "none", "asym"):
-            raise ValueError(f"bad _tau_mode {_tau_mode!r}")
         self.n = n
         self.dim_x = n
         self.dim_y = n
@@ -98,10 +96,6 @@ class GroupContext:
         self._mask_n = (1 << n) - 1
         self._mask_w = (1 << self.dim_w) - 1
         self._mask_t = (1 << self.dim_t) - 1
-        # _tau_mode exists only for mutation tests of the collection rule:
-        # "none" drops the w-over-x commutator entirely, "asym" drops its
-        # symmetry normalisation for k < i.  Production code uses "full".
-        self._tau_mode = _tau_mode
         # the generator symbol of each packed bit, lowest bit first
         self.bit_symbols: list[Symbol] = (
             [("x", i) for i in range(1, n + 1)]
@@ -152,6 +146,17 @@ class GroupContext:
             (z >> (2 * n + self.dim_w)) & self._mask_t,
         )
 
+    # Y-side coset keys: the packed b = 0 representative with its b block
+    # dropped.  Pure bit ops, so ints and uint32 or object arrays alike.
+
+    def y_key(self, rep):
+        """Key of the Y-side coset whose b = 0 representative is rep."""
+        return (rep & self._mask_n) | ((rep >> 2 * self.n) << self.n)
+
+    def y_rep(self, key):
+        """Packed b = 0 representative of the Y-side coset with this key."""
+        return (key & self._mask_n) | ((key >> self.n) << 2 * self.n)
+
     # -- quadratic collection terms ---------------------------------------
 
     def outer(self, a: int, b: int) -> int:
@@ -173,8 +178,6 @@ class GroupContext:
         return self._phi_loop(m, a)
 
     def _phi_loop(self, m: int, a: int) -> int:
-        if self._tau_mode == "none":
-            return 0
         n = self.n
         dt = 0
         aa = a
@@ -184,8 +187,6 @@ class GroupContext:
             k = low.bit_length()
             for i in range(1, n + 1):
                 if i == k:
-                    continue
-                if k < i and self._tau_mode == "asym":
                     continue
                 row = (m >> ((i - 1) * n)) & self._mask_n
                 if not row:

@@ -40,15 +40,15 @@ import numpy as np
 
 from .bulk import packed_ops
 from .graphs import (
-    CosetVertex,
     GraphConsistencyError,
     GraphData,
     Sigma,
     _index_dtype,
     bfs_distances,
     bfs_layers,
-    canonical_coset,
     connection_set,
+    coset_vertex,
+    vertex_rep,
 )
 from .group import (
     Element,
@@ -78,7 +78,7 @@ def _vertex_permutation(ctx: GroupContext, sigma: Sigma,
     half = sigma.half
     keys = np.arange(half, dtype=np.uint32)  # both sides have half keys
     perm = np.concatenate([ops.x_coset_key(image(keys << np.uint32(ctx.n))),
-                           ops.y_coset_key(image(ops.y_rep(keys))) + half])
+                           ops.y_coset_key(image(ctx.y_rep(keys))) + half])
     return perm.astype(_index_dtype(2 * half))
 
 
@@ -124,13 +124,13 @@ def gl_action(ctx: GroupContext, sigma: Sigma,
     tables = ops.induced_tables(aut)
     perm = _vertex_permutation(ctx, sigma,
                                lambda z: ops.induced_image(tables, z))
-    keys = np.linspace(0, sigma.half - 1, GL_CROSS_CHECK).round()
-    for vid in np.concatenate([keys, keys + sigma.half]).astype(int).tolist():
-        side = sigma.side_of(vid)
-        img = canonical_coset(ctx, side, aut.apply(sigma.rep_of(vid)))
-        if sigma.vid_of(side, img.rep) != perm[vid]:
-            raise GraphConsistencyError(
-                f"packed induced map disagrees with the scalar one at {vid}")
+    keys = np.linspace(0, sigma.half - 1, GL_CROSS_CHECK).round().astype(int)
+    for side, first in (("X", 0), ("Y", sigma.half)):
+        for vid in (keys + first).tolist():
+            img = coset_vertex(ctx, side, aut.apply(vertex_rep(ctx, vid)))
+            if img != perm[vid]:
+                raise GraphConsistencyError("packed induced map disagrees "
+                                            f"with the scalar one at {vid}")
     return perm
 
 
@@ -189,61 +189,42 @@ def orbits(perms: Sequence[np.ndarray], num_points: int) -> np.ndarray:
 
 # -- local 2-arc machinery ---------------------------------------------------
 
-def _vertex_token(ctx: GroupContext, cv: CosetVertex) -> tuple[str, int]:
-    return (cv.side, ctx.pack(cv.rep))
-
-def _token_vertex(ctx: GroupContext, tok: tuple[str, int]) -> CosetVertex:
-    return CosetVertex(tok[0], ctx.unpack(tok[1]))
+def _other(side: str) -> str:
+    return "Y" if side == "X" else "X"
 
 
-def coset_neighbors(ctx: GroupContext, cv: CosetVertex) -> list[CosetVertex]:
-    """Neighbors of a coset vertex, computed locally from the group.
+def coset_neighbors(ctx: GroupContext, side: str, vid: int) -> list[int]:
+    """Neighbors of the coset vertex vid on the given side, computed
+    locally from the group.
 
     The edges through the coset of z are indexed by its members, so the
     neighbors of an X-side coset are the Y-cosets of its 2^n members and
     vice versa.
     """
-    other = "Y" if cv.side == "X" else "X"
-    out = []
-    for c in range(1 << ctx.n):
-        member = mul(ctx, Element(a=c) if cv.side == "X" else Element(b=c),
-                     cv.rep)
-        out.append(canonical_coset(ctx, other, member))
-    return out
+    rep = vertex_rep(ctx, vid)
+    return [coset_vertex(ctx, _other(side),
+                         mul(ctx, Element(a=c) if side == "X"
+                             else Element(b=c), rep))
+            for c in range(1 << ctx.n)]
 
 
-@dataclass(frozen=True, order=True)
-class TwoArc:
-    """(u, v, w) with u != w and both pairs adjacent."""
+def _stabilizer_maps(ctx: GroupContext,
+                     side: str) -> list[Callable[[str, int], int]]:
+    """Generator maps (side, vertex id) -> vertex id for the stabilizer of
+    the base vertex of a side: right multiplications by that side's
+    generators plus the GL x GL generator pairs (two standard generators
+    per factor)."""
+    def right_mult_map(g: Element) -> Callable[[str, int], int]:
+        return lambda s, vid: coset_vertex(
+            ctx, s, mul(ctx, vertex_rep(ctx, vid), g))
 
-    u: tuple[str, int]
-    v: tuple[str, int]
-    w: tuple[str, int]
-
-
-def _stabilizer_maps(ctx: GroupContext, side: str) -> list[Callable]:
-    """Generator maps for the stabilizer of the base vertex of a side:
-    right multiplications by that side's generators plus the GL x GL
-    generator pairs (two standard generators per factor)."""
-    maps: list[Callable] = []
-
-    def right_mult_map(g: Element) -> Callable:
-        def act(tok):
-            cv = _token_vertex(ctx, tok)
-            img = canonical_coset(ctx, cv.side, mul(ctx, cv.rep, g))
-            return _vertex_token(ctx, img)
-        return act
-
-    def aut_map(aut: InducedAutomorphism) -> Callable:
-        def act(tok):
-            cv = _token_vertex(ctx, tok)
-            img = canonical_coset(ctx, cv.side, aut.apply(cv.rep))
-            return _vertex_token(ctx, img)
-        return act
+    def aut_map(aut: InducedAutomorphism) -> Callable[[str, int], int]:
+        return lambda s, vid: coset_vertex(
+            ctx, s, aut.apply(vertex_rep(ctx, vid)))
 
     gens = _xy_generators(ctx)
-    maps.extend(right_mult_map(g) for g in (gens[:ctx.n] if side == "X"
-                                            else gens[ctx.n:]))
+    maps = [right_mult_map(g) for g in (gens[:ctx.n] if side == "X"
+                                        else gens[ctx.n:])]
     ident = gf2_identity(ctx.n)
     for mat in gl_generators(ctx.n):
         maps.append(aut_map(induced_automorphism(ctx, mat, ident)))
@@ -251,18 +232,13 @@ def _stabilizer_maps(ctx: GroupContext, side: str) -> list[Callable]:
     return maps
 
 
-def rooted_two_arcs(ctx: GroupContext, side: str) -> list[TwoArc]:
-    """All 2-arcs starting at the base vertex of the given side."""
-    root = canonical_coset(ctx, side, IDENTITY)
-    root_tok = _vertex_token(ctx, root)
-    arcs = []
-    for v in coset_neighbors(ctx, root):
-        v_tok = _vertex_token(ctx, v)
-        for w in coset_neighbors(ctx, v):
-            w_tok = _vertex_token(ctx, w)
-            if w_tok != root_tok:
-                arcs.append(TwoArc(root_tok, v_tok, w_tok))
-    return arcs
+def rooted_two_arcs(ctx: GroupContext,
+                    side: str) -> list[tuple[int, int, int]]:
+    """All 2-arcs (u, v, w), u != w, starting at the base vertex u of the
+    given side, as vertex-id triples."""
+    root = coset_vertex(ctx, side, IDENTITY)
+    return [(root, v, w) for v in coset_neighbors(ctx, side, root)
+            for w in coset_neighbors(ctx, _other(side), v) if w != root]
 
 
 def check_local_2at(ctx: GroupContext) -> dict:
@@ -282,8 +258,9 @@ def check_local_2at(ctx: GroupContext) -> dict:
         maps = _stabilizer_maps(ctx, side)
         # a KeyError here means a generator moved the root
         index = {arc: i for i, arc in enumerate(arcs)}
-        perms = [np.array([index[TwoArc(m(a.u), m(a.v), m(a.w))]
-                           for a in arcs]) for m in maps]
+        other = _other(side)
+        perms = [np.array([index[(m(side, u), m(other, v), m(side, w))]
+                           for u, v, w in arcs]) for m in maps]
         count = len(np.unique(orbits(perms, len(arcs))))
         expected = (1 << ctx.n) * ((1 << ctx.n) - 1)
         report["sides"][side] = {

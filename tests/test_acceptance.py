@@ -13,8 +13,8 @@ from mixdih.bulk import packed_ops
 from mixdih.graphs import (
     build_gamma,
     build_sigma,
-    canonical_coset,
     clique_graph,
+    coset_vertex,
     is_connected,
     line_graph,
     maximal_cliques,
@@ -179,7 +179,7 @@ def test_criterion_06_clique_line_duality(ctx2, sigma2, gamma2):
         if side is None:
             cosets_ok = False
             break
-        ids.append(sigma2.vid_of(side, canonical_coset(ctx2, side, z0).rep))
+        ids.append(coset_vertex(ctx2, side, z0))
     cg = clique_graph(gamma2)
     permv = np.array(ids)
     cu, cv = cg.edge_array()
@@ -234,8 +234,8 @@ def test_criterion_09_semisymmetry(ctx2, sigma2):
     cert = semisymmetry_certificate(
         edge_regular_witness(ctx2, sigma2, generator_actions(ctx2, sigma2)),
         check_local_2at(ctx2),
-        layer_certificate(sigma2.graph, sigma2.vid_of("X", IDENTITY),
-                          sigma2.vid_of("Y", IDENTITY)))
+        layer_certificate(sigma2.graph, coset_vertex(ctx2, "X", IDENTITY),
+                          coset_vertex(ctx2, "Y", IDENTITY)))
     layers_ok = (cert["layers_X"] == EXPECTED_LAYERS_X_N2
                  and cert["layers_Y"] == EXPECTED_LAYERS_Y_N2)
     differ_at_4 = (cert["layers_X"][4], cert["layers_Y"][4]) == (54, 81)
@@ -309,8 +309,8 @@ def test_criterion_11_hall():
 @pytest.mark.slow
 def test_criterion_12_stretch_aut(ctx2, sigma2):
     order = automorphism_group_order(sigma2.graph)
-    rdx = refined_diagram(sigma2.graph, sigma2.vid_of("X", IDENTITY), "X")
-    rdy = refined_diagram(sigma2.graph, sigma2.vid_of("Y", IDENTITY), "Y")
+    rdx = refined_diagram(sigma2.graph, coset_vertex(ctx2, "X", IDENTITY), "X")
+    rdy = refined_diagram(sigma2.graph, coset_vertex(ctx2, "Y", IDENTITY), "Y")
     cells_ok = ([sorted(c) for c in rdx.cells] == EXPECTED_CELLS_X_N2
                 and [sorted(c) for c in rdy.cells] == EXPECTED_CELLS_Y_N2)
     report("criterion-12 automorphism group (stretch)",

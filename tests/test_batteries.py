@@ -10,7 +10,6 @@ import pytest
 from mixdih import verify
 from mixdih.bulk import packed_ops
 from mixdih.group import (
-    GroupContext,
     comm,
     conj,
     context,
@@ -147,11 +146,10 @@ def test_cross_check_catches_corrupted_packed_table(name, table, monkeypatch):
     assert status == "fail", actual
 
 
-def test_only_the_cross_check_sees_a_zeroed_phi(monkeypatch):
+def test_only_the_cross_check_sees_a_zeroed_phi(monkeypatch, mutant):
     """Without the tau term Jacobi still holds, so a packed kernel with
     a zeroed phi fails Jacobi only on the cross-checked samples."""
-    assert run("jacobi-identity", GroupContext(2, _tau_mode="none"))[0] == \
-        "pass"
+    assert run("jacobi-identity", mutant("none"))[0] == "pass"
     ctx = context(2)
     ops = packed_ops(ctx)
     monkeypatch.setattr(ops, "phi", np.zeros_like(ops.phi))
@@ -162,20 +160,19 @@ def test_only_the_cross_check_sees_a_zeroed_phi(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["full", "asym", "none"])
 @pytest.mark.parametrize("name", BATTERIES)
-def test_verdict_matches_scalar_backend(name, mode, monkeypatch):
+def test_verdict_matches_scalar_backend(name, mode, monkeypatch, mutant):
     """Same draws, same report, whether PackedOps or group.py runs them,
     on the mutated collection rules as well."""
-    ctx = GroupContext(2, _tau_mode=mode)
+    ctx = mutant(mode)
     packed = run(name, ctx)
     monkeypatch.setattr(verify, "_packed_backend", lambda ctx: None)
     assert run(name, ctx) == packed
 
 
-def test_mutations_break_the_batteries():
+def test_mutations_break_the_batteries(mutant):
     """"asym" breaks the group laws.  "none" is the class-2 quotient with
     inert t bits, a group: only the derived-subgroup span sees it."""
-    asym = GroupContext(2, _tau_mode="asym")
-    none = GroupContext(2, _tau_mode="none")
+    asym, none = mutant("asym"), mutant("none")
     assert run("jacobi-identity", asym)[0] == "fail"
     assert run("jacobi-identity", none)[0] == "pass"
     assert run("associativity", asym)[0] == "fail"

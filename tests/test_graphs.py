@@ -7,7 +7,7 @@ connectivity checks alongside the exact structural assertions.
 import dataclasses
 import io
 import random
-from collections import deque
+from collections import Counter, deque
 
 import networkx as nx
 import numpy as np
@@ -16,16 +16,15 @@ import pytest
 from mixdih import graphs
 from mixdih.bulk import PackedOps, packed_ops
 from mixdih.graphs import (
-    CosetVertex,
     EdgeBijection,
     GraphConsistencyError,
     GraphData,
     bfs_distances,
     build_gamma,
     build_sigma,
-    canonical_coset,
     clique_graph,
     connection_set,
+    coset_vertex,
     export_graph,
     export_labels,
     graph_from_edges,
@@ -35,6 +34,7 @@ from mixdih.graphs import (
     maximal_cliques,
     parse_edgelist,
     quotient_by_derived,
+    vertex_rep,
 )
 from mixdih.group import (
     CapExceededError,
@@ -45,7 +45,7 @@ from mixdih.group import (
     mul,
     xgen,
 )
-from mixdih.verify import check_edge_bijection
+from mixdih.verify import ScalarOps, check_edge_bijection, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +141,10 @@ def test_bfs_matches_deque_reference(seed):
     assert g.neighbor_table().size > len(g.indices)
     for root in (order[0], order[cut2], order[-1], rng.randrange(nv)):
         for depth in (None, 0, 1, 2, 3):
-            assert bfs_distances(g, root, depth).tolist() == \
-                deque_bfs(nv, pairs, root, depth), (root, depth)
+            dist = bfs_distances(g, root, depth)
+            assert dist.dtype == np.int32  # the index dtype of nv ids
+            assert dist.tolist() == deque_bfs(nv, pairs, root, depth), \
+                (root, depth)
 
 
 # -- connection set and Cayley graph -------------------------------------------
@@ -210,14 +212,16 @@ def test_gamma_cap():
 
 def test_canonical_coset_x_zeroes_a(ctx2):
     h = Element(a=0b11, b=0b01, m=0b0110, t=0b10)
-    cv = canonical_coset(ctx2, "X", h)
-    assert cv == CosetVertex("X", Element(a=0, b=0b01, m=0b0110, t=0b10))
+    v = coset_vertex(ctx2, "X", h)
+    assert v == ctx2.pack(h) >> 2
+    assert vertex_rep(ctx2, v) == Element(a=0, b=0b01, m=0b0110, t=0b10)
 
 
 def test_canonical_coset_y_of_x1(ctx2):
     # the orbit of x1 under left y-multiples has b=0 exactly at x1
-    cv = canonical_coset(ctx2, "Y", xgen(ctx2, 1))
-    assert cv == CosetVertex("Y", xgen(ctx2, 1))
+    v = coset_vertex(ctx2, "Y", xgen(ctx2, 1))
+    assert v == 256 + 1
+    assert vertex_rep(ctx2, v) == xgen(ctx2, 1)
 
 
 def test_canonical_coset_y_minimal_by_enumeration(ctx2):
@@ -227,13 +231,46 @@ def test_canonical_coset_y_minimal_by_enumeration(ctx2):
         h = ctx2.unpack(rng.getrandbits(10))
         members = [mul(ctx2, Element(b=b), h) for b in range(4)]
         best = min(members, key=lambda e: e.key())
-        assert canonical_coset(ctx2, "Y", h).rep == best
+        assert vertex_rep(ctx2, coset_vertex(ctx2, "Y", h)) == best
         assert best.b == 0
 
 
 def test_canonical_coset_bad_side(ctx2):
     with pytest.raises(ValueError):
-        canonical_coset(ctx2, "Z", IDENTITY)
+        coset_vertex(ctx2, "Z", IDENTITY)
+
+
+def test_coset_vertex_numbering_rank4_without_sigma():
+    # at n = 4 no coset graph can be built; the numbering still holds
+    ctx = context(4)
+    half = 1 << (ctx.total_bits - ctx.n)
+    rng = random.Random(4)
+    for _ in range(50):
+        h = ctx.unpack(rng.getrandbits(ctx.total_bits))
+        c = rng.getrandbits(ctx.n)
+        vx, vy = coset_vertex(ctx, "X", h), coset_vertex(ctx, "Y", h)
+        assert 0 <= vx < half <= vy < 2 * half
+        assert coset_vertex(ctx, "X", mul(ctx, Element(a=c), h)) == vx
+        assert coset_vertex(ctx, "Y", mul(ctx, Element(b=c), h)) == vy
+        assert coset_vertex(ctx, "X", vertex_rep(ctx, vx)) == vx
+        assert coset_vertex(ctx, "Y", vertex_rep(ctx, vy)) == vy
+        assert vertex_rep(ctx, vx).a == vertex_rep(ctx, vy).b == 0
+
+
+def test_one_numbering_across_kernels_and_sigma(ctx2, sigma2):
+    # every element: the scalar ids are the ends of its edge, and the
+    # coset keys of both kernels are those ids less each side's first id
+    ops = packed_ops(ctx2)
+    z = ops.all_elements()
+    xs = [coset_vertex(ctx2, "X", ctx2.unpack(int(k))) for k in z]
+    ys = [coset_vertex(ctx2, "Y", ctx2.unpack(int(k))) for k in z]
+    u, v = sigma2.edge_ends(sigma2.phi.edge_id[z])
+    assert u.tolist() == xs and v.tolist() == ys
+    assert ops.x_coset_key(z).tolist() == xs
+    assert (ops.y_coset_key(z) + np.uint32(sigma2.half)).tolist() == ys
+    scalar = ScalarOps(ctx2)
+    assert np.array_equal(scalar.x_coset_key(z), ops.x_coset_key(z))
+    assert np.array_equal(scalar.y_coset_key(z), ops.y_coset_key(z))
 
 
 # -- coset graph ------------------------------------------------------------------
@@ -261,8 +298,8 @@ def test_edge_bijection(ctx2, sigma2):
     for z in range(1024):
         e = sigma2.phi.edge_of(ctx2.unpack(z))
         seen.add(e)
-        cx = sigma2.vid_of("X", canonical_coset(ctx2, "X", ctx2.unpack(z)).rep)
-        cy = sigma2.vid_of("Y", canonical_coset(ctx2, "Y", ctx2.unpack(z)).rep)
+        cx = coset_vertex(ctx2, "X", ctx2.unpack(z))
+        cy = coset_vertex(ctx2, "Y", ctx2.unpack(z))
         assert {int(eu[e]), int(ev[e])} == {cx, cy}
         assert ctx2.pack(sigma2.phi.element_of(e)) == z
     assert len(seen) == 1024
@@ -332,9 +369,9 @@ def test_edge_bijection_check_is_exhaustive(ctx2, sigma2, element_key_too):
 
 def test_sigma_vertex_ids_sorted_by_encoding(ctx2, sigma2):
     # X-side ids ascend with the representative encoding
-    reps = [ctx2.pack(sigma2.rep_of(v)) for v in range(sigma2.half)]
+    reps = [ctx2.pack(vertex_rep(ctx2, v)) for v in range(sigma2.half)]
     assert reps == sorted(reps)
-    reps_y = [ctx2.pack(sigma2.rep_of(v))
+    reps_y = [ctx2.pack(vertex_rep(ctx2, v))
               for v in range(sigma2.half, 2 * sigma2.half)]
     assert reps_y == sorted(reps_y)
 
@@ -428,7 +465,7 @@ def test_clique_graph_of_gamma_is_sigma(ctx2, gamma2, sigma2):
         z0 = ctx2.unpack(c[0])
         side = "X" if {ctx2.pack(mul(ctx2, Element(a=a), z0))
                        for a in range(4)} == set(c) else "Y"
-        ids.append(sigma2.vid_of(side, canonical_coset(ctx2, side, z0).rep))
+        ids.append(coset_vertex(ctx2, side, z0))
     cg = clique_graph(gamma2)
     permv = np.array(ids)
     cu, cv = cg.edge_array()
@@ -441,6 +478,22 @@ def test_clique_graph_of_gamma_is_sigma(ctx2, gamma2, sigma2):
 
 
 # -- quotient ----------------------------------------------------------------------------
+
+def test_graph_suite_builds_the_quotient_once(monkeypatch):
+    calls = Counter()
+    real = graphs.quotient_by_derived
+
+    def counted(ctx, sigma):
+        calls["quotient_by_derived"] += 1
+        return real(ctx, sigma)
+
+    monkeypatch.setattr(graphs, "quotient_by_derived", counted)
+    report = run_suite(2, "graphs")
+    status = {c.name: c.status for c in report.checks}
+    assert status["derived-quotient-cover"] == "pass"
+    assert status["export-roundtrip"] == "pass"
+    assert calls == {"quotient_by_derived": 1}
+
 
 def test_quotient_is_k44(ctx2, sigma2):
     q = quotient_by_derived(ctx2, sigma2)
@@ -457,7 +510,7 @@ def test_quotient_fibers_uniform(ctx2, sigma2):
     half = sigma2.half
     counts = {}
     for vid in range(g.num_vertices):
-        rep = sigma2.rep_of(vid)
+        rep = vertex_rep(ctx2, vid)
         key = ("X", rep.b) if vid < half else ("Y", rep.a)
         counts[key] = counts.get(key, 0) + 1
     assert set(counts.values()) == {64}

@@ -9,7 +9,6 @@ from mixdih.group import (
     CapExceededError,
     Element,
     EncodingError,
-    GroupContext,
     IDENTITY,
     UnsupportedParameterError,
     abelianization,
@@ -233,12 +232,12 @@ def test_presentation_passes(n):
     assert all(f["failures"] == 0 for f in rep["families"])
 
 
-def test_corrupted_collection_detected():
+def test_corrupted_collection_detected(mutant):
     """Dropping the tau term yields the multiplication of the class-2
     quotient (with inert t bits), which still satisfies every relator --
     so the presentation verifier alone cannot see it.  The derived-basis
     rank and the t-landing example do."""
-    bad = GroupContext(2, _tau_mode="none")
+    bad = mutant("none")
     rep = verify_presentation(bad)
     assert rep["pass"]  # quotients satisfy all relators
     # but the third-layer basis collapses...
@@ -252,10 +251,10 @@ def test_corrupted_collection_detected():
     assert status == "fail"
 
 
-def test_asymmetric_collection_breaks_group_laws():
+def test_asymmetric_collection_breaks_group_laws(mutant):
     """Dropping only the symmetry normalisation is not a group law at all:
     Witt-Hall (pure consequence of associativity) fails."""
-    bad = GroupContext(2, _tau_mode="asym")
+    bad = mutant("asym")
     from mixdih.verify import check_witt_hall, check_commutator_symmetry
     status, _, _ = check_witt_hall(bad, 500, random.Random(0))
     status2, _, _ = check_commutator_symmetry(bad, 0, random.Random(0))

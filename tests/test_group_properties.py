@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixdih.graphs import canonical_coset
+from mixdih.graphs import coset_vertex, vertex_rep
 from mixdih.group import (
     Element,
     IDENTITY,
@@ -108,10 +108,10 @@ def test_canonical_coset_constant_on_cosets(n, data):
     h = data.draw(elements(n))
     ax = data.draw(st.integers(0, (1 << n) - 1))
     by = data.draw(st.integers(0, (1 << n) - 1))
-    assert canonical_coset(ctx, "X", mul(ctx, Element(a=ax), h)) == \
-        canonical_coset(ctx, "X", h)
-    assert canonical_coset(ctx, "Y", mul(ctx, Element(b=by), h)) == \
-        canonical_coset(ctx, "Y", h)
+    assert coset_vertex(ctx, "X", mul(ctx, Element(a=ax), h)) == \
+        coset_vertex(ctx, "X", h)
+    assert coset_vertex(ctx, "Y", mul(ctx, Element(b=by), h)) == \
+        coset_vertex(ctx, "Y", h)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -121,8 +121,8 @@ def test_canonical_coset_idempotent(n, data):
     ctx = CTX[n]
     h = data.draw(elements(n))
     for side in ("X", "Y"):
-        cv = canonical_coset(ctx, side, h)
-        assert canonical_coset(ctx, side, cv.rep) == cv
+        v = coset_vertex(ctx, side, h)
+        assert coset_vertex(ctx, side, vertex_rep(ctx, v)) == v
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -11,7 +11,8 @@ import pytest
 from mixdih import graphs, symmetry
 from mixdih.bulk import PackedOps, packed_ops
 from mixdih.graphs import GraphConsistencyError, bfs_distances, build_gamma, \
-    build_sigma, canonical_coset, graph_from_edges, quotient_by_derived
+    build_sigma, coset_vertex, graph_from_edges, quotient_by_derived, \
+    vertex_rep
 from mixdih.group import (
     IDENTITY,
     Element,
@@ -289,8 +290,8 @@ def test_edge_ends_reject_another_edge_layout(sigma2):
 
 
 def test_gl_action_all_pairs(ctx2, sigma2):
-    rx = sigma2.vid_of("X", IDENTITY)
-    ry = sigma2.vid_of("Y", IDENTITY)
+    rx = coset_vertex(ctx2, "X", IDENTITY)
+    ry = coset_vertex(ctx2, "Y", IDENTITY)
     mats = gl_enumerate(2)
     for g1 in mats:
         for g2 in mats:
@@ -303,8 +304,8 @@ def test_gl_action_all_pairs(ctx2, sigma2):
 def test_gl_action_neighbor_orbits(ctx2, sigma2):
     # on the neighbors of the X base vertex: the Y base vertex is fixed,
     # the other three form one orbit
-    rx = sigma2.vid_of("X", IDENTITY)
-    ry = sigma2.vid_of("Y", IDENTITY)
+    rx = coset_vertex(ctx2, "X", IDENTITY)
+    ry = coset_vertex(ctx2, "Y", IDENTITY)
     ident = gf2_identity(2)
     perms = []
     from mixdih.group import gl_generators
@@ -323,9 +324,8 @@ def test_gl_action_neighbor_orbits(ctx2, sigma2):
 def scalar_gl_action(ctx, sigma, aut):
     """Reference: each vertex through the scalar word rewrite."""
     return np.array([
-        sigma.vid_of(sigma.side_of(v),
-                     canonical_coset(ctx, sigma.side_of(v),
-                                     aut.apply(sigma.rep_of(v))).rep)
+        coset_vertex(ctx, "X" if v < sigma.half else "Y",
+                     aut.apply(vertex_rep(ctx, v)))
         for v in range(sigma.graph.num_vertices)])
 
 
@@ -431,13 +431,12 @@ def test_orbits_match_closure(seed):
 # -- local 2-arc transitivity ------------------------------------------------------
 
 def test_coset_neighbors_of_base(ctx2):
-    from mixdih.graphs import canonical_coset
-    root = canonical_coset(ctx2, "X", IDENTITY)
-    nbrs = coset_neighbors(ctx2, root)
-    assert len(nbrs) == 4
-    assert all(cv.side == "Y" for cv in nbrs)
-    reps = {ctx2.pack(cv.rep) for cv in nbrs}
-    assert reps == {0, 1, 2, 3}  # the Y-cosets of X's members
+    root = coset_vertex(ctx2, "X", IDENTITY)
+    nbrs = coset_neighbors(ctx2, "X", root)
+    # the Y-cosets of X's members x^c, whose b = 0 reps pack to c
+    assert [vertex_rep(ctx2, v) for v in nbrs] == \
+        [Element(a=c) for c in range(4)]
+    assert nbrs == [256 + c for c in range(4)]
 
 
 @pytest.mark.parametrize("n,count", [(2, 12), (3, 56)])
@@ -467,14 +466,14 @@ def test_local_2at_fails_without_gl(monkeypatch):
 # -- distance diagrams -----------------------------------------------------------------
 
 def test_layers_from_x(ctx2, sigma2):
-    d = distance_layers(sigma2.graph, sigma2.vid_of("X", IDENTITY), "X")
+    d = distance_layers(sigma2.graph, coset_vertex(ctx2, "X", IDENTITY), "X")
     assert d.layers == EXPECTED_LAYERS_X_N2
     assert sum(d.layers) == 512
     assert d.unreachable == 0
 
 
 def test_layers_from_y(ctx2, sigma2):
-    d = distance_layers(sigma2.graph, sigma2.vid_of("Y", IDENTITY), "Y")
+    d = distance_layers(sigma2.graph, coset_vertex(ctx2, "Y", IDENTITY), "Y")
     assert d.layers == EXPECTED_LAYERS_Y_N2
     assert sum(d.layers) == 512
 
@@ -541,12 +540,12 @@ def test_equitable_matches_reference(seed):
 
 
 def test_refined_diagram_x(ctx2, sigma2):
-    d = refined_diagram(sigma2.graph, sigma2.vid_of("X", IDENTITY), "X")
+    d = refined_diagram(sigma2.graph, coset_vertex(ctx2, "X", IDENTITY), "X")
     assert [sorted(c) for c in d.cells] == EXPECTED_CELLS_X_N2
 
 
 def test_refined_diagram_y(ctx2, sigma2):
-    d = refined_diagram(sigma2.graph, sigma2.vid_of("Y", IDENTITY), "Y")
+    d = refined_diagram(sigma2.graph, coset_vertex(ctx2, "Y", IDENTITY), "Y")
     assert [sorted(c) for c in d.cells] == EXPECTED_CELLS_Y_N2
     # the distance-4 split: the 9-cell points only backwards
     backwards_only = [(d_, s) for (d_, s, d2, s2, cnt) in d.cell_edges
@@ -583,7 +582,7 @@ REFINED_N2 = {
 @pytest.mark.parametrize("side", ["X", "Y"])
 def test_refined_diagram_full(ctx2, sigma2, side):
     cells, edges = REFINED_N2[side]
-    d = refined_diagram(sigma2.graph, sigma2.vid_of(side, IDENTITY), side)
+    d = refined_diagram(sigma2.graph, coset_vertex(ctx2, side, IDENTITY), side)
     assert d.cells == cells
     assert d.cell_edges == edges
 
@@ -641,8 +640,8 @@ def test_certificate_passes(ctx2, sigma2):
     cert = semisymmetry_certificate(
         edge_regular_witness(ctx2, sigma2, generator_actions(ctx2, sigma2)),
         check_local_2at(ctx2),
-        layer_certificate(sigma2.graph, sigma2.vid_of("X", IDENTITY),
-                          sigma2.vid_of("Y", IDENTITY)))
+        layer_certificate(sigma2.graph, coset_vertex(ctx2, "X", IDENTITY),
+                          coset_vertex(ctx2, "Y", IDENTITY)))
     assert cert["pass"]
     assert cert["edge_transitive"]
     assert cert["intransitivity_certificate"] == "layer-profile"
