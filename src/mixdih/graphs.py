@@ -26,7 +26,7 @@ from .group import (
 
 DEFAULT_VERTEX_CAP = 1 << 23
 DEFAULT_CLIQUE_CAP = 4096
-SIGMA_CHUNK = 1 << 16  # X rows whose Y keys build_sigma sorts per step
+ROW_CHUNK = 1 << 16  # rows per vectorized step of the whole-graph loops
 
 
 class GraphConsistencyError(RuntimeError):
@@ -149,11 +149,11 @@ def bfs_distances(g: GraphData, root: int,
     """Distance from root to every vertex (-1 where unreached), stopping
     after max_depth layers when a depth limit is given.
 
-    Each layer gathers the frontier's rows of ``neighbor_table`` (dropping
-    the -1 padding of an irregular graph) and is read back as
-    ``flatnonzero(dist == d)``, which dedupes the frontier without sorting
-    but scans all vertices once per layer: O(V * diameter), cheap on the
-    family's graphs (diameter <= 14 at n=3).
+    Each layer gathers the frontier's rows of ``neighbor_table``, ROW_CHUNK
+    rows at a time (dropping the -1 padding of an irregular graph), and is
+    read back as ``flatnonzero(dist == d)``, which dedupes the frontier
+    without sorting but scans all vertices once per layer: O(V * diameter),
+    cheap on the family's graphs (diameter <= 14 at n=3).
     """
     nb = g.neighbor_table()
     padded = nb.size > len(g.indices)
@@ -162,21 +162,22 @@ def bfs_distances(g: GraphData, root: int,
     frontier = np.array([root], dtype=np.int64)
     d = 0
     while len(frontier) and (max_depth is None or d < max_depth):
-        nxt = nb[frontier].ravel()
-        if padded:
-            nxt = nxt[nxt >= 0]
-        nxt = nxt[dist[nxt] < 0]
         d += 1
-        dist[nxt] = d
+        for lo in range(0, len(frontier), ROW_CHUNK):
+            nxt = np.take(nb, frontier[lo:lo + ROW_CHUNK], axis=0).ravel()
+            if padded:
+                nxt = nxt[nxt >= 0]
+            dist[nxt[dist[nxt] < 0]] = d
         frontier = np.flatnonzero(dist == d)
     return dist
 
 
 def bfs_layers(g: GraphData, root: int) -> tuple[list[int], int]:
     """Layer sizes by distance from root; also the unreachable count."""
-    dist = bfs_distances(g, root)
-    reached = dist[dist >= 0]
-    return np.bincount(reached).tolist(), len(dist) - len(reached)
+    dist = bfs_distances(g, root)  # counted per layer: no intp copy
+    layers = [int(np.count_nonzero(dist == d))
+              for d in range(int(dist.max()) + 1)]
+    return layers, len(dist) - sum(layers)
 
 
 def is_connected(g: GraphData) -> bool:
@@ -310,11 +311,11 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     the edges are exactly {X-coset(z), Y-coset(z)} for z over the group.
     X-coset key k owns the block (k << n) | a of the element order, so
     its row is the sorted Y keys of that block, and the edges sorted by
-    (u, v) are the X rows in order, built SIGMA_CHUNK rows at a time.
+    (u, v) are the X rows in order, built ROW_CHUNK rows at a time.
     The Y row of key r is the sorted X keys of the coset members
-    y^c * rep(r).  The build asserts that the edge bijection is injective
-    (strictly increasing X rows) and that the Y rows are the transpose of
-    the X rows.
+    y^c * rep(r), built in the same row blocks.  The build asserts that
+    the edge bijection is injective (strictly increasing X rows) and,
+    block by block, that the Y rows are the transpose of the X rows.
     """
     half = _half(ctx)
     nv = 2 * half
@@ -324,8 +325,8 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     rows = np.empty((nv, degree), dtype=_index_dtype(nv))
     eid = _index_dtype(half * degree)  # int32 through rank 3
     element_key = np.empty((half, degree), dtype=eid)
-    for lo in range(0, half, SIGMA_CHUNK):
-        hi = min(lo + SIGMA_CHUNK, half)
+    for lo in range(0, half, ROW_CHUNK):
+        hi = min(lo + ROW_CHUNK, half)
         z = np.arange(lo << ctx.n, hi << ctx.n, dtype=np.uint32)
         ykeys = ops.y_coset_key(z).reshape(hi - lo, degree)
         order = np.argsort(ykeys, axis=1)
@@ -336,19 +337,22 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     element_key = element_key.ravel()
     edge_id = np.empty_like(element_key)
     edge_id[element_key] = np.arange(len(element_key), dtype=eid)
-    members = ops.y_coset(np.arange(half, dtype=np.uint32))
-    rows[half:] = np.sort(ops.x_coset_key(members), axis=1)
+    xrows = rows[:half].ravel()  # in edge order
+    for lo in range(0, half, ROW_CHUNK):
+        hi = min(lo + ROW_CHUNK, half)
+        members = ops.y_coset(np.arange(lo, hi, dtype=np.uint32))
+        rows[half + lo:half + hi] = np.sort(ops.x_coset_key(members), axis=1)
+        # the edge of coset member (r, c) must end at Y vertex half + r
+        if not np.all(xrows[edge_id[members]]
+                      == np.arange(half + lo, half + hi)[:, None]):
+            raise GraphConsistencyError(
+                "Y rows are not the transpose of X rows")
     sides = np.zeros(nv, dtype=np.uint8)
     sides[half:] = 1
     labels = None
     if nv <= (1 << 16):
         labels = [format_element(ctx, vertex_rep(ctx, v)) for v in range(nv)]
     graph = graph_from_rows(rows, sides=sides, labels=labels)
-    # the X rows come first in indices, in edge order: the edge of coset
-    # member (r, c) must end at Y vertex r
-    if not np.all(graph.indices[edge_id[members]]
-                  == np.arange(half, 2 * half)[:, None]):
-        raise GraphConsistencyError("Y rows are not the transpose of X rows")
     phi = EdgeBijection(ctx, edge_id, element_key)
     return Sigma(ctx, graph, phi, half)
 
@@ -526,31 +530,42 @@ def _format_lines(literals: Sequence[str], *columns: np.ndarray) -> str:
     literals[-1], the non-negative integers in decimal.
 
     The lines are laid out as a byte matrix with every number right-aligned
-    in its column's widest width; dropping the leading pad bytes of each
-    number leaves the lines concatenated in row order.
+    in its column's widest width, filled column-major (one contiguous row
+    per byte position) and transposed once.  Leading pads are zero bytes,
+    which only a column whose least value is shorter than its widest can
+    hold; dropping them leaves the lines concatenated in row order.  The
+    digits are taken in uint32 when the column's maximum fits, else uint64.
     """
     rows = len(columns[0])
     if rows == 0:
         return ""
-    widths = [len(str(int(col.max()))) for col in columns]
-    width = sum(map(len, literals)) + sum(widths)
-    buf = np.empty((rows, width), dtype=np.uint8)
-    keep = np.ones((rows, width), dtype=bool)
+    tops = [int(col.max()) for col in columns]
+    widths = [len(str(top)) for top in tops]
+    buf = np.empty((sum(map(len, literals)) + sum(widths), rows), np.uint8)
+    padded = False
     pos = 0
     for i, lit in enumerate(literals):
-        buf[:, pos:pos + len(lit)] = np.frombuffer(lit.encode(), np.uint8)
+        lit_bytes = np.frombuffer(lit.encode(), np.uint8)
+        buf[pos:pos + len(lit)] = lit_bytes[:, None]
         pos += len(lit)
         if i == len(columns):
             break
-        x = columns[i].astype(np.int64)
-        for j in range(pos + widths[i] - 1, pos - 1, -1):
+        x = columns[i].astype(np.uint32 if tops[i] < 1 << 32 else np.uint64)
+        least = int(columns[i].min())
+        low = x.astype(np.uint8)
+        for k in range(widths[i]):  # k digits to the right of this one
             q = x // 10
-            buf[:, j] = x - 10 * q + ord("0")
-            keep[:, j] = x > 0
-            x = q
-        keep[:, pos + widths[i] - 1] = True  # 0 is written as one digit
+            qlow = q.astype(np.uint8)
+            row = buf[pos + widths[i] - 1 - k]
+            np.subtract(low, qlow * 10, out=row)  # the digit x - 10q, mod 256
+            row += ord("0")
+            if k and least < 10 ** k:  # 0 is written as one digit
+                row[x == 0] = 0
+                padded = True
+            x, low = q, qlow
         pos += widths[i]
-    return buf[keep].tobytes().decode("ascii")
+    data = buf.T.tobytes()
+    return (data.translate(None, b"\0") if padded else data).decode("ascii")
 
 
 def export_labels(g: GraphData, out: IO[str]) -> None:

@@ -42,6 +42,7 @@ from .bulk import packed_ops
 from .graphs import (
     GraphConsistencyError,
     GraphData,
+    ROW_CHUNK,
     Sigma,
     _index_dtype,
     bfs_distances,
@@ -138,9 +139,6 @@ def is_permutation(perm: VertexPermutation) -> bool:
     return bool(np.array_equal(np.sort(perm), np.arange(len(perm))))
 
 
-AUT_CHUNK = 1 << 16  # neighbor-table rows (or X rows of edges) per step
-
-
 def is_graph_automorphism(g: GraphData, perm: VertexPermutation) -> bool:
     """Adjacency preservation, row by row of the neighbor table: the sorted
     images of N(v) must be N(perm[v]) for every v.  Padding (-1) stays -1
@@ -150,12 +148,12 @@ def is_graph_automorphism(g: GraphData, perm: VertexPermutation) -> bool:
     nb = g.neighbor_table()
     nv = g.num_vertices
     padded = np.append(perm, nv)  # padding -1 reads nv, which sorts last
-    for lo in range(0, nv, AUT_CHUNK):
-        img = padded[nb[lo:lo + AUT_CHUNK]]
+    for lo in range(0, nv, ROW_CHUNK):
+        img = padded[nb[lo:lo + ROW_CHUNK]]
         img.sort(axis=1)
         img[img == nv] = -1
         if not np.array_equal(
-                img, np.take(nb, perm[lo:lo + AUT_CHUNK], axis=0)):
+                img, np.take(nb, perm[lo:lo + ROW_CHUNK], axis=0)):
             return False
     return True
 
@@ -441,7 +439,7 @@ def edge_regular_witness(ctx: GroupContext, sigma: Sigma,
     ``generator_actions``, and every edge e with ends u and v, the edge
     of element_key[e] * h must end at p_h(u) and p_h(v).  The generators
     generate the group, so with the edge bijection the group acts on the
-    edges as on itself, which is transitive.  The edges go AUT_CHUNK X
+    edges as on itself, which is transitive.  The edges go ROW_CHUNK X
     rows at a time; each failing (generator, edge) pair is a mismatch.
     The product z * h is the one-letter rule ``PackedOps.mul_gen`` while
     p_h comes from the closed-form ``PackedOps.mul``, so the witness also
@@ -454,7 +452,7 @@ def edge_regular_witness(ctx: GroupContext, sigma: Sigma,
                     dtype=np.uint32)[:, None]
     if len(actions) != len(gens):
         raise ValueError(f"need {len(gens)} generator actions")
-    step = AUT_CHUNK << ctx.n
+    step = ROW_CHUNK << ctx.n
     mismatches = 0
     for lo in range(0, num_edges, step):
         e = np.arange(lo, min(lo + step, num_edges))

@@ -121,7 +121,7 @@ def deque_bfs(nv, pairs, root, max_depth):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_bfs_matches_deque_reference(seed):
+def test_bfs_matches_deque_reference(monkeypatch, seed):
     # three components (a random tree plus chords each) over a shuffled
     # vertex order, then one to three isolated vertices: irregular, so
     # the neighbor table is padded
@@ -139,12 +139,16 @@ def test_bfs_matches_deque_reference(seed):
     pairs = sorted(pairs)
     g = from_pairs(nv, pairs)
     assert g.neighbor_table().size > len(g.indices)
-    for root in (order[0], order[cut2], order[-1], rng.randrange(nv)):
-        for depth in (None, 0, 1, 2, 3):
-            dist = bfs_distances(g, root, depth)
-            assert dist.dtype == np.int32  # the index dtype of nv ids
-            assert dist.tolist() == deque_bfs(nv, pairs, root, depth), \
-                (root, depth)
+    roots = (order[0], order[cut2], order[-1], rng.randrange(nv))
+    # row blocks of 1 split every frontier across blocks
+    for chunk in (graphs.ROW_CHUNK, 1):
+        monkeypatch.setattr(graphs, "ROW_CHUNK", chunk)
+        for root in roots:
+            for depth in (None, 0, 1, 2, 3):
+                dist = bfs_distances(g, root, depth)
+                assert dist.dtype == np.int32  # the index dtype of nv ids
+                assert dist.tolist() == deque_bfs(nv, pairs, root, depth), \
+                    (chunk, root, depth)
 
 
 # -- connection set and Cayley graph -------------------------------------------
@@ -332,17 +336,40 @@ def _swap_zero_and_one(keys):
     return np.where(keys < 2, keys ^ 1, keys).astype(np.uint32)
 
 
+def _swap_last_two(keys):
+    # Y keys 254 and 255 of n=2: both in the last row block, which is
+    # partial (252..255) at chunk 7
+    return np.where(keys >= 254, keys ^ 1, keys).astype(np.uint32)
+
+
 @pytest.mark.parametrize("corrupt", [_collapse_one_to_zero,
-                                     _swap_zero_and_one])
+                                     _swap_zero_and_one, _swap_last_two])
 def test_sigma_rejects_corrupted_coset_keys(monkeypatch, corrupt):
     # collapsing keys 0 and 1 repeats a neighbor in the X row of the
-    # identity; swapping them keeps the X rows strictly increasing but
-    # breaks their transpose against the Y rows
+    # identity; a swap keeps the X rows strictly increasing but breaks
+    # their transpose against the Y rows of the swapped keys only, so
+    # the per-block transpose check must visit every block, at one block
+    # and at row blocks of 7
     original = PackedOps.y_coset_key
     monkeypatch.setattr(PackedOps, "y_coset_key",
                         lambda self, z: corrupt(original(self, z)))
-    with pytest.raises(GraphConsistencyError):
-        build_sigma(context(2))
+    for chunk in (graphs.ROW_CHUNK, 7):
+        monkeypatch.setattr(graphs, "ROW_CHUNK", chunk)
+        with pytest.raises(GraphConsistencyError):
+            build_sigma(context(2))
+
+
+def test_sigma_row_blocks_match_default_build(monkeypatch, sigma2):
+    # 7 does not divide the 256 cosets per side: the last X and Y blocks
+    # are partial
+    monkeypatch.setattr(graphs, "ROW_CHUNK", 7)
+    blocked = build_sigma(context(2))
+    for got, want in ((blocked.graph.indptr, sigma2.graph.indptr),
+                      (blocked.graph.indices, sigma2.graph.indices),
+                      (blocked.phi.edge_id, sigma2.phi.edge_id),
+                      (blocked.phi.element_key, sigma2.phi.element_key)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def _swapped(sigma, i, j, element_key_too):
@@ -655,6 +682,35 @@ def test_export_hand_graph(monkeypatch, fmt, chunk):
         assert "  9 -- 10;\n  10 -- 99;\n" in text
     else:
         assert text.endswith("0 9\n0 10\n0 100\n9 10\n10 99\n99 100\n")
+
+
+FORMAT_VALUES = [0, 9, 10, 99, 100, 2**31 - 1, 2**32 - 1, 2**32, 10**12]
+
+
+@pytest.mark.parametrize("literals", [("", " ", "\n"), ("  ", " -- ", ";\n")])
+@pytest.mark.parametrize("stop", range(1, len(FORMAT_VALUES) + 1))
+def test_format_lines_matches_fstrings(literals, stop):
+    # every pair of the first `stop` values, so each prefix's last value is
+    # a column maximum: 2^32 - 1 is the largest the uint32 digits may see,
+    # and 2^32 and 10^12 must take the uint64 ones
+    values = FORMAT_VALUES[:stop]
+    pairs = [(u, v) for u in values for v in values]
+    u, v = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+    want = "".join(f"{literals[0]}{a}{literals[1]}{b}{literals[2]}"
+                   for a, b in pairs)
+    assert graphs._format_lines(literals, u, v) == want
+    assert graphs._format_lines(literals[::2], v) == "".join(
+        f"{literals[0]}{b}{literals[2]}" for _, b in pairs)
+
+
+@pytest.mark.parametrize("values", [[2**32 - 1, 1000000000, 4000000000],
+                                    [2**32, 10**10 - 1, 5 * 10**9]])
+def test_format_lines_without_pads(values):
+    # equal digit counts in each column: no pad byte to drop
+    u = np.array(values, dtype=np.int64)
+    v = u[::-1].copy()
+    want = "".join(f"{a} {b}\n" for a, b in zip(values, values[::-1]))
+    assert graphs._format_lines(("", " ", "\n"), u, v) == want
 
 
 def test_export_empty_graph():
