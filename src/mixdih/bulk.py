@@ -2,11 +2,12 @@
 
 Elements are packed into uint32 words (a | b<<n | m<<2n | t<<(2n+n^2)),
 which covers ranks 2 and 3 (10 and 24 bits).  ``PackedOps.mul`` is the
-closed form of a whole product: a few gather/xor passes over three
-tables of quadratic collection terms, so that whole-group maps (canonical
-coset keys, left multiplications) are array passes.  The phi table is the
-context's; outer and psi are read off the scalar products y^b x^a, so
-both kernels follow the one collection rule of ``group.py``.
+closed form of a whole product: gather/xor passes over two tables of
+quadratic collection terms, so that whole-group maps are array passes.
+The phi table is the context's; yx, the (m,t) words of y^b x^a, is read
+off the scalar products, so both kernels follow the one collection rule
+of ``group.py``.  Left multiplication by y^c meets no phi (phi(0, a) is
+0), so the Y-coset keys and members read yx alone.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ def packed_ops(ctx: GroupContext) -> "PackedOps":
 class PackedOps:
     """Packed arithmetic on the collection tables of one context (n <= 3).
 
-    Entry (a << n) | b of ``outer`` and ``psi`` is the m and t block of
-    y^b x^a; entry (m << n) | a of ``phi`` is the t-block that x^a picks
-    up crossing w^m.
+    Entry (a << n) | b of ``yx`` is the (m,t) word of y^b x^a, the m
+    block (outer) in its low n^2 bits and the t block (psi) above; entry
+    (m << n) | a of ``phi`` is the t-block that x^a picks up crossing w^m.
     """
 
     def __init__(self, ctx: GroupContext):
@@ -56,10 +57,10 @@ class PackedOps:
         self.nn = ctx.dim_w
         self.mask_n = np.uint32(ctx._mask_n)
         self.mask_w = np.uint32(ctx._mask_w)
-        yx = [mul(ctx, Element(b=idx & ctx._mask_n), Element(a=idx >> ctx.n))
-              for idx in range(1 << (2 * ctx.n))]
-        self.outer = np.array([p.m for p in yx], dtype=np.uint32)
-        self.psi = np.array([p.t for p in yx], dtype=np.uint32)
+        self.yx = np.array(
+            [ctx.pack(mul(ctx, Element(b=idx & ctx._mask_n),
+                          Element(a=idx >> ctx.n))) >> 2 * ctx.n
+             for idx in range(1 << (2 * ctx.n))], dtype=np.uint32)
         self.phi = np.asarray(ctx._phi_tab, dtype=np.uint32)
 
     # -- block access -------------------------------------------------------
@@ -73,23 +74,19 @@ class PackedOps:
     def m_of(self, z: np.ndarray) -> np.ndarray:
         return (z >> np.uint32(2 * self.n)) & self.mask_w
 
-    def t_of(self, z: np.ndarray) -> np.ndarray:
-        return z >> np.uint32(2 * self.n + self.nn)
-
     def all_elements(self) -> np.ndarray:
         return np.arange(1 << self.ctx.total_bits, dtype=np.uint32)
 
     # -- products -------------------------------------------------------------
 
     def mul(self, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-        """Elementwise product in closed form: every block XORs, and
-        x^a2 crossing y^b1 adds outer and psi, crossing w^m1 adds phi."""
+        """Elementwise product in closed form: every block XORs, and x^a2
+        adds yx crossing y^b1, and phi to the t block crossing w^m1."""
         n = np.uint32(self.n)
         a2 = self.a_of(z2)
-        ab = (a2 << n) | self.b_of(z1)
-        t = self.phi[(self.m_of(z1) << n) | a2] ^ self.psi[ab]
-        return (z1 ^ z2 ^ (self.outer[ab] << np.uint32(2 * self.n))
-                ^ (t << np.uint32(2 * self.n + self.nn)))
+        mt = (self.yx[(a2 << n) | self.b_of(z1)]
+              ^ (self.phi[(self.m_of(z1) << n) | a2] << np.uint32(self.nn)))
+        return z1 ^ z2 ^ (mt << np.uint32(2 * self.n))
 
     def inv(self, z: np.ndarray) -> np.ndarray:
         """Elementwise inverse: (y^b w^M t^T) * x^a, the reversed word."""
@@ -144,16 +141,26 @@ class PackedOps:
         return z >> np.uint32(self.n)
 
     def y_coset_key(self, z: np.ndarray) -> np.ndarray:
-        """Key of the Y-side coset of z: that of its b = 0 member y^b z."""
-        rep = self.mul(z & (self.mask_n << np.uint32(self.n)), z)
-        return self.ctx.y_key(rep)
+        """Key of the Y-side coset of z: the ``y_key`` of its b = 0 member
+        y^b z, whose (m,t) word is that of z plus yx of (a, b)."""
+        n = np.uint32(self.n)
+        a = self.a_of(z)
+        mt = (z >> np.uint32(2 * self.n)) ^ self.yx[(a << n) | self.b_of(z)]
+        return a | (mt << n)
+
+    def y_member(self, keys: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Elementwise y^c times the b = 0 representative of the Y-side
+        coset with key keys; yx of (a, c) enters its (m,t) word."""
+        n = np.uint32(self.n)
+        rep = self.ctx.y_rep(keys)
+        mt = self.yx[(self.a_of(rep) << n) | c]
+        return rep ^ (c << n) ^ (mt << np.uint32(2 * self.n))
 
     def y_coset(self, keys: np.ndarray) -> np.ndarray:
         """Members of the Y-side cosets with these keys, one row per key:
         column c holds y^c times the representative."""
-        rep = self.ctx.y_rep(keys)
-        return np.stack([self.left_mul(Element(b=c), rep)
-                         for c in range(1 << self.n)], axis=1)
+        return self.y_member(keys[:, None],
+                             np.arange(1 << self.n, dtype=np.uint32))
 
     # -- induced automorphisms ---------------------------------------------------
 

@@ -121,9 +121,8 @@ def graph_from_edges(num_vertices: int, u, v, sides=None,
     dst = np.concatenate([hi, lo])
     order = np.lexsort((dst, src))
     src, dst = src[order], dst[order]
-    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    indptr = np.zeros(num_vertices + 1, dtype=_index_dtype(len(src)))
+    np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])
     return GraphData(num_vertices, int(num_edges), indptr,
                      dst.astype(_index_dtype(num_vertices)), sides, labels)
 
@@ -139,7 +138,7 @@ def graph_from_rows(rows: np.ndarray, sides=None, labels=None) -> GraphData:
     nv, degree = rows.shape
     if not np.all(rows[:, 1:] > rows[:, :-1]):
         raise GraphConsistencyError("repeated neighbor in an adjacency row")
-    indptr = np.arange(nv + 1, dtype=np.int64) * degree
+    indptr = np.arange(nv + 1, dtype=_index_dtype(nv * degree)) * degree
     indices = rows.astype(_index_dtype(nv), copy=False).ravel()
     return GraphData(nv, nv * degree // 2, indptr, indices, sides, labels)
 
@@ -314,8 +313,10 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     (u, v) are the X rows in order, built ROW_CHUNK rows at a time.
     The Y row of key r is the sorted X keys of the coset members
     y^c * rep(r), built in the same row blocks.  The build asserts that
-    the edge bijection is injective (strictly increasing X rows) and,
-    block by block, that the Y rows are the transpose of the X rows.
+    the edge bijection is injective (strictly increasing X rows) and that
+    the Y rows are the transpose of the X rows: the element of every edge
+    is y^b * rep(r), r its Y key and b the b block of its X key, so with
+    strictly increasing Y rows each member (r, c) is one edge's element.
     """
     half = _half(ctx)
     nv = 2 * half
@@ -327,26 +328,25 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     element_key = np.empty((half, degree), dtype=eid)
     for lo in range(0, half, ROW_CHUNK):
         hi = min(lo + ROW_CHUNK, half)
+        xkeys = np.arange(lo, hi, dtype=np.uint32)
         z = np.arange(lo << ctx.n, hi << ctx.n, dtype=np.uint32)
         ykeys = ops.y_coset_key(z).reshape(hi - lo, degree)
         order = np.argsort(ykeys, axis=1)
-        rows[lo:hi] = np.take_along_axis(ykeys, order, axis=1)
-        rows[lo:hi] += half
+        ykeys = np.take_along_axis(ykeys, order, axis=1)
         element_key[lo:hi] = order
-        element_key[lo:hi] += np.arange(lo, hi, dtype=eid)[:, None] << ctx.n
+        element_key[lo:hi] += xkeys.astype(eid)[:, None] << ctx.n
+        b = (xkeys & ops.mask_n)[:, None]  # low n bits of an X key
+        if not np.array_equal(ops.y_member(ykeys, b), element_key[lo:hi]):
+            raise GraphConsistencyError(
+                "Y rows are not the transpose of X rows")
+        rows[lo:hi] = ykeys + half
     element_key = element_key.ravel()
     edge_id = np.empty_like(element_key)
     edge_id[element_key] = np.arange(len(element_key), dtype=eid)
-    xrows = rows[:half].ravel()  # in edge order
     for lo in range(0, half, ROW_CHUNK):
         hi = min(lo + ROW_CHUNK, half)
         members = ops.y_coset(np.arange(lo, hi, dtype=np.uint32))
         rows[half + lo:half + hi] = np.sort(ops.x_coset_key(members), axis=1)
-        # the edge of coset member (r, c) must end at Y vertex half + r
-        if not np.all(xrows[edge_id[members]]
-                      == np.arange(half + lo, half + hi)[:, None]):
-            raise GraphConsistencyError(
-                "Y rows are not the transpose of X rows")
     sides = np.zeros(nv, dtype=np.uint8)
     sides[half:] = 1
     labels = None
@@ -515,13 +515,18 @@ def export_graph(g: GraphData, out: IO[str], fmt: str = "edgelist",
 
 
 def _write_edges(g: GraphData, out: IO[str], literals: Sequence[str]) -> None:
-    """Edge lines in runs of whole rows, about EXPORT_CHUNK entries each."""
-    start = 0
+    """Edge lines in runs of whole rows, about EXPORT_CHUNK entries each,
+    skipping runs where no (sorted) row ends above its id.  A run's end is
+    sought in indptr's dtype, clipped at its end: a wider one casts indptr."""
+    start, end = 0, g.indptr[-1]
     while start < g.num_vertices:
-        stop = int(np.searchsorted(g.indptr, g.indptr[start] + EXPORT_CHUNK,
-                                   side="right")) - 1
+        reach = g.indptr[start] + min(EXPORT_CHUNK, end - g.indptr[start])
+        stop = int(np.searchsorted(g.indptr, reach, side="right")) - 1
         stop = max(stop, start + 1)
-        out.write(_format_lines(literals, *g.edge_array(start, stop)))
+        ends = g.indptr[start + 1:stop + 1]
+        full = ends > g.indptr[start:stop]
+        if np.any(g.indices[ends[full] - 1] > np.arange(start, stop)[full]):
+            out.write(_format_lines(literals, *g.edge_array(start, stop)))
         start = stop
 
 

@@ -92,15 +92,17 @@ def psi_reference(ctx, a, b):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_packed_tables_match_closed_forms(n):
-    """outer and psi, read off the scalar products y^b x^a, equal their
-    closed forms; each phi entry is the XOR of its single-x entries."""
+    """The m bits (outer) and t bits (psi) of yx, read off the scalar
+    products y^b x^a, equal their closed forms; each phi entry is the XOR
+    of its single-x entries."""
     ctx = context(n)
     ops = packed_ops(ctx)
     mask = (1 << n) - 1
+    assert len(ops.yx) == 1 << 2 * n
     for idx in range(1 << 2 * n):
         a, b = idx >> n, idx & mask
-        assert int(ops.outer[idx]) == ctx.outer(a, b)
-        assert int(ops.psi[idx]) == psi_reference(ctx, a, b)
+        assert int(ops.yx[idx]) & ctx._mask_w == ctx.outer(a, b)
+        assert int(ops.yx[idx]) >> ctx.dim_w == psi_reference(ctx, a, b)
     for idx in range(len(ops.phi)):
         want = 0
         for k in range(n):
@@ -131,7 +133,8 @@ def test_packed_comm_conj_match_scalar(n):
       for b in BATTERIES if b != "derived-involutions"),
 ])
 def test_cross_check_catches_corrupted_packed_table(name, table, monkeypatch):
-    """A PackedOps with one zeroed table, over an intact scalar context.
+    """A PackedOps with one zeroed table, over an intact scalar context:
+    phi, or the m bits (outer) or t bits (psi) of yx.
 
     y-absorption and canonical-coset-invariance never read phi at a
     nonzero row in a value they compare, so they get no zeroed phi.
@@ -141,7 +144,11 @@ def test_cross_check_catches_corrupted_packed_table(name, table, monkeypatch):
     """
     ctx = context(2)
     ops = packed_ops(ctx)
-    monkeypatch.setattr(ops, table, np.zeros_like(getattr(ops, table)))
+    if table == "phi":
+        monkeypatch.setattr(ops, "phi", np.zeros_like(ops.phi))
+    else:
+        keep = ~ops.mask_w if table == "outer" else ops.mask_w
+        monkeypatch.setattr(ops, "yx", ops.yx & keep)
     status, _, actual = run(name, ctx)
     assert status == "fail", actual
 

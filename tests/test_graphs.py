@@ -98,6 +98,11 @@ def test_graph_from_rows_rejects_repeated_neighbor():
         graph_from_rows(np.array([[1, 1], [0, 0]]))
 
 
+def test_indptr_and_degrees_in_index_dtype(sigma2, gamma2):
+    for g in (sigma2.graph, gamma2, from_pairs(3, [(0, 1), (1, 2)])):
+        assert g.indptr.dtype == g.degrees().dtype == np.int32
+
+
 # -- BFS -----------------------------------------------------------------------
 
 def deque_bfs(nv, pairs, root, max_depth):
@@ -357,6 +362,45 @@ def test_sigma_rejects_corrupted_coset_keys(monkeypatch, corrupt):
         monkeypatch.setattr(graphs, "ROW_CHUNK", chunk)
         with pytest.raises(GraphConsistencyError):
             build_sigma(context(2))
+
+
+def test_sigma_rejects_corrupted_y_member(monkeypatch):
+    # element 1023 lies in X row 255, in the last row block, which is
+    # partial (252..255) at chunk 7; flipping one bit of the member equal
+    # to it leaves every Y row as it was, so only the transpose check of
+    # that block can see it
+    original = PackedOps.y_member
+
+    def corrupt(self, keys, c):
+        out = original(self, keys, c)
+        return out ^ (out == 1023).astype(np.uint32)
+
+    monkeypatch.setattr(PackedOps, "y_member", corrupt)
+    for chunk in (graphs.ROW_CHUNK, 7):
+        monkeypatch.setattr(graphs, "ROW_CHUNK", chunk)
+        with pytest.raises(GraphConsistencyError, match="transpose"):
+            build_sigma(context(2))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_y_coset_paths_match_general_product(n):
+    # y_coset_key and y_coset read yx alone, mul and left_mul phi too:
+    # every element and key at n=2, 2^20 random ones at n=3
+    ctx = context(n)
+    ops = packed_ops(ctx)
+    half = graphs._half(ctx)
+    if n == 2:
+        z, keys = ops.all_elements(), np.arange(half, dtype=np.uint32)
+    else:
+        gen = np.random.default_rng(n)
+        z = gen.integers(0, 1 << ctx.total_bits, 1 << 20, dtype=np.uint32)
+        keys = gen.integers(0, half, 1 << 20, dtype=np.uint32)
+    b_mask = ops.mask_n << np.uint32(n)
+    assert np.array_equal(ops.y_coset_key(z),
+                          ctx.y_key(ops.mul(z & b_mask, z)))
+    members, rep = ops.y_coset(keys), ctx.y_rep(keys)
+    for c in range(1 << n):
+        assert np.array_equal(members[:, c], ops.left_mul(Element(b=c), rep))
 
 
 def test_sigma_row_blocks_match_default_build(monkeypatch, sigma2):
@@ -666,13 +710,15 @@ def test_export_matches_per_edge_reference(monkeypatch, ctx2, sigma2, gamma2,
     assert buf.getvalue() == reference_export(g, fmt, 2, kind)
 
 
+# ids across digit-count boundaries; vertex 101 and most others isolated
+HAND_PAIRS = [(0, 9), (9, 10), (10, 99), (0, 100), (99, 100), (0, 10)]
+
+
 @pytest.mark.parametrize("chunk", [graphs.EXPORT_CHUNK, 1])
 @pytest.mark.parametrize("fmt", ["edgelist", "dot"])
 def test_export_hand_graph(monkeypatch, fmt, chunk):
-    # ids across digit-count boundaries; vertex 101 and most others isolated
     monkeypatch.setattr(graphs, "EXPORT_CHUNK", chunk)
-    g = from_pairs(102, [(0, 9), (9, 10), (10, 99), (0, 100), (99, 100),
-                         (0, 10)])
+    g = from_pairs(102, HAND_PAIRS)
     buf = io.StringIO()
     export_graph(g, buf, fmt, n=None, kind="hand")
     text = buf.getvalue()
@@ -682,6 +728,30 @@ def test_export_hand_graph(monkeypatch, fmt, chunk):
         assert "  9 -- 10;\n  10 -- 99;\n" in text
     else:
         assert text.endswith("0 9\n0 10\n0 100\n9 10\n10 99\n99 100\n")
+
+
+@pytest.mark.parametrize("fmt", ["edgelist", "dot"])
+def test_export_skips_rows_without_up_edges(monkeypatch, sigma2, fmt):
+    # one row per run: the Y rows of sigma hold only down-edges, and the
+    # hand graph ends in a row of down-edges (100) and an isolated vertex
+    # (101), so no run from them reaches edge_array
+    monkeypatch.setattr(graphs, "EXPORT_CHUNK", 1)
+    starts = []
+    original = GraphData.edge_array
+
+    def spy(self, start=0, stop=None):
+        starts.append(start)
+        return original(self, start, stop)
+
+    monkeypatch.setattr(GraphData, "edge_array", spy)
+    hand = from_pairs(102, HAND_PAIRS)
+    for g, up in ((sigma2.graph, list(range(sigma2.half))),
+                  (hand, [0, 9, 10, 99])):
+        starts.clear()
+        buf = io.StringIO()
+        export_graph(g, buf, fmt, n=2, kind="test")
+        assert starts == up
+        assert buf.getvalue() == reference_export(g, fmt, 2, "test")
 
 
 FORMAT_VALUES = [0, 9, 10, 99, 100, 2**31 - 1, 2**32 - 1, 2**32, 10**12]
