@@ -68,7 +68,8 @@ class GraphData:
     def neighbor_table(self) -> np.ndarray:
         """Neighbor lists as rows, padded with -1 to the maximum degree.
 
-        A regular graph's table is a read-only view of ``indices``.
+        A regular graph's table is a read-only view of ``indices``; any
+        table has the dtype of ``indices``.
         """
         degs = self.degrees()
         width = int(degs.max()) if self.num_vertices else 0
@@ -76,7 +77,8 @@ class GraphData:
             table = self.indices.reshape(self.num_vertices, width)
             table.flags.writeable = False
             return table
-        table = np.full((self.num_vertices, width), -1, dtype=np.int64)
+        table = np.full((self.num_vertices, width), -1,
+                        dtype=self.indices.dtype)
         rows = np.repeat(np.arange(self.num_vertices), degs)
         table[rows, np.arange(len(rows)) - self.indptr[rows]] = self.indices
         return table
@@ -235,42 +237,29 @@ def build_gamma(ctx: GroupContext, force: bool = False) -> GraphData:
 # -- coset-intersection graph ---------------------------------------------------
 
 @dataclass
-class EdgeBijection:
-    """phi: group element -> edge id; phi(z) = {X-coset(z), Y-coset(z)}."""
-
-    ctx: GroupContext
-    edge_id: np.ndarray      # indexed by packed element
-    element_key: np.ndarray  # indexed by edge id: the packed element
-
-    def edge_of(self, z: Element) -> int:
-        return int(self.edge_id[self.ctx.pack(z)])
-
-    def element_of(self, eid: int) -> Element:
-        return self.ctx.unpack(int(self.element_key[eid]))
-
-
-@dataclass
 class Sigma:
-    """The bipartite coset graph plus its edge indexing; its vertex ids
-    are those of :func:`coset_vertex`."""
+    """The bipartite coset graph; its vertex ids are those of
+    :func:`coset_vertex`, and the edge of the group element z is
+    {X-coset(z), Y-coset(z)}, so each edge is named by its element."""
 
     ctx: GroupContext
     graph: GraphData
-    phi: EdgeBijection
     half: int
 
-    def edge_ends(self, e):
-        """X and Y ends of the edges with ids e.  build_sigma numbers the
-        edges along the regular X rows of the CSR, so edge e is entry e of
-        ``indices``, in the row of X vertex e >> n; any other layout
-        raises GraphConsistencyError."""
-        g, n = self.graph, self.ctx.n
-        rows = np.arange(self.half + 1, dtype=np.int64) << n
-        if not (np.array_equal(g.indptr[:self.half + 1], rows)
-                and g.num_edges == rows[-1]):
-            raise GraphConsistencyError(
-                "edges are not numbered along regular X rows")
-        return e >> n, g.indices[e]
+    def edge_ends(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """X and Y ends of the edges of the packed elements z, read off
+        their coset keys (the vertex ids of :func:`coset_vertex`)."""
+        ops = packed_ops(self.ctx)
+        return ops.x_coset_key(z), ops.y_coset_key(z) + np.uint32(self.half)
+
+    def x_rows(self) -> np.ndarray:
+        """The built X rows, one (sorted) row of 2^n Y ids per X key; a
+        graph whose rows are not all of that length raises
+        GraphConsistencyError."""
+        nb = self.graph.neighbor_table()
+        if nb.shape[1] != 1 << self.ctx.n:
+            raise GraphConsistencyError("rows are not of length 2^n")
+        return nb[:self.half]
 
 
 def _half(ctx: GroupContext) -> int:
@@ -304,18 +293,18 @@ def vertex_rep(ctx: GroupContext, vid: int) -> Element:
 
 
 def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
-    """Build the coset-intersection graph via the edge bijection.
+    """Build the coset-intersection graph from its edges {X-coset(z),
+    Y-coset(z)}, one for each element z of the group.
 
-    Vertices are the cosets of both sides, numbered by coset_vertex;
-    the edges are exactly {X-coset(z), Y-coset(z)} for z over the group.
+    Vertices are the cosets of both sides, numbered by coset_vertex.
     X-coset key k owns the block (k << n) | a of the element order, so
     its row is the sorted Y keys of that block, and the edges sorted by
     (u, v) are the X rows in order, built ROW_CHUNK rows at a time.
     The Y row of key r is the sorted X keys of the coset members
     y^c * rep(r), built in the same row blocks.  The build asserts that
-    the edge bijection is injective (strictly increasing X rows) and that
-    the Y rows are the transpose of the X rows: the element of every edge
-    is y^b * rep(r), r its Y key and b the b block of its X key, so with
+    z -> edge is injective (strictly increasing X rows) and that the Y
+    rows are the transpose of the X rows: the element of every edge is
+    y^b * rep(r), r its Y key and b the b block of its X key, so with
     strictly increasing Y rows each member (r, c) is one edge's element.
     """
     half = _half(ctx)
@@ -324,25 +313,20 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     ops = packed_ops(ctx)
     degree = 1 << ctx.n
     rows = np.empty((nv, degree), dtype=_index_dtype(nv))
-    eid = _index_dtype(half * degree)  # int32 through rank 3
-    element_key = np.empty((half, degree), dtype=eid)
     for lo in range(0, half, ROW_CHUNK):
         hi = min(lo + ROW_CHUNK, half)
         xkeys = np.arange(lo, hi, dtype=np.uint32)
-        z = np.arange(lo << ctx.n, hi << ctx.n, dtype=np.uint32)
-        ykeys = ops.y_coset_key(z).reshape(hi - lo, degree)
+        z = np.arange(lo << ctx.n, hi << ctx.n,
+                      dtype=np.uint32).reshape(hi - lo, degree)
+        ykeys = ops.y_coset_key(z)
         order = np.argsort(ykeys, axis=1)
         ykeys = np.take_along_axis(ykeys, order, axis=1)
-        element_key[lo:hi] = order
-        element_key[lo:hi] += xkeys.astype(eid)[:, None] << ctx.n
         b = (xkeys & ops.mask_n)[:, None]  # low n bits of an X key
-        if not np.array_equal(ops.y_member(ykeys, b), element_key[lo:hi]):
+        if not np.array_equal(ops.y_member(ykeys, b),
+                              np.take_along_axis(z, order, axis=1)):
             raise GraphConsistencyError(
                 "Y rows are not the transpose of X rows")
         rows[lo:hi] = ykeys + half
-    element_key = element_key.ravel()
-    edge_id = np.empty_like(element_key)
-    edge_id[element_key] = np.arange(len(element_key), dtype=eid)
     for lo in range(0, half, ROW_CHUNK):
         hi = min(lo + ROW_CHUNK, half)
         members = ops.y_coset(np.arange(lo, hi, dtype=np.uint32))
@@ -353,8 +337,7 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     if nv <= (1 << 16):
         labels = [format_element(ctx, vertex_rep(ctx, v)) for v in range(nv)]
     graph = graph_from_rows(rows, sides=sides, labels=labels)
-    phi = EdgeBijection(ctx, edge_id, element_key)
-    return Sigma(ctx, graph, phi, half)
+    return Sigma(ctx, graph, half)
 
 
 # -- line graphs and cliques ---------------------------------------------------
@@ -442,13 +425,8 @@ def clique_graph(g: GraphData, cap: int = DEFAULT_CLIQUE_CAP) -> GraphData:
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
                 pairs.add((ids[i], ids[j]))
-    if not pairs:
-        return GraphData(len(cliques), 0,
-                         np.zeros(len(cliques) + 1, dtype=np.int64),
-                         np.zeros(0, dtype=np.int32))
-    u, v = zip(*sorted(pairs))
-    return graph_from_edges(len(cliques), np.array(u, dtype=np.int64),
-                            np.array(v, dtype=np.int64))
+    u, v = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
+    return graph_from_edges(len(cliques), u, v)
 
 
 # -- derived-subgroup quotient ---------------------------------------------------

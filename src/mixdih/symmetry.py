@@ -19,8 +19,9 @@ module owns the other three: ``color_refinement`` (behind
 ``is_graph_automorphism``.
 
 Edge transitivity has one exhaustive check at every rank:
-``edge_regular_witness`` checks that each of the 2n ``generator_actions``
-moves the edge of z to the edge of z*h, for every edge.
+``edge_regular_witness`` checks that the built rows are the edges of the
+group elements, and that each of the 2n ``generator_actions`` moves the
+edge of z to the edge of z*h, for every element z.
 ``semisymmetry_certificate`` only combines that witness, the local 2-arc
 report and the base-vertex ``layer_certificate``.
 
@@ -432,41 +433,41 @@ def commutator_square(ctx: GroupContext) -> list[Element]:
 
 def edge_regular_witness(ctx: GroupContext, sigma: Sigma,
                          actions: Sequence[VertexPermutation]) -> dict:
-    """Exhaustive witness that the group acts on the edges as its right
-    regular action.
+    """Exhaustive witness that the group acts on the edges of the built
+    graph as its right regular action.
 
-    For each generator h, with vertex action p_h from
-    ``generator_actions``, and every edge e with ends u and v, the edge
-    of element_key[e] * h must end at p_h(u) and p_h(v).  The generators
-    generate the group, so with the edge bijection the group acts on the
-    edges as on itself, which is transitive.  The edges go ROW_CHUNK X
-    rows at a time; each failing (generator, edge) pair is a mismatch.
-    The product z * h is the one-letter rule ``PackedOps.mul_gen`` while
-    p_h comes from the closed-form ``PackedOps.mul``, so the witness also
-    checks the two kernels against each other on every such product.
+    The edge of element z has ends X(z) and Y(z) (``Sigma.edge_ends``).
+    The elements go ROW_CHUNK X rows at a time.  In each block the sorted
+    Y ends of the row's elements must be the built X row, so the edges
+    named are the graph's; each differing row entry is a mismatch.  Then
+    for each generator h, with vertex action p_h from
+    ``generator_actions``, p_h(X(z)) = X(z*h) and p_h(Y(z)) = Y(z*h) for
+    every z; each failing (generator, element) pair is a mismatch.  The
+    generators generate the group, so it acts on the edges as on itself,
+    which is transitive.  The product z * h is the one-letter rule
+    ``PackedOps.mul_gen`` while p_h comes from the closed-form
+    ``PackedOps.mul``, so the witness also checks the two kernels against
+    each other on every such product.
     """
     ops = packed_ops(ctx)
-    phi = sigma.phi
     num_edges = sigma.graph.num_edges
-    gens = np.array([ctx.pack(h) for h in _xy_generators(ctx)],
-                    dtype=np.uint32)[:, None]
+    gens = [np.uint32(ctx.pack(h)) for h in _xy_generators(ctx)]
     if len(actions) != len(gens):
         raise ValueError(f"need {len(gens)} generator actions")
-    step = ROW_CHUNK << ctx.n
+    xrows = sigma.x_rows()
     mismatches = 0
-    for lo in range(0, num_edges, step):
-        e = np.arange(lo, min(lo + step, num_edges))
-        u, v = sigma.edge_ends(e)
-        # row i: the ends of the edges of element_key[e] * h_i
-        hu, hv = sigma.edge_ends(
-            phi.edge_id[ops.mul_gen(phi.element_key[e].astype(np.uint32),
-                                    gens)])
+    for lo in range(0, sigma.half, ROW_CHUNK):
+        hi = min(lo + ROW_CHUNK, sigma.half)
+        z = np.arange(lo << ctx.n, hi << ctx.n, dtype=np.uint32)
+        u, v = sigma.edge_ends(z)
         mismatches += int(np.count_nonzero(
-            (hu != np.stack([p[u] for p in actions]))
-            | (hv != np.stack([p[v] for p in actions]))))
+            np.sort(v.reshape(hi - lo, -1), axis=1) != xrows[lo:hi]))
+        for h, p in zip(gens, actions):
+            hu, hv = sigma.edge_ends(ops.mul_gen(z, h))
+            mismatches += int(np.count_nonzero((hu != p[u]) | (hv != p[v])))
     return {"generators": len(gens), "edges": num_edges,
             "mismatches": mismatches, "edge_transitive":
-            mismatches == 0 and num_edges == len(phi.edge_id)}
+            mismatches == 0 and num_edges == 1 << ctx.total_bits}
 
 
 def layer_certificate(g: GraphData, root_u: int, root_v: int) -> dict:

@@ -618,28 +618,24 @@ def check_coset_graph_stats(ctx, samples, rng, cache):
 
 def check_edge_bijection(ctx, samples, rng, cache):
     sig = _sigma(ctx, cache)
-    rx, ry = _base_vertices(ctx)
-    ends = sig.edge_ends(sig.phi.edge_of(IDENTITY))
-    ok = tuple(map(int, ends)) == (rx, ry)
-    ok = ok and sig.graph.num_edges == 1 << ctx.total_bits
-    # Exhaustive, one b block at a time: y^b * z is the b = 0 member of
-    # the Y-coset of z, which gives its Y key without y_coset_key.
+    ok = sig.graph.num_edges == 1 << ctx.total_bits
+    # Exhaustive, X row block by row block: the built row of X key k must
+    # be the sorted Y ends of the elements (k << n) | a.  y^b * z is the
+    # b = 0 member of the Y-coset of z (b its b block), which gives its
+    # Y key by the general product, without y_coset_key.
     ops = packed_ops(ctx)
-    by_b = ops.all_elements().reshape(-1, 1 << ctx.n, 1 << ctx.n)
-    for c in range(1 << ctx.n):
-        z = by_b[:, c, :].ravel()
-        ykey = ctx.y_key(ops.left_mul(Element(b=c), z))
-        e = sig.phi.edge_id[z]
-        u, v = sig.edge_ends(e)
-        ok = ok and bool(
-            np.array_equal(sig.phi.element_key[e], z)
-            and np.array_equal(u, ops.x_coset_key(z))
-            and np.array_equal(v, ykey.astype(np.int64) + sig.half))
+    xrows = sig.x_rows()
+    b_mask = ops.mask_n << np.uint32(ctx.n)
+    for lo in range(0, sig.half, gr.ROW_CHUNK):
+        hi = min(lo + gr.ROW_CHUNK, sig.half)
+        z = np.arange(lo << ctx.n, hi << ctx.n, dtype=np.uint32)
+        ykey = ctx.y_key(ops.mul(z & b_mask, z)).reshape(hi - lo, -1)
+        ok = ok and np.array_equal(np.sort(ykey, axis=1) + sig.half,
+                                   xrows[lo:hi])
     zs = [_rand_elem(ctx, rng) for _ in range(min(samples, 200))]
-    u, v = sig.edge_ends(np.array([sig.phi.edge_of(z) for z in zs], int))
-    ok = ok and list(zip(u.tolist(), v.tolist())) == [
-        (gr.coset_vertex(ctx, "X", z), gr.coset_vertex(ctx, "Y", z))
-        for z in zs]
+    ok = ok and all(sig.graph.has_edge(gr.coset_vertex(ctx, "X", z),
+                                       gr.coset_vertex(ctx, "Y", z))
+                    for z in zs)
     return ("pass" if ok else "fail", "phi(z) = {X-coset(z), Y-coset(z)}",
             "ok" if ok else "mismatch")
 
@@ -692,8 +688,11 @@ def check_line_graph_duality(ctx, samples, rng, cache):
     gamma = cache.get("gamma") or gr.build_gamma(ctx)
     sig = _sigma(ctx, cache)
     lg = gr.line_graph(sig.graph)
-    # an edge id times the edge count leaves int32 above 2^15 edges
-    phi = sig.phi.edge_id.astype(np.int64)
+    # phi[z] is the position of the edge of z in sorted (u, v) order, the
+    # line graph's vertex id
+    u, v = sig.edge_ends(packed_ops(ctx).all_elements())
+    phi = np.empty(len(u), dtype=np.int64)
+    phi[np.lexsort((v, u))] = np.arange(len(u))
     gu, gv = gamma.edge_array()
     lu, lv = lg.edge_array()
     ne = lg.num_vertices

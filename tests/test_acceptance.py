@@ -190,7 +190,9 @@ def test_criterion_06_clique_line_duality(ctx2, sigma2, gamma2):
                 + np.maximum(permv[cu], permv[cv])),
         np.sort(su * nv + sv)))
     lg = line_graph(sigma2.graph)
-    phi = sigma2.phi.edge_id
+    u, v = sigma2.edge_ends(packed_ops(ctx2).all_elements())
+    phi = np.empty(1024, dtype=np.int64)
+    phi[np.lexsort((v, u))] = np.arange(1024)  # z -> line-graph vertex
     gu, gv = gamma2.edge_array()
     lu, lv = lg.edge_array()
     ne = np.int64(1024)

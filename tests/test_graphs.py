@@ -16,7 +16,6 @@ import pytest
 from mixdih import graphs
 from mixdih.bulk import PackedOps, packed_ops
 from mixdih.graphs import (
-    EdgeBijection,
     GraphConsistencyError,
     GraphData,
     bfs_distances,
@@ -45,7 +44,7 @@ from mixdih.group import (
     mul,
     xgen,
 )
-from mixdih.verify import ScalarOps, check_edge_bijection, run_suite
+from mixdih.verify import ScalarOps, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -99,8 +98,20 @@ def test_graph_from_rows_rejects_repeated_neighbor():
 
 
 def test_indptr_and_degrees_in_index_dtype(sigma2, gamma2):
-    for g in (sigma2.graph, gamma2, from_pairs(3, [(0, 1), (1, 2)])):
+    # the clique graphs of a perfect matching and of a triangle have no
+    # edge: two disjoint cliques, and one clique
+    for g in (sigma2.graph, gamma2, from_pairs(3, [(0, 1), (1, 2)]),
+              clique_graph(from_pairs(4, [(0, 1), (2, 3)])),
+              clique_graph(from_pairs(3, [(0, 1), (1, 2), (0, 2)]))):
         assert g.indptr.dtype == g.degrees().dtype == np.int32
+
+
+def test_neighbor_table_of_irregular_graph_in_index_dtype():
+    g = from_pairs(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    assert g.indices.dtype == np.int32
+    nb = g.neighbor_table()
+    assert nb.dtype == g.indices.dtype
+    assert nb.tolist() == [[1, 2, -1], [0, 2, -1], [0, 1, 3], [2, -1, -1]]
 
 
 # -- BFS -----------------------------------------------------------------------
@@ -273,7 +284,7 @@ def test_one_numbering_across_kernels_and_sigma(ctx2, sigma2):
     z = ops.all_elements()
     xs = [coset_vertex(ctx2, "X", ctx2.unpack(int(k))) for k in z]
     ys = [coset_vertex(ctx2, "Y", ctx2.unpack(int(k))) for k in z]
-    u, v = sigma2.edge_ends(sigma2.phi.edge_id[z])
+    u, v = sigma2.edge_ends(z)
     assert u.tolist() == xs and v.tolist() == ys
     assert ops.x_coset_key(z).tolist() == xs
     assert (ops.y_coset_key(z) + np.uint32(sigma2.half)).tolist() == ys
@@ -301,22 +312,20 @@ def test_sigma_bipartite(sigma2):
 
 
 def test_edge_bijection(ctx2, sigma2):
-    # phi(z) = {X-coset(z), Y-coset(z)}, injective over the group
-    eu, ev = sigma2.graph.edge_array()
+    # z -> {X-coset(z), Y-coset(z)} is a bijection onto the edges
+    edges = set(sigma2.graph.edges())
     seen = set()
     for z in range(1024):
-        e = sigma2.phi.edge_of(ctx2.unpack(z))
-        seen.add(e)
         cx = coset_vertex(ctx2, "X", ctx2.unpack(z))
         cy = coset_vertex(ctx2, "Y", ctx2.unpack(z))
-        assert {int(eu[e]), int(ev[e])} == {cx, cy}
-        assert ctx2.pack(sigma2.phi.element_of(e)) == z
-    assert len(seen) == 1024
+        assert (cx, cy) in edges
+        seen.add((cx, cy))
+    assert seen == edges and len(edges) == 1024
 
 
 def test_sigma_matches_edge_reference(ctx2, sigma2):
     # the closed-form rows against the generic edge-list build of
-    # {X-key(z), half + Y-key(z)}, with edges numbered in (u, v) order
+    # {X-key(z), half + Y-key(z)}, the edge of z
     ops = packed_ops(ctx2)
     z = ops.all_elements()
     half = sigma2.half
@@ -324,13 +333,15 @@ def test_sigma_matches_edge_reference(ctx2, sigma2):
     v = ops.y_coset_key(z).astype(np.int64) + half
     ref = graph_from_edges(2 * half, u, v)
     order = np.lexsort((v, u))
+    su, sv = sigma2.edge_ends(z)
+    assert np.array_equal(su, u) and np.array_equal(sv, v)
     g = sigma2.graph
     assert g.num_edges == ref.num_edges == 1024
     assert np.array_equal(g.indptr, ref.indptr)
     assert g.indices.dtype == ref.indices.dtype
     assert np.array_equal(g.indices, ref.indices)
-    assert np.array_equal(sigma2.phi.element_key, order)
-    assert np.array_equal(sigma2.phi.edge_id[order], np.arange(1024))
+    eu, ev = g.edge_array()
+    assert np.array_equal(eu, u[order]) and np.array_equal(ev, v[order])
 
 
 def _collapse_one_to_zero(keys):
@@ -410,32 +421,9 @@ def test_sigma_row_blocks_match_default_build(monkeypatch, sigma2):
     blocked = build_sigma(context(2))
     for got, want in ((blocked.graph.indptr, sigma2.graph.indptr),
                       (blocked.graph.indices, sigma2.graph.indices),
-                      (blocked.phi.edge_id, sigma2.phi.edge_id),
-                      (blocked.phi.element_key, sigma2.phi.element_key)):
+                      (blocked.graph.sides, sigma2.graph.sides)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-
-
-def _swapped(sigma, i, j, element_key_too):
-    eid = sigma.phi.edge_id.copy()
-    eid[[i, j]] = eid[[j, i]]
-    ek = sigma.phi.element_key.copy()
-    if element_key_too:
-        ek[eid] = np.arange(len(eid))
-    phi = EdgeBijection(sigma.ctx, eid, ek)
-    return dataclasses.replace(sigma, phi=phi)
-
-
-@pytest.mark.parametrize("element_key_too", [False, True])
-def test_edge_bijection_check_is_exhaustive(ctx2, sigma2, element_key_too):
-    # no samples: only the exhaustive route can see the two swapped edges
-    status, _, _ = check_edge_bijection(ctx2, 0, random.Random(0),
-                                        {"sigma": sigma2})
-    assert status == "pass"
-    bad = _swapped(sigma2, 5, 777, element_key_too)
-    status, _, actual = check_edge_bijection(ctx2, 0, random.Random(0),
-                                             {"sigma": bad})
-    assert (status, actual) == ("fail", "mismatch")
 
 
 def test_sigma_vertex_ids_sorted_by_encoding(ctx2, sigma2):
@@ -472,7 +460,10 @@ def test_line_graph_matches_networkx(sigma2):
 def test_line_graph_of_sigma_is_gamma(ctx2, sigma2, gamma2):
     lg = line_graph(sigma2.graph)
     assert (lg.num_vertices, lg.num_edges) == (1024, 3072)
-    phi = sigma2.phi.edge_id
+    # phi[z]: the line-graph vertex (sorted edge position) of the edge of z
+    u, v = sigma2.edge_ends(packed_ops(ctx2).all_elements())
+    phi = np.empty(1024, dtype=np.int64)
+    phi[np.lexsort((v, u))] = np.arange(1024)
     gu, gv = gamma2.edge_array()
     lu, lv = lg.edge_array()
     ne = np.int64(lg.num_vertices)

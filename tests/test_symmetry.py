@@ -49,6 +49,7 @@ from mixdih.verify import (
     EXPECTED_CELLS_Y_N2,
     EXPECTED_LAYERS_X_N2,
     EXPECTED_LAYERS_Y_N2,
+    check_edge_bijection,
     run_suite,
 )
 
@@ -187,8 +188,9 @@ def test_right_action_edge_regular(ctx2, sigma2):
         perms.append(np.searchsorted(
             keys, np.minimum(pu, pv) * nv + np.maximum(pu, pv)))
     label = orbits(perms, 1024)
-    assert np.count_nonzero(label == label[sigma2.phi.edge_of(IDENTITY)]) \
-        == 1024
+    bu, bv = sigma2.edge_ends(np.zeros(1, dtype=np.uint32))  # identity's
+    base = np.searchsorted(keys, bu.astype(np.int64) * nv + bv)
+    assert np.count_nonzero(label == label[base]) == 1024
 
 
 def test_generator_actions_are_the_right_actions(ctx2, sigma2):
@@ -200,27 +202,45 @@ def test_generator_actions_are_the_right_actions(ctx2, sigma2):
         assert np.array_equal(p, right_action(ctx2, sigma2, h))
 
 
-def with_edge_ids_swapped(sigma, z1, z2):
-    edge_id = sigma.phi.edge_id.copy()
-    edge_id[[z1, z2]] = edge_id[[z2, z1]]
+def with_y_neighbor_moved(sigma, x1, x2):
+    """sigma with the first Y neighbors of X rows x1 and x2 exchanged and
+    both rows re-sorted: still regular, with strictly increasing rows."""
+    g = sigma.graph
+    rows = g.indices.copy().reshape(g.num_vertices, -1)
+    pair = rows[[x1, x2]]
+    assert pair[0, 0] != pair[1, 0] and not set(pair[0]) & set(pair[1])
+    pair[:, 0] = pair[::-1, 0]
+    rows[[x1, x2]] = np.sort(pair, axis=1)
     return dataclasses.replace(
-        sigma, phi=dataclasses.replace(sigma.phi, edge_id=edge_id))
+        sigma, graph=dataclasses.replace(g, indices=rows.ravel()))
 
 
 def statuses(report):
     return {c.name: c.status for c in report.checks}
 
 
-def test_witness_sees_swapped_edge_ids(ctx2, sigma2, monkeypatch):
-    bad = with_edge_ids_swapped(sigma2, 0, 1023)
-    assert sigma2.edge_ends(sigma2.phi.edge_id[0]) != \
-        sigma2.edge_ends(sigma2.phi.edge_id[1023])
+def test_checks_see_a_y_neighbor_moved_between_x_rows(ctx2, sigma2,
+                                                     monkeypatch):
+    # the coset keys, and so the generator actions, are unchanged: only
+    # the checks that read the built rows can see the moved edge
+    bad = with_y_neighbor_moved(sigma2, 0, 200)
+    for sigma, want in ((sigma2, "pass"), (bad, "fail")):
+        status, _, _ = check_edge_bijection(ctx2, 0, random.Random(0),
+                                            {"sigma": sigma})
+        assert status == want
     w = edge_regular_witness(ctx2, bad, generator_actions(ctx2, bad))
     assert w["mismatches"] > 0 and not w["edge_transitive"]
     monkeypatch.setattr(graphs, "build_sigma", lambda ctx, force=False: bad)
     got = statuses(run_suite(2, "symmetry"))
     assert got["edge-regular-action"] == "fail"
     assert got["semisymmetry-certificate"] == "fail"
+    # rows of another length than 2^n are refused before any comparison
+    indptr = sigma2.graph.indptr.copy()
+    indptr[1] += 1  # the first X row takes one entry of the second
+    uneven = dataclasses.replace(
+        sigma2, graph=dataclasses.replace(sigma2.graph, indptr=indptr))
+    with pytest.raises(GraphConsistencyError, match="length 2"):
+        uneven.x_rows()
 
 
 @pytest.mark.parametrize("pair", [[0, 1], [256, 257]], ids=["X", "Y"])
@@ -276,17 +296,6 @@ def test_suite_shares_actions_and_base_bfs(monkeypatch):
     assert report.overall == "pass"
     assert calls == {"generator_actions": 1}
     assert roots == {0: 1, 256: 1}  # the X and Y base vertices
-
-
-def test_edge_ends_reject_another_edge_layout(sigma2):
-    assert sigma2.edge_ends(5) == (1, sigma2.graph.indices[5])
-    g = sigma2.graph
-    indptr = g.indptr.copy()
-    indptr[1] += 1  # the first X row takes one entry of the second
-    bad = dataclasses.replace(
-        sigma2, graph=dataclasses.replace(g, indptr=indptr))
-    with pytest.raises(GraphConsistencyError, match="X rows"):
-        bad.edge_ends(np.arange(4))
 
 
 def test_gl_action_all_pairs(ctx2, sigma2):
