@@ -1,5 +1,9 @@
-"""Shared fixtures: mutated collection rules for the mutation tests."""
+"""Shared fixtures: mutated collection rules and a corrupted coset graph
+for the mutation tests."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from mixdih.group import GroupContext
@@ -38,3 +42,25 @@ def mutant():
     "full" is the true one."""
     return lambda mode: GroupContext(2) if mode == "full" \
         else MutantContext(2, mode)
+
+
+def with_y_neighbor_moved(sigma, x1, x2, resort=True):
+    """sigma with the first Y neighbors of X rows x1 and x2 exchanged, so
+    two elements' edges change their Y ends.  With resort both rows are
+    re-sorted (still regular, with strictly increasing rows); without it
+    the moved entries stay first, out of order."""
+    g = sigma.graph
+    rows = g.indices.copy().reshape(g.num_vertices, -1)
+    pair = rows[[x1, x2]]
+    assert pair[0, 0] != pair[1, 0] and not set(pair[0]) & set(pair[1])
+    pair[:, 0] = pair[::-1, 0]
+    rows[[x1, x2]] = np.sort(pair, axis=1) if resort else pair
+    return dataclasses.replace(
+        sigma, graph=dataclasses.replace(g, indices=rows.ravel()))
+
+
+@pytest.fixture
+def y_neighbor_moved():
+    """y_neighbor_moved(sigma, x1, x2, resort=True): see
+    :func:`with_y_neighbor_moved`."""
+    return with_y_neighbor_moved

@@ -44,7 +44,7 @@ from mixdih.group import (
     mul,
     xgen,
 )
-from mixdih.verify import ScalarOps, run_suite
+from mixdih.verify import ScalarOps, check_edge_bijection, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -424,6 +424,20 @@ def test_sigma_row_blocks_match_default_build(monkeypatch, sigma2):
                       (blocked.graph.sides, sigma2.graph.sides)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("resort", [False, True])
+def test_edge_bijection_check_is_exhaustive(ctx2, sigma2, y_neighbor_moved,
+                                            resort):
+    # no samples: only the exhaustive route can see the moved edge, whether
+    # its rows stay sorted or not
+    status, _, _ = check_edge_bijection(ctx2, 0, random.Random(0),
+                                        {"sigma": sigma2})
+    assert status == "pass"
+    bad = y_neighbor_moved(sigma2, 0, 200, resort)
+    status, _, actual = check_edge_bijection(ctx2, 0, random.Random(0),
+                                             {"sigma": bad})
+    assert (status, actual) == ("fail", "mismatch")
 
 
 def test_sigma_vertex_ids_sorted_by_encoding(ctx2, sigma2):

@@ -202,45 +202,22 @@ def test_generator_actions_are_the_right_actions(ctx2, sigma2):
         assert np.array_equal(p, right_action(ctx2, sigma2, h))
 
 
-def with_y_neighbor_moved(sigma, x1, x2):
-    """sigma with the first Y neighbors of X rows x1 and x2 exchanged and
-    both rows re-sorted: still regular, with strictly increasing rows."""
-    g = sigma.graph
-    rows = g.indices.copy().reshape(g.num_vertices, -1)
-    pair = rows[[x1, x2]]
-    assert pair[0, 0] != pair[1, 0] and not set(pair[0]) & set(pair[1])
-    pair[:, 0] = pair[::-1, 0]
-    rows[[x1, x2]] = np.sort(pair, axis=1)
-    return dataclasses.replace(
-        sigma, graph=dataclasses.replace(g, indices=rows.ravel()))
-
-
 def statuses(report):
     return {c.name: c.status for c in report.checks}
 
 
-def test_checks_see_a_y_neighbor_moved_between_x_rows(ctx2, sigma2,
-                                                     monkeypatch):
-    # the coset keys, and so the generator actions, are unchanged: only
-    # the checks that read the built rows can see the moved edge
-    bad = with_y_neighbor_moved(sigma2, 0, 200)
-    for sigma, want in ((sigma2, "pass"), (bad, "fail")):
-        status, _, _ = check_edge_bijection(ctx2, 0, random.Random(0),
-                                            {"sigma": sigma})
-        assert status == want
+def test_witness_sees_swapped_edge_ids(ctx2, sigma2, y_neighbor_moved,
+                                      monkeypatch):
+    # an element of X row 0 and one of X row 200 exchange the Y ends of
+    # their edges; the coset keys, and so the generator actions, are
+    # unchanged: only the checks that read the built rows can see it
+    bad = y_neighbor_moved(sigma2, 0, 200)
     w = edge_regular_witness(ctx2, bad, generator_actions(ctx2, bad))
     assert w["mismatches"] > 0 and not w["edge_transitive"]
     monkeypatch.setattr(graphs, "build_sigma", lambda ctx, force=False: bad)
     got = statuses(run_suite(2, "symmetry"))
     assert got["edge-regular-action"] == "fail"
     assert got["semisymmetry-certificate"] == "fail"
-    # rows of another length than 2^n are refused before any comparison
-    indptr = sigma2.graph.indptr.copy()
-    indptr[1] += 1  # the first X row takes one entry of the second
-    uneven = dataclasses.replace(
-        sigma2, graph=dataclasses.replace(sigma2.graph, indptr=indptr))
-    with pytest.raises(GraphConsistencyError, match="length 2"):
-        uneven.x_rows()
 
 
 @pytest.mark.parametrize("pair", [[0, 1], [256, 257]], ids=["X", "Y"])
@@ -296,6 +273,24 @@ def test_suite_shares_actions_and_base_bfs(monkeypatch):
     assert report.overall == "pass"
     assert calls == {"generator_actions": 1}
     assert roots == {0: 1, 256: 1}  # the X and Y base vertices
+
+
+def test_edge_ends_reject_another_edge_layout(ctx2, sigma2):
+    # element 5 lies in X row 1, and its Y end in that built row
+    u, v = sigma2.edge_ends(np.array([5], dtype=np.uint32))
+    assert u[0] == 1 and v[0] in sigma2.graph.neighbors(1)
+    g = sigma2.graph
+    indptr = g.indptr.copy()
+    indptr[1] += 1  # the first X row takes one entry of the second
+    bad = dataclasses.replace(
+        sigma2, graph=dataclasses.replace(g, indptr=indptr))
+    # rows of another length than 2^n are refused before any comparison
+    with pytest.raises(GraphConsistencyError, match="length 2"):
+        bad.x_rows()
+    with pytest.raises(GraphConsistencyError, match="length 2"):
+        edge_regular_witness(ctx2, bad, generator_actions(ctx2, bad))
+    with pytest.raises(GraphConsistencyError, match="length 2"):
+        check_edge_bijection(ctx2, 0, random.Random(0), {"sigma": bad})
 
 
 def test_gl_action_all_pairs(ctx2, sigma2):
