@@ -1,13 +1,12 @@
-"""Vectorized packed-element arithmetic for bulk graph construction.
+"""Vectorized packed-element arithmetic, at every rank.
 
-Elements are packed into uint32 words (a | b<<n | m<<2n | t<<(2n+n^2)),
-which covers ranks 2 and 3 (10 and 24 bits).  ``PackedOps.mul`` is the
-closed form of a whole product: gather/xor passes over two tables of
-quadratic collection terms, so that whole-group maps are array passes.
-The phi table is the context's; yx, the (m,t) words of y^b x^a, is read
-off the scalar products, so both kernels follow the one collection rule
-of ``group.py``.  Left multiplication by y^c meets no phi (phi(0, a) is
-0), so the Y-coset keys and members read yx alone.
+Elements are packed into one array word (a | b<<n | m<<2n | t<<(2n+n^2))
+of ``element_dtype``.  ``PackedOps.mul`` is the closed form of a whole
+product: gather/xor passes over the quadratic collection terms, so that
+whole-group maps are array passes.  phi comes from the context's row
+formula, not from the collection loop that the scalar kernel runs; yx,
+the (m,t) words of y^b x^a, is read off the scalar products.  Left
+multiplication by y^c meets no phi (phi(0, a) is 0), so it reads yx alone.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .group import (
-    CapExceededError,
+    _TABLE_MAX_N,
     Element,
     GroupContext,
     InducedAutomorphism,
@@ -27,8 +26,20 @@ def _xor_span(images: list[int]) -> np.ndarray:
     """Entry s is the XOR of images[k] over the set bits k of s."""
     out = np.zeros(1, dtype=np.uint32)
     for img in images:
-        out = np.concatenate([out, out ^ np.uint32(img)])
+        out = np.concatenate([out, out ^ img])
     return out
+
+
+def _gather(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """table[idx]; object-dtype indices (n >= 5) are cast to intp."""
+    return table[idx.astype(np.intp) if idx.dtype == object else idx]
+
+
+def element_dtype(ctx: GroupContext):
+    """Array dtype of packed elements: uint32 up to 32 bits (n <= 3),
+    uint64 up to 64 (n = 4), Python ints (object arrays) above."""
+    bits = ctx.total_bits
+    return np.uint32 if bits <= 32 else np.uint64 if bits <= 64 else object
 
 
 def packed_ops(ctx: GroupContext) -> "PackedOps":
@@ -41,27 +52,31 @@ def packed_ops(ctx: GroupContext) -> "PackedOps":
 
 
 class PackedOps:
-    """Packed arithmetic on the collection tables of one context (n <= 3).
+    """Packed arithmetic on the collection terms of one context.
 
     Entry (a << n) | b of ``yx`` is the (m,t) word of y^b x^a, the m
-    block (outer) in its low n^2 bits and the t block (psi) above; entry
-    (m << n) | a of ``phi`` is the t-block that x^a picks up crossing w^m.
+    block (outer) in its low n^2 bits and the t block (psi) above.  Entry
+    (m << n) | a of ``phi`` is the t-block that x^a picks up crossing
+    w^m, tabulated at n <= 3 (None above, where ``phi_of`` evaluates it).
     """
 
     def __init__(self, ctx: GroupContext):
-        if ctx.total_bits > 32 or ctx._phi_tab is None:
-            raise CapExceededError(
-                f"bulk ops require tabulated contexts (n <= 3), got n={ctx.n}")
         self.ctx = ctx
         self.n = ctx.n
-        self.nn = ctx.dim_w
-        self.mask_n = np.uint32(ctx._mask_n)
-        self.mask_w = np.uint32(ctx._mask_w)
+        self.dtype = element_dtype(ctx)
+        # Shifts and masks in the element dtype: numpy reuses temporary
+        # arrays in place only when the other operand has their dtype.
+        c = np.dtype(self.dtype).type
+        self.mask_n, self.mask_w = c(ctx._mask_n), c(ctx._mask_w)
+        self.sn, self.s2n, self.snn = c(self.n), c(2 * self.n), c(ctx.dim_w)
         self.yx = np.array(
             [ctx.pack(mul(ctx, Element(b=idx & ctx._mask_n),
                           Element(a=idx >> ctx.n))) >> 2 * ctx.n
-             for idx in range(1 << (2 * ctx.n))], dtype=np.uint32)
-        self.phi = np.asarray(ctx._phi_tab, dtype=np.uint32)
+             for idx in range(1 << (2 * ctx.n))], dtype=self.dtype)
+        self.phi = None
+        if ctx.n <= _TABLE_MAX_N:
+            idx = np.arange(1 << (ctx.dim_w + self.n), dtype=self.dtype)
+            self.phi = ctx.phi_rows(idx >> self.n, idx & self.mask_n)
 
     # -- block access -------------------------------------------------------
 
@@ -69,24 +84,32 @@ class PackedOps:
         return z & self.mask_n
 
     def b_of(self, z: np.ndarray) -> np.ndarray:
-        return (z >> np.uint32(self.n)) & self.mask_n
+        return (z >> self.sn) & self.mask_n
 
     def m_of(self, z: np.ndarray) -> np.ndarray:
-        return (z >> np.uint32(2 * self.n)) & self.mask_w
+        return (z >> self.s2n) & self.mask_w
 
     def all_elements(self) -> np.ndarray:
-        return np.arange(1 << self.ctx.total_bits, dtype=np.uint32)
+        return np.arange(1 << self.ctx.total_bits, dtype=self.dtype)
+
+    # -- collection terms ---------------------------------------------------
+
+    def phi_of(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """Elementwise t-block that x^a picks up crossing w^m, m the w
+        block of z: the table at n <= 3, the context's row formula above."""
+        if self.phi is None:
+            return self.ctx.phi_rows(self.m_of(z), a)
+        return _gather(self.phi, (self.m_of(z) << self.sn) | a)
 
     # -- products -------------------------------------------------------------
 
     def mul(self, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
         """Elementwise product in closed form: every block XORs, and x^a2
         adds yx crossing y^b1, and phi to the t block crossing w^m1."""
-        n = np.uint32(self.n)
         a2 = self.a_of(z2)
-        mt = (self.yx[(a2 << n) | self.b_of(z1)]
-              ^ (self.phi[(self.m_of(z1) << n) | a2] << np.uint32(self.nn)))
-        return z1 ^ z2 ^ (mt << np.uint32(2 * self.n))
+        mt = (_gather(self.yx, (a2 << self.sn) | self.b_of(z1))
+              ^ (self.phi_of(z1, a2) << self.snn))
+        return z1 ^ z2 ^ (mt << self.s2n)
 
     def inv(self, z: np.ndarray) -> np.ndarray:
         """Elementwise inverse: (y^b w^M t^T) * x^a, the reversed word."""
@@ -108,59 +131,55 @@ class PackedOps:
         x_k turns each y_j of z into a new w_kj and picks up phi(m, x_k)
         in the t block; every generator toggles its own bit.
         """
-        n = self.n
         a, b = self.a_of(g), self.b_of(z)
-        dm = np.zeros(np.broadcast_shapes(np.shape(z), np.shape(g)),
-                      dtype=np.uint32)
-        for k in range(n):
-            dm |= np.where(a == np.uint32(1 << k),
-                           b << np.uint32(k * n), np.uint32(0))
-        dt = self.phi[(self.m_of(z) << np.uint32(n)) | a]
-        return (z ^ g ^ (dm << np.uint32(2 * n))
-                ^ (dt << np.uint32(2 * n + self.nn)))
+        dm = sum((a >> k & 1) * b << k * self.sn for k in range(self.n))
+        dt = self.phi_of(z, a)
+        return z ^ g ^ (dm << self.s2n) ^ (dt << self.s2n + self.snn)
 
     def evaluate_word(self, words: np.ndarray) -> np.ndarray:
         """Left fold of mul_gen along each row of packed generators,
         starting from 1 (the scalar evaluate_word, one word per row)."""
-        out = np.zeros(len(words), dtype=np.uint32)
+        out = np.zeros(len(words), dtype=self.dtype)
         for letters in words.T:
             out = self.mul_gen(out, letters)
         return out
 
+    def y_left(self, c, z: np.ndarray) -> np.ndarray:
+        """Elementwise y^c * z: y^c crosses x^a by the yx word of (a, c)
+        and meets no phi (phi(0, a) is 0)."""
+        mt = _gather(self.yx, (self.a_of(z) << self.sn) | c)
+        return z ^ (c << self.sn) ^ (mt << self.s2n)
+
     def left_mul(self, s: Element, z: np.ndarray) -> np.ndarray:
-        """s*z for one fixed s: an XOR of the a block for s in X, which
-        adds no collection terms, else mul with s broadcast."""
-        if s.b == 0 and s.m == 0 and s.t == 0:
-            return z ^ np.uint32(s.a)
-        return self.mul(np.uint32(self.ctx.pack(s)), z)
+        """s*z for one fixed s in X or in Y: an XOR of the a block for s
+        in X, which adds no collection terms, else y_left."""
+        if s.m or s.t or (s.a and s.b):
+            raise ValueError("left_mul takes s in X or in Y")
+        return z ^ s.a if s.a else self.y_left(s.b, z)
 
     # -- canonical coset keys ---------------------------------------------------
 
     def x_coset_key(self, z: np.ndarray) -> np.ndarray:
         """Key (b,m,t) of the X-side coset of z: zero the a block."""
-        return z >> np.uint32(self.n)
+        return z >> self.sn
 
     def y_coset_key(self, z: np.ndarray) -> np.ndarray:
         """Key of the Y-side coset of z: the ``y_key`` of its b = 0 member
         y^b z, whose (m,t) word is that of z plus yx of (a, b)."""
-        n = np.uint32(self.n)
         a = self.a_of(z)
-        mt = (z >> np.uint32(2 * self.n)) ^ self.yx[(a << n) | self.b_of(z)]
-        return a | (mt << n)
+        mt = (z >> self.s2n) ^ _gather(self.yx, (a << self.sn) | self.b_of(z))
+        return a | (mt << self.sn)
 
     def y_member(self, keys: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Elementwise y^c times the b = 0 representative of the Y-side
-        coset with key keys; yx of (a, c) enters its (m,t) word."""
-        n = np.uint32(self.n)
-        rep = self.ctx.y_rep(keys)
-        mt = self.yx[(self.a_of(rep) << n) | c]
-        return rep ^ (c << n) ^ (mt << np.uint32(2 * self.n))
+        coset with key keys."""
+        return self.y_left(c, self.ctx.y_rep(keys))
 
     def y_coset(self, keys: np.ndarray) -> np.ndarray:
         """Members of the Y-side cosets with these keys, one row per key:
         column c holds y^c times the representative."""
         return self.y_member(keys[:, None],
-                             np.arange(1 << self.n, dtype=np.uint32))
+                             np.arange(1 << self.n, dtype=self.dtype))
 
     # -- induced automorphisms ---------------------------------------------------
 
@@ -174,11 +193,11 @@ class PackedOps:
         set bits; an image outside it raises ValueError.
         """
         ctx = self.ctx
-        basis = [0] * (self.nn + ctx.dim_t)
+        basis = [0] * (ctx.dim_w + ctx.dim_t)
         for (i, j), img in aut._w_img.items():
             basis[ctx.w_index(i, j)] = ctx.pack(img)
         for (i, k, j), img in aut._t_img.items():
-            basis[self.nn + ctx.t_index(i, k, j)] = ctx.pack(img)
+            basis[ctx.dim_w + ctx.t_index(i, k, j)] = ctx.pack(img)
         if any(z & ((1 << 2 * self.n) - 1) for z in basis):
             raise ValueError("a w or t image leaves the derived subgroup")
         return (_xor_span([ctx.pack(e) for e in aut._x_img]),
@@ -192,4 +211,4 @@ class PackedOps:
         collection terms, so the product is an XOR."""
         x_img, y_img, d_img = tables
         return (x_img[self.a_of(z)] ^ y_img[self.b_of(z)]
-                ^ d_img[z >> np.uint32(2 * self.n)])
+                ^ d_img[z >> self.s2n])

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 
@@ -53,9 +54,8 @@ Word = Sequence[Symbol]
 
 DEFAULT_ENUM_CAP_BITS = 24
 
-# Largest n for which the phi collection term is fully tabulated.  Beyond
-# that its bit loop is used (element ops at n >= 5 are rare; the
-# closed-form counting functions never need them).
+# Largest n whose phi is tabulated (2^(n^2+n) entries): by the scalar kernel
+# from its bit loop, by the packed one from its row formula; above, per call.
 _TABLE_MAX_N = 3
 
 
@@ -105,7 +105,8 @@ class GroupContext:
                for k in range(i + 1, n + 1) for j in range(1, n + 1)])
         self._phi_tab: list[int] | None = None
         if n <= _TABLE_MAX_N:
-            self._build_tables()
+            self._phi_tab = [self._phi_loop(idx >> n, idx & self._mask_n)
+                             for idx in range(1 << (self.dim_w + n))]
 
     # -- index maps -------------------------------------------------------
 
@@ -147,7 +148,7 @@ class GroupContext:
         )
 
     # Y-side coset keys: the packed b = 0 representative with its b block
-    # dropped.  Pure bit ops, so ints and uint32 or object arrays alike.
+    # dropped.  Pure bit ops, so ints and arrays of any element dtype alike.
 
     def y_key(self, rep):
         """Key of the Y-side coset whose b = 0 representative is rep."""
@@ -156,6 +157,17 @@ class GroupContext:
     def y_rep(self, key):
         """Packed b = 0 representative of the Y-side coset with this key."""
         return (key & self._mask_n) | ((key >> self.n) << 2 * self.n)
+
+    def phi_rows(self, m, a):
+        """phi(m, a) by its bilinear row formula, independent of the
+        collection loop ``_phi_loop``: pair (i, k), i < k, of the t block
+        is row_i(m) a_k + row_k(m) a_i.  Ints and arrays alike."""
+        n, dt = self.n, 0
+        rows = [(m >> (i * n)) & self._mask_n for i in range(n)]
+        bits = [(a >> k) & 1 for k in range(n)]
+        for p, (i, k) in enumerate(combinations(range(n), 2)):
+            dt ^= (rows[i] * bits[k] ^ rows[k] * bits[i]) << (p * n)
+        return dt
 
     # -- quadratic collection terms ---------------------------------------
 
@@ -194,11 +206,6 @@ class GroupContext:
                 lo, hi = (i, k) if i < k else (k, i)
                 dt ^= row << (self.pair_index(lo, hi) * n)
         return dt
-
-    def _build_tables(self) -> None:
-        n = self.n
-        self._phi_tab = [self._phi_loop(idx >> n, idx & self._mask_n)
-                         for idx in range(1 << (self.dim_w + n))]
 
     def __repr__(self) -> str:
         return f"GroupContext(n={self.n}, total_bits={self.total_bits})"

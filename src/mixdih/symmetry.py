@@ -91,8 +91,7 @@ def right_action(ctx: GroupContext, sigma: Sigma, h: Element) -> VertexPermutati
     automorphism (the edge through z maps to the edge through z*h).
     """
     ops = packed_ops(ctx)
-    hk = np.uint32(ctx.pack(h))
-    return _vertex_permutation(ctx, sigma, lambda z: ops.mul(z, hk))
+    return _vertex_permutation(ctx, sigma, lambda z: ops.mul(z, ctx.pack(h)))
 
 
 def _xy_generators(ctx: GroupContext) -> list[Element]:
@@ -410,7 +409,7 @@ def ball_intersect_derived(ctx: GroupContext, radius: int) -> list[Element]:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     ops = packed_ops(ctx)
-    ball = np.zeros(1, dtype=np.uint32)
+    ball = np.zeros(1, dtype=ops.dtype)
     s_list = connection_set(ctx)
     for _ in range(radius):
         ball = np.unique(np.concatenate(

@@ -19,7 +19,7 @@ from . import graphs as gr
 from . import hall
 from . import symmetry as sym
 from .autgroup import automorphism_group_order
-from .bulk import packed_ops
+from .bulk import element_dtype, packed_ops
 from .group import (
     CapExceededError,
     Element,
@@ -114,13 +114,13 @@ def _count_failures(pairs) -> tuple[str, object, object]:
 
 # -- core checks -------------------------------------------------------------
 
-def check_dimension_formula(ctx, samples, rng):
+def check_dimension_formula(ctx, samples, rng, cache):
     expected = [(n, (n**3 + n**2 + 4 * n) // 2) for n in range(2, 7)]
     actual = [(n, context(n).total_bits) for n in range(2, 7)]
     return ("pass" if expected == actual else "fail", expected, actual)
 
 
-def check_normal_form_enumeration(ctx, samples, rng):
+def check_normal_form_enumeration(ctx, samples, rng, cache):
     if ctx.total_bits > 12:
         raise CapExceededError("full enumeration kept to 2^12")
     seen = {ctx.pack(h) for h in enumerate_elements(ctx)}
@@ -128,7 +128,7 @@ def check_normal_form_enumeration(ctx, samples, rng):
     return ("pass" if len(seen) == want else "fail", want, len(seen))
 
 
-def check_multiplication_latin_square(ctx, samples, rng):
+def check_multiplication_latin_square(ctx, samples, rng, cache):
     if ctx.total_bits > 12:
         raise CapExceededError("full multiplication table kept to 2^12")
     ops = packed_ops(ctx)
@@ -142,7 +142,7 @@ def check_multiplication_latin_square(ctx, samples, rng):
             "ok" if ok else "not a latin square")
 
 
-def check_presentation(ctx, samples, rng):
+def check_presentation(ctx, samples, rng, cache):
     rep = verify_presentation(ctx)
     bad = [f["family"] for f in rep["families"] if not f["pass"]]
     return ("pass" if rep["pass"] else "fail",
@@ -154,19 +154,12 @@ def check_presentation(ctx, samples, rng):
 # Each random battery states its identity once, as a function over an ops
 # object that maps arrays of packed elements to per-sample verdicts.  The
 # samples are drawn as arrays from a numpy Generator seeded off the check's
-# own stream.  At n <= 3 every sample runs on PackedOps (bulk.py), and the
-# group.py kernel, through ScalarOps, recomputes the first
+# own stream.  Every sample runs on PackedOps (bulk.py), at every rank, and
+# the group.py kernel, through ScalarOps, recomputes the first
 # CROSS_CHECK_SAMPLES of them: a sample fails when its identity fails or
 # when any value the identity computed differs between the two kernels.
-# Above n = 3, where PackedOps has no tables, ScalarOps runs every sample.
 
 CROSS_CHECK_SAMPLES = 256
-
-
-def _dtype(ctx: GroupContext):
-    """Array dtype of packed elements: uint32 up to n = 3, Python ints
-    (object arrays) above."""
-    return np.uint32 if ctx.total_bits <= 32 else object
 
 
 def _generator(rng: random.Random) -> np.random.Generator:
@@ -178,7 +171,7 @@ def _draw(ctx: GroupContext, gen: np.random.Generator, count: int,
     """count packed values whose `bits` bits from bit `shift` up are
     uniformly random, the rest zero (default: whole elements)."""
     bits = ctx.total_bits if bits is None else bits
-    dtype = _dtype(ctx)
+    dtype = element_dtype(ctx)
     out = np.zeros(count, dtype=dtype)
     for low in range(0, bits, 32):
         word = gen.integers(0, 1 << min(32, bits - low), size=count,
@@ -199,7 +192,7 @@ def _draw_letters(ctx: GroupContext, gen: np.random.Generator,
     pair = (ti - 1) * (2 * n - ti) // 2 + (tk - ti - 1)
     pos = np.choose(kind, [i, n + i, 2 * n + i * n + j,
                            2 * n + ctx.dim_w + pair * n + j])
-    dtype = _dtype(ctx)
+    dtype = element_dtype(ctx)
     return np.ones(shape, dtype=dtype) << pos.astype(dtype)
 
 
@@ -214,7 +207,7 @@ class ScalarOps:
     def _map(self, fn, *arrays) -> np.ndarray:
         ctx = self.ctx
         return np.array([ctx.pack(fn(ctx, *(ctx.unpack(int(z)) for z in zs)))
-                         for zs in zip(*arrays)], dtype=_dtype(ctx))
+                         for zs in zip(*arrays)], dtype=element_dtype(ctx))
 
     def mul(self, g, h):
         return self._map(mul, g, h)
@@ -233,14 +226,14 @@ class ScalarOps:
         symbols = ctx.bit_symbols
         return np.array([ctx.pack(evaluate_word(
             ctx, [symbols[int(g).bit_length() - 1] for g in row if g]))
-            for row in words], dtype=_dtype(ctx))
+            for row in words], dtype=element_dtype(ctx))
 
     def _coset_key(self, side, z):
         # a side's keys count from the id of its base vertex
         ctx = self.ctx
         first = gr.coset_vertex(ctx, side, IDENTITY)
         return np.array([gr.coset_vertex(ctx, side, ctx.unpack(int(h))) - first
-                         for h in z], dtype=_dtype(ctx))
+                         for h in z], dtype=element_dtype(ctx))
 
     def x_coset_key(self, z):
         return self._coset_key("X", z)
@@ -266,22 +259,11 @@ class _Recorded:
         return call
 
 
-def _packed_backend(ctx: GroupContext):
-    """PackedOps for ctx, or None above n = 3 where it has no tables."""
-    try:
-        return packed_ops(ctx)
-    except CapExceededError:
-        return None
-
-
 def _battery(ctx: GroupContext, identity, *samples: np.ndarray):
-    """Tally identity(ops, *samples), a per-sample bool array, with the
-    scalar cross-check on the leading samples where PackedOps runs."""
-    packed = _packed_backend(ctx)
-    if packed is None:
-        return _tally(identity(ScalarOps(ctx), *samples))
+    """Tally identity(ops, *samples), a per-sample bool array, on
+    PackedOps, with the scalar cross-check on the leading samples."""
     keep = min(len(samples[0]), CROSS_CHECK_SAMPLES)
-    full = _Recorded(packed, keep)
+    full = _Recorded(packed_ops(ctx), keep)
     sub = _Recorded(ScalarOps(ctx), keep)
     ok = identity(full, *samples)
     ok[:keep] &= identity(sub, *(s[:keep] for s in samples))
@@ -294,7 +276,7 @@ def _whole_elements(ctx, gen, count, k):
     return [_draw(ctx, gen, count) for _ in range(k)]
 
 
-def check_jacobi(ctx, samples, rng):
+def check_jacobi(ctx, samples, rng, cache):
     def jacobi(ops, a, b, c):
         prod = ops.mul(ops.mul(ops.comm(ops.comm(a, b), c),
                                ops.comm(ops.comm(b, c), a)),
@@ -304,7 +286,7 @@ def check_jacobi(ctx, samples, rng):
                     *_whole_elements(ctx, _generator(rng), samples, 3))
 
 
-def check_witt_hall(ctx, samples, rng):
+def check_witt_hall(ctx, samples, rng, cache):
     def witt_hall(ops, x, y, z):
         def term(u, v, w):
             return ops.conj(ops.comm(ops.comm(u, ops.inv(v)), w), v)
@@ -314,14 +296,14 @@ def check_witt_hall(ctx, samples, rng):
                     *_whole_elements(ctx, _generator(rng), samples, 3))
 
 
-def check_class3(ctx, samples, rng):
+def check_class3(ctx, samples, rng, cache):
     def vanishes(ops, g, h, k, l):
         return ops.comm(ops.comm(ops.comm(g, h), k), l) == 0
     return _battery(ctx, vanishes,
                     *_whole_elements(ctx, _generator(rng), samples, 4))
 
 
-def check_h3_central(ctx, samples, rng):
+def check_h3_central(ctx, samples, rng, cache):
     def fixed(ops, t, r):
         # t^r = t, written out so that r^-1 is one of the compared values
         return ops.mul(ops.inv(r), ops.mul(t, r)) == t
@@ -330,7 +312,7 @@ def check_h3_central(ctx, samples, rng):
     return _battery(ctx, fixed, t_only, _draw(ctx, gen, samples))
 
 
-def check_double_comm_landing(ctx, samples, rng):
+def check_double_comm_landing(ctx, samples, rng, cache):
     below_t = (1 << (2 * ctx.n + ctx.dim_w)) - 1  # the a, b and m blocks
     def lands(ops, g, h, k):
         return (ops.comm(ops.comm(g, h), k) & below_t) == 0
@@ -338,7 +320,7 @@ def check_double_comm_landing(ctx, samples, rng):
                     *_whole_elements(ctx, _generator(rng), samples, 3))
 
 
-def check_derived_involutions(ctx, samples, rng):
+def check_derived_involutions(ctx, samples, rng, cache):
     def involutions(ops, g, h):
         return (ops.mul(g, g) == 0) & (ops.comm(g, h) == 0)
     gen = _generator(rng)
@@ -347,7 +329,7 @@ def check_derived_involutions(ctx, samples, rng):
     return _battery(ctx, involutions, g, h)
 
 
-def check_commutator_symmetry(ctx, samples, rng):
+def check_commutator_symmetry(ctx, samples, rng, cache):
     n = ctx.n
     def pairs():
         for i in range(1, n + 1):
@@ -361,7 +343,7 @@ def check_commutator_symmetry(ctx, samples, rng):
     return _count_failures(pairs())
 
 
-def check_y_absorption(ctx, samples, rng):
+def check_y_absorption(ctx, samples, rng, cache):
     def absorbed(ops, a, b, b2):
         return ((ops.comm(ops.comm(b, a), b2) == 0)
                 & (ops.comm(ops.comm(a, b), b2) == 0))
@@ -371,7 +353,7 @@ def check_y_absorption(ctx, samples, rng):
     return _battery(ctx, absorbed, a, b, b2)
 
 
-def check_product_formula(ctx, samples, rng):
+def check_product_formula(ctx, samples, rng, cache):
     n = ctx.n
     seen = set()
     def pairs():
@@ -390,7 +372,7 @@ def check_product_formula(ctx, samples, rng):
     return (status, exp, act)
 
 
-def check_abelianization_hom(ctx, samples, rng):
+def check_abelianization_hom(ctx, samples, rng, cache):
     ab = (1 << 2 * ctx.n) - 1  # the image in the derived quotient: (a, b)
     def homomorphism(ops, g, h):
         return (ops.mul(g, h) & ab) == ((g ^ h) & ab)
@@ -402,12 +384,12 @@ def _associative(ops, g, h, k):
     return ops.mul(ops.mul(g, h), k) == ops.mul(g, ops.mul(h, k))
 
 
-def check_associativity(ctx, samples, rng):
+def check_associativity(ctx, samples, rng, cache):
     return _battery(ctx, _associative,
                     *_whole_elements(ctx, _generator(rng), 10 * samples, 3))
 
 
-def check_associativity_exhaustive(ctx, samples, rng):
+def check_associativity_exhaustive(ctx, samples, rng, cache):
     if ctx.total_bits > 12:
         raise CapExceededError("exhaustive-subset associativity kept small")
     subset = _draw(ctx, _generator(rng), 32)
@@ -415,7 +397,7 @@ def check_associativity_exhaustive(ctx, samples, rng):
                     *subset[np.indices((32, 32, 32)).reshape(3, -1)])
 
 
-def check_strategy_independence(ctx, samples, rng):
+def check_strategy_independence(ctx, samples, rng, cache):
     def independent(ops, words):
         halves = ops.mul(ops.evaluate_word(words[:, :10]),
                          ops.evaluate_word(words[:, 10:]))
@@ -424,10 +406,10 @@ def check_strategy_independence(ctx, samples, rng):
                     _draw_letters(ctx, _generator(rng), (samples, 20)))
 
 
-def check_inverse(ctx, samples, rng):
+def check_inverse(ctx, samples, rng, cache):
     # the reversed normal-form word of h is its set bits, highest first
     bits = np.array([1 << p for p in reversed(range(ctx.total_bits))],
-                    dtype=_dtype(ctx))
+                    dtype=element_dtype(ctx))
     def involution(ops, h):
         h_inv = ops.inv(h)
         return ((ops.mul(h, h_inv) == 0)
@@ -435,14 +417,14 @@ def check_inverse(ctx, samples, rng):
     return _battery(ctx, involution, _draw(ctx, _generator(rng), samples))
 
 
-def check_encoding_roundtrip(ctx, samples, rng):
+def check_encoding_roundtrip(ctx, samples, rng, cache):
     def one():
         h = _rand_elem(ctx, rng)
         return parse_element(ctx, format_element(ctx, h)) == h
     return _count_failures(one() for _ in range(samples))
 
 
-def check_coset_key_invariance(ctx, samples, rng):
+def check_coset_key_invariance(ctx, samples, rng, cache):
     def invariant(ops, h, gx, gy):
         return ((ops.x_coset_key(ops.mul(gx, h)) == ops.x_coset_key(h))
                 & (ops.y_coset_key(ops.mul(gy, h)) == ops.y_coset_key(h)))
@@ -466,7 +448,7 @@ def _gf2_rank(vectors: list[int]) -> int:
     return rank
 
 
-def check_derived_structure(ctx, samples, rng):
+def check_derived_structure(ctx, samples, rng, cache):
     u = ctx.n**2 * (ctx.n + 1) // 2
     basis = derived_basis(ctx)
     vectors = [h.m | (h.t << ctx.dim_w) for h in basis]
@@ -484,7 +466,7 @@ def check_derived_structure(ctx, samples, rng):
     return ("pass" if exp == act else "fail", exp, act)
 
 
-def check_abelianization_kernel(ctx, samples, rng):
+def check_abelianization_kernel(ctx, samples, rng, cache):
     if ctx.total_bits > 12:
         raise CapExceededError("exhaustive kernel check kept to 2^12")
     kernel = 0
@@ -499,7 +481,7 @@ def check_abelianization_kernel(ctx, samples, rng):
     return ("pass" if exp == act else "fail", exp, act)
 
 
-def check_group_exponent(ctx, samples, rng):
+def check_group_exponent(ctx, samples, rng, cache):
     if ctx.total_bits <= 12:
         orders = {order_of(ctx, h) for h in enumerate_elements(ctx)}
     else:
@@ -510,7 +492,7 @@ def check_group_exponent(ctx, samples, rng):
             {"orders": sorted(orders), "exponent": max(orders)})
 
 
-def check_hall_counts(ctx, samples, rng):
+def check_hall_counts(ctx, samples, rng, cache):
     rows = []
     ok = True
     for r in range(1, 11):
@@ -524,13 +506,13 @@ def check_hall_counts(ctx, samples, rng):
              "r4": (rows[3][1], rows[3][2])})
 
 
-def check_hall_tuples(ctx, samples, rng):
+def check_hall_tuples(ctx, samples, rng, cache):
     ok = all(hall.count_tuples(n, k) == len(hall.tuple_set(n, k))
              for n in range(2, 9) for k in hall.TUPLE_KINDS)
     return ("pass" if ok else "fail", True, ok)
 
 
-def check_hall_dimensions(ctx, samples, rng):
+def check_hall_dimensions(ctx, samples, rng, cache):
     rows = []
     ok = True
     for n in range(2, 11):
@@ -541,7 +523,7 @@ def check_hall_dimensions(ctx, samples, rng):
             {"ok": ok, "n2_row": rows[0]})
 
 
-def check_hall_special_sets(ctx, samples, rng):
+def check_hall_special_sets(ctx, samples, rng, cache):
     ok = all(hall.special_set_sizes(n).closed_form_consistent
              for n in range(2, 7))
     return ("pass" if ok else "fail", True, ok)
@@ -936,6 +918,10 @@ STRETCH_CHECKS = [
     ("aut-group-order", check_aut_group_order),
 ]
 
+# The checks of each suite; the stretch checks run in "all" only.
+SUITE_PARTS = (("core", CORE_CHECKS), ("graphs", GRAPH_CHECKS),
+               ("symmetry", SYMMETRY_CHECKS), ("all", STRETCH_CHECKS))
+
 
 def run_suite(n: int, suite: str = "all", samples: int = 10000,
               seed: int = 0, timing: bool = False) -> VerificationReport:
@@ -946,24 +932,13 @@ def run_suite(n: int, suite: str = "all", samples: int = 10000,
     report = VerificationReport(n, suite)
     cache: dict = {}
 
-    selected: list[tuple[str, object, bool]] = []
-    if suite in ("core", "all"):
-        selected += [(name, fn, False) for name, fn in CORE_CHECKS]
-    if suite in ("graphs", "all"):
-        selected += [(name, fn, True) for name, fn in GRAPH_CHECKS]
-    if suite in ("symmetry", "all"):
-        selected += [(name, fn, True) for name, fn in SYMMETRY_CHECKS]
-    if suite == "all":
-        selected += [(name, fn, True) for name, fn in STRETCH_CHECKS]
-
-    for name, fn, wants_cache in selected:
+    selected = [check for part, checks in SUITE_PARTS
+                if suite in (part, "all") for check in checks]
+    for name, fn in selected:
         rng = _rng(seed, name)
         t0 = time.perf_counter()
         try:
-            if wants_cache:
-                status, expected, actual = fn(ctx, samples, rng, cache)
-            else:
-                status, expected, actual = fn(ctx, samples, rng)
+            status, expected, actual = fn(ctx, samples, rng, cache)
         except CapExceededError as exc:
             status, expected, actual = "skip", None, str(exc)
         except Exception as exc:  # a crashed check is a failed check

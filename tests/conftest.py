@@ -14,8 +14,10 @@ class MutantContext(GroupContext):
     crossing the w-block) is deliberately wrong.
 
     "none" drops the w-over-x commutator entirely; "asym" drops its
-    symmetry normalisation, keeping only the pairs i < k.  Tables are
-    built from ``_phi_loop``, so both kernels see the mutation.
+    symmetry normalisation, keeping only the pairs i < k.  Both phi
+    computations carry the mutation: ``_phi_loop``, which the scalar
+    kernel runs, and the row formula ``phi_rows``, which the packed one
+    runs.
     """
 
     def __init__(self, n: int, mode: str):
@@ -33,6 +35,16 @@ class MutantContext(GroupContext):
                 for i in range(1, k):
                     row = (m >> ((i - 1) * n)) & self._mask_n
                     dt ^= row << (self.pair_index(i, k) * n)
+        return dt
+
+    def phi_rows(self, m, a):
+        if self.mode == "none":
+            return m & 0
+        n, dt = self.n, m & 0
+        for i in range(1, n + 1):
+            for k in range(i + 1, n + 1):
+                row = (m >> ((i - 1) * n)) & self._mask_n
+                dt ^= row * (a >> (k - 1) & 1) << (self.pair_index(i, k) * n)
         return dt
 
 

@@ -141,7 +141,8 @@ def test_criterion_04_identity_suites(n):
     }
     failures = {}
     for name, fn in checks.items():
-        status, _, actual = fn(ctx, SAMPLES, random.Random(f"acc:{name}:{n}"))
+        status, _, actual = fn(ctx, SAMPLES,
+                               random.Random(f"acc:{name}:{n}"), {})
         if status != "pass":
             failures[name] = actual
     report(f"criterion-04 identity suites n={n}", not failures,

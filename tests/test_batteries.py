@@ -1,5 +1,6 @@
-"""The identity batteries: packed evaluation on PackedOps, the scalar
-cross-check of the leading samples, and the scalar path above n = 3."""
+"""The identity batteries: packed evaluation on PackedOps at every rank,
+the scalar cross-check of the leading samples, and the two independent
+phi computations behind the two kernels."""
 
 import random
 from collections import Counter
@@ -10,6 +11,7 @@ import pytest
 from mixdih import verify
 from mixdih.bulk import packed_ops
 from mixdih.group import (
+    GroupContext,
     comm,
     conj,
     context,
@@ -34,7 +36,7 @@ REPORTED = {"associativity": lambda s: 10 * s,
 
 
 def run(name, ctx, samples=500, seed=0):
-    return CHECKS[name](ctx, samples, random.Random(seed))
+    return CHECKS[name](ctx, samples, random.Random(seed), {})
 
 
 def letters_of_words(ctx, words):
@@ -111,6 +113,24 @@ def test_packed_tables_match_closed_forms(n):
         assert int(ops.phi[idx]) == want
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_packed_phi_matches_collection_loop(n):
+    """phi as PackedOps computes it (the row formula, tabulated at
+    n <= 3) equals the collection loop of the scalar kernel: on every
+    (m, a) up to n = 4, on 2^16 random pairs at n = 5."""
+    ctx = context(n)
+    ops = packed_ops(ctx)
+    if n <= 4:
+        idx = np.arange(1 << (ctx.dim_w + n), dtype=ops.dtype)
+        m, a = idx >> n, idx & ctx._mask_n
+    else:
+        gen = np.random.default_rng(n)
+        m = verify._draw(ctx, gen, 1 << 16, ctx.dim_w)
+        a = verify._draw(ctx, gen, 1 << 16, n)
+    assert ops.phi_of(m << 2 * n, a).tolist() == \
+        [ctx._phi_loop(x, y) for x, y in zip(m.tolist(), a.tolist())]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_packed_comm_conj_match_scalar(n):
     ctx = context(n)
@@ -165,6 +185,22 @@ def test_only_the_cross_check_sees_a_zeroed_phi(monkeypatch, mutant):
     assert 0 < actual["failures"] <= CROSS_CHECK_SAMPLES
 
 
+class LoopOnlyMutant(GroupContext):
+    """phi dropped from the collection loop alone: the scalar kernel runs
+    the class-2 quotient, the packed row formula the true group."""
+
+    def _phi_loop(self, m, a):
+        return 0
+
+
+def test_cross_check_sees_a_wrong_collection_loop():
+    """Jacobi holds in both kernels, so only the cross-checked samples
+    can see that their values differ."""
+    status, _, actual = run("jacobi-identity", LoopOnlyMutant(2))
+    assert status == "fail"
+    assert 0 < actual["failures"] <= CROSS_CHECK_SAMPLES
+
+
 @pytest.mark.parametrize("mode", ["full", "asym", "none"])
 @pytest.mark.parametrize("name", BATTERIES)
 def test_verdict_matches_scalar_backend(name, mode, monkeypatch, mutant):
@@ -172,8 +208,17 @@ def test_verdict_matches_scalar_backend(name, mode, monkeypatch, mutant):
     on the mutated collection rules as well."""
     ctx = mutant(mode)
     packed = run(name, ctx)
-    monkeypatch.setattr(verify, "_packed_backend", lambda ctx: None)
+    monkeypatch.setattr(verify, "packed_ops", verify.ScalarOps)
     assert run(name, ctx) == packed
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_high_rank_core_matches_scalar_backend(n, monkeypatch):
+    """Above n = 3 too the packed kernel gives the report that group.py
+    gives on every sample."""
+    packed = run_suite(n, "core", samples=1000)
+    monkeypatch.setattr(verify, "packed_ops", verify.ScalarOps)
+    assert run_suite(n, "core", samples=1000) == packed
 
 
 def test_mutations_break_the_batteries(mutant):
@@ -206,7 +251,7 @@ def test_passing_reports_count_samples(n):
         assert c.expected == c.actual == {"failures": 0, "samples": want}
 
 
-def test_rank4_core_runs_on_the_scalar_kernel():
+def test_rank4_core_reports_sample_counts():
     rep = run_suite(4, "core", samples=200)
     assert Counter(c.status for c in rep.checks) == {"pass": 23, "skip": 4}
     checks = {c.name: c for c in rep.checks}

@@ -223,6 +223,13 @@ def test_gamma_rejects_broken_left_mul(monkeypatch, broken):
         build_gamma(context(2))
 
 
+def test_left_mul_takes_x_or_y_letters(ctx2):
+    # an s with both an a and a b block meets phi, which left_mul skips
+    ops = packed_ops(ctx2)
+    with pytest.raises(ValueError):
+        ops.left_mul(Element(a=1, b=1), ops.all_elements())
+
+
 def test_gamma_cap():
     with pytest.raises(CapExceededError):
         build_gamma(context(3))  # 2^24 vertices needs force
@@ -395,8 +402,9 @@ def test_sigma_rejects_corrupted_y_member(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_y_coset_paths_match_general_product(n):
-    # y_coset_key and y_coset read yx alone, mul and left_mul phi too:
-    # every element and key at n=2, 2^20 random ones at n=3
+    # y_coset_key, y_coset and left_mul read yx alone; each is compared
+    # with the general product, which reads phi too: every element and
+    # key at n=2, 2^20 random ones at n=3
     ctx = context(n)
     ops = packed_ops(ctx)
     half = graphs._half(ctx)
@@ -411,7 +419,9 @@ def test_y_coset_paths_match_general_product(n):
                           ctx.y_key(ops.mul(z & b_mask, z)))
     members, rep = ops.y_coset(keys), ctx.y_rep(keys)
     for c in range(1 << n):
-        assert np.array_equal(members[:, c], ops.left_mul(Element(b=c), rep))
+        want = ops.mul(np.full_like(rep, ctx.pack(Element(b=c))), rep)
+        assert np.array_equal(members[:, c], want)
+        assert np.array_equal(ops.left_mul(Element(b=c), rep), want)
 
 
 def test_sigma_row_blocks_match_default_build(monkeypatch, sigma2):

@@ -247,7 +247,7 @@ def test_corrupted_collection_detected(mutant):
     assert len(basis) == 16  # instead of 64
     # ...which the structure check of the battery flags
     from mixdih.verify import check_derived_structure
-    status, _, _ = check_derived_structure(bad, 100, random.Random(0))
+    status, _, _ = check_derived_structure(bad, 100, random.Random(0), {})
     assert status == "fail"
 
 
@@ -256,8 +256,8 @@ def test_asymmetric_collection_breaks_group_laws(mutant):
     Witt-Hall (pure consequence of associativity) fails."""
     bad = mutant("asym")
     from mixdih.verify import check_witt_hall, check_commutator_symmetry
-    status, _, _ = check_witt_hall(bad, 500, random.Random(0))
-    status2, _, _ = check_commutator_symmetry(bad, 0, random.Random(0))
+    status, _, _ = check_witt_hall(bad, 500, random.Random(0), {})
+    status2, _, _ = check_commutator_symmetry(bad, 0, random.Random(0), {})
     assert "fail" in (status, status2)
 
 

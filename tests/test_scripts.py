@@ -1,5 +1,6 @@
-"""Smoke runs of the experiment scripts at their n=2 defaults, each in a
-fresh interpreter, checking the exit code and the lines they print."""
+"""Smoke runs of the experiment scripts at their n=2 defaults (and of the
+ball scan at n=4), each in a fresh interpreter, checking the exit code
+and the lines they print."""
 
 import os
 import subprocess
@@ -10,12 +11,13 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_script(name):
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name)],
-                          capture_output=True, text=True, env=env, timeout=300)
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
+        capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -47,3 +49,9 @@ def test_script_runs(name):
     lines = run_script(name)
     for line in EXPECTED[name]:
         assert line in lines
+
+
+def test_ball_scan_at_rank_four():
+    lines = run_script("ball_scan.py", "--n", "4", "--max-radius", "4")
+    assert "n=4: |S'| = 225 distinct commutators [x,y]" in lines
+    assert "radius 4: 226 derived elements  <- {1} u S'" in lines

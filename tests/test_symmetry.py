@@ -609,7 +609,10 @@ def test_ball_radius_two(ctx2):
     assert ball_intersect_derived(ctx2, 2) == [IDENTITY]
 
 
-@pytest.mark.parametrize("n,count", [(2, 9), (3, 49)])
+@pytest.mark.parametrize("n,count", [
+    (2, 9), (3, 49), (4, 225),
+    pytest.param(5, 961, marks=pytest.mark.slow),
+])
 def test_ball_radius_four(n, count):
     ctx = context(n)
     ball = ball_intersect_derived(ctx, 4)
