@@ -64,9 +64,9 @@ class PackedOps:
         self.ctx = ctx
         self.n = ctx.n
         self.dtype = element_dtype(ctx)
-        # Shifts and masks in the element dtype: numpy reuses temporary
-        # arrays in place only when the other operand has their dtype.
-        c = np.dtype(self.dtype).type
+        # Shifts, masks and other scalars in the element dtype: numpy reuses
+        # temporary arrays in place only when the other operand has theirs.
+        self.scalar = c = np.dtype(self.dtype).type
         self.mask_n, self.mask_w = c(ctx._mask_n), c(ctx._mask_w)
         self.sn, self.s2n, self.snn = c(self.n), c(2 * self.n), c(ctx.dim_w)
         self.yx = np.array(

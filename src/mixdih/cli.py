@@ -159,6 +159,8 @@ def cmd_verify(args) -> int:
             line = f"{c.name}: {c.status}"
             if c.status == "fail":
                 line += f"  (expected {c.expected!r}, got {c.actual!r})"
+            if args.timing:
+                line += f"  [{c.runtime_ms} ms]"
             print(line)
         print(f"overall: {report.overall}")
     return 0 if report.overall == "pass" else 1

@@ -250,7 +250,7 @@ class Sigma:
         """X and Y ends of the edges of the packed elements z, read off
         their coset keys (the vertex ids of :func:`coset_vertex`)."""
         ops = packed_ops(self.ctx)
-        return ops.x_coset_key(z), ops.y_coset_key(z) + np.uint32(self.half)
+        return ops.x_coset_key(z), ops.y_coset_key(z) + ops.scalar(self.half)
 
     def x_rows(self) -> np.ndarray:
         """The built X rows, one (sorted) row of 2^n Y ids per X key; a
@@ -260,6 +260,17 @@ class Sigma:
         if nb.shape[1] != 1 << self.ctx.n:
             raise GraphConsistencyError("rows are not of length 2^n")
         return nb[:self.half]
+
+    def row_mismatches(self) -> int:
+        """Entries where a built X row differs from the sorted Y ends of
+        its elements (k << n) | a, compared ROW_CHUNK rows at a time."""
+        n, xrows, count = self.ctx.n, self.x_rows(), 0
+        for lo in range(0, self.half, ROW_CHUNK):
+            hi = min(lo + ROW_CHUNK, self.half)
+            z = np.arange(lo << n, hi << n, dtype=packed_ops(self.ctx).dtype)
+            v = self.edge_ends(z)[1].reshape(hi - lo, -1)
+            count += int(np.count_nonzero(np.sort(v, axis=1) != xrows[lo:hi]))
+        return count
 
 
 def _half(ctx: GroupContext) -> int:
@@ -315,9 +326,9 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     rows = np.empty((nv, degree), dtype=_index_dtype(nv))
     for lo in range(0, half, ROW_CHUNK):
         hi = min(lo + ROW_CHUNK, half)
-        xkeys = np.arange(lo, hi, dtype=np.uint32)
+        xkeys = np.arange(lo, hi, dtype=ops.dtype)
         z = np.arange(lo << ctx.n, hi << ctx.n,
-                      dtype=np.uint32).reshape(hi - lo, degree)
+                      dtype=ops.dtype).reshape(hi - lo, degree)
         ykeys = ops.y_coset_key(z)
         order = np.argsort(ykeys, axis=1)
         ykeys = np.take_along_axis(ykeys, order, axis=1)
@@ -329,7 +340,7 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
         rows[lo:hi] = ykeys + half
     for lo in range(0, half, ROW_CHUNK):
         hi = min(lo + ROW_CHUNK, half)
-        members = ops.y_coset(np.arange(lo, hi, dtype=np.uint32))
+        members = ops.y_coset(np.arange(lo, hi, dtype=ops.dtype))
         rows[half + lo:half + hi] = np.sort(ops.x_coset_key(members), axis=1)
     sides = np.zeros(nv, dtype=np.uint8)
     sides[half:] = 1

@@ -18,10 +18,12 @@ module owns the other three: ``color_refinement`` (behind
 ``autgroup``), ``orbits`` and the automorphism predicate
 ``is_graph_automorphism``.
 
-Edge transitivity has one exhaustive check at every rank:
-``edge_regular_witness`` checks that the built rows are the edges of the
-group elements, and that each of the 2n ``generator_actions`` moves the
-edge of z to the edge of z*h, for every element z.
+Edge transitivity has one exhaustive witness at every rank,
+``edge_regular_witness``, with two counts: the row count of
+``Sigma.row_mismatches`` (the built rows are the edges of the group
+elements), and the action count (each of the 2n ``generator_actions``
+moves the edge of z to the edge of z*h, for every element z).  The
+action count alone also gives the right action's homomorphism property.
 ``semisymmetry_certificate`` only combines that witness, the local 2-arc
 report and the base-vertex ``layer_certificate``.
 
@@ -78,8 +80,8 @@ def _vertex_permutation(ctx: GroupContext, sigma: Sigma,
     back to its coset key.  int32 wherever the vertex ids fit."""
     ops = packed_ops(ctx)
     half = sigma.half
-    keys = np.arange(half, dtype=np.uint32)  # both sides have half keys
-    perm = np.concatenate([ops.x_coset_key(image(keys << np.uint32(ctx.n))),
+    keys = np.arange(half, dtype=ops.dtype)  # both sides have half keys
+    perm = np.concatenate([ops.x_coset_key(image(keys << ops.sn)),
                            ops.y_coset_key(image(ctx.y_rep(keys))) + half])
     return perm.astype(_index_dtype(2 * half))
 
@@ -433,40 +435,34 @@ def commutator_square(ctx: GroupContext) -> list[Element]:
 def edge_regular_witness(ctx: GroupContext, sigma: Sigma,
                          actions: Sequence[VertexPermutation]) -> dict:
     """Exhaustive witness that the group acts on the edges of the built
-    graph as its right regular action.
+    graph as its right regular action, with two counts.
 
-    The edge of element z has ends X(z) and Y(z) (``Sigma.edge_ends``).
-    The elements go ROW_CHUNK X rows at a time.  In each block the sorted
-    Y ends of the row's elements must be the built X row, so the edges
-    named are the graph's; each differing row entry is a mismatch.  Then
-    for each generator h, with vertex action p_h from
-    ``generator_actions``, p_h(X(z)) = X(z*h) and p_h(Y(z)) = Y(z*h) for
-    every z; each failing (generator, element) pair is a mismatch.  The
-    generators generate the group, so it acts on the edges as on itself,
-    which is transitive.  The product z * h is the one-letter rule
-    ``PackedOps.mul_gen`` while p_h comes from the closed-form
-    ``PackedOps.mul``, so the witness also checks the two kernels against
-    each other on every such product.
+    ``row_mismatches`` is ``Sigma.row_mismatches``: 0 says the built rows
+    are the edges {X(z), Y(z)} of the elements z (``Sigma.edge_ends``).
+    ``action_mismatches`` counts the pairs (generator h, element z), in
+    blocks of ROW_CHUNK * 2^n elements, where p_h from ``actions`` fails
+    p_h(X(z)) = X(z*h) or p_h(Y(z)) = Y(z*h).  With both 0 the generators
+    move edges as right multiplication moves elements, and the group acts
+    on itself transitively.  z*h is the one-letter rule
+    ``PackedOps.mul_gen`` and p_h the closed-form ``PackedOps.mul``, so
+    the two kernels are also compared on every such product.
     """
     ops = packed_ops(ctx)
-    num_edges = sigma.graph.num_edges
-    gens = [np.uint32(ctx.pack(h)) for h in _xy_generators(ctx)]
+    gens = [ops.scalar(ctx.pack(h)) for h in _xy_generators(ctx)]
     if len(actions) != len(gens):
         raise ValueError(f"need {len(gens)} generator actions")
-    xrows = sigma.x_rows()
-    mismatches = 0
-    for lo in range(0, sigma.half, ROW_CHUNK):
-        hi = min(lo + ROW_CHUNK, sigma.half)
-        z = np.arange(lo << ctx.n, hi << ctx.n, dtype=np.uint32)
+    rows, moved = sigma.row_mismatches(), 0
+    size, step = 1 << ctx.total_bits, ROW_CHUNK << ctx.n
+    for lo in range(0, size, step):
+        z = np.arange(lo, min(lo + step, size), dtype=ops.dtype)
         u, v = sigma.edge_ends(z)
-        mismatches += int(np.count_nonzero(
-            np.sort(v.reshape(hi - lo, -1), axis=1) != xrows[lo:hi]))
         for h, p in zip(gens, actions):
             hu, hv = sigma.edge_ends(ops.mul_gen(z, h))
-            mismatches += int(np.count_nonzero((hu != p[u]) | (hv != p[v])))
-    return {"generators": len(gens), "edges": num_edges,
-            "mismatches": mismatches, "edge_transitive":
-            mismatches == 0 and num_edges == 1 << ctx.total_bits}
+            moved += int(np.count_nonzero((hu != p[u]) | (hv != p[v])))
+    edges = sigma.graph.num_edges
+    return {"generators": len(gens), "edges": edges, "row_mismatches": rows,
+            "action_mismatches": moved,
+            "edge_transitive": rows == moved == 0 and edges == size}
 
 
 def layer_certificate(g: GraphData, root_u: int, root_v: int) -> dict:

@@ -264,8 +264,8 @@ def test_criterion_09_side_orbits_n3(ctx3, sigma3):
 @pytest.mark.slow
 def test_criterion_09_edge_regular_n3(ctx3, sigma3):
     w = edge_regular_witness(ctx3, sigma3, generator_actions(ctx3, sigma3))
-    ok = w == {"generators": 6, "edges": 2**24, "mismatches": 0,
-               "edge_transitive": True}
+    ok = w == {"generators": 6, "edges": 2**24, "row_mismatches": 0,
+               "action_mismatches": 0, "edge_transitive": True}
     report("criterion-09 group regular on the edges n=3", ok,
            "6 generators moved every one of 2^24 edges as the bijection says")
 

@@ -2,6 +2,7 @@
 byte-for-byte determinism of reports."""
 
 import json
+import re
 
 from mixdih.cli import main
 
@@ -115,6 +116,19 @@ def test_verify_json_deterministic(capsys):
     assert "jacobi-identity" in names
     assert all(set(c) == {"name", "status", "expected", "actual",
                           "runtime_ms"} for c in report["checks"])
+
+
+def test_verify_timing_appends_runtimes(capsys):
+    args = ["verify", "--n", "2", "--suite", "graphs", "--samples", "50"]
+    code, plain, _ = run_cli(capsys, *args)
+    code_timed, timed, _ = run_cli(capsys, *args, "--timing")
+    assert code == code_timed == 0
+    lines, timed_lines = plain.splitlines(), timed.splitlines()
+    assert "coset-graph-stats: pass" in lines  # no runtime without --timing
+    assert lines[-1] == timed_lines[-1] == "overall: pass"
+    assert len(lines) == len(timed_lines) == 8
+    for line, timed_line in zip(lines[:-1], timed_lines[:-1]):
+        assert re.fullmatch(re.escape(line) + r"  \[\d+ ms\]", timed_line)
 
 
 def test_diagram_x(capsys):

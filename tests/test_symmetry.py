@@ -173,8 +173,8 @@ def test_right_action_homomorphism(ctx2, sigma2):
 def test_right_action_edge_regular(ctx2, sigma2):
     actions = generator_actions(ctx2, sigma2)
     assert edge_regular_witness(ctx2, sigma2, actions) == {
-        "generators": 4, "edges": 1024, "mismatches": 0,
-        "edge_transitive": True}
+        "generators": 4, "edges": 1024, "row_mismatches": 0,
+        "action_mismatches": 0, "edge_transitive": True}
     # reference: close the base-edge orbit under the generator actions,
     # with each image edge found among the sorted edge keys
     g = sigma2.graph
@@ -213,11 +213,13 @@ def test_witness_sees_swapped_edge_ids(ctx2, sigma2, y_neighbor_moved,
     # unchanged: only the checks that read the built rows can see it
     bad = y_neighbor_moved(sigma2, 0, 200)
     w = edge_regular_witness(ctx2, bad, generator_actions(ctx2, bad))
-    assert w["mismatches"] > 0 and not w["edge_transitive"]
+    assert w["row_mismatches"] > 0 and not w["edge_transitive"]
+    assert w["action_mismatches"] == 0
     monkeypatch.setattr(graphs, "build_sigma", lambda ctx, force=False: bad)
     got = statuses(run_suite(2, "symmetry"))
     assert got["edge-regular-action"] == "fail"
     assert got["semisymmetry-certificate"] == "fail"
+    assert got["right-action-homomorphism"] == "pass"  # the action is right
 
 
 @pytest.mark.parametrize("pair", [[0, 1], [256, 257]], ids=["X", "Y"])
@@ -232,11 +234,19 @@ def test_witness_sees_a_corrupted_generator_action(ctx2, sigma2, pair,
         return actions
 
     w = edge_regular_witness(ctx2, sigma2, corrupted(ctx2, sigma2))
-    assert w["mismatches"] > 0 and not w["edge_transitive"]
+    assert w["action_mismatches"] > 0 and not w["edge_transitive"]
     monkeypatch.setattr(symmetry, "generator_actions", corrupted)
     got = statuses(run_suite(2, "symmetry"))
     assert got["edge-regular-action"] == "fail"
     assert got["right-action-automorphism"] == "fail"
+    assert got["right-action-homomorphism"] == "fail"
+
+
+def test_homomorphism_check_covers_the_group_without_samples():
+    checks = {c.name: c for c in run_suite(2, "symmetry", samples=0).checks}
+    hom = checks["right-action-homomorphism"]
+    assert hom.status == "pass"
+    assert hom.actual == {"generators": 4, "elements": 1024, "mismatches": 0}
 
 
 def test_side_orbits_see_an_action_that_swaps_the_sides(monkeypatch):
