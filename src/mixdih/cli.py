@@ -251,10 +251,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (EncodingError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapExceededError as exc:
+    except (EncodingError, ValueError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

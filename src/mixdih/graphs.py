@@ -262,14 +262,18 @@ class Sigma:
         return nb[:self.half]
 
     def row_mismatches(self) -> int:
-        """Entries where a built X row differs from the sorted Y ends of
-        its elements (k << n) | a, compared ROW_CHUNK rows at a time."""
-        n, xrows, count = self.ctx.n, self.x_rows(), 0
-        for lo in range(0, self.half, ROW_CHUNK):
-            hi = min(lo + ROW_CHUNK, self.half)
-            z = np.arange(lo << n, hi << n, dtype=packed_ops(self.ctx).dtype)
-            v = self.edge_ends(z)[1].reshape(hi - lo, -1)
-            count += int(np.count_nonzero(np.sort(v, axis=1) != xrows[lo:hi]))
+        """Entries where a built row differs from its closed form, ROW_CHUNK
+        keys at a time: X row k against the sorted Y ends of its elements
+        (k << n) | a, and Y row k against :func:`y_rows` of k."""
+        ctx, n, half, count = self.ctx, self.ctx.n, self.half, 0
+        xrows, yrows = self.x_rows(), self.graph.neighbor_table()[half:]
+        for lo in range(0, half, ROW_CHUNK):
+            hi = min(lo + ROW_CHUNK, half)
+            keys = np.arange(lo, hi, dtype=packed_ops(ctx).dtype)
+            z = np.arange(lo << n, hi << n, dtype=keys.dtype)
+            v = np.sort(self.edge_ends(z)[1].reshape(hi - lo, -1), axis=1)
+            count += int(np.count_nonzero(v != xrows[lo:hi]))
+            count += int(np.count_nonzero(y_rows(ctx, keys) != yrows[lo:hi]))
         return count
 
 
@@ -303,6 +307,13 @@ def vertex_rep(ctx: GroupContext, vid: int) -> Element:
     return ctx.unpack(ctx.y_rep(vid - half))
 
 
+def y_rows(ctx: GroupContext, keys: np.ndarray) -> np.ndarray:
+    """The Y rows of the given Y keys in closed form: the sorted X keys of
+    each coset's members y^c * rep(r), one row per key."""
+    ops = packed_ops(ctx)
+    return np.sort(ops.x_coset_key(ops.y_coset(keys)), axis=1)
+
+
 def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     """Build the coset-intersection graph from its edges {X-coset(z),
     Y-coset(z)}, one for each element z of the group.
@@ -311,12 +322,12 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     X-coset key k owns the block (k << n) | a of the element order, so
     its row is the sorted Y keys of that block, and the edges sorted by
     (u, v) are the X rows in order, built ROW_CHUNK rows at a time.
-    The Y row of key r is the sorted X keys of the coset members
-    y^c * rep(r), built in the same row blocks.  The build asserts that
-    z -> edge is injective (strictly increasing X rows) and that the Y
-    rows are the transpose of the X rows: the element of every edge is
-    y^b * rep(r), r its Y key and b the b block of its X key, so with
-    strictly increasing Y rows each member (r, c) is one edge's element.
+    Each block also builds the Y rows of the same keys, from their closed
+    form :func:`y_rows`.  The build asserts that z -> edge is injective
+    (strictly increasing X rows) and that the Y rows are the transpose of
+    the X rows: the element of every edge is y^b * rep(r), r its Y key
+    and b the b block of its X key, so with strictly increasing Y rows
+    each member (r, c) is one edge's element.
     """
     half = _half(ctx)
     nv = 2 * half
@@ -338,10 +349,7 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
             raise GraphConsistencyError(
                 "Y rows are not the transpose of X rows")
         rows[lo:hi] = ykeys + half
-    for lo in range(0, half, ROW_CHUNK):
-        hi = min(lo + ROW_CHUNK, half)
-        members = ops.y_coset(np.arange(lo, hi, dtype=ops.dtype))
-        rows[half + lo:half + hi] = np.sort(ops.x_coset_key(members), axis=1)
+        rows[half + lo:half + hi] = y_rows(ctx, xkeys)  # Y keys lo..hi-1
     sides = np.zeros(nv, dtype=np.uint8)
     sides[half:] = 1
     labels = None

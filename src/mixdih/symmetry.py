@@ -15,17 +15,17 @@ Each shared graph algorithm has one implementation.  BFS is
 ``graphs.bfs_distances`` (``graphs.bfs_layers`` counts its layers).  This
 module owns the other three: ``color_refinement`` (behind
 ``equitable_refinement`` and the individualization-refinement search in
-``autgroup``), ``orbits`` and the automorphism predicate
-``is_graph_automorphism``.
+``autgroup``), ``orbits`` and ``is_graph_automorphism``, the one edge-map
+predicate (an automorphism, or with a target graph an isomorphism).
 
 Edge transitivity has one exhaustive witness at every rank,
 ``edge_regular_witness``, with two counts: the row count of
-``Sigma.row_mismatches`` (the built rows are the edges of the group
-elements), and the action count (each of the 2n ``generator_actions``
-moves the edge of z to the edge of z*h, for every element z).  The
-action count alone also gives the right action's homomorphism property.
-``semisymmetry_certificate`` only combines that witness, the local 2-arc
-report and the base-vertex ``layer_certificate``.
+``Sigma.row_mismatches`` (the built rows of both sides are the edges of
+the elements z), and the action count (each of the 2n generator actions
+moves the edge of z to the edge of z*h).  The action count gives the
+right action's homomorphism property, and both counts with a permutation
+test its automorphism property.  ``semisymmetry_certificate`` combines
+the witness, the local 2-arc report and the base ``layer_certificate``.
 
 Vertex intransitivity is certified by a side-separating invariant (the BFS
 layer profile) rather than a full automorphism search: an automorphism
@@ -141,21 +141,23 @@ def is_permutation(perm: VertexPermutation) -> bool:
     return bool(np.array_equal(np.sort(perm), np.arange(len(perm))))
 
 
-def is_graph_automorphism(g: GraphData, perm: VertexPermutation) -> bool:
-    """Adjacency preservation, row by row of the neighbor table: the sorted
-    images of N(v) must be N(perm[v]) for every v.  Padding (-1) stays -1
-    and sorts last, so the degrees must match too."""
-    if len(perm) != g.num_vertices or not is_permutation(perm):
-        return False
-    nb = g.neighbor_table()
+def is_graph_automorphism(g: GraphData, perm: VertexPermutation,
+                          target: GraphData | None = None) -> bool:
+    """Whether the permutation perm maps g's edges onto target's (default
+    g's own: an automorphism), row by row of the neighbor tables: the
+    sorted images of N_g(v) must be N_target(perm[v]) for every v.
+    Padding (-1) stays -1 and sorts last, so the degrees must match too."""
     nv = g.num_vertices
+    nb, tb = g.neighbor_table(), (target or g).neighbor_table()
+    if not (len(perm) == nv == len(tb) and is_permutation(perm)):
+        return False
     padded = np.append(perm, nv)  # padding -1 reads nv, which sorts last
     for lo in range(0, nv, ROW_CHUNK):
         img = padded[nb[lo:lo + ROW_CHUNK]]
         img.sort(axis=1)
         img[img == nv] = -1
         if not np.array_equal(
-                img, np.take(nb, perm[lo:lo + ROW_CHUNK], axis=0)):
+                img, np.take(tb, perm[lo:lo + ROW_CHUNK], axis=0)):
             return False
     return True
 
@@ -438,7 +440,7 @@ def edge_regular_witness(ctx: GroupContext, sigma: Sigma,
     graph as its right regular action, with two counts.
 
     ``row_mismatches`` is ``Sigma.row_mismatches``: 0 says the built rows
-    are the edges {X(z), Y(z)} of the elements z (``Sigma.edge_ends``).
+    of both sides are the edges {X(z), Y(z)} of the elements z.
     ``action_mismatches`` counts the pairs (generator h, element z), in
     blocks of ROW_CHUNK * 2^n elements, where p_h from ``actions`` fails
     p_h(X(z)) = X(z*h) or p_h(Y(z)) = Y(z*h).  With both 0 the generators

@@ -616,16 +616,6 @@ def check_edge_bijection(ctx, samples, rng, cache):
             "ok" if ok else "mismatch")
 
 
-def _maps_edges_onto(perm, src, dst) -> bool:
-    """Whether the vertex map perm sends the edges of src onto dst's."""
-    su, sv = src.edge_array()
-    pu, pv = perm[su], perm[sv]
-    du, dv = dst.edge_array()
-    nv = np.int64(dst.num_vertices)
-    return bool(np.array_equal(
-        np.sort(np.minimum(pu, pv) * nv + np.maximum(pu, pv)), du * nv + dv))
-
-
 def check_clique_duality(ctx, samples, rng, cache):
     if ctx.total_bits > 12:
         raise CapExceededError("clique enumeration kept to 2^12 vertices")
@@ -651,8 +641,8 @@ def check_clique_duality(ctx, samples, rng, cache):
             all_cosets = False
             break
         coset_ids.append(found)
-    iso = all_cosets and _maps_edges_onto(
-        np.array(coset_ids), gr.clique_graph(gamma), sig.graph)
+    iso = all_cosets and sym.is_graph_automorphism(
+        gr.clique_graph(gamma), np.array(coset_ids), sig.graph)
     act = {"count": len(cliques),
            "size": len(cliques[0]) if cliques else 0,
            "all_cosets": all_cosets, "clique_graph_isomorphic": iso}
@@ -666,13 +656,12 @@ def check_line_graph_duality(ctx, samples, rng, cache):
     sig = _sigma(ctx, cache)
     lg = gr.line_graph(sig.graph)
     # phi[z] is the position of the edge of z in sorted (u, v) order, the
-    # line graph's vertex id
+    # line graph's vertex id: the inverse of the sorting permutation
     u, v = sig.edge_ends(packed_ops(ctx).all_elements())
-    phi = np.empty(len(u), dtype=np.int64)
-    phi[np.lexsort((v, u))] = np.arange(len(u))
+    phi = np.argsort(np.lexsort((v, u)))
     ok = (lg.num_vertices == gamma.num_vertices
           and lg.num_edges == gamma.num_edges
-          and _maps_edges_onto(phi, gamma, lg))
+          and sym.is_graph_automorphism(gamma, phi, lg))
     return ("pass" if ok else "fail",
             "line graph of the coset graph = Cayley graph under phi",
             "ok" if ok else "mismatch")
@@ -688,7 +677,7 @@ def check_quotient_cover(ctx, samples, rng, cache):
            "valency": two_n, "complete_bipartite": True,
            "fiber_size": sig.half // two_n}
     act = {"vertices": q.num_vertices, "edges": q.num_edges,
-           "valency": int(q.degrees()[0]), "complete_bipartite": complete,
+           "valency": _valency(q), "complete_bipartite": complete,
            "fiber_size": sig.half // two_n}
     return ("pass" if exp == act else "fail", exp, act)
 
@@ -717,9 +706,13 @@ def check_export_roundtrip(ctx, samples, rng, cache):
 # -- symmetry checks -----------------------------------------------------------
 
 def check_right_action_automorphism(ctx, samples, rng, cache):
-    # automorphisms compose, so the generators of the group suffice
-    sig = _sigma(ctx, cache)
-    return _count_failures(sym.is_graph_automorphism(sig.graph, p)
+    # With both witness counts 0 the built edge set E (rows of both sides)
+    # is {{X(z), Y(z)}}, and p_h sends the edge of z to the edge of z*h,
+    # so p_h(E) lies in E.  A permutation is injective on edges, so
+    # p_h(E) = E.  Automorphisms compose, so the generators suffice.
+    w = _witness(ctx, cache)
+    edges_move = w["row_mismatches"] == w["action_mismatches"] == 0
+    return _count_failures(edges_move and sym.is_permutation(p)
                            for p in _actions(ctx, cache))
 
 

@@ -1,4 +1,4 @@
-"""Shared fixtures: mutated collection rules and a corrupted coset graph
+"""Shared fixtures: mutated collection rules and corrupted coset graphs
 for the mutation tests."""
 
 import dataclasses
@@ -56,19 +56,27 @@ def mutant():
         else MutantContext(2, mode)
 
 
-def with_y_neighbor_moved(sigma, x1, x2, resort=True):
-    """sigma with the first Y neighbors of X rows x1 and x2 exchanged, so
-    two elements' edges change their Y ends.  With resort both rows are
-    re-sorted (still regular, with strictly increasing rows); without it
-    the moved entries stay first, out of order."""
+def _first_neighbors_swapped(sigma, r1, r2, resort):
+    """sigma with the first neighbors of rows r1 and r2 exchanged; with
+    resort both rows are re-sorted (still regular, with strictly
+    increasing rows), without it the moved entries stay first, out of
+    order.  The other side's rows stay as built."""
     g = sigma.graph
     rows = g.indices.copy().reshape(g.num_vertices, -1)
-    pair = rows[[x1, x2]]
+    pair = rows[[r1, r2]]
     assert pair[0, 0] != pair[1, 0] and not set(pair[0]) & set(pair[1])
     pair[:, 0] = pair[::-1, 0]
-    rows[[x1, x2]] = np.sort(pair, axis=1) if resort else pair
+    rows[[r1, r2]] = np.sort(pair, axis=1) if resort else pair
     return dataclasses.replace(
         sigma, graph=dataclasses.replace(g, indices=rows.ravel()))
+
+
+def with_y_neighbor_moved(sigma, x1, x2, resort=True):
+    """sigma with the first Y neighbors of X rows x1 and x2 exchanged, so
+    two elements' edges change their Y ends; see
+    :func:`_first_neighbors_swapped` for resort."""
+    assert max(x1, x2) < sigma.half
+    return _first_neighbors_swapped(sigma, x1, x2, resort)
 
 
 @pytest.fixture
@@ -76,3 +84,17 @@ def y_neighbor_moved():
     """y_neighbor_moved(sigma, x1, x2, resort=True): see
     :func:`with_y_neighbor_moved`."""
     return with_y_neighbor_moved
+
+
+def with_x_neighbor_moved(sigma, y1, y2):
+    """sigma with the first X neighbors of Y rows y1 and y2 exchanged and
+    both rows re-sorted.  The X rows stay as built, so only a check that
+    reads the Y rows can see the change."""
+    assert min(y1, y2) >= sigma.half
+    return _first_neighbors_swapped(sigma, y1, y2, resort=True)
+
+
+@pytest.fixture
+def x_neighbor_moved():
+    """x_neighbor_moved(sigma, y1, y2): see :func:`with_x_neighbor_moved`."""
+    return with_x_neighbor_moved

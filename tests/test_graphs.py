@@ -450,6 +450,17 @@ def test_edge_bijection_check_is_exhaustive(ctx2, sigma2, y_neighbor_moved,
     assert (status, actual) == ("fail", "mismatch")
 
 
+def test_duality_checks_see_a_y_neighbor_moved(sigma2, y_neighbor_moved,
+                                               monkeypatch):
+    bad = y_neighbor_moved(sigma2, 0, 200)
+    monkeypatch.setattr(graphs, "build_sigma", lambda ctx, force=False: bad)
+    got = {c.name: c for c in run_suite(2, "graphs").checks}
+    assert got["clique-coset-duality"].status == "fail"
+    assert got["clique-coset-duality"].actual["clique_graph_isomorphic"] \
+        is False
+    assert got["line-graph-duality"].status == "fail"
+
+
 def test_sigma_vertex_ids_sorted_by_encoding(ctx2, sigma2):
     # X-side ids ascend with the representative encoding
     reps = [ctx2.pack(vertex_rep(ctx2, v)) for v in range(sigma2.half)]

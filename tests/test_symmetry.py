@@ -50,6 +50,7 @@ from mixdih.verify import (
     EXPECTED_LAYERS_X_N2,
     EXPECTED_LAYERS_Y_N2,
     check_edge_bijection,
+    check_right_action_automorphism,
     run_suite,
 )
 
@@ -219,7 +220,43 @@ def test_witness_sees_swapped_edge_ids(ctx2, sigma2, y_neighbor_moved,
     got = statuses(run_suite(2, "symmetry"))
     assert got["edge-regular-action"] == "fail"
     assert got["semisymmetry-certificate"] == "fail"
+    assert got["right-action-automorphism"] == "fail"
     assert got["right-action-homomorphism"] == "pass"  # the action is right
+
+
+def test_checks_see_a_y_row_moved(ctx2, sigma2, x_neighbor_moved,
+                                  monkeypatch):
+    # Y rows 256 and 456 exchange an X neighbor; the X rows, the coset
+    # keys and the generator actions are unchanged, so only a check that
+    # reads the Y rows can see it
+    bad = x_neighbor_moved(sigma2, 256, 456)
+    w = edge_regular_witness(ctx2, bad, generator_actions(ctx2, bad))
+    assert w["row_mismatches"] > 0 and w["action_mismatches"] == 0
+    monkeypatch.setattr(graphs, "build_sigma", lambda ctx, force=False: bad)
+    got = statuses(run_suite(2, "graphs")) | statuses(run_suite(2, "symmetry"))
+    for name in ("edge-regular-action", "right-action-automorphism",
+                 "semisymmetry-certificate", "edge-bijection",
+                 "clique-coset-duality"):
+        assert got[name] == "fail", name
+
+
+def test_derived_automorphism_check_agrees_with_the_predicate(ctx2, sigma2):
+    # each case stands in for one generator's action: the derived check
+    # (witness counts plus a permutation test) and the row-wise predicate
+    # must give the same verdict
+    actions = generator_actions(ctx2, sigma2)
+    cases = []
+    for i, p in enumerate(actions):
+        swapped, repeated = p.copy(), p.copy()
+        swapped[[0, 1]] = swapped[[1, 0]]  # X vertices 0 and 1
+        repeated[1] = repeated[0]  # not a permutation
+        cases += [(i, p, "pass"), (i, swapped, "fail"), (i, repeated, "fail")]
+    for i, p, want in cases:
+        acts = actions[:i] + [p] + actions[i + 1:]
+        status, _, _ = check_right_action_automorphism(
+            ctx2, 0, random.Random(0), {"sigma": sigma2, "actions": acts})
+        routes = all(is_graph_automorphism(sigma2.graph, q) for q in acts)
+        assert status == want and (status == "pass") == routes
 
 
 @pytest.mark.parametrize("pair", [[0, 1], [256, 257]], ids=["X", "Y"])
