@@ -11,6 +11,7 @@ the edge-regularity checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -261,19 +262,21 @@ class Sigma:
             raise GraphConsistencyError("rows are not of length 2^n")
         return nb[:self.half]
 
+    @cached_property
     def row_mismatches(self) -> int:
-        """Entries where a built row differs from its closed form, ROW_CHUNK
-        keys at a time: X row k against the sorted Y ends of its elements
-        (k << n) | a, and Y row k against :func:`y_rows` of k."""
-        ctx, n, half, count = self.ctx, self.ctx.n, self.half, 0
+        """Entries where a built row differs from its closed form
+        :func:`coset_rows`, on both sides, ROW_CHUNK keys at a time.
+        Counted once per Sigma; a ``dataclasses.replace`` copy counts its
+        own rows."""
+        ctx, half, count = self.ctx, self.half, 0
         xrows, yrows = self.x_rows(), self.graph.neighbor_table()[half:]
         for lo in range(0, half, ROW_CHUNK):
             hi = min(lo + ROW_CHUNK, half)
             keys = np.arange(lo, hi, dtype=packed_ops(ctx).dtype)
-            z = np.arange(lo << n, hi << n, dtype=keys.dtype)
-            v = np.sort(self.edge_ends(z)[1].reshape(hi - lo, -1), axis=1)
-            count += int(np.count_nonzero(v != xrows[lo:hi]))
-            count += int(np.count_nonzero(y_rows(ctx, keys) != yrows[lo:hi]))
+            x = coset_rows(ctx, "X", keys) + half  # Y ids are half + key
+            count += int(np.count_nonzero(x != xrows[lo:hi]))
+            y = coset_rows(ctx, "Y", keys)
+            count += int(np.count_nonzero(y != yrows[lo:hi]))
         return count
 
 
@@ -307,10 +310,17 @@ def vertex_rep(ctx: GroupContext, vid: int) -> Element:
     return ctx.unpack(ctx.y_rep(vid - half))
 
 
-def y_rows(ctx: GroupContext, keys: np.ndarray) -> np.ndarray:
-    """The Y rows of the given Y keys in closed form: the sorted X keys of
-    each coset's members y^c * rep(r), one row per key."""
+def coset_rows(ctx: GroupContext, side: str, keys: np.ndarray) -> np.ndarray:
+    """The rows of the cosets with these keys on one side ("X" or "Y") in
+    closed form, one sorted row of the other side's keys per key: for an
+    X key k the Y keys of its members (k << n) | a, for a Y key r the X
+    keys of its members y^c * rep(r)."""
     ops = packed_ops(ctx)
+    if side == "X":
+        z = (keys[:, None] << ops.sn) | np.arange(1 << ctx.n, dtype=ops.dtype)
+        return np.sort(ops.y_coset_key(z), axis=1)
+    if side != "Y":
+        raise ValueError(f"side must be 'X' or 'Y', got {side!r}")
     return np.sort(ops.x_coset_key(ops.y_coset(keys)), axis=1)
 
 
@@ -319,15 +329,16 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     Y-coset(z)}, one for each element z of the group.
 
     Vertices are the cosets of both sides, numbered by coset_vertex.
-    X-coset key k owns the block (k << n) | a of the element order, so
-    its row is the sorted Y keys of that block, and the edges sorted by
-    (u, v) are the X rows in order, built ROW_CHUNK rows at a time.
-    Each block also builds the Y rows of the same keys, from their closed
-    form :func:`y_rows`.  The build asserts that z -> edge is injective
-    (strictly increasing X rows) and that the Y rows are the transpose of
-    the X rows: the element of every edge is y^b * rep(r), r its Y key
-    and b the b block of its X key, so with strictly increasing Y rows
-    each member (r, c) is one edge's element.
+    Both sides' rows come from their closed form :func:`coset_rows`,
+    ROW_CHUNK keys of each side at a time.  The build checks that the Y
+    rows are the transpose of the X rows.  With b the b block of X key k,
+    the members y^b * rep(r) for the Y keys r stored in X row k, sorted,
+    must be the block (k << n) | a of X coset k.  Then each such member
+    of Y coset r lies in X coset k, so k is in Y row r, and X row k
+    repeats no key.  Both sides are regular of valency 2^n, and
+    ``graph_from_rows`` checks that the Y rows strictly increase, so the
+    two sides hold equally many distinct pairs, and the Y rows are the
+    transpose.
     """
     half = _half(ctx)
     nv = 2 * half
@@ -337,19 +348,15 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     rows = np.empty((nv, degree), dtype=_index_dtype(nv))
     for lo in range(0, half, ROW_CHUNK):
         hi = min(lo + ROW_CHUNK, half)
-        xkeys = np.arange(lo, hi, dtype=ops.dtype)
-        z = np.arange(lo << ctx.n, hi << ctx.n,
-                      dtype=ops.dtype).reshape(hi - lo, degree)
-        ykeys = ops.y_coset_key(z)
-        order = np.argsort(ykeys, axis=1)
-        ykeys = np.take_along_axis(ykeys, order, axis=1)
-        b = (xkeys & ops.mask_n)[:, None]  # low n bits of an X key
-        if not np.array_equal(ops.y_member(ykeys, b),
-                              np.take_along_axis(z, order, axis=1)):
+        keys = np.arange(lo, hi, dtype=ops.dtype)
+        rows[lo:hi] = coset_rows(ctx, "X", keys) + half
+        b = (keys & ops.mask_n)[:, None]  # low n bits of an X key
+        xkeys = (rows[lo:hi] - half).astype(ops.dtype)  # as stored
+        members = np.sort(ops.y_member(xkeys, b), axis=1).ravel()
+        if not np.array_equal(members, np.arange(lo << ctx.n, hi << ctx.n)):
             raise GraphConsistencyError(
                 "Y rows are not the transpose of X rows")
-        rows[lo:hi] = ykeys + half
-        rows[half + lo:half + hi] = y_rows(ctx, xkeys)  # Y keys lo..hi-1
+        rows[half + lo:half + hi] = coset_rows(ctx, "Y", keys)
     sides = np.zeros(nv, dtype=np.uint8)
     sides[half:] = 1
     labels = None
@@ -459,7 +466,8 @@ def quotient_by_derived(ctx: GroupContext, sigma: Sigma) -> GraphData:
     multiplication by derived elements); on both sides that is the low n
     bits of the vertex key.  The class pairs are counted from the X rows
     of the CSR, one X class at a time, and every quotient edge must lift
-    to exactly one edge per vertex of its fibers.
+    to exactly one edge per vertex of its fibers.  The Y rows are read
+    only through ``Sigma.row_mismatches``, which must be 0.
     """
     g = sigma.graph
     half, n = sigma.half, ctx.n
@@ -477,6 +485,8 @@ def quotient_by_derived(ctx: GroupContext, sigma: Sigma) -> GraphData:
                                   minlength=two_n) for c in range(two_n)])
     if np.any(pairs[pairs > 0] != fiber):
         raise GraphConsistencyError("quotient edges do not lift uniformly")
+    if sigma.row_mismatches:
+        raise GraphConsistencyError("built rows differ from coset_rows")
     qu, qv = np.nonzero(pairs)
     quotient = graph_from_edges(2 * two_n, qu, two_n + qv,
                                 sides=np.array([0] * two_n + [1] * two_n,

@@ -103,28 +103,6 @@ def enumerate_basic_commutators(r: int, weight: int) -> list[FormalCommutator]:
     return bc3
 
 
-@dataclass(frozen=True)
-class BasisReport:
-    """Basic commutators of weights 1..3 plus their counts."""
-
-    r: int
-    bc1: tuple[FormalCommutator, ...]
-    bc2: tuple[FormalCommutator, ...]
-    bc3: tuple[FormalCommutator, ...]
-    counts: tuple[int, int, int]
-
-
-def basis_report(r: int) -> BasisReport:
-    bc1 = enumerate_basic_commutators(r, 1)
-    bc2 = enumerate_basic_commutators(r, 2)
-    bc3 = enumerate_basic_commutators(r, 3)
-    if len(bc2) != bc2_count(r) or len(bc3) != bc3_count(r):
-        raise ArithmeticError(
-            f"enumerated counts disagree with closed forms at r={r}")
-    return BasisReport(r, tuple(bc1), tuple(bc2), tuple(bc3),
-                       (len(bc1), len(bc2), len(bc3)))
-
-
 def bc2_count(r: int) -> int:
     return r * (r - 1) // 2
 

@@ -19,9 +19,10 @@ module owns the other three: ``color_refinement`` (behind
 predicate (an automorphism, or with a target graph an isomorphism).
 
 Edge transitivity has one exhaustive witness at every rank,
-``edge_regular_witness``, with two counts: the row count of
-``Sigma.row_mismatches`` (the built rows of both sides are the edges of
-the elements z), and the action count (each of the 2n generator actions
+``edge_regular_witness``, with two counts: the row count
+``Sigma.row_mismatches``, taken once per Sigma against the closed form
+``graphs.coset_rows`` (the built rows of both sides are the edges of the
+elements z), and the action count (each of the 2n generator actions
 moves the edge of z to the edge of z*h).  The action count gives the
 right action's homomorphism property, and both counts with a permutation
 test its automorphism property.  ``semisymmetry_certificate`` combines
@@ -439,8 +440,10 @@ def edge_regular_witness(ctx: GroupContext, sigma: Sigma,
     """Exhaustive witness that the group acts on the edges of the built
     graph as its right regular action, with two counts.
 
-    ``row_mismatches`` is ``Sigma.row_mismatches``: 0 says the built rows
-    of both sides are the edges {X(z), Y(z)} of the elements z.
+    ``row_mismatches`` is ``Sigma.row_mismatches``, the one count per
+    Sigma of built rows against their closed form ``graphs.coset_rows``:
+    0 says the rows of both sides are the edges {X(z), Y(z)} of the
+    elements z.
     ``action_mismatches`` counts the pairs (generator h, element z), in
     blocks of ROW_CHUNK * 2^n elements, where p_h from ``actions`` fails
     p_h(X(z)) = X(z*h) or p_h(Y(z)) = Y(z*h).  With both 0 the generators
@@ -453,7 +456,7 @@ def edge_regular_witness(ctx: GroupContext, sigma: Sigma,
     gens = [ops.scalar(ctx.pack(h)) for h in _xy_generators(ctx)]
     if len(actions) != len(gens):
         raise ValueError(f"need {len(gens)} generator actions")
-    rows, moved = sigma.row_mismatches(), 0
+    rows, moved = sigma.row_mismatches, 0
     size, step = 1 << ctx.total_bits, ROW_CHUNK << ctx.n
     for lo in range(0, size, step):
         z = np.arange(lo, min(lo + step, size), dtype=ops.dtype)

@@ -538,6 +538,10 @@ def _cached(cache, key, compute):
     return cache[key]
 
 
+def _gamma(ctx, cache):
+    return _cached(cache, "gamma", lambda: gr.build_gamma(ctx))
+
+
 def _sigma(ctx, cache):
     return _cached(cache, "sigma", lambda: gr.build_sigma(ctx))
 
@@ -579,8 +583,7 @@ def _valency(g):
 
 
 def check_cayley_stats(ctx, samples, rng, cache):
-    gamma = gr.build_gamma(ctx)
-    cache["gamma"] = gamma
+    gamma = _gamma(ctx, cache)
     val = 2 * ((1 << ctx.n) - 1)
     exp = {"vertices": 1 << ctx.total_bits,
            "edges": (1 << ctx.total_bits) * val // 2,
@@ -607,7 +610,7 @@ def check_edge_bijection(ctx, samples, rng, cache):
     # exhaustive through the built rows, then sampled through the scalar
     # coset_vertex, which builds no array
     ok = (sig.graph.num_edges == 1 << ctx.total_bits
-          and sig.row_mismatches() == 0)
+          and sig.row_mismatches == 0)
     zs = [_rand_elem(ctx, rng) for _ in range(min(samples, 200))]
     ok = ok and all(sig.graph.has_edge(gr.coset_vertex(ctx, "X", z),
                                        gr.coset_vertex(ctx, "Y", z))
@@ -619,7 +622,7 @@ def check_edge_bijection(ctx, samples, rng, cache):
 def check_clique_duality(ctx, samples, rng, cache):
     if ctx.total_bits > 12:
         raise CapExceededError("clique enumeration kept to 2^12 vertices")
-    gamma = cache.get("gamma") or gr.build_gamma(ctx)
+    gamma = _gamma(ctx, cache)
     sig = _sigma(ctx, cache)
     cliques = gr.maximal_cliques(gamma)
     size = 1 << ctx.n
@@ -652,14 +655,15 @@ def check_clique_duality(ctx, samples, rng, cache):
 def check_line_graph_duality(ctx, samples, rng, cache):
     if ctx.total_bits > 12:
         raise CapExceededError("line-graph comparison kept to 2^12 edges")
-    gamma = cache.get("gamma") or gr.build_gamma(ctx)
+    gamma = _gamma(ctx, cache)
     sig = _sigma(ctx, cache)
     lg = gr.line_graph(sig.graph)
     # phi[z] is the position of the edge of z in sorted (u, v) order, the
     # line graph's vertex id: the inverse of the sorting permutation
     u, v = sig.edge_ends(packed_ops(ctx).all_elements())
     phi = np.argsort(np.lexsort((v, u)))
-    ok = (lg.num_vertices == gamma.num_vertices
+    ok = (sig.row_mismatches == 0  # the line graph reads the X rows only
+          and lg.num_vertices == gamma.num_vertices
           and lg.num_edges == gamma.num_edges
           and sym.is_graph_automorphism(gamma, phi, lg))
     return ("pass" if ok else "fail",

@@ -68,9 +68,8 @@ def test_formal_commutator_str():
 
 
 def test_basis_report():
-    rep = hall.basis_report(4)
-    assert rep.counts == (4, 6, 20)
-    assert len(rep.bc2) == 6
+    counts = [len(hall.enumerate_basic_commutators(4, w)) for w in (1, 2, 3)]
+    assert counts == [4, 6, 20]
 
 
 # -- tuple counts ------------------------------------------------------------

@@ -236,7 +236,8 @@ def test_checks_see_a_y_row_moved(ctx2, sigma2, x_neighbor_moved,
     got = statuses(run_suite(2, "graphs")) | statuses(run_suite(2, "symmetry"))
     for name in ("edge-regular-action", "right-action-automorphism",
                  "semisymmetry-certificate", "edge-bijection",
-                 "clique-coset-duality"):
+                 "clique-coset-duality", "line-graph-duality",
+                 "derived-quotient-cover", "export-roundtrip"):
         assert got[name] == "fail", name
 
 
@@ -320,6 +321,24 @@ def test_suite_shares_actions_and_base_bfs(monkeypatch):
     assert report.overall == "pass"
     assert calls == {"generator_actions": 1}
     assert roots == {0: 1, 256: 1}  # the X and Y base vertices
+
+
+def test_suite_compares_rows_once(monkeypatch):
+    # one build and one row pass, though edge-bijection, the witness,
+    # line-graph-duality and the quotient all read the row count
+    sides, real = [], graphs.coset_rows
+
+    def counted(ctx, side, keys):
+        sides.append(side)
+        return real(ctx, side, keys)
+
+    monkeypatch.setattr(graphs, "coset_rows", counted)
+    build_sigma(context(2))
+    build = list(sides)
+    assert build == ["X", "Y"]  # one row block per side at n=2
+    sides.clear()
+    assert run_suite(2, "all").overall == "pass"
+    assert sides == build + build
 
 
 def test_edge_ends_reject_another_edge_layout(ctx2, sigma2):
