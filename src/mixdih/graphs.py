@@ -139,9 +139,12 @@ def graph_from_rows(rows: np.ndarray, sides=None, labels=None) -> GraphData:
     caller's to check.
     """
     nv, degree = rows.shape
-    if not np.all(rows[:, 1:] > rows[:, :-1]):
-        raise GraphConsistencyError("repeated neighbor in an adjacency row")
-    indptr = np.arange(nv + 1, dtype=_index_dtype(nv * degree)) * degree
+    for lo in range(0, nv, ROW_CHUNK):
+        block = rows[lo:lo + ROW_CHUNK]
+        if not np.all(block[:, 1:] > block[:, :-1]):
+            raise GraphConsistencyError("repeated neighbor in an adjacency row")
+    indptr = np.arange(0, (nv + 1) * degree, degree,
+                       dtype=_index_dtype(nv * degree))
     indices = rows.astype(_index_dtype(nv), copy=False).ravel()
     return GraphData(nv, nv * degree // 2, indptr, indices, sides, labels)
 

@@ -129,15 +129,19 @@ def check_normal_form_enumeration(ctx, samples, rng, cache):
 
 
 def check_multiplication_latin_square(ctx, samples, rng, cache):
+    """Every row and every column of the product table is a permutation,
+    checked one block of rows g at a time: the sorted products g*z and
+    z*g, row g of the table and column g, must both be z."""
     if ctx.total_bits > 12:
         raise CapExceededError("full multiplication table kept to 2^12")
     ops = packed_ops(ctx)
-    size = 1 << ctx.total_bits
     z = ops.all_elements()
-    table = ops.mul(np.repeat(z, size), np.tile(z, size)).reshape(size, size)
-    ident = np.arange(size, dtype=np.uint32)
-    ok = bool(np.all(np.sort(table, axis=1) == ident)
-              and np.all(np.sort(table, axis=0) == ident[:, None]))
+    step = max(1, gr.ROW_CHUNK >> ctx.total_bits)
+
+    def permutes(block):
+        return bool(np.all(np.sort(block, axis=1) == z))
+    ok = all(permutes(ops.mul(g, z)) and permutes(ops.mul(z, g))
+             for g in (z[lo:lo + step, None] for lo in range(0, len(z), step)))
     return ("pass" if ok else "fail", "rows and columns are permutations",
             "ok" if ok else "not a latin square")
 
@@ -184,16 +188,37 @@ def _draw_letters(ctx: GroupContext, gen: np.random.Generator,
                   shape: tuple[int, int]) -> np.ndarray:
     """Packed generator letters: a uniform kind (x, y, w or t), then
     uniform 0-based indices, with i < k for t."""
+    return 1 << _letter_positions(ctx, gen, shape).astype(element_dtype(ctx))
+
+
+def _letter_positions(ctx: GroupContext, gen: np.random.Generator,
+                      shape: tuple[int, int]) -> np.ndarray:
+    """Bit positions of the letters of _draw_letters, as int16; its own
+    function so that the draws are freed before the letters are built.
+
+    Each draw is int64, the stream's dtype, and is cast to int16 at once.
+    The kind selects by np.where, as np.choose would widen it to intp."""
     n = ctx.n
-    kind = gen.integers(0, 4, size=shape)
-    i, j = gen.integers(0, n, size=shape), gen.integers(0, n, size=shape)
-    ti = gen.integers(1, n, size=shape)  # t_(i,k,j) takes 1 <= i < k <= n
-    tk = gen.integers(ti + 1, n + 1)
-    pair = (ti - 1) * (2 * n - ti) // 2 + (tk - ti - 1)
-    pos = np.choose(kind, [i, n + i, 2 * n + i * n + j,
-                           2 * n + ctx.dim_w + pair * n + j])
-    dtype = element_dtype(ctx)
-    return np.ones(shape, dtype=dtype) << pos.astype(dtype)
+
+    def draw(low, high):
+        return gen.integers(low, high, size=shape).astype(np.int16)
+    kind, i, j = draw(0, 4), draw(0, n), draw(0, n)
+    pair = _t_pair(gen, n, draw(1, n))  # t_(i,k,j) takes 1 <= i < k <= n
+    # t: 2n + dim_w + pair*n + j, w: 2n + i*n + j, y: n + i, x: i
+    pos = np.where(kind == 3, ctx.dim_w + n * pair, n * i) + (2 * n + j)
+    return np.where(kind < 2, n * kind + i, pos)
+
+
+def _t_pair(gen: np.random.Generator, n: int, ti: np.ndarray) -> np.ndarray:
+    """pair_index(i, k) for each i in ti, with k drawn uniform in (i, n],
+    entry by entry in order.  The draw widens an array bound to int64, so
+    k is drawn ROW_CHUNK entries at a time."""
+    tk = np.empty_like(ti)
+    flat, out = ti.reshape(-1), tk.reshape(-1)
+    for lo in range(0, flat.size, gr.ROW_CHUNK):
+        out[lo:lo + gr.ROW_CHUNK] = gen.integers(
+            flat[lo:lo + gr.ROW_CHUNK] + 1, n + 1)
+    return (ti - 1) * (2 * n - ti) // 2 + (tk - ti - 1)
 
 
 class ScalarOps:
@@ -243,8 +268,9 @@ class ScalarOps:
 
 
 class _Recorded:
-    """Forwards to an ops object and keeps the first `keep` samples of
-    every array it returns."""
+    """Forwards to an ops object and keeps a copy of the first `keep`
+    samples of every array it returns (a view would keep the whole array
+    alive)."""
 
     def __init__(self, ops, keep: int):
         self.ops, self.keep, self.values = ops, keep, []
@@ -254,7 +280,7 @@ class _Recorded:
 
         def call(*args):
             out = fn(*args)
-            self.values.append(out[:self.keep])
+            self.values.append(out[:self.keep].copy())
             return out
         return call
 

@@ -1,7 +1,9 @@
 """Shared fixtures: mutated collection rules and corrupted coset graphs
-for the mutation tests."""
+for the mutation tests, and a traced allocation peak for the memory
+tests."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,3 +100,21 @@ def with_x_neighbor_moved(sigma, y1, y2):
 def x_neighbor_moved():
     """x_neighbor_moved(sigma, y1, y2): see :func:`with_x_neighbor_moved`."""
     return with_x_neighbor_moved
+
+
+def _peak_alloc(fn) -> int:
+    """Peak bytes that fn() allocates above what is allocated when it
+    starts, traced by tracemalloc: deterministic, unlike RSS."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def peak_alloc():
+    """peak_alloc(fn): see :func:`_peak_alloc`."""
+    return _peak_alloc

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mixdih import verify
-from mixdih.bulk import packed_ops
+from mixdih.bulk import PackedOps, element_dtype, packed_ops
 from mixdih.group import (
     GroupContext,
     comm,
@@ -79,6 +79,42 @@ def test_random_words_match_evaluate_word(n):
     words = [[symbols[int(g).bit_length() - 1] for g in row] for row in letters]
     assert packed_ops(ctx).evaluate_word(letters).tolist() == \
         [ctx.pack(evaluate_word(ctx, w)) for w in words]
+
+
+def draw_letters_int64(ctx, gen, shape):
+    """The letter draws as an int64 formula with np.choose, the reference
+    that verify._draw_letters must match draw for draw."""
+    n = ctx.n
+    kind = gen.integers(0, 4, size=shape)
+    i, j = gen.integers(0, n, size=shape), gen.integers(0, n, size=shape)
+    ti = gen.integers(1, n, size=shape)
+    tk = gen.integers(ti + 1, n + 1)
+    pair = (ti - 1) * (2 * n - ti) // 2 + (tk - ti - 1)
+    pos = np.choose(kind, [i, n + i, 2 * n + i * n + j,
+                           2 * n + ctx.dim_w + pair * n + j])
+    dtype = element_dtype(ctx)
+    return np.ones(shape, dtype=dtype) << pos.astype(dtype)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_draw_letters_match_int64_formula(n):
+    """Same letters, same dtype and the same stream consumed as the int64
+    formula, including a draw of more than ROW_CHUNK t indices."""
+    ctx = context(n)
+    for seed, shape in [(0, (300, 20)), (1, (4000, 20))]:
+        got_gen, want_gen = (np.random.default_rng(seed) for _ in range(2))
+        got = verify._draw_letters(ctx, got_gen, shape)
+        want = draw_letters_int64(ctx, want_gen, shape)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got_gen.integers(1 << 62) == want_gen.integers(1 << 62)
+
+
+def test_draw_letters_peak_alloc(peak_alloc):
+    """The int64 formula peaks near 16 MB for these 2e5 letters."""
+    ctx = context(2)
+    gen = np.random.default_rng(0)
+    assert peak_alloc(lambda: verify._draw_letters(ctx, gen, (10000, 20))) \
+        < 4 << 20
 
 
 def psi_reference(ctx, a, b):
@@ -233,6 +269,64 @@ def test_mutations_break_the_batteries(mutant):
     status, _, actual = run("derived-subgroup-structure", none)
     assert status == "fail"
     assert actual["span_size"] == 16
+
+
+def test_recorded_values_own_their_data(monkeypatch):
+    """The cross-check keeps copies of the leading samples, not views that
+    would keep every whole output array alive."""
+    recorders = []
+
+    class Recorded(verify._Recorded):
+        def __init__(self, *args):
+            super().__init__(*args)
+            recorders.append(self)
+    monkeypatch.setattr(verify, "_Recorded", Recorded)
+    assert run("associativity", context(2))[0] == "pass"
+    values = [v for r in recorders for v in r.values]
+    assert len(recorders) == 2 and len(values) == 8
+    assert all(v.base is None and len(v) == CROSS_CHECK_SAMPLES
+               for v in values)
+
+
+# -- the multiplication table ---------------------------------------------------
+
+def mutate_products(monkeypatch, edit):
+    """PackedOps.mul with edit(g, h, out) applied to each product array,
+    g and h broadcast to its shape."""
+    mul = PackedOps.mul
+
+    def mutant(self, z1, z2):
+        out = mul(self, z1, z2)
+        edit(*np.broadcast_arrays(z1, z2), out)
+        return out
+    monkeypatch.setattr(PackedOps, "mul", mutant)
+
+
+def swap_two_products(g, h, out):
+    # 0*1 and 0*2 (0 is the identity) trade places: row 0 stays a
+    # permutation, so only a column can show the repeat
+    out[(g == 0) & ((h == 1) | (h == 2))] ^= 3
+
+
+def repeat_a_product(g, h, out):
+    out[(g == 0) & (h == 2)] = 1  # row 0 now holds 1 twice
+
+
+@pytest.mark.parametrize("edit", [swap_two_products, repeat_a_product])
+def test_latin_square_sees_mutated_products(edit, monkeypatch):
+    ctx = context(2)
+    assert run("multiplication-latin-square", ctx)[0] == "pass"
+    mutate_products(monkeypatch, edit)
+    assert run("multiplication-latin-square", ctx) == \
+        ("fail", "rows and columns are permutations", "not a latin square")
+
+
+def test_latin_square_peak_alloc(peak_alloc):
+    """The whole 2^20-entry table at n = 2 peaked at 24 MB."""
+    ctx = context(2)
+    assert run("multiplication-latin-square", ctx)[0] == "pass"
+    assert peak_alloc(lambda: run("multiplication-latin-square", ctx)) \
+        < 4 << 20
 
 
 # -- reports --------------------------------------------------------------------

@@ -97,6 +97,17 @@ def test_graph_from_rows_rejects_repeated_neighbor():
         graph_from_rows(np.array([[1, 1], [0, 0]]))
 
 
+def test_graph_from_rows_checks_every_row_block():
+    """More rows than one ROW_CHUNK block: a repeat in the last row still
+    raises, and indptr steps by the degree."""
+    rows = np.tile(np.array([[1, 2]]), (graphs.ROW_CHUNK + 1, 1))
+    g = graph_from_rows(rows)
+    assert np.array_equal(g.indptr, 2 * np.arange(graphs.ROW_CHUNK + 2))
+    rows[-1] = [2, 2]
+    with pytest.raises(GraphConsistencyError):
+        graph_from_rows(rows)
+
+
 def test_indptr_and_degrees_in_index_dtype(sigma2, gamma2):
     # the clique graphs of a perfect matching and of a triangle have no
     # edge: two disjoint cliques, and one clique
