@@ -121,31 +121,34 @@ def cmd_info(args) -> int:
 
 
 def _build_kind(ctx, kind: str, force: bool):
+    """The graph of a kind and its vertex naming (id -> label), None for
+    the unnamed quotient and line graph."""
     if kind == "gamma":
-        return gr.build_gamma(ctx, force=force)
+        return (gr.build_gamma(ctx, force=force),
+                lambda v: format_element(ctx, ctx.unpack(v)))
     sig = gr.build_sigma(ctx, force=force)
     if kind == "sigma":
-        return sig.graph
+        return sig.graph, lambda v: format_element(ctx, gr.vertex_rep(ctx, v))
     if kind == "quotient":
-        return gr.quotient_by_derived(ctx, sig)
+        return gr.quotient_by_derived(ctx, sig), None
     if kind == "linegraph":
-        return gr.line_graph(sig.graph)
+        return gr.line_graph(sig.graph), None
     raise ValueError(kind)
 
 
 def cmd_graph(args) -> int:
     ctx = context(args.n)
-    g = _build_kind(ctx, args.kind, args.force)
+    g, name = _build_kind(ctx, args.kind, args.force)
     if args.out == "-":
         gr.export_graph(g, sys.stdout, args.format, n=args.n, kind=args.kind)
         if args.labels:
-            gr.export_labels(g, sys.stdout)
+            gr.export_labels(g, sys.stdout, name)
     else:
         with open(args.out, "w") as fh:
             gr.export_graph(g, fh, args.format, n=args.n, kind=args.kind)
         if args.labels:
             with open(args.out + ".labels", "w") as fh:
-                gr.export_labels(g, fh)
+                gr.export_labels(g, fh, name)
     return 0
 
 

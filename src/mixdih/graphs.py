@@ -1,6 +1,7 @@
 """Graph constructions: the Cayley graph over the whole group, the
-bipartite coset-intersection graph, line graphs, maximal-clique graphs,
-the derived-subgroup quotient, and deterministic exports.
+bipartite coset-intersection graph, intersection graphs of vertex sets
+(line graphs, clique graphs), the derived-subgroup quotient, and
+deterministic exports.
 
 Adjacency in the Cayley graph is by LEFT multiplication: g is adjacent to
 s*g for s in S = (X union Y) \\ {1}.  Right multiplication is reserved for
@@ -12,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterator, Sequence
+from itertools import combinations
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,7 +23,6 @@ from .group import (
     CapExceededError,
     Element,
     GroupContext,
-    format_element,
     mul,
 )
 
@@ -41,8 +42,7 @@ class GraphData:
 
     Graphs are always simple and undirected; ``indices`` holds both
     directions, sorted within each vertex's slice.  ``sides`` optionally
-    tags a bipartition (0/1 per vertex), ``labels`` optionally names the
-    vertices.
+    tags a bipartition (0/1 per vertex).
     """
 
     num_vertices: int
@@ -50,7 +50,6 @@ class GraphData:
     indptr: np.ndarray
     indices: np.ndarray
     sides: np.ndarray | None = None
-    labels: list[str] | None = None
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
@@ -106,8 +105,7 @@ def _index_dtype(count: int):
     return np.int32 if count <= (1 << 31) - 1 else np.int64
 
 
-def graph_from_edges(num_vertices: int, u, v, sides=None,
-                     labels=None) -> GraphData:
+def graph_from_edges(num_vertices: int, u, v, sides=None) -> GraphData:
     """Build GraphData from endpoint arrays, each edge given once; a loop
     or a repeated edge raises GraphConsistencyError."""
     u = np.asarray(u, dtype=np.int64)
@@ -127,10 +125,10 @@ def graph_from_edges(num_vertices: int, u, v, sides=None,
     indptr = np.zeros(num_vertices + 1, dtype=_index_dtype(len(src)))
     np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])
     return GraphData(num_vertices, int(num_edges), indptr,
-                     dst.astype(_index_dtype(num_vertices)), sides, labels)
+                     dst.astype(_index_dtype(num_vertices)), sides)
 
 
-def graph_from_rows(rows: np.ndarray, sides=None, labels=None) -> GraphData:
+def graph_from_rows(rows: np.ndarray, sides=None) -> GraphData:
     """Build a regular GraphData from its neighbor table, one sorted row
     per vertex.
 
@@ -146,7 +144,7 @@ def graph_from_rows(rows: np.ndarray, sides=None, labels=None) -> GraphData:
     indptr = np.arange(0, (nv + 1) * degree, degree,
                        dtype=_index_dtype(nv * degree))
     indices = rows.astype(_index_dtype(nv), copy=False).ravel()
-    return GraphData(nv, nv * degree // 2, indptr, indices, sides, labels)
+    return GraphData(nv, nv * degree // 2, indptr, indices, sides)
 
 
 def bfs_distances(g: GraphData, root: int,
@@ -232,10 +230,7 @@ def build_gamma(ctx: GroupContext, force: bool = False) -> GraphData:
     rows = np.sort(np.stack(cols, axis=1), axis=1)
     if np.any(rows == z[:, None]):
         raise GraphConsistencyError("loop edge in construction")
-    labels = None
-    if nv <= (1 << 16):
-        labels = [format_element(ctx, ctx.unpack(i)) for i in range(nv)]
-    return graph_from_rows(rows, labels=labels)
+    return graph_from_rows(rows)
 
 
 # -- coset-intersection graph ---------------------------------------------------
@@ -362,33 +357,28 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
         rows[half + lo:half + hi] = coset_rows(ctx, "Y", keys)
     sides = np.zeros(nv, dtype=np.uint8)
     sides[half:] = 1
-    labels = None
-    if nv <= (1 << 16):
-        labels = [format_element(ctx, vertex_rep(ctx, v)) for v in range(nv)]
-    graph = graph_from_rows(rows, sides=sides, labels=labels)
-    return Sigma(ctx, graph, half)
+    return Sigma(ctx, graph_from_rows(rows, sides=sides), half)
 
 
-# -- line graphs and cliques ---------------------------------------------------
+# -- intersection graphs and cliques -------------------------------------------
+
+def intersection_graph(sets: Sequence[Iterable[int]]) -> GraphData:
+    """Graph on the given vertex sets, in their order, two sets adjacent
+    when they share a vertex.  Sets that share several vertices (cliques
+    can) are one edge."""
+    containing: dict[int, list[int]] = {}
+    for i, members in enumerate(sets):
+        for v in members:
+            containing.setdefault(v, []).append(i)
+    pairs = {p for ids in containing.values() for p in combinations(ids, 2)}
+    u, v = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
+    return graph_from_edges(len(sets), u, v)
+
 
 def line_graph(g: GraphData) -> GraphData:
     """Line graph: vertices are edge ids (sorted edge order), adjacency is
-    nonempty intersection of the edges.  Two edges of a simple graph share
-    at most one vertex, so each adjacent pair is emitted once."""
-    edges = list(g.edges())
-    eid = {e: i for i, e in enumerate(edges)}
-    incident: list[list[int]] = [[] for _ in range(g.num_vertices)]
-    for (a, b), i in eid.items():
-        incident[a].append(i)
-        incident[b].append(i)
-    us, vs = [], []
-    for ids in incident:
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                us.append(min(ids[i], ids[j]))
-                vs.append(max(ids[i], ids[j]))
-    return graph_from_edges(len(edges), np.array(us, dtype=np.int64),
-                            np.array(vs, dtype=np.int64))
+    nonempty intersection of the edges."""
+    return intersection_graph(list(g.edges()))
 
 
 def maximal_cliques(g: GraphData,
@@ -440,22 +430,6 @@ def maximal_cliques(g: GraphData,
     expand(0, (1 << g.num_vertices) - 1, 0)
     out.sort()
     return out
-
-
-def clique_graph(g: GraphData, cap: int = DEFAULT_CLIQUE_CAP) -> GraphData:
-    """Graph on the maximal cliques, adjacent when they intersect."""
-    cliques = maximal_cliques(g, cap=cap)
-    containing: list[list[int]] = [[] for _ in range(g.num_vertices)]
-    for i, c in enumerate(cliques):
-        for v in c:
-            containing[v].append(i)
-    pairs = set()
-    for ids in containing:
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                pairs.add((ids[i], ids[j]))
-    u, v = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
-    return graph_from_edges(len(cliques), u, v)
 
 
 # -- derived-subgroup quotient ---------------------------------------------------
@@ -583,13 +557,13 @@ def _format_lines(literals: Sequence[str], *columns: np.ndarray) -> str:
     return (data.translate(None, b"\0") if padded else data).decode("ascii")
 
 
-def export_labels(g: GraphData, out: IO[str]) -> None:
-    """Vertex table: <id>\\t<side>\\t<label> (side '-' when untagged)."""
+def export_labels(g: GraphData, out: IO[str],
+                  name: Callable[[int], str] | None = None) -> None:
+    """Vertex table: <id>\\t<side>\\t<label>, side '-' when untagged and
+    label ``name(id)``, empty when no naming is given."""
     for v in range(g.num_vertices):
-        side = "-"
-        if g.sides is not None:
-            side = "X" if g.sides[v] == 0 else "Y"
-        label = g.labels[v] if g.labels is not None else ""
+        side = "-" if g.sides is None else "XY"[g.sides[v]]
+        label = "" if name is None else name(v)
         out.write(f"{v}\t{side}\t{label}\n")
 
 

@@ -450,6 +450,14 @@ def gl_generators(n: int) -> list[GF2Matrix]:
     return [tuple(transvection), cycle]
 
 
+def gl_generator_pairs(n: int) -> list[tuple[GF2Matrix, GF2Matrix]]:
+    """Generators of GL_n(2) x GL_n(2): (g, 1) then (1, g) for each g of
+    gl_generators."""
+    ident = gf2_identity(n)
+    return [pair for mat in gl_generators(n)
+            for pair in ((mat, ident), (ident, mat))]
+
+
 @dataclass
 class InducedAutomorphism:
     """Automorphism induced by a pair of GL_n(2) matrices on X and Y.

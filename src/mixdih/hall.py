@@ -207,13 +207,6 @@ class SpecialSetSizes:
     closed_form_consistent: bool
 
 
-def _d_k_set(r: int) -> list[tuple]:
-    return [(i, j, k)
-            for j in range(1, r + 1) for i in range(1, r + 1)
-            for k in range(1, r + 1)
-            if j < i and j < k and k != i]
-
-
 def special_set_sizes(n: int) -> SpecialSetSizes:
     """Enumerate the symbol sets over r = 2n letters and count them.
 
@@ -225,7 +218,7 @@ def special_set_sizes(n: int) -> SpecialSetSizes:
     if n < 2:
         raise UnsupportedParameterError(f"need n >= 2, got {n}")
     r = 2 * n
-    d_k = _d_k_set(r)
+    d_k = tuple_set(r, "c")
     b2 = [(i, j) for i in range(n + 1, r + 1) for j in range(1, n + 1)]
     b3 = [(i, j, k) for (i, j, k) in d_k
           if i > n and j <= n and k <= n and j < k]
@@ -236,19 +229,11 @@ def special_set_sizes(n: int) -> SpecialSetSizes:
                   [(i, j) for j in range(n + 1, r + 1)
                    for i in range(n + 1, r + 1) if j < i])
 
-    sizes = SpecialSetSizes(
-        n=n,
-        d_k=len(d_k),
-        b2=len(b2),
-        b3=len(b3),
-        b3_prime=len(b3_prime),
-        bc2_inter_d_i=len(bc2_in_d_i),
-        closed_form_consistent=True,
-    )
+    counts = {"d_k": len(d_k), "b2": len(b2), "b3": len(b3),
+              "b3_prime": len(b3_prime), "bc2_inter_d_i": len(bc2_in_d_i)}
 
     # Closed forms; any disagreement (or non-integrality) is flagged and
     # the enumerated counts stand.
-    consistent = True
     forms = {
         "d_k": (8 * n**3 - 12 * n**2 + 4 * n, 3),
         "b2": (n**2, 1),
@@ -256,10 +241,6 @@ def special_set_sizes(n: int) -> SpecialSetSizes:
         "b3_prime": (13 * n**3 - 21 * n**2 + 8 * n, 6),
         "bc2_inter_d_i": (n**2 - n, 1),
     }
-    for name, (num, den) in forms.items():
-        if num % den or num // den != getattr(sizes, name):
-            consistent = False
-    if not consistent:
-        sizes = SpecialSetSizes(n, sizes.d_k, sizes.b2, sizes.b3,
-                                sizes.b3_prime, sizes.bc2_inter_d_i, False)
-    return sizes
+    consistent = all(num % den == 0 and num // den == counts[name]
+                     for name, (num, den) in forms.items())
+    return SpecialSetSizes(n=n, **counts, closed_form_consistent=consistent)

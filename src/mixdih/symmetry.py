@@ -60,8 +60,7 @@ from .group import (
     GroupContext,
     IDENTITY,
     InducedAutomorphism,
-    gf2_identity,
-    gl_generators,
+    gl_generator_pairs,
     induced_automorphism,
     mul,
     xgen,
@@ -228,11 +227,8 @@ def _stabilizer_maps(ctx: GroupContext,
     gens = _xy_generators(ctx)
     maps = [right_mult_map(g) for g in (gens[:ctx.n] if side == "X"
                                         else gens[ctx.n:])]
-    ident = gf2_identity(ctx.n)
-    for mat in gl_generators(ctx.n):
-        maps.append(aut_map(induced_automorphism(ctx, mat, ident)))
-        maps.append(aut_map(induced_automorphism(ctx, ident, mat)))
-    return maps
+    return maps + [aut_map(induced_automorphism(ctx, *pair))
+                   for pair in gl_generator_pairs(ctx.n)]
 
 
 def rooted_two_arcs(ctx: GroupContext,

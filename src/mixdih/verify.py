@@ -33,9 +33,8 @@ from .group import (
     enumerate_elements,
     evaluate_word,
     format_element,
-    gf2_identity,
     gl_enumerate,
-    gl_generators,
+    gl_generator_pairs,
     induced_automorphism,
     inv,
     mul,
@@ -645,33 +644,31 @@ def check_edge_bijection(ctx, samples, rng, cache):
             "ok" if ok else "mismatch")
 
 
+def _clique_coset(ctx, clique):
+    """The coset vertex that a clique of the Cayley graph is, else None:
+    all 2^n members must name one coset of one side (scalar coset_vertex,
+    independent of the packed tables that build both graphs)."""
+    if len(clique) != 1 << ctx.n:
+        return None
+    for side in "XY":
+        names = {gr.coset_vertex(ctx, side, ctx.unpack(z)) for z in clique}
+        if len(names) == 1:
+            return names.pop()
+    return None
+
+
 def check_clique_duality(ctx, samples, rng, cache):
     if ctx.total_bits > 12:
         raise CapExceededError("clique enumeration kept to 2^12 vertices")
     gamma = _gamma(ctx, cache)
     sig = _sigma(ctx, cache)
     cliques = gr.maximal_cliques(gamma)
-    size = 1 << ctx.n
-    exp = {"count": 2 << (ctx.total_bits - ctx.n), "size": size,
+    exp = {"count": 2 << (ctx.total_bits - ctx.n), "size": 1 << ctx.n,
            "all_cosets": True, "clique_graph_isomorphic": True}
-    coset_ids = []
-    all_cosets = True
-    for c in cliques:
-        z0 = ctx.unpack(c[0])
-        found = None
-        for side in ("X", "Y"):
-            members = {ctx.pack(mul(ctx, Element(a=s) if side == "X"
-                                    else Element(b=s), z0))
-                       for s in range(size)}
-            if members == set(c):
-                found = gr.coset_vertex(ctx, side, z0)
-                break
-        if found is None:
-            all_cosets = False
-            break
-        coset_ids.append(found)
+    coset_ids = [_clique_coset(ctx, c) for c in cliques]
+    all_cosets = None not in coset_ids
     iso = all_cosets and sym.is_graph_automorphism(
-        gr.clique_graph(gamma), np.array(coset_ids), sig.graph)
+        gr.intersection_graph(cliques), np.array(coset_ids), sig.graph)
     act = {"count": len(cliques),
            "size": len(cliques[0]) if cliques else 0,
            "all_cosets": all_cosets, "clique_graph_isomorphic": iso}
@@ -774,9 +771,7 @@ def check_gl_action(ctx, samples, rng, cache):
         pair_iter = [(g1, g2) for g1 in mats for g2 in mats]
     else:
         # automorphisms compose, so the generator pairs suffice
-        ident = gf2_identity(ctx.n)
-        pair_iter = [pair for mat in gl_generators(ctx.n)
-                     for pair in ((mat, ident), (ident, mat))]
+        pair_iter = gl_generator_pairs(ctx.n)
     def one(pair):
         aut = induced_automorphism(ctx, *pair)
         p = sym.gl_action(ctx, sig, aut)

@@ -13,8 +13,8 @@ from mixdih.bulk import packed_ops
 from mixdih.graphs import (
     build_gamma,
     build_sigma,
-    clique_graph,
     coset_vertex,
+    intersection_graph,
     is_connected,
     line_graph,
     maximal_cliques,
@@ -181,7 +181,7 @@ def test_criterion_06_clique_line_duality(ctx2, sigma2, gamma2):
             cosets_ok = False
             break
         ids.append(coset_vertex(ctx2, side, z0))
-    cg = clique_graph(gamma2)
+    cg = intersection_graph(maximal_cliques(gamma2))
     permv = np.array(ids)
     cu, cv = cg.edge_array()
     su, sv = sigma2.graph.edge_array()

@@ -3,8 +3,11 @@ byte-for-byte determinism of reports."""
 
 import json
 import re
+from types import SimpleNamespace
 
+from mixdih import cli
 from mixdih.cli import main
+from mixdih.group import context
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +75,22 @@ def test_graph_labels(tmp_path, capsys):
     labels = (out_path.parent / "q.edges.labels").read_text().splitlines()
     assert len(labels) == 512
     assert labels[0].split("\t") == ["0", "X", "a:0;b:0;w:0;t:0"]
+
+
+def test_graph_labels_name_every_vertex_at_rank3(monkeypatch):
+    # the naming the CLI writes with --labels covers every vertex id,
+    # without the 2^22-vertex coset graph being built here
+    monkeypatch.setattr(cli.gr, "build_sigma",
+                        lambda ctx, force: SimpleNamespace(graph=None))
+    monkeypatch.setattr(cli.gr, "build_gamma", lambda ctx, force: None)
+    monkeypatch.setattr(cli.gr, "quotient_by_derived", lambda ctx, sig: None)
+    ctx = context(3)
+    _, name = cli._build_kind(ctx, "sigma", False)
+    assert name(1) == "a:0;b:1;w:0;t:0"
+    assert name(1 << 21) == "a:0;b:0;w:0;t:0"  # first Y-side vertex
+    _, name = cli._build_kind(ctx, "gamma", False)
+    assert name(1) == "a:1;b:0;w:0;t:0"
+    assert cli._build_kind(ctx, "quotient", False)[1] is None
 
 
 def test_graph_cap_without_force(capsys):

@@ -21,13 +21,13 @@ from mixdih.graphs import (
     bfs_distances,
     build_gamma,
     build_sigma,
-    clique_graph,
     connection_set,
     coset_vertex,
     export_graph,
     export_labels,
     graph_from_edges,
     graph_from_rows,
+    intersection_graph,
     is_connected,
     line_graph,
     maximal_cliques,
@@ -112,8 +112,10 @@ def test_indptr_and_degrees_in_index_dtype(sigma2, gamma2):
     # the clique graphs of a perfect matching and of a triangle have no
     # edge: two disjoint cliques, and one clique
     for g in (sigma2.graph, gamma2, from_pairs(3, [(0, 1), (1, 2)]),
-              clique_graph(from_pairs(4, [(0, 1), (2, 3)])),
-              clique_graph(from_pairs(3, [(0, 1), (1, 2), (0, 2)]))):
+              intersection_graph(maximal_cliques(
+                  from_pairs(4, [(0, 1), (2, 3)]))),
+              intersection_graph(maximal_cliques(
+                  from_pairs(3, [(0, 1), (1, 2), (0, 2)])))):
         assert g.indptr.dtype == g.degrees().dtype == np.int32
 
 
@@ -501,6 +503,16 @@ def test_line_graph_matches_networkx(sigma2):
     nxl = nx.line_graph(to_nx(sigma2.graph))
     assert lg.num_vertices == nxl.number_of_nodes()
     assert lg.num_edges == nxl.number_of_edges()
+    # networkx names a line-graph vertex by its edge tuple; ours is the
+    # edge's position in sorted edge order
+    eid = {e: i for i, e in enumerate(sigma2.graph.edges())}
+
+    def node_id(edge):
+        return eid[tuple(sorted(edge))]
+
+    theirs = sorted(tuple(sorted((node_id(a), node_id(b))))
+                    for a, b in nxl.edges())
+    assert list(lg.edges()) == theirs
 
 
 def test_line_graph_of_sigma_is_gamma(ctx2, sigma2, gamma2):
@@ -556,14 +568,31 @@ def test_clique_cap():
 
 def test_clique_graph_k4():
     k4 = from_pairs(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    cg = clique_graph(k4)
+    cg = intersection_graph(maximal_cliques(k4))
     assert cg.num_vertices == 1 and cg.num_edges == 0
 
 
 def test_clique_graph_p3():
     p3 = from_pairs(3, [(0, 1), (1, 2)])
-    cg = clique_graph(p3)
+    cg = intersection_graph(maximal_cliques(p3))
     assert cg.num_vertices == 2 and cg.num_edges == 1
+
+
+def test_intersection_graph_of_sets_sharing_two_vertices():
+    # K4 minus the edge 0-3: the maximal cliques {0,1,2} and {1,2,3} share
+    # two vertices, which is one edge, not a duplicate
+    k4_minus = from_pairs(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    cliques = maximal_cliques(k4_minus)
+    assert cliques == [(0, 1, 2), (1, 2, 3)]
+    cg = intersection_graph(cliques)
+    assert (cg.num_vertices, cg.num_edges) == (2, 1)
+    assert list(cg.edges()) == [(0, 1)]
+
+
+def test_intersection_graph_of_no_sets():
+    g = intersection_graph([])
+    assert (g.num_vertices, g.num_edges) == (0, 0)
+    assert g.indptr.tolist() == [0] and len(g.indices) == 0
 
 
 def test_clique_graph_of_gamma_is_sigma(ctx2, gamma2, sigma2):
@@ -574,7 +603,7 @@ def test_clique_graph_of_gamma_is_sigma(ctx2, gamma2, sigma2):
         side = "X" if {ctx2.pack(mul(ctx2, Element(a=a), z0))
                        for a in range(4)} == set(c) else "Y"
         ids.append(coset_vertex(ctx2, side, z0))
-    cg = clique_graph(gamma2)
+    cg = intersection_graph(cliques)
     permv = np.array(ids)
     cu, cv = cg.edge_array()
     su, sv = sigma2.graph.edge_array()
@@ -583,6 +612,21 @@ def test_clique_graph_of_gamma_is_sigma(ctx2, gamma2, sigma2):
                   + np.maximum(permv[cu], permv[cv]))
     rhs = np.sort(su * nv + sv)
     assert np.array_equal(lhs, rhs)
+
+
+def test_graph_suite_enumerates_the_cliques_once(monkeypatch):
+    calls = Counter()
+    real = graphs.maximal_cliques
+
+    def counted(g, *args, **kwargs):
+        calls["maximal_cliques"] += 1
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(graphs, "maximal_cliques", counted)
+    report = run_suite(2, "graphs")
+    status = {c.name: c.status for c in report.checks}
+    assert status["clique-coset-duality"] == "pass"
+    assert calls == {"maximal_cliques": 1}
 
 
 # -- quotient ----------------------------------------------------------------------------
@@ -685,7 +729,8 @@ def test_export_dot_roundtrip(ctx2, sigma2):
 
 def test_export_labels(ctx2, sigma2):
     buf = io.StringIO()
-    export_labels(sigma2.graph, buf)
+    export_labels(sigma2.graph, buf,
+                  lambda v: format_element(ctx2, vertex_rep(ctx2, v)))
     lines = buf.getvalue().splitlines()
     assert len(lines) == 512
     vid, side, enc = lines[0].split("\t")
