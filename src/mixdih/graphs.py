@@ -7,14 +7,27 @@ Adjacency in the Cayley graph is by LEFT multiplication: g is adjacent to
 s*g for s in S = (X union Y) \\ {1}.  Right multiplication is reserved for
 the automorphism action on the coset graph; mixing the two silently breaks
 the edge-regularity checks.
+
+The whole-graph loops run in row blocks through one runner,
+:func:`in_blocks`: here the coset-graph build (each ROW_CHUNK key block
+writes its own X and Y rows), the row check of ``graph_from_rows``,
+``Sigma.row_mismatches``, each BFS layer and the runs of the edge-list
+export; ``symmetry`` runs two more.  With several blocks the runner uses
+a module thread pool of WORKERS threads, one per CPU this process may
+run on, at most MAX_WORKERS; a loop of one block (every loop at n = 2)
+runs inline and starts no thread.  Results are taken in block order, so
+graphs, reports and exports are byte-identical to a serial run.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from itertools import islice
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -29,6 +42,85 @@ from .group import (
 DEFAULT_VERTEX_CAP = 1 << 23
 DEFAULT_CLIQUE_CAP = 4096
 ROW_CHUNK = 1 << 16  # rows per vectorized step of the whole-graph loops
+MAX_WORKERS = 4  # threads of the row-block pool at most
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+WORKERS = min(_usable_cpus(), MAX_WORKERS)
+_pool = None  # the row-block ThreadPoolExecutor, started by first use
+M_ARENA_MAX = -8  # glibc's mallopt parameter number
+
+
+def _start_pool():
+    """The module thread pool, started on first use.
+
+    glibc gives every thread that allocates its own malloc arena, and the
+    temporaries a block frees stay in its worker's arena, where the main
+    thread cannot reuse them: a blocked loop then peaks higher than a
+    serial one.  One arena for all threads keeps the serial peak, so the
+    pool sets M_ARENA_MAX to 1 before its threads start; where libc has
+    no mallopt (not glibc) that does nothing.  A forked child has none of
+    the threads and starts its own pool.
+    """
+    global _pool
+    if _pool is None:
+        import ctypes
+        from concurrent.futures import ThreadPoolExecutor
+        try:
+            mallopt = ctypes.CDLL(None).mallopt
+        except (OSError, AttributeError):
+            pass
+        else:
+            mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+            mallopt.restype = ctypes.c_int
+            mallopt(M_ARENA_MAX, 1)
+        _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="mixdih-rows")
+        if hasattr(os, "register_at_fork"):
+            os.register_at_fork(after_in_child=_forget_pool)
+    return _pool
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def in_blocks(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
+    """fn(item) for every item, yielded in item order.
+
+    With more than one item and more than one CPU the calls run on the
+    module thread pool, at most WORKERS of them in flight: each result
+    taken lets the next item start.  An exception of a block is raised
+    here in that block's turn.  Leaving the loop early (``all`` at its
+    first False) cancels the blocks not yet started and waits for those
+    running.  A single item runs inline and starts no thread.  fn must
+    not itself call in_blocks, whose pool it would wait on.
+    """
+    if len(items) < 2 or WORKERS < 2:
+        yield from map(fn, items)
+        return
+    pool = _start_pool()
+    rest = iter(items)
+    running = deque(pool.submit(fn, item) for item in islice(rest, WORKERS))
+    try:
+        while running:
+            result = running.popleft().result()
+            running.extend(pool.submit(fn, item) for item in islice(rest, 1))
+            yield result
+    finally:
+        for future in running:
+            if not future.cancel():
+                future.exception()  # wait; its result is not wanted
 
 
 class GraphConsistencyError(RuntimeError):
@@ -137,10 +229,13 @@ def graph_from_rows(rows: np.ndarray, sides=None) -> GraphData:
     caller's to check.
     """
     nv, degree = rows.shape
-    for lo in range(0, nv, ROW_CHUNK):
+
+    def increasing(lo: int) -> bool:
         block = rows[lo:lo + ROW_CHUNK]
-        if not np.all(block[:, 1:] > block[:, :-1]):
-            raise GraphConsistencyError("repeated neighbor in an adjacency row")
+        return bool(np.all(block[:, 1:] > block[:, :-1]))
+
+    if not all(in_blocks(increasing, range(0, nv, ROW_CHUNK))):
+        raise GraphConsistencyError("repeated neighbor in an adjacency row")
     indptr = np.arange(0, (nv + 1) * degree, degree,
                        dtype=_index_dtype(nv * degree))
     indices = rows.astype(_index_dtype(nv), copy=False).ravel()
@@ -152,26 +247,36 @@ def bfs_distances(g: GraphData, root: int,
     """Distance from root to every vertex (-1 where unreached), stopping
     after max_depth layers when a depth limit is given.
 
-    Each layer gathers the frontier's rows of ``neighbor_table``, ROW_CHUNK
-    rows at a time (dropping the -1 padding of an irregular graph), and is
-    read back as ``flatnonzero(dist == d)``, which dedupes the frontier
-    without sorting but scans all vertices once per layer: O(V * diameter),
-    cheap on the family's graphs (diameter <= 14 at n=3).
+    Each layer scatters the frontier's rows of ``neighbor_table`` into a
+    fresh mark, ROW_CHUNK rows per :func:`in_blocks` block (the writes are
+    idempotent, so blocks may run at once; the -1 padding of an irregular
+    graph marks one spare slot past the vertices).  The next frontier is
+    ``flatnonzero(mark & (dist < 0))``, with the mask taken in place and
+    the last frontier freed first; it is deduped without sorting but scans
+    all vertices once per layer: O(V * diameter), cheap on the family's
+    graphs (diameter <= 14 at n=3).
     """
+    nv = g.num_vertices
     nb = g.neighbor_table()
-    padded = nb.size > len(g.indices)
-    dist = np.full(g.num_vertices, -1, _index_dtype(g.num_vertices))
+    spare = int(nb.size > len(g.indices))
+    dist = np.full(nv, -1, _index_dtype(nv))
     dist[root] = 0
     frontier = np.array([root], dtype=np.int64)
     d = 0
     while len(frontier) and (max_depth is None or d < max_depth):
         d += 1
-        for lo in range(0, len(frontier), ROW_CHUNK):
-            nxt = np.take(nb, frontier[lo:lo + ROW_CHUNK], axis=0).ravel()
-            if padded:
-                nxt = nxt[nxt >= 0]
-            dist[nxt[dist[nxt] < 0]] = d
-        frontier = np.flatnonzero(dist == d)
+        mark = np.zeros(nv + spare, dtype=bool)
+
+        def scatter(lo: int) -> None:
+            mark[np.take(nb, frontier[lo:lo + ROW_CHUNK], axis=0)] = True
+
+        for _ in in_blocks(scatter, range(0, len(frontier), ROW_CHUNK)):
+            pass
+        reached = mark[:nv]
+        reached &= dist < 0
+        frontier = None  # freed before the next one is listed
+        frontier = np.flatnonzero(reached)
+        dist[frontier] = d
     return dist
 
 
@@ -266,16 +371,18 @@ class Sigma:
         :func:`coset_rows`, on both sides, ROW_CHUNK keys at a time.
         Counted once per Sigma; a ``dataclasses.replace`` copy counts its
         own rows."""
-        ctx, half, count = self.ctx, self.half, 0
+        ctx, half = self.ctx, self.half
         xrows, yrows = self.x_rows(), self.graph.neighbor_table()[half:]
-        for lo in range(0, half, ROW_CHUNK):
+
+        def mismatches(lo: int) -> int:
             hi = min(lo + ROW_CHUNK, half)
             keys = np.arange(lo, hi, dtype=packed_ops(ctx).dtype)
             x = coset_rows(ctx, "X", keys) + half  # Y ids are half + key
-            count += int(np.count_nonzero(x != xrows[lo:hi]))
             y = coset_rows(ctx, "Y", keys)
-            count += int(np.count_nonzero(y != yrows[lo:hi]))
-        return count
+            return int(np.count_nonzero(x != xrows[lo:hi])
+                       + np.count_nonzero(y != yrows[lo:hi]))
+
+        return sum(in_blocks(mismatches, range(0, half, ROW_CHUNK)))
 
 
 def _half(ctx: GroupContext) -> int:
@@ -327,16 +434,16 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     Y-coset(z)}, one for each element z of the group.
 
     Vertices are the cosets of both sides, numbered by coset_vertex.
-    Both sides' rows come from their closed form :func:`coset_rows`,
-    ROW_CHUNK keys of each side at a time.  The build checks that the Y
-    rows are the transpose of the X rows.  With b the b block of X key k,
-    the members y^b * rep(r) for the Y keys r stored in X row k, sorted,
-    must be the block (k << n) | a of X coset k.  Then each such member
-    of Y coset r lies in X coset k, so k is in Y row r, and X row k
-    repeats no key.  Both sides are regular of valency 2^n, and
-    ``graph_from_rows`` checks that the Y rows strictly increase, so the
-    two sides hold equally many distinct pairs, and the Y rows are the
-    transpose.
+    Both sides' rows come from their closed form :func:`coset_rows`, each
+    :func:`in_blocks` block writing the rows of ROW_CHUNK keys per side.
+    The build checks that the Y rows are the transpose of the X rows.
+    With b the b block of X key k, the members y^b * rep(r) for the Y
+    keys r stored in X row k, sorted, must be the block (k << n) | a of
+    X coset k.  Then each such member of Y coset r lies in X coset k, so
+    k is in Y row r, and X row k repeats no key.  Both sides are regular
+    of valency 2^n, and ``graph_from_rows`` checks that the Y rows
+    strictly increase, so the two sides hold equally many distinct pairs,
+    and the Y rows are the transpose.
     """
     half = _half(ctx)
     nv = 2 * half
@@ -344,17 +451,20 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     ops = packed_ops(ctx)
     degree = 1 << ctx.n
     rows = np.empty((nv, degree), dtype=_index_dtype(nv))
-    for lo in range(0, half, ROW_CHUNK):
+
+    def fill(lo: int) -> bool:
+        """Write the rows of one key block; whether its X rows transpose."""
         hi = min(lo + ROW_CHUNK, half)
         keys = np.arange(lo, hi, dtype=ops.dtype)
         rows[lo:hi] = coset_rows(ctx, "X", keys) + half
         b = (keys & ops.mask_n)[:, None]  # low n bits of an X key
         xkeys = (rows[lo:hi] - half).astype(ops.dtype)  # as stored
         members = np.sort(ops.y_member(xkeys, b), axis=1).ravel()
-        if not np.array_equal(members, np.arange(lo << ctx.n, hi << ctx.n)):
-            raise GraphConsistencyError(
-                "Y rows are not the transpose of X rows")
         rows[half + lo:half + hi] = coset_rows(ctx, "Y", keys)
+        return np.array_equal(members, np.arange(lo << ctx.n, hi << ctx.n))
+
+    if not all(in_blocks(fill, range(0, half, ROW_CHUNK))):
+        raise GraphConsistencyError("Y rows are not the transpose of X rows")
     sides = np.zeros(nv, dtype=np.uint8)
     sides[half:] = 1
     return Sigma(ctx, graph_from_rows(rows, sides=sides), half)
@@ -500,18 +610,28 @@ def export_graph(g: GraphData, out: IO[str], fmt: str = "edgelist",
 
 def _write_edges(g: GraphData, out: IO[str], literals: Sequence[str]) -> None:
     """Edge lines in runs of whole rows, about EXPORT_CHUNK entries each,
-    skipping runs where no (sorted) row ends above its id.  A run's end is
-    sought in indptr's dtype, clipped at its end: a wider one casts indptr."""
+    formatted by :func:`in_blocks` and written in order; a run where no
+    (sorted) row ends above its id is skipped.  A run's end is sought in
+    indptr's dtype, clipped at its end: a wider one casts indptr."""
+    runs = []
     start, end = 0, g.indptr[-1]
     while start < g.num_vertices:
         reach = g.indptr[start] + min(EXPORT_CHUNK, end - g.indptr[start])
         stop = int(np.searchsorted(g.indptr, reach, side="right")) - 1
-        stop = max(stop, start + 1)
+        runs.append((start, max(stop, start + 1)))
+        start = runs[-1][1]
+
+    def lines(run: tuple[int, int]) -> str:
+        start, stop = run
         ends = g.indptr[start + 1:stop + 1]
         full = ends > g.indptr[start:stop]
-        if np.any(g.indices[ends[full] - 1] > np.arange(start, stop)[full]):
-            out.write(_format_lines(literals, *g.edge_array(start, stop)))
-        start = stop
+        up = g.indices[ends[full] - 1] > np.arange(start, stop)[full]
+        if not np.any(up):
+            return ""
+        return _format_lines(literals, *g.edge_array(start, stop))
+
+    for text in in_blocks(lines, runs):
+        out.write(text)
 
 
 def _format_lines(literals: Sequence[str], *columns: np.ndarray) -> str:
@@ -553,8 +673,11 @@ def _format_lines(literals: Sequence[str], *columns: np.ndarray) -> str:
                 padded = True
             x, low = q, qlow
         pos += widths[i]
-    data = buf.T.tobytes()
-    return (data.translate(None, b"\0") if padded else data).decode("ascii")
+    lines = np.ascontiguousarray(buf.T)  # copied without the GIL
+    del buf  # freed before the lines are decoded: a run peaks lower
+    if padded:
+        return lines.tobytes().translate(None, b"\0").decode("ascii")
+    return str(lines.data, "ascii")  # decoded from the array's own bytes
 
 
 def export_labels(g: GraphData, out: IO[str],

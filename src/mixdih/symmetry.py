@@ -28,6 +28,14 @@ right action's homomorphism property, and both counts with a permutation
 test its automorphism property.  ``semisymmetry_certificate`` combines
 the witness, the local 2-arc report and the base ``layer_certificate``.
 
+Three whole-graph loops run in row blocks through ``graphs.in_blocks``,
+on its worker threads when there are several blocks and CPUs (one per
+CPU the process may use, at most ``graphs.MAX_WORKERS``): the row pass of
+``is_graph_automorphism``, which stops at the first block in order that
+fails, the action count of ``edge_regular_witness`` and, inside it,
+``Sigma.row_mismatches``.  Blocks are combined in order, so every count
+and report is the same as a serial run's.
+
 Vertex intransitivity is certified by a side-separating invariant (the BFS
 layer profile) rather than a full automorphism search: an automorphism
 mapping one side to the other would transport layer profiles, and the
@@ -53,6 +61,7 @@ from .graphs import (
     bfs_layers,
     connection_set,
     coset_vertex,
+    in_blocks,
     vertex_rep,
 )
 from .group import (
@@ -152,14 +161,15 @@ def is_graph_automorphism(g: GraphData, perm: VertexPermutation,
     if not (len(perm) == nv == len(tb) and is_permutation(perm)):
         return False
     padded = np.append(perm, nv)  # padding -1 reads nv, which sorts last
-    for lo in range(0, nv, ROW_CHUNK):
+
+    def rows_map(lo: int) -> bool:
         img = padded[nb[lo:lo + ROW_CHUNK]]
         img.sort(axis=1)
         img[img == nv] = -1
-        if not np.array_equal(
-                img, np.take(tb, perm[lo:lo + ROW_CHUNK], axis=0)):
-            return False
-    return True
+        return np.array_equal(img,
+                              np.take(tb, perm[lo:lo + ROW_CHUNK], axis=0))
+
+    return all(in_blocks(rows_map, range(0, nv, ROW_CHUNK)))
 
 
 def compose(p: VertexPermutation, q: VertexPermutation) -> VertexPermutation:
@@ -441,25 +451,31 @@ def edge_regular_witness(ctx: GroupContext, sigma: Sigma,
     0 says the rows of both sides are the edges {X(z), Y(z)} of the
     elements z.
     ``action_mismatches`` counts the pairs (generator h, element z), in
-    blocks of ROW_CHUNK * 2^n elements, where p_h from ``actions`` fails
-    p_h(X(z)) = X(z*h) or p_h(Y(z)) = Y(z*h).  With both 0 the generators
-    move edges as right multiplication moves elements, and the group acts
-    on itself transitively.  z*h is the one-letter rule
-    ``PackedOps.mul_gen`` and p_h the closed-form ``PackedOps.mul``, so
-    the two kernels are also compared on every such product.
+    ``graphs.in_blocks`` blocks of ROW_CHUNK * 2^n elements, where p_h
+    from ``actions`` fails p_h(X(z)) = X(z*h) or p_h(Y(z)) = Y(z*h).
+    With both 0 the generators move edges as right multiplication moves
+    elements, and the group acts on itself transitively.  z*h is the
+    one-letter rule ``PackedOps.mul_gen`` and p_h the closed-form
+    ``PackedOps.mul``, so the two kernels are also compared on every such
+    product.
     """
     ops = packed_ops(ctx)
     gens = [ops.scalar(ctx.pack(h)) for h in _xy_generators(ctx)]
     if len(actions) != len(gens):
         raise ValueError(f"need {len(gens)} generator actions")
-    rows, moved = sigma.row_mismatches, 0
+    rows = sigma.row_mismatches
     size, step = 1 << ctx.total_bits, ROW_CHUNK << ctx.n
-    for lo in range(0, size, step):
+
+    def mismatches(lo: int) -> int:
         z = np.arange(lo, min(lo + step, size), dtype=ops.dtype)
         u, v = sigma.edge_ends(z)
+        count = 0
         for h, p in zip(gens, actions):
             hu, hv = sigma.edge_ends(ops.mul_gen(z, h))
-            moved += int(np.count_nonzero((hu != p[u]) | (hv != p[v])))
+            count += int(np.count_nonzero((hu != p[u]) | (hv != p[v])))
+        return count
+
+    moved = sum(in_blocks(mismatches, range(0, size, step)))
     edges = sigma.graph.num_edges
     return {"generators": len(gens), "edges": edges, "row_mismatches": rows,
             "action_mismatches": moved,

@@ -99,6 +99,19 @@ def test_graph_cap_without_force(capsys):
     assert "force" in err
 
 
+def test_graph_linegraph_cap_before_any_build(monkeypatch, capsys):
+    # L(sigma(3)) has one vertex per element, 2^24 > the 2^23 cap; the cap
+    # must stop it before sigma(3) is built
+    def no_build(ctx, force):
+        raise AssertionError("sigma was built")
+
+    monkeypatch.setattr(cli.gr, "build_sigma", no_build)
+    code, out, err = run_cli(capsys, "graph", "--n", "3", "--kind",
+                             "linegraph")
+    assert code == 2 and out == ""
+    assert "line graph would have 16777216 vertices" in err
+
+
 def test_graph_dot(capsys):
     code, out, _ = run_cli(capsys, "graph", "--n", "2", "--kind", "quotient",
                            "--format", "dot")

@@ -6,7 +6,13 @@ connectivity checks alongside the exact structural assertions.
 
 import dataclasses
 import io
+import os
 import random
+import signal
+import subprocess
+import sys
+import threading
+import time
 from collections import Counter, deque
 
 import networkx as nx
@@ -832,7 +838,7 @@ def test_export_skips_rows_without_up_edges(monkeypatch, sigma2, fmt):
         starts.clear()
         buf = io.StringIO()
         export_graph(g, buf, fmt, n=2, kind="test")
-        assert starts == up
+        assert sorted(starts) == up  # run starts are recorded by workers
         assert buf.getvalue() == reference_export(g, fmt, 2, "test")
 
 
@@ -872,3 +878,130 @@ def test_export_empty_graph():
         buf = io.StringIO()
         export_graph(g, buf, fmt, n=2, kind="empty")
         assert buf.getvalue() == reference_export(g, fmt, 2, "empty")
+
+
+# -- the row-block runner ------------------------------------------------------
+
+def test_in_blocks_yields_in_item_order():
+    items = list(range(40))
+    assert list(graphs.in_blocks(lambda i: i * i, items)) == [
+        i * i for i in items]
+    assert list(graphs.in_blocks(str, [])) == []
+
+
+def test_in_blocks_stops_at_the_first_false_in_order():
+    calls = []
+
+    def block(i):
+        calls.append(i)
+        return i != 10
+
+    assert not all(graphs.in_blocks(block, range(200)))
+    # blocks past the failing one start only while it is in flight
+    assert set(range(11)) <= set(calls) <= set(range(11 + graphs.WORKERS))
+
+
+def test_bfs_in_small_blocks_matches_default_chunks(monkeypatch, sigma2,
+                                                   gamma2):
+    # blocks of 7 frontier rows split a BFS layer into up to 39 blocks on
+    # the pool: BFS from every 9th root (both sides of sigma), at every
+    # depth from every 99th, as at the default chunk (the build and the
+    # exports in small blocks are compared by
+    # test_sigma_row_blocks_match_default_build and
+    # test_export_matches_per_edge_reference)
+    def runs(g):
+        for root in range(0, g.num_vertices, 9):
+            yield bfs_distances(g, root)
+            if root % 99 == 0:
+                yield from (bfs_distances(g, root, depth)
+                            for depth in range(11))
+
+    want = [list(runs(g)) for g in (sigma2.graph, gamma2)]
+    monkeypatch.setattr(graphs, "ROW_CHUNK", 7)
+    for g, want_g in zip((sigma2.graph, gamma2), want):
+        got = list(runs(g))
+        assert len(got) == len(want_g)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want_g))
+
+
+def test_runner_stress_more_workers_than_cores(monkeypatch, ctx2, sigma2):
+    # 8 workers switching every microsecond: never more than 8 blocks in
+    # flight, results in order, and the build and BFS marks of blocks of
+    # 3 rows as at the defaults
+    want_bfs = [bfs_distances(sigma2.graph, root) for root in (0, 300)]
+    monkeypatch.setattr(graphs, "WORKERS", 8)
+    monkeypatch.setattr(graphs, "_pool", None)
+    monkeypatch.setattr(graphs, "ROW_CHUNK", 3)
+    lock, live = threading.Lock(), [0, 0]  # in flight now, at most
+
+    def block(i):
+        with lock:
+            live[0] += 1
+            live[1] = max(live)
+        time.sleep(0.001)
+        with lock:
+            live[0] -= 1
+        return i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert list(graphs.in_blocks(block, range(100))) == list(range(100))
+        assert 1 < live[1] <= 8
+        built = build_sigma(ctx2).graph
+        assert np.array_equal(built.indptr, sigma2.graph.indptr)
+        assert np.array_equal(built.indices, sigma2.graph.indices)
+        for root, want in zip((0, 300), want_bfs):
+            assert np.array_equal(bfs_distances(sigma2.graph, root), want)
+    finally:
+        sys.setswitchinterval(interval)
+        if graphs._pool is not None:
+            graphs._pool.shutdown()
+
+
+def test_worker_block_error_propagates(monkeypatch):
+    # one key block of 37 fails in whichever thread runs it
+    original = graphs.coset_rows
+
+    def corrupt(ctx, side, keys):
+        if side == "Y" and keys[0] == 7 * 20:
+            raise GraphConsistencyError("corrupted block 20")
+        return original(ctx, side, keys)
+
+    monkeypatch.setattr(graphs, "ROW_CHUNK", 7)
+    monkeypatch.setattr(graphs, "coset_rows", corrupt)
+    with pytest.raises(GraphConsistencyError, match="corrupted block 20"):
+        build_sigma(context(2))
+
+
+def test_rank2_suite_starts_no_thread():
+    # every rank-2 loop is one block, so it runs inline
+    code = ("import threading\n"
+            "from mixdih import graphs\n"
+            "from mixdih.verify import run_suite\n"
+            "assert run_suite(2, 'all').overall == 'pass'\n"
+            "print(graphs._pool is None, threading.active_count())\n")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "1"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or graphs.WORKERS < 2,
+                    reason="needs fork and two CPUs")
+def test_forked_child_starts_its_own_pool():
+    # the child inherits the parent's started pool but none of its threads
+    assert list(graphs.in_blocks(abs, [-1, -2])) == [1, 2]
+    assert graphs._pool is not None
+    pid = os.fork()
+    if pid == 0:
+        signal.alarm(60)  # a child waiting on the parent's threads dies
+        ok = graphs._pool is None and list(
+            graphs.in_blocks(abs, [-3, -4])) == [3, 4]
+        os._exit(0 if ok else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0

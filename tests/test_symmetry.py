@@ -194,6 +194,35 @@ def test_right_action_edge_regular(ctx2, sigma2):
     assert np.count_nonzero(label == label[base]) == 1024
 
 
+def test_row_block_loops_match_at_small_blocks(monkeypatch, ctx2, sigma2,
+                                               x_neighbor_moved):
+    # the same counts and verdicts in blocks of 7 rows (28 elements per
+    # witness block), where the differences sit in late blocks: Y rows
+    # 495 and 496 (Y key 239 is in block 34 of 37), and X vertices 250 and
+    # 251 swapped in a permutation and in one generator's action
+    actions = generator_actions(ctx2, sigma2)
+    bad_action = actions[2].copy()
+    bad_action[[250, 251]] = bad_action[[251, 250]]
+    swap = np.arange(512)
+    swap[[250, 251]] = [251, 250]
+
+    def counts():
+        moved = x_neighbor_moved(sigma2, 495, 496)
+        return (moved.row_mismatches,
+                edge_regular_witness(ctx2, sigma2, actions),
+                edge_regular_witness(ctx2, sigma2,
+                                     actions[:2] + [bad_action] + actions[3:]),
+                [is_graph_automorphism(sigma2.graph, p)
+                 for p in actions + [swap, bad_action]])
+
+    want = counts()
+    assert want[0] > 0 and want[2]["action_mismatches"] > 0
+    assert want[3] == [True] * 4 + [False, False]
+    for module in (graphs, symmetry):
+        monkeypatch.setattr(module, "ROW_CHUNK", 7)
+    assert counts() == want
+
+
 def test_generator_actions_are_the_right_actions(ctx2, sigma2):
     actions = generator_actions(ctx2, sigma2)
     gens = [xgen(ctx2, 1), xgen(ctx2, 2), ygen(ctx2, 1), ygen(ctx2, 2)]
