@@ -24,7 +24,7 @@ def main():
     print(f"full automorphism group     : {full} "
           f"({'= 2^15 * 3^5' if full == 2**15 * 3**5 else 'unexpected!'})")
     print(f"index of the subgroup       : {full // known_subgroup}")
-    print(f"search time                 : {dt:.1f}s")
+    print(f"search time                 : {dt:.3f}s")
 
 
 if __name__ == "__main__":

@@ -1,13 +1,18 @@
 """Full automorphism group order via individualization-refinement.
 
 Backtracking over the refinement tree in the usual style: the leftmost
-path fixes a base of vertices; sibling branches are pruned by refinement
-traces (canonical cell-size profiles) and by orbits of the automorphisms
-already found; every non-pruned sibling subtree is searched until it
-either yields an automorphism mapping the base point to that sibling or is
-exhausted.  The group order is then the product over base points of the
-orbit sizes under the discovered generators that fix the earlier base
-points -- no stabilizer chains.
+path fixes a base of vertices, splitting the first largest cell at each
+node (a choice read off the refined colouring alone, so isomorphism-
+invariant).  Sibling branches are pruned by refinement traces (canonical
+cell-size profiles) and by orbits, under the generators found so far that
+fix the earlier base points, of the base point and of every sibling whose
+search failed; every other sibling subtree is searched until it either
+yields an automorphism mapping the base point to that sibling or is
+exhausted.  Skipping a failed sibling's orbit is sound: were u = v^g the
+image of the base point, g^-1 would make v one too, and the search for v
+found none (McKay & Piperno, arXiv:1301.1493).  The group order is then
+the product over base points of the orbit sizes under the discovered
+generators that fix the earlier base points -- no stabilizer chains.
 
 The search owns only the tree walk.  Refinement, orbits and the
 automorphism test are the shared ``symmetry.color_refinement``,
@@ -59,8 +64,7 @@ def automorphism_group_order(g: GraphData) -> int:
         return inv_cur[state["first_leaf"]]
 
     def target_cell(colors: np.ndarray, ncol: int) -> list[int]:
-        counts = np.bincount(colors, minlength=ncol)
-        c = int(np.nonzero(counts > 1)[0][0])
+        c = int(np.argmax(np.bincount(colors, minlength=ncol)))
         return np.nonzero(colors == c)[0].tolist()
 
     def stabilizer_orbits(fixed: list[int]) -> np.ndarray:
@@ -80,11 +84,14 @@ def automorphism_group_order(g: GraphData) -> int:
         search_left(_individualize(colors, b), level + 1)
         fixed = [v for (lv, v) in state["base"] if lv < level]
         lab = stabilizer_orbits(fixed)  # changes only with a new generator
+        tried = [b]  # b and every sibling whose search failed
         for v in cell[1:]:
-            if lab[v] == lab[b]:
+            if lab[v] in lab[tried]:
                 continue
             p = search_other(_individualize(colors, v), level + 1)
-            if p is not None:
+            if p is None:
+                tried.append(v)
+            else:
                 state["gens"].append(p)
                 lab = stabilizer_orbits(fixed)
 

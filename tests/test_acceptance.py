@@ -309,7 +309,6 @@ def test_criterion_11_hall():
            "counts at r=4; u+v identity n=2..10; enumeration agrees")
 
 
-@pytest.mark.slow
 def test_criterion_12_stretch_aut(ctx2, sigma2):
     order = automorphism_group_order(sigma2.graph)
     rdx = refined_diagram(sigma2.graph, coset_vertex(ctx2, "X", IDENTITY), "X")

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from mixdih import autgroup
 from mixdih.autgroup import automorphism_group_order
 from mixdih.graphs import GraphData, build_sigma, graph_from_edges, \
     quotient_by_derived
@@ -28,6 +29,13 @@ def from_pairs(nv, pairs):
     (4, [(i, j) for i in range(4) for j in range(i + 1, 4)], 24),  # K4
     (5, [], 120),                                       # empty: S5
     (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], 72),     # 2xK3
+    # K33 (even ids) + prism (odd ids): both 3-regular on 6 vertices, so
+    # refinement leaves one cell holding two orbits; the branch into the
+    # prism fails before the other K33 vertices are tried
+    (12, [(2 * i, 2 * (3 + j)) for i in range(3) for j in range(3)]
+     + [(2 * u + 1, 2 * v + 1) for u, v in [(0, 1), (1, 2), (0, 2), (3, 4),
+                                            (4, 5), (3, 5), (0, 3), (1, 4),
+                                            (2, 5)]], 72 * 12),
 ])
 def test_known_orders(nv, pairs, order):
     assert automorphism_group_order(from_pairs(nv, pairs)) == order
@@ -54,7 +62,14 @@ def brute_force_order(nv, pairs):
     return count
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("nv", range(3, 8))
+def test_cycles_against_brute_force(nv):
+    pairs = [(i, (i + 1) % nv) for i in range(nv)]
+    assert automorphism_group_order(from_pairs(nv, pairs)) == \
+        brute_force_order(nv, pairs) == 2 * nv
+
+
+@pytest.mark.parametrize("seed", range(40))
 def test_random_graphs_against_brute_force(seed):
     rng = random.Random(seed)
     nv = rng.randint(1, 7)
@@ -77,9 +92,19 @@ def test_quotient_aut_order():
     assert automorphism_group_order(q) == 1152
 
 
-@pytest.mark.slow
-def test_sigma_aut_order():
-    # full automorphism group of the 512-vertex coset graph
+def test_sigma_aut_order(monkeypatch):
+    # full automorphism group of the 512-vertex coset graph; with siblings
+    # pruned by the orbits of failed ones and the largest cell split, the
+    # search refines 27 times (329 with neither rule)
+    calls = []
+    refine = autgroup.color_refinement
+
+    def counting(*args):
+        calls.append(1)
+        return refine(*args)
+
+    monkeypatch.setattr(autgroup, "color_refinement", counting)
     ctx = context(2)
     sig = build_sigma(ctx)
     assert automorphism_group_order(sig.graph) == 2**15 * 3**5
+    assert len(calls) <= 40

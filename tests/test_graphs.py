@@ -785,7 +785,8 @@ def _family_graph(kind, ctx2, sigma2, gamma2):
     return line_graph(sigma2.graph)
 
 
-@pytest.mark.parametrize("chunk", [graphs.EXPORT_CHUNK, 3])
+@pytest.mark.parametrize("chunk", [
+    pytest.param(graphs.EXPORT_CHUNK, id="default"), 3])
 @pytest.mark.parametrize("fmt", ["edgelist", "dot"])
 @pytest.mark.parametrize("kind", ["sigma", "gamma", "quotient", "linegraph"])
 def test_export_matches_per_edge_reference(monkeypatch, ctx2, sigma2, gamma2,
@@ -802,7 +803,8 @@ def test_export_matches_per_edge_reference(monkeypatch, ctx2, sigma2, gamma2,
 HAND_PAIRS = [(0, 9), (9, 10), (10, 99), (0, 100), (99, 100), (0, 10)]
 
 
-@pytest.mark.parametrize("chunk", [graphs.EXPORT_CHUNK, 1])
+@pytest.mark.parametrize("chunk", [
+    pytest.param(graphs.EXPORT_CHUNK, id="default"), 1])
 @pytest.mark.parametrize("fmt", ["edgelist", "dot"])
 def test_export_hand_graph(monkeypatch, fmt, chunk):
     monkeypatch.setattr(graphs, "EXPORT_CHUNK", chunk)
