@@ -38,11 +38,16 @@ def _individualize(colors: np.ndarray, v: int) -> np.ndarray:
     return out.astype(np.int64)
 
 
-def automorphism_group_order(g: GraphData) -> int:
-    """Order of the full automorphism group of a simple graph."""
-    if g.num_vertices > DEFAULT_AUT_CAP:
+def check_aut_cap(num_vertices: int) -> None:
+    """Refuse a search on more than DEFAULT_AUT_CAP vertices."""
+    if num_vertices > DEFAULT_AUT_CAP:
         raise CapExceededError(
             f"automorphism search capped at {DEFAULT_AUT_CAP} vertices")
+
+
+def automorphism_group_order(g: GraphData) -> int:
+    """Order of the full automorphism group of a simple graph."""
+    check_aut_cap(g.num_vertices)
     if g.num_vertices == 0:
         return 1
     nb = g.neighbor_table()

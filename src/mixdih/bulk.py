@@ -185,24 +185,20 @@ class PackedOps:
 
     def induced_tables(self, aut: InducedAutomorphism
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gather tables of an induced automorphism: the packed images of
-        x^a and of y^b, and the XOR-linear map D on the (m,t) bits.
+        """Gather tables of an induced automorphism, read off its image
+        table ``aut.images`` (packed, in bit order): the images of x^a and
+        of y^b, and the XOR-linear map D on the (m,t) bits.
 
         The images of the w and t generators lie in the derived subgroup,
         which is elementary abelian, so D is the XOR of the images of the
         set bits; an image outside it raises ValueError.
         """
-        ctx = self.ctx
-        basis = [0] * (ctx.dim_w + ctx.dim_t)
-        for (i, j), img in aut._w_img.items():
-            basis[ctx.w_index(i, j)] = ctx.pack(img)
-        for (i, k, j), img in aut._t_img.items():
-            basis[ctx.dim_w + ctx.t_index(i, k, j)] = ctx.pack(img)
-        if any(z & ((1 << 2 * self.n) - 1) for z in basis):
+        n = self.n
+        images = [self.ctx.pack(e) for e in aut.images]
+        if any(z & ((1 << 2 * n) - 1) for z in images[2 * n:]):
             raise ValueError("a w or t image leaves the derived subgroup")
-        return (_xor_span([ctx.pack(e) for e in aut._x_img]),
-                _xor_span([ctx.pack(e) for e in aut._y_img]),
-                _xor_span(basis))
+        return (_xor_span(images[:n]), _xor_span(images[n:2 * n]),
+                _xor_span(images[2 * n:]))
 
     def induced_image(self, tables: tuple[np.ndarray, np.ndarray, np.ndarray],
                       z: np.ndarray) -> np.ndarray:

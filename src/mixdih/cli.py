@@ -13,7 +13,7 @@ import sys
 from . import graphs as gr
 from . import hall
 from . import symmetry as sym
-from .autgroup import automorphism_group_order
+from .autgroup import automorphism_group_order, check_aut_cap
 from .group import (
     CapExceededError,
     EncodingError,
@@ -97,8 +97,8 @@ def cmd_info(args) -> int:
         "n": n,
         "group_order": str(1 << ctx.total_bits),
         "group_order_exp": ctx.total_bits,
-        "derived_order_exp": n * n * (n + 1) // 2,
-        "sigma_vertices_exp": n * n * (n + 1) // 2 + n + 1,
+        "derived_order_exp": dt.u,
+        "sigma_vertices_exp": dt.u + n + 1,
         "sigma_edges_exp": ctx.total_bits,
         "sigma_valency": 1 << n,
         "gamma_valency": 2 * ((1 << n) - 1),
@@ -237,6 +237,7 @@ def cmd_hall(args) -> int:
 
 def cmd_aut(args) -> int:
     ctx = context(args.n)
+    check_aut_cap(2 * gr._half(ctx))  # Sigma's vertex count, before the build
     sig = gr.build_sigma(ctx)
     order = automorphism_group_order(sig.graph)
     print(f"|Aut| = {order}")

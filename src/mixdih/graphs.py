@@ -556,18 +556,15 @@ def quotient_by_derived(ctx: GroupContext, sigma: Sigma) -> GraphData:
     to exactly one edge per vertex of its fibers.  The Y rows are read
     only through ``Sigma.row_mismatches``, which must be 0.
     """
-    g = sigma.graph
     half, n = sigma.half, ctx.n
     two_n = 1 << n
     mask = two_n - 1
+    # half is a multiple of 2^n, so each of the 2^n classes on a side (the
+    # low n bits of the key) has the same number of vertices, fiber
     fiber = half // two_n
-    if np.any(np.bincount(np.arange(half) & mask, minlength=two_n) != fiber):
-        raise GraphConsistencyError("quotient fibers are not uniform")
-    if g.indptr[half] != half * two_n:
-        raise GraphConsistencyError("X rows are not regular of valency 2^n")
-    # [row block, X class, neighbor]; Y ids are half + key, half a
-    # multiple of 2^n, so the low n bits of an id are its class
-    rows = g.indices[:half * two_n].reshape(half >> n, two_n, two_n)
+    # [row block, X class, neighbor]; Y ids are half + key, so the low n
+    # bits of an id are its class
+    rows = sigma.x_rows().reshape(half >> n, two_n, two_n)
     pairs = np.stack([np.bincount(rows[:, c, :].ravel() & mask,
                                   minlength=two_n) for c in range(two_n)])
     if np.any(pairs[pairs > 0] != fiber):

@@ -19,12 +19,18 @@ normal form, using the commutation rules of the family:
 * w_ij x_k = x_k w_ij t_(min(i,k),max(i,k),j)  (empty when k = i)
 * y, w, t all commute with each other; t is central.
 
-Only x letters do collection work, so the rule is one helper that moves
-x letters left past a y, w and t block, one x_k at a time.  The
-one-letter step :func:`mul_gen`, :func:`mul` and :func:`inv` all run it;
-everything else (comm, word evaluation, induced automorphisms) is built
-on those.  The closed form of a whole product (outer, phi and psi terms
-at once) lives only in the packed kernel of ``bulk.py``.
+The normal form is a polycyclic presentation: the pc generators are the
+bits of the packed encoding, x, y, w then t, and ``GroupContext.letter``
+is the bit of a generator symbol.  Only x letters do collection work, so
+the rule is one helper that moves x letters left past a y, w and t
+block, one x_k at a time.  The one-letter step :func:`mul_gen` runs it
+for the x bits and toggles any other bit; :func:`mul` and :func:`inv`
+run it too, and everything else (comm, word evaluation) is built on
+those.  An automorphism induced by GL_n(2) x GL_n(2) is its table
+:func:`generator_images`, the image of every pc generator in bit order;
+its ``apply`` folds ``mul`` over the images of the set bits.  The closed
+form of a whole product (outer, phi and psi terms at once) lives only in
+the packed kernel of ``bulk.py``.
 """
 
 from __future__ import annotations
@@ -87,8 +93,6 @@ class GroupContext:
         if n < 2:
             raise UnsupportedParameterError(f"rank n must be >= 2, got {n}")
         self.n = n
-        self.dim_x = n
-        self.dim_y = n
         self.dim_w = n * n
         self.dim_t = n * n * (n - 1) // 2
         self.total_bits = 2 * n + self.dim_w + self.dim_t
@@ -103,12 +107,23 @@ class GroupContext:
             + [("w", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
             + [("t", i, k, j) for i in range(1, n + 1)
                for k in range(i + 1, n + 1) for j in range(1, n + 1)])
+        self._letters = {sym: p for p, sym in enumerate(self.bit_symbols)}
         self._phi_tab: list[int] | None = None
         if n <= _TABLE_MAX_N:
             self._phi_tab = [self._phi_loop(idx >> n, idx & self._mask_n)
                              for idx in range(1 << (self.dim_w + n))]
 
     # -- index maps -------------------------------------------------------
+
+    def letter(self, sym: Symbol) -> int:
+        """Bit of the pc generator ``sym`` in the packed encoding.  An
+        index out of range raises IndexError, an unknown kind ValueError."""
+        p = self._letters.get(sym)
+        if p is not None:
+            return p
+        if sym[0] in ("x", "y", "w", "t"):
+            raise IndexError(f"generator index {sym} out of range for n={self.n}")
+        raise ValueError(f"unknown generator kind {sym!r}")
 
     def w_index(self, i: int, j: int) -> int:
         """Bit position of the w-block entry (i,j), row-major."""
@@ -218,36 +233,9 @@ def context(n: int) -> GroupContext:
 
 # -- generator symbols ----------------------------------------------------
 
-def check_symbol(ctx: GroupContext, sym: Symbol) -> None:
-    kind = sym[0]
-    n = ctx.n
-    if kind == "x" or kind == "y":
-        (i,) = sym[1:]
-        if not 1 <= i <= n:
-            raise IndexError(f"generator index {sym} out of range for n={n}")
-    elif kind == "w":
-        i, j = sym[1:]
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise IndexError(f"generator index {sym} out of range for n={n}")
-    elif kind == "t":
-        i, k, j = sym[1:]
-        if not (1 <= i < k <= n and 1 <= j <= n):
-            raise IndexError(f"generator index {sym} out of range for n={n}")
-    else:
-        raise ValueError(f"unknown generator kind {sym!r}")
-
-
 def generator(ctx: GroupContext, sym: Symbol) -> Element:
     """The Element of a single generator symbol."""
-    check_symbol(ctx, sym)
-    kind = sym[0]
-    if kind == "x":
-        return Element(a=1 << (sym[1] - 1))
-    if kind == "y":
-        return Element(b=1 << (sym[1] - 1))
-    if kind == "w":
-        return Element(m=1 << ctx.w_index(sym[1], sym[2]))
-    return Element(t=1 << ctx.t_index(sym[1], sym[2], sym[3]))
+    return ctx.unpack(1 << ctx.letter(sym))
 
 
 def xgen(ctx: GroupContext, i: int) -> Element:
@@ -279,20 +267,14 @@ def _collect_x(ctx: GroupContext, a: int, b: int, m: int,
 def mul_gen(ctx: GroupContext, h: Element, sym: Symbol) -> Element:
     """One-letter collection step: the normal form of ``h * g``.
 
-    An x_k is collected past h's y, w and t blocks by :func:`_collect_x`;
-    y, w and t generators merge into their own block directly.
+    An x_k (bit p < n) is collected past h's y, w and t blocks by
+    :func:`_collect_x`; a y, w or t generator toggles its own bit.
     """
-    check_symbol(ctx, sym)
-    kind = sym[0]
-    if kind == "x":
-        low = 1 << (sym[1] - 1)
-        m, t = _collect_x(ctx, low, h.b, h.m, h.t)
-        return Element(h.a ^ low, h.b, m, t)
-    if kind == "y":
-        return Element(h.a, h.b ^ (1 << (sym[1] - 1)), h.m, h.t)
-    if kind == "w":
-        return Element(h.a, h.b, h.m ^ (1 << ctx.w_index(sym[1], sym[2])), h.t)
-    return Element(h.a, h.b, h.m, h.t ^ (1 << ctx.t_index(sym[1], sym[2], sym[3])))
+    p = ctx.letter(sym)
+    if p < ctx.n:
+        m, t = _collect_x(ctx, 1 << p, h.b, h.m, h.t)
+        return Element(h.a ^ 1 << p, h.b, m, t)
+    return ctx.unpack(ctx.pack(h) ^ 1 << p)
 
 
 def word_of(ctx: GroupContext, h: Element) -> list[Symbol]:
@@ -413,21 +395,22 @@ def gf2_mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
     return tuple(out)
 
 
+def gf2_rank(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of bit-packed row vectors: each row is reduced by
+    the basis row with its leading bit until it is zero or leads anew."""
+    basis: dict[int, int] = {}  # leading bit -> basis row
+    for v in rows:
+        while v and v.bit_length() in basis:
+            v ^= basis[v.bit_length()]
+        if v:
+            basis[v.bit_length()] = v
+    return len(basis)
+
+
 def gf2_is_invertible(mat: GF2Matrix, n: int) -> bool:
-    rows = list(mat)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if rows[r] >> col & 1:
-                piv = r
-                break
-        if piv is None:
-            return False
-        rows[col], rows[piv] = rows[piv], rows[col]
-        for r in range(n):
-            if r != col and rows[r] >> col & 1:
-                rows[r] ^= rows[col]
-    return True
+    """mat is n rows of n bits and of rank n."""
+    return (len(mat) == n and all(0 <= row < 1 << n for row in mat)
+            and gf2_rank(mat) == n)
 
 
 def gl_enumerate(n: int) -> list[GF2Matrix]:
@@ -458,55 +441,44 @@ def gl_generator_pairs(n: int) -> list[tuple[GF2Matrix, GF2Matrix]]:
             for pair in ((mat, ident), (ident, mat))]
 
 
+def generator_images(ctx: GroupContext, g1: GF2Matrix,
+                     g2: GF2Matrix) -> list[Element]:
+    """Image of every pc generator, in bit order, under the automorphism
+    that the pair (g1, g2) induces: x_i goes to x^(row i of g1), y_j to
+    y^(row j of g2), w_ij to [x_i', y_j'] (row-major) and t_(i,k,j) to
+    [w_ij', x_k'] for i < k (in ``t_index`` order)."""
+    xs = [Element(a=row) for row in g1]
+    ys = [Element(b=row) for row in g2]
+    ws = [comm(ctx, x, y) for x in xs for y in ys]
+    ts = [comm(ctx, ws[i * ctx.n + j], xs[k])
+          for i, k in combinations(range(ctx.n), 2) for j in range(ctx.n)]
+    return xs + ys + ws + ts
+
+
 @dataclass
 class InducedAutomorphism:
-    """Automorphism induced by a pair of GL_n(2) matrices on X and Y.
-
-    Row i of g1 gives the x-word image of x_i; row j of g2 the y-word
-    image of y_j.  w and t generators map to the corresponding commutator
-    words of the images; the cache below holds all collected images.
-    """
+    """Automorphism induced by a pair of GL_n(2) matrices on X and Y,
+    held as its table ``images`` of :func:`generator_images`."""
 
     ctx: GroupContext
     g1: GF2Matrix
     g2: GF2Matrix
-    _x_img: list[Element] = field(repr=False, default_factory=list)
-    _y_img: list[Element] = field(repr=False, default_factory=list)
-    _w_img: dict = field(repr=False, default_factory=dict)
-    _t_img: dict = field(repr=False, default_factory=dict)
+    images: list[Element] = field(init=False, repr=False)
 
     def __post_init__(self):
-        ctx, n = self.ctx, self.ctx.n
-        if len(self.g1) != n or len(self.g2) != n:
-            raise ValueError("matrix size does not match context rank")
+        n = self.ctx.n
         if not (gf2_is_invertible(self.g1, n) and gf2_is_invertible(self.g2, n)):
             raise ValueError("induced automorphism needs invertible matrices")
-        self._x_img = [Element(a=self.g1[i]) for i in range(n)]
-        self._y_img = [Element(b=self.g2[j]) for j in range(n)]
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                self._w_img[(i, j)] = comm(
-                    ctx, self._x_img[i - 1], self._y_img[j - 1])
-        for i in range(1, n + 1):
-            for k in range(i + 1, n + 1):
-                for j in range(1, n + 1):
-                    self._t_img[(i, k, j)] = comm(
-                        ctx, self._w_img[(i, j)], self._x_img[k - 1])
+        self.images = generator_images(self.ctx, self.g1, self.g2)
 
     def apply(self, h: Element) -> Element:
-        """Image of h: rewrite its normal-form word and collect."""
-        ctx = self.ctx
+        """Image of h: the product, in bit order, of the images of the pc
+        generators of its normal-form word."""
+        ctx, z = self.ctx, self.ctx.pack(h)
         out = IDENTITY
-        for sym in word_of(ctx, h):
-            if sym[0] == "x":
-                img = self._x_img[sym[1] - 1]
-            elif sym[0] == "y":
-                img = self._y_img[sym[1] - 1]
-            elif sym[0] == "w":
-                img = self._w_img[(sym[1], sym[2])]
-            else:
-                img = self._t_img[(sym[1], sym[2], sym[3])]
-            out = mul(ctx, out, img)
+        for p, img in enumerate(self.images):
+            if z >> p & 1:
+                out = mul(ctx, out, img)
         return out
 
     __call__ = apply
@@ -573,20 +545,12 @@ def verify_presentation(ctx: GroupContext) -> dict:
 def derived_basis(ctx: GroupContext) -> list[Element]:
     """The commutator basis of the derived subgroup.
 
-    [x_i,y_j] for all i,j, then [[x_i,y_j],x_k] for i < k; their span is
-    the whole derived subgroup.
+    [x_i,y_j] for all i,j, then [[x_i,y_j],x_k] for i < k (the identity
+    pair's images of the w and t generators); their span is the whole
+    derived subgroup.
     """
-    n = ctx.n
-    out = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            out.append(comm(ctx, xgen(ctx, i), ygen(ctx, j)))
-    for i in range(1, n + 1):
-        for k in range(i + 1, n + 1):
-            for j in range(1, n + 1):
-                out.append(comm(ctx, comm(ctx, xgen(ctx, i), ygen(ctx, j)),
-                                xgen(ctx, k)))
-    return out
+    ident = gf2_identity(ctx.n)
+    return generator_images(ctx, ident, ident)[2 * ctx.n:]
 
 
 def subgroup_closure(ctx: GroupContext, gens: Iterable[Element],

@@ -7,9 +7,11 @@ graph, and the semisymmetry certificate.
 Both vertex actions send every representative through one packed element
 map (``PackedOps.mul`` or the induced gather tables of
 ``PackedOps.induced_tables``) and read the image vertices off the coset
-keys.  The scalar ``InducedAutomorphism.apply`` stays as the oracle: it
-drives ``check_local_2at`` and recomputes a fixed sample of every
-``gl_action`` permutation.
+keys.  Both GL x GL routes read one image table, ``aut.images`` (the image
+of every pc generator in bit order): the packed tables are its XOR spans,
+and the scalar ``InducedAutomorphism.apply``, a ``mul`` fold over it,
+stays as the oracle: it drives ``check_local_2at`` and recomputes a
+fixed sample of every ``gl_action`` permutation.
 
 Each shared graph algorithm has one implementation.  BFS is
 ``graphs.bfs_distances`` (``graphs.bfs_layers`` counts its layers).  This

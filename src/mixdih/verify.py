@@ -33,6 +33,7 @@ from .group import (
     enumerate_elements,
     evaluate_word,
     format_element,
+    gf2_rank,
     gl_enumerate,
     gl_generator_pairs,
     induced_automorphism,
@@ -460,24 +461,11 @@ def check_coset_key_invariance(ctx, samples, rng, cache):
     return _battery(ctx, invariant, h, gx, gy)
 
 
-def _gf2_rank(vectors: list[int]) -> int:
-    rank = 0
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
-
-
 def check_derived_structure(ctx, samples, rng, cache):
     u = ctx.n**2 * (ctx.n + 1) // 2
     basis = derived_basis(ctx)
     vectors = [h.m | (h.t << ctx.dim_w) for h in basis]
-    rank = _gf2_rank(vectors)
+    rank = gf2_rank(vectors)
     in_derived = all(h.a == 0 and h.b == 0 for h in basis)
     exp = {"derived_order_exp": u, "basis_in_kernel": True}
     act = {"derived_order_exp": rank, "basis_in_kernel": in_derived}

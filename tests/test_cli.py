@@ -238,3 +238,13 @@ def test_aut_subcommand(capsys):
     code, out, _ = run_cli(capsys, "aut", "--n", "2")
     assert code == 0
     assert out.strip() == f"|Aut| = {2**15 * 3**5}"
+
+
+def test_aut_refuses_before_building(capsys, monkeypatch):
+    # Sigma_3 has 2^22 vertices, over the search cap: refused unbuilt
+    def no_build(ctx, force=False):
+        raise AssertionError("build_sigma reached")
+    monkeypatch.setattr(cli.gr, "build_sigma", no_build)
+    code, _, err = run_cli(capsys, "aut", "--n", "3")
+    assert code == 2
+    assert err.strip() == "error: automorphism search capped at 1024 vertices"

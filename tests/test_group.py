@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from mixdih.bulk import packed_ops
 from mixdih.group import (
     CapExceededError,
     Element,
@@ -21,7 +22,10 @@ from mixdih.group import (
     gf2_identity,
     gf2_is_invertible,
     gf2_mat_mul,
+    gf2_rank,
+    generator_images,
     gl_enumerate,
+    gl_generator_pairs,
     gl_generators,
     induced_automorphism,
     inv,
@@ -112,6 +116,10 @@ def test_mulgen_bad_index(ctx2):
         mul_gen(ctx2, IDENTITY, ("x", 3))
     with pytest.raises(IndexError):
         mul_gen(ctx2, IDENTITY, ("t", 2, 1, 1))
+    with pytest.raises(IndexError):
+        ctx2.letter(("w", 3, 1))
+    with pytest.raises(ValueError):
+        ctx2.letter(("z", 1))
 
 
 def test_mulgen_tau_symmetry_normalisation(ctx2):
@@ -382,6 +390,91 @@ def test_induced_automorphism_rejects_singular(ctx2):
     with pytest.raises(ValueError):
         induced_automorphism(ctx2, (1, 1), gf2_identity(2))
     assert not gf2_is_invertible((1, 1), 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_identity_pair_images_are_the_generators(n):
+    # the image table is in bit order: entry p is the pc generator of bit p
+    ctx = context(n)
+    ident = gf2_identity(n)
+    images = generator_images(ctx, ident, ident)
+    assert images == [ctx.unpack(1 << p) for p in range(ctx.total_bits)]
+
+
+def per_kind_images(ctx, g1, g2):
+    """Reference: the images kept per generator kind, keyed by index."""
+    n = ctx.n
+    x = [Element(a=g1[i]) for i in range(n)]
+    y = [Element(b=g2[j]) for j in range(n)]
+    w = {(i, j): comm(ctx, x[i - 1], y[j - 1])
+         for i in range(1, n + 1) for j in range(1, n + 1)}
+    t = {(i, k, j): comm(ctx, w[(i, j)], x[k - 1])
+         for i in range(1, n + 1) for k in range(i + 1, n + 1)
+         for j in range(1, n + 1)}
+    return x, y, w, t
+
+
+def per_kind_apply(ctx, imgs, h):
+    """Reference: rewrite h's normal-form word kind by kind and collect."""
+    x, y, w, t = imgs
+    out = IDENTITY
+    for sym in word_of(ctx, h):
+        if sym[0] == "x":
+            img = x[sym[1] - 1]
+        elif sym[0] == "y":
+            img = y[sym[1] - 1]
+        elif sym[0] == "w":
+            img = w[sym[1:]]
+        else:
+            img = t[sym[1:]]
+        out = mul(ctx, out, img)
+    return out
+
+
+def per_kind_tables(ctx, imgs):
+    """Reference: the three XOR spans, the derived one placed through the
+    index maps."""
+    def span(vectors):
+        out = [0]
+        for v in vectors:
+            out += [e ^ v for e in out]
+        return out
+    x, y, w, t = imgs
+    basis = [0] * (ctx.dim_w + ctx.dim_t)
+    for (i, j), img in w.items():
+        basis[ctx.w_index(i, j)] = ctx.pack(img)
+    for (i, k, j), img in t.items():
+        basis[ctx.dim_w + ctx.t_index(i, k, j)] = ctx.pack(img)
+    return (span([ctx.pack(e) for e in x]), span([ctx.pack(e) for e in y]),
+            span(basis))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_image_table_matches_per_kind_reference(n):
+    ctx = context(n)
+    mats = gl_enumerate(2)
+    pairs = ([(g1, g2) for g1 in mats for g2 in mats] if n == 2
+             else gl_generator_pairs(3))
+    assert len(pairs) == (36 if n == 2 else 4)
+    rng = random.Random(11)
+    ops = packed_ops(ctx)
+    for g1, g2 in pairs:
+        aut = induced_automorphism(ctx, g1, g2)
+        imgs = per_kind_images(ctx, g1, g2)
+        for _ in range(500):
+            h = rand_elem(ctx, rng)
+            assert aut.apply(h) == per_kind_apply(ctx, imgs, h)
+        got = [table.tolist() for table in ops.induced_tables(aut)]
+        assert got == list(per_kind_tables(ctx, imgs))
+
+
+def test_gf2_rank():
+    assert gf2_rank([]) == 0
+    assert gf2_rank([0, 0]) == 0
+    assert gf2_rank([0b110, 0b011, 0b101]) == 2
+    assert gf2_rank([0b100, 0b110, 0b111, 0b001]) == 3
+    assert gf2_is_invertible((0b01, 0b11), 2)
+    assert not gf2_is_invertible((0b100, 0b010), 2)  # rows wider than n
 
 
 def test_induced_automorphism_multiplicative_all_pairs(ctx2):

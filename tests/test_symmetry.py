@@ -476,7 +476,8 @@ def test_gl_action_rejects_a_corrupted_derived_table(ctx2, sigma2,
 
 def test_induced_tables_reject_an_image_outside_the_derived_subgroup(ctx2):
     aut = induced_automorphism(ctx2, gf2_identity(2), gf2_identity(2))
-    aut._w_img[(1, 2)] = Element(a=1, m=aut._w_img[(1, 2)].m)
+    p = 2 * ctx2.n + ctx2.w_index(1, 2)
+    aut.images[p] = Element(a=1, m=aut.images[p].m)
     with pytest.raises(ValueError, match="derived subgroup"):
         packed_ops(ctx2).induced_tables(aut)
 
