@@ -50,7 +50,7 @@ def automorphism_group_order(g: GraphData) -> int:
     check_aut_cap(g.num_vertices)
     if g.num_vertices == 0:
         return 1
-    nb = g.neighbor_table()
+    nb = g.rows
     nv = g.num_vertices
 
     state = {

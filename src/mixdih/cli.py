@@ -126,8 +126,9 @@ def _build_kind(ctx, kind: str, force: bool):
     if kind == "gamma":
         return (gr.build_gamma(ctx, force=force),
                 lambda v: format_element(ctx, ctx.unpack(v)))
-    if kind == "linegraph":  # one vertex per edge of sigma: per element
-        gr._check_cap(1 << ctx.total_bits, force, "line graph")
+    if kind == "linegraph":  # one vertex per edge of sigma: it is gamma
+        gr._check_cap(1 << ctx.total_bits, 2 * ((1 << ctx.n) - 1), force,
+                      "line graph")
     sig = gr.build_sigma(ctx, force=force)
     if kind == "sigma":
         return sig.graph, lambda v: format_element(ctx, gr.vertex_rep(ctx, v))

@@ -130,50 +130,36 @@ class GraphConsistencyError(RuntimeError):
 
 @dataclass
 class GraphData:
-    """Immutable indexed adjacency: CSR arrays, ids contiguous from 0.
+    """Immutable indexed adjacency, ids contiguous from 0.
 
-    Graphs are always simple and undirected; ``indices`` holds both
-    directions, sorted within each vertex's slice.  ``sides`` optionally
-    tags a bipartition (0/1 per vertex).
+    Graphs are always simple and undirected.  ``rows`` is the read-only
+    neighbor table in ``_index_dtype(num_vertices)``: one sorted row per
+    vertex, padded with -1 at its end to the widest row (a regular graph
+    has no padding).  ``sides`` optionally tags a bipartition (0/1 per
+    vertex).
     """
 
     num_vertices: int
     num_edges: int
-    indptr: np.ndarray
-    indices: np.ndarray
+    rows: np.ndarray
     sides: np.ndarray | None = None
 
     def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
+        row = self.rows[v]
+        return row[:np.count_nonzero(row >= 0)]
 
     def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
+        """Row lengths; a table whose last column holds no -1 is regular,
+        and its degrees are filled in without reading the rest."""
+        nv, width = self.rows.shape
+        if not self.rows.size or self.rows[:, -1].min() >= 0:
+            return np.full(nv, width, self.rows.dtype)
+        return (self.rows >= 0).sum(axis=1, dtype=self.rows.dtype)
 
     def has_edge(self, u: int, v: int) -> bool:
         nb = self.neighbors(u)
         i = np.searchsorted(nb, v)
         return bool(i < len(nb) and nb[i] == v)
-
-    def neighbor_table(self) -> np.ndarray:
-        """Neighbor lists as rows, padded with -1 to the maximum degree.
-
-        A regular graph's table is a read-only view of ``indices``; any
-        table has the dtype of ``indices``.
-        """
-        degs = self.degrees()
-        width = int(degs.max()) if self.num_vertices else 0
-        if self.num_vertices and int(degs.min()) == width:
-            table = self.indices.reshape(self.num_vertices, width)
-            table.flags.writeable = False
-            return table
-        table = np.full((self.num_vertices, width), -1,
-                        dtype=self.indices.dtype)
-        rows = np.repeat(np.arange(self.num_vertices), degs)
-        table[rows, np.arange(len(rows)) - self.indptr[rows]] = self.indices
-        return table
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""
@@ -183,11 +169,11 @@ class GraphData:
     def edge_array(self, start: int = 0,
                    stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized edge list (u < v), sorted ascending; restricted to
-        the edges whose smaller end u lies in [start, stop)."""
-        stop = self.num_vertices if stop is None else stop
-        src = np.repeat(np.arange(start, stop),
-                        np.diff(self.indptr[start:stop + 1]))
-        dst = self.indices[self.indptr[start]:self.indptr[stop]]
+        the edges whose smaller end u lies in [start, stop).  The -1
+        padding is never above its row's id, so it drops out."""
+        block = self.rows[start:stop]
+        src = np.repeat(np.arange(start, start + len(block)), block.shape[1])
+        dst = block.ravel()
         keep = src < dst
         return src[keep], dst[keep]
 
@@ -209,20 +195,23 @@ def graph_from_edges(num_vertices: int, u, v, sides=None) -> GraphData:
     key = lo * np.int64(num_vertices) + hi
     if len(np.unique(key)) != len(key):
         raise GraphConsistencyError("duplicate edge in construction")
-    num_edges = len(lo)
     src = np.concatenate([lo, hi])
     dst = np.concatenate([hi, lo])
     order = np.lexsort((dst, src))
     src, dst = src[order], dst[order]
-    indptr = np.zeros(num_vertices + 1, dtype=_index_dtype(len(src)))
-    np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])
-    return GraphData(num_vertices, int(num_edges), indptr,
-                     dst.astype(_index_dtype(num_vertices)), sides)
+    degs = np.bincount(src, minlength=num_vertices)
+    rows = np.full((num_vertices, degs.max(initial=0)), -1,
+                   dtype=_index_dtype(num_vertices))
+    # entry i of the sorted list is number i - (entries before its row)
+    rows[src, np.arange(len(src)) - (np.cumsum(degs) - degs)[src]] = dst
+    rows.flags.writeable = False
+    return GraphData(num_vertices, len(lo), rows, sides)
 
 
 def graph_from_rows(rows: np.ndarray, sides=None) -> GraphData:
-    """Build a regular GraphData from its neighbor table, one sorted row
-    per vertex.
+    """Build a regular GraphData on its neighbor table, one sorted row
+    per vertex: a read-only view of rows, which is copied only when its
+    dtype is not the index dtype.
 
     A row that is not strictly increasing repeats an edge and raises
     GraphConsistencyError.  Loops and the symmetry of the table are the
@@ -236,10 +225,9 @@ def graph_from_rows(rows: np.ndarray, sides=None) -> GraphData:
 
     if not all(in_blocks(increasing, range(0, nv, ROW_CHUNK))):
         raise GraphConsistencyError("repeated neighbor in an adjacency row")
-    indptr = np.arange(0, (nv + 1) * degree, degree,
-                       dtype=_index_dtype(nv * degree))
-    indices = rows.astype(_index_dtype(nv), copy=False).ravel()
-    return GraphData(nv, nv * degree // 2, indptr, indices, sides)
+    table = rows.astype(_index_dtype(nv), copy=False).view()
+    table.flags.writeable = False
+    return GraphData(nv, nv * degree // 2, table, sides)
 
 
 def bfs_distances(g: GraphData, root: int,
@@ -247,18 +235,19 @@ def bfs_distances(g: GraphData, root: int,
     """Distance from root to every vertex (-1 where unreached), stopping
     after max_depth layers when a depth limit is given.
 
-    Each layer scatters the frontier's rows of ``neighbor_table`` into a
-    fresh mark, ROW_CHUNK rows per :func:`in_blocks` block (the writes are
+    Each layer scatters the frontier's rows of ``g.rows`` into a fresh
+    mark, ROW_CHUNK rows per :func:`in_blocks` block (the writes are
     idempotent, so blocks may run at once; the -1 padding of an irregular
-    graph marks one spare slot past the vertices).  The next frontier is
+    graph, seen in the last column, marks one spare slot past the
+    vertices).  The next frontier is
     ``flatnonzero(mark & (dist < 0))``, with the mask taken in place and
     the last frontier freed first; it is deduped without sorting but scans
     all vertices once per layer: O(V * diameter), cheap on the family's
     graphs (diameter <= 14 at n=3).
     """
     nv = g.num_vertices
-    nb = g.neighbor_table()
-    spare = int(nb.size > len(g.indices))
+    nb = g.rows
+    spare = int(nb.size > 0 and nb[:, -1].min() < 0)
     dist = np.full(nv, -1, _index_dtype(nv))
     dist[root] = 0
     frontier = np.array([root], dtype=np.int64)
@@ -304,12 +293,17 @@ def connection_set(ctx: GroupContext) -> list[Element]:
     return out
 
 
-def _check_cap(num_vertices: int, force: bool, what: str,
+def _check_cap(num_vertices: int, valency: int, force: bool, what: str,
                cap: int = DEFAULT_VERTEX_CAP) -> None:
+    """Refuse more than cap vertices unless forced, stating the bytes of
+    the neighbor table, nv x valency entries in the index dtype."""
     if num_vertices > cap and not force:
+        size = num_vertices * valency * np.dtype(
+            _index_dtype(num_vertices)).itemsize
         raise CapExceededError(
-            f"{what} would have {num_vertices} vertices (> {cap}); "
-            f"pass force=True / --force to build anyway")
+            f"{what} would have {num_vertices} vertices (> {cap}), a "
+            f"{size}-byte neighbor table; pass force=True / --force to "
+            f"build anyway")
 
 
 # -- Cayley graph --------------------------------------------------------------
@@ -323,7 +317,7 @@ def build_gamma(ctx: GroupContext, force: bool = False) -> GraphData:
     z back in the row of s*z, which the build checks.
     """
     nv = 1 << ctx.total_bits
-    _check_cap(nv, force, "Cayley graph")
+    _check_cap(nv, 2 * ((1 << ctx.n) - 1), force, "Cayley graph")
     ops = packed_ops(ctx)
     z = ops.all_elements()
     cols = []
@@ -360,10 +354,10 @@ class Sigma:
         """The built X rows, one (sorted) row of 2^n Y ids per X key; a
         graph whose rows are not all of that length raises
         GraphConsistencyError."""
-        nb = self.graph.neighbor_table()
-        if nb.shape[1] != 1 << self.ctx.n:
+        rows = self.graph.rows
+        if rows.shape[1] != 1 << self.ctx.n:
             raise GraphConsistencyError("rows are not of length 2^n")
-        return nb[:self.half]
+        return rows[:self.half]
 
     @cached_property
     def row_mismatches(self) -> int:
@@ -372,7 +366,7 @@ class Sigma:
         Counted once per Sigma; a ``dataclasses.replace`` copy counts its
         own rows."""
         ctx, half = self.ctx, self.half
-        xrows, yrows = self.x_rows(), self.graph.neighbor_table()[half:]
+        xrows, yrows = self.x_rows(), self.graph.rows[half:]
 
         def mismatches(lo: int) -> int:
             hi = min(lo + ROW_CHUNK, half)
@@ -447,9 +441,9 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     """
     half = _half(ctx)
     nv = 2 * half
-    _check_cap(nv, force, "coset graph")
-    ops = packed_ops(ctx)
     degree = 1 << ctx.n
+    _check_cap(nv, degree, force, "coset graph")
+    ops = packed_ops(ctx)
     rows = np.empty((nv, degree), dtype=_index_dtype(nv))
 
     def fill(lo: int) -> bool:
@@ -551,10 +545,10 @@ def quotient_by_derived(ctx: GroupContext, sigma: Sigma) -> GraphData:
     The X-side class of a vertex is the b block of its representative,
     the Y-side class the a block (both are constant under right
     multiplication by derived elements); on both sides that is the low n
-    bits of the vertex key.  The class pairs are counted from the X rows
-    of the CSR, one X class at a time, and every quotient edge must lift
-    to exactly one edge per vertex of its fibers.  The Y rows are read
-    only through ``Sigma.row_mismatches``, which must be 0.
+    bits of the vertex key.  The class pairs are counted from the X rows,
+    one X class at a time, and every quotient edge must lift to exactly
+    one edge per vertex of its fibers.  The Y rows are read only through
+    ``Sigma.row_mismatches``, which must be 0.
     """
     half, n = sigma.half, ctx.n
     two_n = 1 << n
@@ -606,28 +600,18 @@ def export_graph(g: GraphData, out: IO[str], fmt: str = "edgelist",
 
 
 def _write_edges(g: GraphData, out: IO[str], literals: Sequence[str]) -> None:
-    """Edge lines in runs of whole rows, about EXPORT_CHUNK entries each,
-    formatted by :func:`in_blocks` and written in order; a run where no
-    (sorted) row ends above its id is skipped.  A run's end is sought in
-    indptr's dtype, clipped at its end: a wider one casts indptr."""
-    runs = []
-    start, end = 0, g.indptr[-1]
-    while start < g.num_vertices:
-        reach = g.indptr[start] + min(EXPORT_CHUNK, end - g.indptr[start])
-        stop = int(np.searchsorted(g.indptr, reach, side="right")) - 1
-        runs.append((start, max(stop, start + 1)))
-        start = runs[-1][1]
+    """Edge lines in runs of whole rows, about EXPORT_CHUNK table entries
+    each, formatted by :func:`in_blocks` and written in order; a run with
+    no entry above its first id has no up-edge and is skipped (all of
+    Sigma's Y rows)."""
+    step = max(1, EXPORT_CHUNK // max(1, g.rows.shape[1]))
 
-    def lines(run: tuple[int, int]) -> str:
-        start, stop = run
-        ends = g.indptr[start + 1:stop + 1]
-        full = ends > g.indptr[start:stop]
-        up = g.indices[ends[full] - 1] > np.arange(start, stop)[full]
-        if not np.any(up):
+    def lines(start: int) -> str:
+        if g.rows[start:start + step].max(initial=-1) <= start:
             return ""
-        return _format_lines(literals, *g.edge_array(start, stop))
+        return _format_lines(literals, *g.edge_array(start, start + step))
 
-    for text in in_blocks(lines, runs):
+    for text in in_blocks(lines, range(0, g.num_vertices, step)):
         out.write(text)
 
 

@@ -159,7 +159,7 @@ def is_graph_automorphism(g: GraphData, perm: VertexPermutation,
     sorted images of N_g(v) must be N_target(perm[v]) for every v.
     Padding (-1) stays -1 and sorts last, so the degrees must match too."""
     nv = g.num_vertices
-    nb, tb = g.neighbor_table(), (target or g).neighbor_table()
+    nb, tb = g.rows, (target or g).rows
     if not (len(perm) == nv == len(tb) and is_permutation(perm)):
         return False
     padded = np.append(perm, nv)  # padding -1 reads nv, which sorts last
@@ -172,11 +172,6 @@ def is_graph_automorphism(g: GraphData, perm: VertexPermutation,
                               np.take(tb, perm[lo:lo + ROW_CHUNK], axis=0))
 
     return all(in_blocks(rows_map, range(0, nv, ROW_CHUNK)))
-
-
-def compose(p: VertexPermutation, q: VertexPermutation) -> VertexPermutation:
-    """Apply p first, then q (matches acting on the right)."""
-    return q[p]
 
 
 # -- orbits ---------------------------------------------------------------------
@@ -332,7 +327,7 @@ def _neighbor_colors(nb: np.ndarray, colors: np.ndarray,
 def color_refinement(nb: np.ndarray,
                      colors: np.ndarray) -> tuple[np.ndarray, int]:
     """Stable coloring of 1-dimensional refinement on a padded neighbor
-    table (``GraphData.neighbor_table``), with the number of colors.
+    table (``GraphData.rows``), with the number of colors.
 
     Each round re-ranks the vertices by (color, negated sorted neighbor
     colors).  A vertex with more neighbors of the first color where two
@@ -371,7 +366,7 @@ def equitable_refinement(g: GraphData,
     if len(flat) != nv or np.any(color < 0):
         raise ValueError("seed cells must partition the vertices")
 
-    nb = g.neighbor_table()
+    nb = g.rows
     color, ncol = color_refinement(nb, color)
     nbc = _neighbor_colors(nb, color, ncol)
     first = np.unique(color, return_index=True)[1]

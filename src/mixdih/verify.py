@@ -923,6 +923,8 @@ def run_suite(n: int, suite: str = "all", samples: int = 10000,
     """Run the named battery; caps surface as 'skip', never 'fail'."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     ctx = context(n)
     report = VerificationReport(n, suite)
     cache: dict = {}

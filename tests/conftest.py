@@ -64,13 +64,13 @@ def _first_neighbors_swapped(sigma, r1, r2, resort):
     increasing rows), without it the moved entries stay first, out of
     order.  The other side's rows stay as built."""
     g = sigma.graph
-    rows = g.indices.copy().reshape(g.num_vertices, -1)
+    rows = g.rows.copy()
     pair = rows[[r1, r2]]
     assert pair[0, 0] != pair[1, 0] and not set(pair[0]) & set(pair[1])
     pair[:, 0] = pair[::-1, 0]
     rows[[r1, r2]] = np.sort(pair, axis=1) if resort else pair
     return dataclasses.replace(
-        sigma, graph=dataclasses.replace(g, indices=rows.ravel()))
+        sigma, graph=dataclasses.replace(g, rows=rows))
 
 
 def with_y_neighbor_moved(sigma, x1, x2, resort=True):

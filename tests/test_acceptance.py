@@ -2,6 +2,7 @@
 line.  Every tolerance is exact; resource-heavy n=3 halves carry the slow
 marker but run in a default pytest invocation."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -14,6 +15,7 @@ from mixdih.graphs import (
     build_gamma,
     build_sigma,
     coset_vertex,
+    export_graph,
     intersection_graph,
     is_connected,
     line_graph,
@@ -222,6 +224,25 @@ def test_criterion_07_quotient_n3(ctx3, sigma3):
           and set(q.degrees().tolist()) == {8})
     report("criterion-07 derived quotient n=3 (stretch)", ok,
            "K_{8,8}, valency kept")
+
+
+class _Digest:
+    """A text sink that only hashes what is written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        self.sha.update(text.encode("ascii"))
+
+
+@pytest.mark.slow
+def test_sigma3_export_digest(sigma3):
+    # the digest of the 260 MB edge list that a per-edge writer recorded
+    sink = _Digest()
+    export_graph(sigma3.graph, sink, "edgelist", n=3, kind="sigma")
+    assert sink.sha.hexdigest() == (
+        "3aa317d683e5b3d3bc718a1cbb9d3d4b06e8cbc3f09a167a5eb084ad9c3883f7")
 
 
 @pytest.mark.parametrize("n,arcs", [(2, 12), (3, 56)])

@@ -4,21 +4,16 @@ values, brute force on small random graphs, and the coset graph."""
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 from mixdih import autgroup
 from mixdih.autgroup import automorphism_group_order
-from mixdih.graphs import GraphData, build_sigma, graph_from_edges, \
-    quotient_by_derived
+from mixdih.graphs import build_sigma, graph_from_edges, quotient_by_derived
 from mixdih.group import CapExceededError, context
 
 
 def from_pairs(nv, pairs):
-    if not pairs:
-        return GraphData(nv, 0, np.zeros(nv + 1, dtype=np.int64),
-                         np.zeros(0, dtype=np.int32))
-    u, v = zip(*pairs)
+    u, v = zip(*pairs) if pairs else ((), ())
     return graph_from_edges(nv, u, v)
 
 

@@ -352,3 +352,10 @@ def test_rank4_core_reports_sample_counts():
     assert checks["associativity"].actual == {"failures": 0, "samples": 2000}
     assert checks["inverse-involution"].actual == \
         {"failures": 0, "samples": 200}
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_run_suite_refuses_fewer_than_one_sample(samples):
+    # no sampled check may pass on nothing
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        run_suite(2, "core", samples=samples)

@@ -5,6 +5,8 @@ import json
 import re
 from types import SimpleNamespace
 
+import pytest
+
 from mixdih import cli
 from mixdih.cli import main
 from mixdih.group import context
@@ -110,6 +112,8 @@ def test_graph_linegraph_cap_before_any_build(monkeypatch, capsys):
                              "linegraph")
     assert code == 2 and out == ""
     assert "line graph would have 16777216 vertices" in err
+    # L(sigma) is gamma: 14 int32 neighbors per vertex
+    assert "a 939524096-byte neighbor table" in err
 
 
 def test_graph_dot(capsys):
@@ -117,6 +121,14 @@ def test_graph_dot(capsys):
                            "--format", "dot")
     assert out.startswith("graph {")
     assert out.count(" -- ") == 16
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_verify_refuses_fewer_than_one_sample(capsys, samples):
+    code, out, err = run_cli(capsys, "verify", "--n", "2", "--samples",
+                             samples)
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: samples must be at least 1, got {samples}"
 
 
 def test_verify_core_small_samples(capsys):

@@ -69,7 +69,7 @@ def sigma2(ctx2):
 
 
 def from_pairs(nv, pairs):
-    u, v = zip(*pairs)
+    u, v = zip(*pairs) if pairs else ((), ())
     return graph_from_edges(nv, u, v)
 
 
@@ -98,6 +98,17 @@ def test_graph_from_rows():
     assert list(g.edges()) == [(0, 1), (0, 2), (1, 2)]
 
 
+def test_graph_from_rows_keeps_the_table_it_is_given():
+    rows = np.array([[1, 2], [0, 2], [0, 1]], dtype=np.int32)
+    g = graph_from_rows(rows)
+    assert np.shares_memory(g.rows, rows) and g.rows.dtype == np.int32
+    assert not g.rows.flags.writeable and rows.flags.writeable
+    assert np.array_equal(g.rows, rows)
+    # another dtype is copied once into the index dtype
+    wide = graph_from_rows(rows.astype(np.int64)).rows
+    assert wide.dtype == np.int32 and not wide.flags.writeable
+
+
 def test_graph_from_rows_rejects_repeated_neighbor():
     with pytest.raises(GraphConsistencyError):
         graph_from_rows(np.array([[1, 1], [0, 0]]))
@@ -105,16 +116,16 @@ def test_graph_from_rows_rejects_repeated_neighbor():
 
 def test_graph_from_rows_checks_every_row_block():
     """More rows than one ROW_CHUNK block: a repeat in the last row still
-    raises, and indptr steps by the degree."""
+    raises, and the degrees are the row width."""
     rows = np.tile(np.array([[1, 2]]), (graphs.ROW_CHUNK + 1, 1))
     g = graph_from_rows(rows)
-    assert np.array_equal(g.indptr, 2 * np.arange(graphs.ROW_CHUNK + 2))
+    assert np.array_equal(g.degrees(), np.full(graphs.ROW_CHUNK + 1, 2))
     rows[-1] = [2, 2]
     with pytest.raises(GraphConsistencyError):
         graph_from_rows(rows)
 
 
-def test_indptr_and_degrees_in_index_dtype(sigma2, gamma2):
+def test_rows_and_degrees_in_index_dtype(sigma2, gamma2):
     # the clique graphs of a perfect matching and of a triangle have no
     # edge: two disjoint cliques, and one clique
     for g in (sigma2.graph, gamma2, from_pairs(3, [(0, 1), (1, 2)]),
@@ -122,15 +133,38 @@ def test_indptr_and_degrees_in_index_dtype(sigma2, gamma2):
                   from_pairs(4, [(0, 1), (2, 3)]))),
               intersection_graph(maximal_cliques(
                   from_pairs(3, [(0, 1), (1, 2), (0, 2)])))):
-        assert g.indptr.dtype == g.degrees().dtype == np.int32
+        assert g.rows.dtype == g.degrees().dtype == np.int32
+        assert not g.rows.flags.writeable
 
 
-def test_neighbor_table_of_irregular_graph_in_index_dtype():
-    g = from_pairs(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    assert g.indices.dtype == np.int32
-    nb = g.neighbor_table()
-    assert nb.dtype == g.indices.dtype
-    assert nb.tolist() == [[1, 2, -1], [0, 2, -1], [0, 1, 3], [2, -1, -1]]
+def test_degrees_of_a_regular_graph_allocate_only_the_result(sigma2,
+                                                            peak_alloc):
+    # the last column holds no -1, so no whole-table temporary is built
+    g = sigma2.graph
+    out = []
+    assert peak_alloc(lambda: out.append(g.degrees())) <= out[0].nbytes + 512
+    assert np.array_equal(out[0], np.full(512, 4))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_padded_table_of_irregular_graph_matches_lists(seed):
+    rng = random.Random(seed)
+    nv = rng.randint(2, 30)
+    pairs = sorted({tuple(sorted(rng.sample(range(nv), 2)))
+                    for _ in range(rng.randint(0, 3 * nv))})
+    lists = {v: [] for v in range(nv)}
+    for u, v in pairs:
+        lists[u].append(v)
+        lists[v].append(u)
+    width = max(map(len, lists.values()))
+    want = [sorted(lists[v]) + [-1] * (width - len(lists[v]))
+            for v in range(nv)]
+    g = from_pairs(nv, pairs)
+    assert g.rows.dtype == np.int32 and g.rows.tolist() == want
+    assert g.degrees().tolist() == [len(lists[v]) for v in range(nv)]
+    assert all(g.neighbors(v).tolist() == sorted(lists[v])
+               for v in range(nv))
+    assert list(g.edges()) == pairs and g.num_edges == len(pairs)
 
 
 # -- BFS -----------------------------------------------------------------------
@@ -173,7 +207,7 @@ def test_bfs_matches_deque_reference(monkeypatch, seed):
             pairs.add(tuple(sorted(rng.sample(block, 2))))
     pairs = sorted(pairs)
     g = from_pairs(nv, pairs)
-    assert g.neighbor_table().size > len(g.indices)
+    assert g.rows[:, -1].min() < 0  # padded
     roots = (order[0], order[cut2], order[-1], rng.randrange(nv))
     # row blocks of 1 split every frontier across blocks
     for chunk in (graphs.ROW_CHUNK, 1):
@@ -221,9 +255,8 @@ def test_gamma_matches_edge_reference(ctx2, gamma2):
         v.append(sz[z < sz])
     ref = graph_from_edges(1024, np.concatenate(u), np.concatenate(v))
     assert gamma2.num_edges == ref.num_edges
-    assert np.array_equal(gamma2.indptr, ref.indptr)
-    assert gamma2.indices.dtype == ref.indices.dtype
-    assert np.array_equal(gamma2.indices, ref.indices)
+    assert gamma2.rows.dtype == ref.rows.dtype
+    assert np.array_equal(gamma2.rows, ref.rows)
 
 
 @pytest.mark.parametrize("broken", ["identity", "shift"])
@@ -250,8 +283,17 @@ def test_left_mul_takes_x_or_y_letters(ctx2):
 
 
 def test_gamma_cap():
-    with pytest.raises(CapExceededError):
-        build_gamma(context(3))  # 2^24 vertices needs force
+    # 2^24 vertices needs force; 14 int32 neighbors each
+    with pytest.raises(CapExceededError,
+                       match="16777216 vertices .*a 939524096-byte"):
+        build_gamma(context(3))
+
+
+def test_sigma_cap():
+    # 2^45 vertices, 16 int64 neighbors each: 2^52 bytes
+    with pytest.raises(CapExceededError, match="35184372088832 vertices "
+                       r"\(> 8388608\), a 4503599627370496-byte"):
+        build_sigma(context(4))
 
 
 # -- canonical cosets ------------------------------------------------------------
@@ -363,9 +405,8 @@ def test_sigma_matches_edge_reference(ctx2, sigma2):
     assert np.array_equal(su, u) and np.array_equal(sv, v)
     g = sigma2.graph
     assert g.num_edges == ref.num_edges == 1024
-    assert np.array_equal(g.indptr, ref.indptr)
-    assert g.indices.dtype == ref.indices.dtype
-    assert np.array_equal(g.indices, ref.indices)
+    assert g.rows.dtype == ref.rows.dtype
+    assert np.array_equal(g.rows, ref.rows)
     eu, ev = g.edge_array()
     assert np.array_equal(eu, u[order]) and np.array_equal(ev, v[order])
 
@@ -448,8 +489,7 @@ def test_sigma_row_blocks_match_default_build(monkeypatch, sigma2):
     # are partial
     monkeypatch.setattr(graphs, "ROW_CHUNK", 7)
     blocked = build_sigma(context(2))
-    for got, want in ((blocked.graph.indptr, sigma2.graph.indptr),
-                      (blocked.graph.indices, sigma2.graph.indices),
+    for got, want in ((blocked.graph.rows, sigma2.graph.rows),
                       (blocked.graph.sides, sigma2.graph.sides)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -598,7 +638,7 @@ def test_intersection_graph_of_sets_sharing_two_vertices():
 def test_intersection_graph_of_no_sets():
     g = intersection_graph([])
     assert (g.num_vertices, g.num_edges) == (0, 0)
-    assert g.indptr.tolist() == [0] and len(g.indices) == 0
+    assert g.rows.shape == (0, 0)
 
 
 def test_clique_graph_of_gamma_is_sigma(ctx2, gamma2, sigma2):
@@ -687,18 +727,16 @@ def test_quotient_matches_edge_reference(ctx2, sigma2):
     ref = graph_from_edges(8, pairs[:, 0], pairs[:, 1])
     q = quotient_by_derived(ctx2, sigma2)
     assert q.num_edges == ref.num_edges == 16
-    assert np.array_equal(q.indptr, ref.indptr)
-    assert np.array_equal(q.indices, ref.indices)
+    assert np.array_equal(q.rows, ref.rows)
     assert q.sides.tolist() == [0] * 4 + [1] * 4
 
 
 def test_quotient_rejects_corrupted_sigma(ctx2, sigma2):
     g = sigma2.graph
-    indices = g.indices.copy()
+    rows = g.rows.copy()
     # X vertex 0 trades one neighbor for a Y vertex of another class
-    indices[0] = indices[0] ^ 1
-    bad = dataclasses.replace(
-        sigma2, graph=dataclasses.replace(g, indices=indices))
+    rows[0, 0] ^= 1
+    bad = dataclasses.replace(sigma2, graph=dataclasses.replace(g, rows=rows))
     with pytest.raises(GraphConsistencyError, match="lift uniformly"):
         quotient_by_derived(ctx2, bad)
 
@@ -759,7 +797,7 @@ def test_export_unknown_format(ctx2, sigma2):
 
 
 def reference_export(g, fmt, n, kind):
-    """The export written one f-string per edge, from the CSR rows."""
+    """The export written one f-string per edge, from the neighbor rows."""
     edges = [(u, int(v)) for u in range(g.num_vertices)
              for v in g.neighbors(u) if u < v]
     if fmt == "edgelist":
@@ -769,7 +807,7 @@ def reference_export(g, fmt, n, kind):
     else:
         lines = ["graph {\n"]
         lines += [f"  {v};\n" for v in range(g.num_vertices)
-                  if g.degree(v) == 0]
+                  if len(g.neighbors(v)) == 0]
         lines += [f"  {u} -- {v};\n" for u, v in edges]
         lines.append("}\n")
     return "".join(lines)
@@ -874,8 +912,7 @@ def test_format_lines_without_pads(values):
 
 
 def test_export_empty_graph():
-    g = GraphData(2, 0, np.zeros(3, dtype=np.int64),
-                  np.zeros(0, dtype=np.int32))
+    g = from_pairs(2, [])
     for fmt in ("edgelist", "dot"):
         buf = io.StringIO()
         export_graph(g, buf, fmt, n=2, kind="empty")
@@ -951,8 +988,7 @@ def test_runner_stress_more_workers_than_cores(monkeypatch, ctx2, sigma2):
         assert list(graphs.in_blocks(block, range(100))) == list(range(100))
         assert 1 < live[1] <= 8
         built = build_sigma(ctx2).graph
-        assert np.array_equal(built.indptr, sigma2.graph.indptr)
-        assert np.array_equal(built.indices, sigma2.graph.indices)
+        assert np.array_equal(built.rows, sigma2.graph.rows)
         for root, want in zip((0, 300), want_bfs):
             assert np.array_equal(bfs_distances(sigma2.graph, root), want)
     finally:
