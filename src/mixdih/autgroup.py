@@ -16,7 +16,8 @@ generators that fix the earlier base points -- no stabilizer chains.
 
 The search owns only the tree walk.  Refinement, orbits and the
 automorphism test are the shared ``symmetry.color_refinement``,
-``symmetry.orbits`` and ``symmetry.is_graph_automorphism``.
+``symmetry.orbit_closure`` (the one frontier walk ``graphs.walk``, from
+the tried points or a base point) and ``symmetry.is_graph_automorphism``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .graphs import GraphData
 from .group import CapExceededError
-from .symmetry import color_refinement, is_graph_automorphism, orbits
+from .symmetry import color_refinement, is_graph_automorphism, orbit_closure
 
 DEFAULT_AUT_CAP = 1024
 
@@ -72,10 +73,11 @@ def automorphism_group_order(g: GraphData) -> int:
         c = int(np.argmax(np.bincount(colors, minlength=ncol)))
         return np.nonzero(colors == c)[0].tolist()
 
-    def stabilizer_orbits(fixed: list[int]) -> np.ndarray:
-        """Orbit labels under the generators that fix every point of fixed."""
-        return orbits([p for p in state["gens"]
-                       if np.array_equal(p[fixed], fixed)], nv)
+    def orbit_of(points: list[int], fixed: list[int]) -> np.ndarray:
+        """Mask of the orbits of points under the generators found so far
+        that fix every point of fixed."""
+        return orbit_closure([p for p in state["gens"]
+                              if np.array_equal(p[fixed], fixed)], points, nv)
 
     def search_left(colors: np.ndarray, level: int) -> None:
         colors, ncol = color_refinement(nb, colors)
@@ -88,17 +90,17 @@ def automorphism_group_order(g: GraphData) -> int:
         state["base"].append((level, b))
         search_left(_individualize(colors, b), level + 1)
         fixed = [v for (lv, v) in state["base"] if lv < level]
-        lab = stabilizer_orbits(fixed)  # changes only with a new generator
         tried = [b]  # b and every sibling whose search failed
+        pruned = orbit_of(tried, fixed)
         for v in cell[1:]:
-            if lab[v] in lab[tried]:
+            if pruned[v]:
                 continue
             p = search_other(_individualize(colors, v), level + 1)
             if p is None:
                 tried.append(v)
             else:
                 state["gens"].append(p)
-                lab = stabilizer_orbits(fixed)
+            pruned = orbit_of(tried, fixed)
 
     def search_other(colors: np.ndarray, level: int) -> np.ndarray | None:
         colors, ncol = color_refinement(nb, colors)
@@ -117,6 +119,6 @@ def automorphism_group_order(g: GraphData) -> int:
 
     order = 1
     for idx, (_, b) in enumerate(state["base"]):
-        lab = stabilizer_orbits([v for (_, v) in state["base"][:idx]])
-        order *= int(np.count_nonzero(lab == lab[b]))
+        fixed = [v for (_, v) in state["base"][:idx]]
+        order *= int(np.count_nonzero(orbit_of([b], fixed)))
     return order

@@ -11,8 +11,9 @@ the edge-regularity checks.
 The whole-graph loops run in row blocks through one runner,
 :func:`in_blocks`: here the coset-graph build (each ROW_CHUNK key block
 writes its own X and Y rows), the row check of ``graph_from_rows``,
-``Sigma.row_mismatches``, each BFS layer and the runs of the edge-list
-export; ``symmetry`` runs two more.  With several blocks the runner uses
+``Sigma.row_mismatches``, each layer of the one frontier :func:`walk`
+(BFS and orbit closure) and the runs of the edge-list export;
+``symmetry`` runs two more.  With several blocks the runner uses
 a module thread pool of WORKERS threads, one per CPU this process may
 run on, at most MAX_WORKERS; a loop of one block (every loop at n = 2)
 runs inline and starts no thread.  Results are taken in block order, so
@@ -230,43 +231,47 @@ def graph_from_rows(rows: np.ndarray, sides=None) -> GraphData:
     return GraphData(nv, nv * degree // 2, table, sides)
 
 
-def bfs_distances(g: GraphData, root: int,
-                  max_depth: int | None = None) -> np.ndarray:
-    """Distance from root to every vertex (-1 where unreached), stopping
-    after max_depth layers when a depth limit is given.
+def walk(step: Callable[[np.ndarray], np.ndarray], num_vertices: int,
+         roots: Iterable[int], max_depth: int | None = None) -> np.ndarray:
+    """Steps from the nearest root to every vertex (-1 where unreached),
+    at most max_depth layers when given.  ``step`` maps a block of
+    frontier ids to the ids they reach: a graph's rows for BFS, the
+    images under permutations for an orbit closure.
 
-    Each layer scatters the frontier's rows of ``g.rows`` into a fresh
-    mark, ROW_CHUNK rows per :func:`in_blocks` block (the writes are
-    idempotent, so blocks may run at once; the -1 padding of an irregular
-    graph, seen in the last column, marks one spare slot past the
-    vertices).  The next frontier is
-    ``flatnonzero(mark & (dist < 0))``, with the mask taken in place and
-    the last frontier freed first; it is deduped without sorting but scans
-    all vertices once per layer: O(V * diameter), cheap on the family's
-    graphs (diameter <= 14 at n=3).
+    Each layer scatters the steps of ROW_CHUNK frontier ids per
+    :func:`in_blocks` block into a fresh mark (idempotent writes, so
+    blocks may run at once), which has a spare slot past the vertices for
+    the -1 padding of a graph's rows.  The next frontier,
+    ``flatnonzero(mark & (dist < 0))``, is deduped without sorting but
+    scans all vertices once per layer: O(V * diameter), cheap on the
+    family's graphs (diameter <= 14 at n=3).
     """
-    nv = g.num_vertices
-    nb = g.rows
-    spare = int(nb.size > 0 and nb[:, -1].min() < 0)
-    dist = np.full(nv, -1, _index_dtype(nv))
-    dist[root] = 0
-    frontier = np.array([root], dtype=np.int64)
+    dist = np.full(num_vertices, -1, _index_dtype(num_vertices))
+    frontier = np.fromiter(roots, dtype=np.int64)
+    dist[frontier] = 0
     d = 0
     while len(frontier) and (max_depth is None or d < max_depth):
         d += 1
-        mark = np.zeros(nv + spare, dtype=bool)
+        mark = np.zeros(num_vertices + 1, dtype=bool)
 
         def scatter(lo: int) -> None:
-            mark[np.take(nb, frontier[lo:lo + ROW_CHUNK], axis=0)] = True
+            mark[step(frontier[lo:lo + ROW_CHUNK])] = True
 
         for _ in in_blocks(scatter, range(0, len(frontier), ROW_CHUNK)):
             pass
-        reached = mark[:nv]
+        reached = mark[:-1]
         reached &= dist < 0
         frontier = None  # freed before the next one is listed
         frontier = np.flatnonzero(reached)
         dist[frontier] = d
     return dist
+
+
+def bfs_distances(g: GraphData, root: int,
+                  max_depth: int | None = None) -> np.ndarray:
+    """Distance from root to every vertex: the :func:`walk` over g's rows."""
+    return walk(lambda block: np.take(g.rows, block, axis=0),
+                g.num_vertices, [root], max_depth)
 
 
 def bfs_layers(g: GraphData, root: int) -> tuple[list[int], int]:
@@ -293,15 +298,17 @@ def connection_set(ctx: GroupContext) -> list[Element]:
     return out
 
 
-def _check_cap(num_vertices: int, valency: int, force: bool, what: str,
-               cap: int = DEFAULT_VERTEX_CAP) -> None:
-    """Refuse more than cap vertices unless forced, stating the bytes of
-    the neighbor table, nv x valency entries in the index dtype."""
-    if num_vertices > cap and not force:
+def _check_cap(num_vertices: int, valency: int, force: bool,
+               what: str) -> None:
+    """Refuse more than DEFAULT_VERTEX_CAP vertices unless forced, stating
+    the bytes of the neighbor table, nv x valency entries in the index
+    dtype."""
+    if num_vertices > DEFAULT_VERTEX_CAP and not force:
         size = num_vertices * valency * np.dtype(
             _index_dtype(num_vertices)).itemsize
         raise CapExceededError(
-            f"{what} would have {num_vertices} vertices (> {cap}), a "
+            f"{what} would have {num_vertices} vertices "
+            f"(> {DEFAULT_VERTEX_CAP}), a "
             f"{size}-byte neighbor table; pass force=True / --force to "
             f"build anyway")
 
@@ -485,15 +492,14 @@ def line_graph(g: GraphData) -> GraphData:
     return intersection_graph(list(g.edges()))
 
 
-def maximal_cliques(g: GraphData,
-                    cap: int = DEFAULT_CLIQUE_CAP) -> list[tuple[int, ...]]:
+def maximal_cliques(g: GraphData) -> list[tuple[int, ...]]:
     """Exact maximal-clique enumeration (Bron-Kerbosch with pivoting).
 
     Returns sorted vertex tuples in a deterministic order.
     """
-    if g.num_vertices > cap:
+    if g.num_vertices > DEFAULT_CLIQUE_CAP:
         raise CapExceededError(
-            f"clique enumeration capped at {cap} vertices")
+            f"clique enumeration capped at {DEFAULT_CLIQUE_CAP} vertices")
     adj = [0] * g.num_vertices
     for v in range(g.num_vertices):
         for w in g.neighbors(v):

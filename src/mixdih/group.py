@@ -59,6 +59,7 @@ Symbol = tuple
 Word = Sequence[Symbol]
 
 DEFAULT_ENUM_CAP_BITS = 24
+DEFAULT_CLOSURE_CAP = 1 << 20  # elements of a subgroup_closure
 
 # Largest n whose phi is tabulated (2^(n^2+n) entries): by the scalar kernel
 # from its bit loop, by the packed one from its row formula; above, per call.
@@ -328,12 +329,11 @@ def abelianization(ctx: GroupContext, h: Element) -> tuple[int, int]:
     return (h.a, h.b)
 
 
-def enumerate_elements(ctx: GroupContext,
-                       cap_bits: int = DEFAULT_ENUM_CAP_BITS) -> Iterator[Element]:
+def enumerate_elements(ctx: GroupContext) -> Iterator[Element]:
     """All 2^total_bits normal forms in increasing packed-encoding order."""
-    if ctx.total_bits > cap_bits:
-        raise CapExceededError(
-            f"2^{ctx.total_bits} elements exceeds cap 2^{cap_bits}")
+    if ctx.total_bits > DEFAULT_ENUM_CAP_BITS:
+        raise CapExceededError(f"2^{ctx.total_bits} elements exceeds cap "
+                               f"2^{DEFAULT_ENUM_CAP_BITS}")
     for z in range(1 << ctx.total_bits):
         yield ctx.unpack(z)
 
@@ -553,8 +553,8 @@ def derived_basis(ctx: GroupContext) -> list[Element]:
     return generator_images(ctx, ident, ident)[2 * ctx.n:]
 
 
-def subgroup_closure(ctx: GroupContext, gens: Iterable[Element],
-                     cap: int = 1 << 20) -> set[Element]:
+def subgroup_closure(ctx: GroupContext,
+                     gens: Iterable[Element]) -> set[Element]:
     """Closure of a generating set under multiplication (plain BFS)."""
     gens = list(gens)
     seen = {IDENTITY}
@@ -567,7 +567,7 @@ def subgroup_closure(ctx: GroupContext, gens: Iterable[Element],
                 if p not in seen:
                     seen.add(p)
                     nxt.append(p)
-                    if len(seen) > cap:
+                    if len(seen) > DEFAULT_CLOSURE_CAP:
                         raise CapExceededError("subgroup closure exceeded cap")
         frontier = nxt
     return seen

@@ -13,12 +13,14 @@ and the scalar ``InducedAutomorphism.apply``, a ``mul`` fold over it,
 stays as the oracle: it drives ``check_local_2at`` and recomputes a
 fixed sample of every ``gl_action`` permutation.
 
-Each shared graph algorithm has one implementation.  BFS is
-``graphs.bfs_distances`` (``graphs.bfs_layers`` counts its layers).  This
-module owns the other three: ``color_refinement`` (behind
+Each shared graph algorithm has one implementation.  One frontier walk,
+``graphs.walk``, serves BFS (``graphs.bfs_distances`` over a graph's
+rows) and orbit closure (``orbit_closure`` over permutation arrays,
+behind the 2-arc count, the side orbits and the |Aut| search).  This
+module owns the other two: ``color_refinement`` (behind
 ``equitable_refinement`` and the individualization-refinement search in
-``autgroup``), ``orbits`` and ``is_graph_automorphism``, the one edge-map
-predicate (an automorphism, or with a target graph an isomorphism).
+``autgroup``) and ``is_graph_automorphism``, the one edge-map predicate
+(an automorphism, or with a target graph an isomorphism).
 
 Edge transitivity has one exhaustive witness at every rank,
 ``edge_regular_witness``, with two counts: the row count
@@ -48,7 +50,7 @@ base vertices rule such a map out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -65,6 +67,7 @@ from .graphs import (
     coset_vertex,
     in_blocks,
     vertex_rep,
+    walk,
 )
 from .group import (
     Element,
@@ -176,24 +179,15 @@ def is_graph_automorphism(g: GraphData, perm: VertexPermutation,
 
 # -- orbits ---------------------------------------------------------------------
 
-def orbits(perms: Sequence[np.ndarray], num_points: int) -> np.ndarray:
-    """Orbit labels under the group generated by the permutation arrays:
-    label[x] is the least point of x's orbit (int32 where it fits).
-
-    Min-label propagation: every point x and its image p[x] hook the larger
-    of their labels onto the smaller, then pointer jumping flattens the
-    labels, until each orbit carries its least point as label.
-    """
-    label = np.arange(num_points, dtype=_index_dtype(num_points))
-    while True:
-        before = label.copy()
-        for p in perms:
-            a, b = label, label[p]
-            np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
-        while not np.array_equal(jumped := label[label], label):
-            label = jumped
-        if np.array_equal(label, before):
-            return label
+def orbit_closure(perms: Sequence[np.ndarray], points: Iterable[int],
+                  num_points: int) -> np.ndarray:
+    """Mask of the orbits of ``points`` under the group generated by the
+    permutation arrays ``perms``: the ``graphs.walk`` that steps to the
+    images (a block reaches itself when there are none).  A forward
+    closure is an orbit only when every map is a permutation."""
+    return walk(lambda block: np.concatenate([p[block] for p in perms]
+                                             or [block]),
+                num_points, points) >= 0
 
 
 # -- local 2-arc machinery ---------------------------------------------------
@@ -267,13 +261,18 @@ def check_local_2at(ctx: GroupContext) -> dict:
         other = _other(side)
         perms = [np.array([index[(m(side, u), m(other, v), m(side, w))]
                            for u, v, w in arcs]) for m in maps]
-        count = len(np.unique(orbits(perms, len(arcs))))
+        # a closure is an orbit only under permutations
+        seen, count = np.zeros(len(arcs), dtype=bool), 0
+        while not seen.all():  # one closure per orbit
+            seen |= orbit_closure(perms, [int(np.argmin(seen))], len(arcs))
+            count += 1
         expected = (1 << ctx.n) * ((1 << ctx.n) - 1)
         report["sides"][side] = {
             "two_arcs": len(arcs),
             "expected_two_arcs": expected,
             "orbits": count,
-            "pass": count == 1 and len(arcs) == expected,
+            "pass": (count == 1 and len(arcs) == expected
+                     and all(map(is_permutation, perms))),
         }
         ok = ok and report["sides"][side]["pass"]
     report["pass"] = ok

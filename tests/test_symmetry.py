@@ -12,7 +12,7 @@ from mixdih import graphs, symmetry
 from mixdih.bulk import PackedOps, packed_ops
 from mixdih.graphs import GraphConsistencyError, bfs_distances, build_gamma, \
     build_sigma, coset_vertex, graph_from_edges, quotient_by_derived, \
-    vertex_rep
+    vertex_rep, walk
 from mixdih.group import (
     IDENTITY,
     Element,
@@ -37,7 +37,7 @@ from mixdih.symmetry import (
     gl_action,
     is_graph_automorphism,
     layer_certificate,
-    orbits,
+    orbit_closure,
     refined_diagram,
     right_action,
     rooted_two_arcs,
@@ -179,10 +179,9 @@ def test_right_action_edge_regular(ctx2, sigma2):
         pu, pv = p[eu].astype(np.int64), p[ev].astype(np.int64)
         perms.append(np.searchsorted(
             keys, np.minimum(pu, pv) * nv + np.maximum(pu, pv)))
-    label = orbits(perms, 1024)
     bu, bv = sigma2.edge_ends(np.zeros(1, dtype=np.uint32))  # identity's
     base = np.searchsorted(keys, bu.astype(np.int64) * nv + bv)
-    assert np.count_nonzero(label == label[base]) == 1024
+    assert orbit_closure(perms, base.tolist(), 1024).all()
 
 
 def test_row_block_loops_match_at_small_blocks(monkeypatch, ctx2, sigma2,
@@ -323,25 +322,56 @@ def test_side_orbits_see_an_action_that_swaps_the_sides(monkeypatch):
     assert checks["vertex-orbits-sides"].actual == {"orbit_sizes": [512]}
 
 
+def test_side_orbits_fail_on_an_action_that_is_not_a_permutation(
+        monkeypatch):
+    # a forward closure is an orbit only under permutations: with X
+    # vertex 5 sent where vertex 6 goes, the closures still read two
+    # sides of 256 vertices
+    real = symmetry.generator_actions
+
+    def merging(ctx, sigma):
+        actions = real(ctx, sigma)
+        actions[0] = actions[0].copy()
+        actions[0][5] = actions[0][6]
+        return actions
+
+    monkeypatch.setattr(symmetry, "generator_actions", merging)
+    checks = {c.name: c for c in run_suite(2, "symmetry").checks}
+    assert checks["vertex-orbits-sides"].status == "fail"
+    assert checks["vertex-orbits-sides"].actual == {"non_permutations": 1}
+    assert checks["right-action-automorphism"].status == "fail"
+
+
 def test_suite_shares_actions_and_base_bfs(monkeypatch):
-    calls, roots = Counter(), Counter()
+    calls, roots, tested = Counter(), Counter(), Counter()
     real_actions, real_layers = symmetry.generator_actions, graphs.bfs_layers
+    real_is_permutation = symmetry.is_permutation
+    actions = []
 
     def counted_actions(ctx, sigma):
         calls["generator_actions"] += 1
-        return real_actions(ctx, sigma)
+        actions.extend(real_actions(ctx, sigma))
+        return actions
+
+    def counted_is_permutation(perm):
+        tested[next((i for i, p in enumerate(actions) if p is perm),
+                    None)] += 1
+        return real_is_permutation(perm)
 
     def counted_layers(g, root):
         roots[root] += 1
         return real_layers(g, root)
 
     monkeypatch.setattr(symmetry, "generator_actions", counted_actions)
+    monkeypatch.setattr(symmetry, "is_permutation", counted_is_permutation)
     monkeypatch.setattr(symmetry, "bfs_layers", counted_layers)
     monkeypatch.setattr(graphs, "bfs_layers", counted_layers)
     report = run_suite(2, "symmetry")
     assert report.overall == "pass"
     assert calls == {"generator_actions": 1}
     assert roots == {0: 1, 256: 1}  # the X and Y base vertices
+    # each action is tested for a permutation once, by the suite cache
+    assert all(tested[i] == 1 for i in range(len(actions)))
 
 
 def test_suite_compares_rows_once(monkeypatch):
@@ -404,11 +434,10 @@ def test_gl_action_neighbor_orbits(ctx2, sigma2):
                                induced_automorphism(ctx2, mat, ident)))
         perms.append(gl_action(ctx2, sigma2,
                                induced_automorphism(ctx2, ident, mat)))
-    label = orbits(perms, sigma2.graph.num_vertices)
-    sizes = np.bincount(label)
-    roots = np.unique(label[sigma2.graph.neighbors(rx)])
-    assert sorted(sizes[roots].tolist()) == [1, 3]
-    assert sizes[label[ry]] == 1
+    nv = sigma2.graph.num_vertices
+    rest = [v for v in sigma2.graph.neighbors(rx).tolist() if v != ry]
+    assert np.flatnonzero(orbit_closure(perms, [ry], nv)).tolist() == [ry]
+    assert np.flatnonzero(orbit_closure(perms, rest[:1], nv)).tolist() == rest
 
 
 def scalar_gl_action(ctx, sigma, aut):
@@ -476,16 +505,18 @@ def test_induced_tables_reject_an_image_outside_the_derived_subgroup(ctx2):
 # -- orbits ---------------------------------------------------------------------
 
 def test_orbits_no_generators():
-    label = orbits([], 3)
-    assert label.dtype == np.int32
-    assert label.tolist() == [0, 1, 2]
+    # with no generators each point is its own orbit
+    assert orbit_closure([], [0, 2], 3).tolist() == [True, False, True]
+    assert walk(lambda block: block[:0], 3, [1]).tolist() == [-1, 0, -1]
 
 
 def test_orbits_h_on_vertices(ctx2, sigma2):
     gens = [xgen(ctx2, 1), xgen(ctx2, 2), ygen(ctx2, 1), ygen(ctx2, 2)]
     perms = [right_action(ctx2, sigma2, h) for h in gens]
-    label = orbits(perms, 512)
-    assert np.array_equal(label, np.repeat([0, 256], 256))
+    sides = np.repeat([0, 1], 256)
+    assert np.array_equal(orbit_closure(perms, [0], 512), sides == 0)
+    assert np.array_equal(orbit_closure(perms, [256], 512), sides == 1)
+    assert orbit_closure(perms, [3, 300], 512).all()
 
 
 def closure_labels(perms, num_points):
@@ -506,17 +537,59 @@ def closure_labels(perms, num_points):
     return label
 
 
+def random_perms(rng, nv):
+    """Up to three random permutations and a product of 3-cycles, which
+    makes many small orbits."""
+    perms = [np.array(rng.sample(range(nv), nv))
+             for _ in range(rng.randint(0, 3))]
+    tail = nv - nv % 3
+    perms.append(np.array([x - x % 3 + (x + 1) % 3 for x in range(tail)]
+                          + list(range(tail, nv))))
+    return perms
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_orbits_match_closure(seed):
     rng = random.Random(seed)
     nv = rng.randint(1, 60)
-    perms = [np.array(rng.sample(range(nv), nv))
-             for _ in range(rng.randint(0, 3))]
-    # a product of 3-cycles makes many small orbits
-    tail = nv - nv % 3
-    perms.append(np.array([x - x % 3 + (x + 1) % 3 for x in range(tail)]
-                          + list(range(tail, nv))))
-    assert orbits(perms, nv).tolist() == closure_labels(perms, nv)
+    perms = random_perms(rng, nv)
+    label = closure_labels(perms, nv)
+    for x in range(nv):
+        assert np.flatnonzero(orbit_closure(perms, [x], nv)).tolist() == \
+            [y for y in range(nv) if label[y] == label[x]]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_walk_from_a_root_set_is_the_union_of_single_root_walks(
+        monkeypatch, seed):
+    # the steps from a root set are the fewest from any one of its roots,
+    # also when row blocks of 1 split every frontier across blocks
+    rng = random.Random(seed)
+    nv = rng.randint(1, 60)
+    perms = random_perms(rng, nv)[-2:]  # few maps: orbits of several layers
+    roots = rng.sample(range(nv), rng.randint(1, min(nv, 4)))
+
+    def step(block):
+        return np.concatenate([p[block] for p in perms])
+
+    for chunk in (graphs.ROW_CHUNK, 1):
+        monkeypatch.setattr(graphs, "ROW_CHUNK", chunk)
+        singles = np.array([walk(step, nv, [r]) for r in roots])
+        nearest = np.where(singles < 0, nv, singles).min(axis=0)
+        assert walk(step, nv, roots).tolist() == \
+            np.where(nearest == nv, -1, nearest).tolist()
+        assert orbit_closure(perms, roots, nv).tolist() == \
+            (singles >= 0).any(axis=0).tolist()
+
+
+def test_walk_follows_a_long_cycle():
+    nv = 1000
+    cycle = np.roll(np.arange(nv), -1)  # x -> x + 1 mod nv
+    assert walk(lambda block: cycle[block], nv, [0]).tolist() == \
+        list(range(nv))
+    assert walk(lambda block: cycle[block], nv, [0], max_depth=5).tolist() \
+        == list(range(6)) + [-1] * (nv - 6)
+    assert orbit_closure([cycle], [700], nv).all()
 
 
 # -- local 2-arc transitivity ------------------------------------------------------
