@@ -258,8 +258,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (EncodingError, ValueError, CapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, CapExceededError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

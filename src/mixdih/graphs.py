@@ -12,7 +12,8 @@ The whole-graph loops run in row blocks through one runner,
 :func:`in_blocks`: here the coset-graph build (each ROW_CHUNK key block
 writes its own X and Y rows), the row check of ``graph_from_rows``,
 ``Sigma.row_mismatches``, each layer of the one frontier :func:`walk`
-(BFS and orbit closure) and the runs of the edge-list export;
+(BFS, orbit closure, the Cayley ball and the derived span) and the runs
+of the edge-list export;
 ``symmetry`` runs two more.  With several blocks the runner uses
 a module thread pool of WORKERS threads, one per CPU this process may
 run on, at most MAX_WORKERS; a loop of one block (every loop at n = 2)
@@ -231,47 +232,78 @@ def graph_from_rows(rows: np.ndarray, sides=None) -> GraphData:
     return GraphData(nv, nv * degree // 2, table, sides)
 
 
-def walk(step: Callable[[np.ndarray], np.ndarray], num_vertices: int,
+def walk(step: Callable[[np.ndarray], np.ndarray], num_vertices: int | None,
          roots: Iterable[int], max_depth: int | None = None) -> np.ndarray:
-    """Steps from the nearest root to every vertex (-1 where unreached),
-    at most max_depth layers when given.  ``step`` maps a block of
-    frontier ids to the ids they reach: a graph's rows for BFS, the
-    images under permutations for an orbit closure.
+    """The ids within max_depth steps of the roots, all reachable ones
+    when it is None.  ``step`` maps a block of ROW_CHUNK frontier ids (one
+    :func:`in_blocks` block) to the ids they reach: a graph's rows, the
+    images under permutations, the products with a generating set.
 
-    Each layer scatters the steps of ROW_CHUNK frontier ids per
-    :func:`in_blocks` block into a fresh mark (idempotent writes, so
-    blocks may run at once), which has a spare slot past the vertices for
-    the -1 padding of a graph's rows.  The next frontier,
-    ``flatnonzero(mark & (dist < 0))``, is deduped without sorting but
-    scans all vertices once per layer: O(V * diameter), cheap on the
-    family's graphs (diameter <= 14 at n=3).
+    Ids in range(num_vertices) are scattered into a fresh mark per layer
+    (idempotent writes, so blocks may run at once) with a spare slot for
+    the -1 padding of a graph's rows; the next frontier,
+    ``flatnonzero(mark & (dist < 0))``, scans all vertices once per layer:
+    O(V * diameter), cheap on the family's graphs (diameter <= 14 at n=3).
+    Returns the steps from the nearest root to every id, -1 if unreached.
+
+    Ids that index no array (``num_vertices=None``; roots an array in
+    their dtype) are keys: each block's steps are sorted and deduped, and
+    one stable argsort merges them into the sorted seen keys, a seen key
+    first, keeping the first of each run of equal keys; the unseen ones
+    are the next frontier.  Returns the sorted keys reached.  Stable sorts
+    (timsort) compare Python ints less than np.unique's quicksort.
     """
-    dist = np.full(num_vertices, -1, _index_dtype(num_vertices))
-    frontier = np.fromiter(roots, dtype=np.int64)
-    dist[frontier] = 0
+    if num_vertices is None:
+        frontier = seen = np.unique(roots)
+    else:
+        dist = np.full(num_vertices, -1, _index_dtype(num_vertices))
+        frontier = np.fromiter(roots, dtype=np.int64)
+        dist[frontier] = 0
     d = 0
     while len(frontier) and (max_depth is None or d < max_depth):
         d += 1
-        mark = np.zeros(num_vertices + 1, dtype=bool)
+        if num_vertices is None:
+            def unique_steps(lo: int) -> np.ndarray:
+                keys = np.sort(step(frontier[lo:lo + ROW_CHUNK]),
+                               axis=None, kind="stable")
+                return keys[_first_of_runs(keys)]
 
-        def scatter(lo: int) -> None:
-            mark[step(frontier[lo:lo + ROW_CHUNK])] = True
+            keys = np.concatenate([seen, *in_blocks(
+                unique_steps, range(0, len(frontier), ROW_CHUNK))])
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            first = _first_of_runs(keys)
+            new = first & (order >= len(seen))
+            order = None  # freed before the keys kept are listed
+            seen = keys[first]
+            # the last layer lists no frontier: a lower peak
+            frontier = keys[new] if d != max_depth else keys[:0]
+        else:
+            mark = np.zeros(num_vertices + 1, dtype=bool)
 
-        for _ in in_blocks(scatter, range(0, len(frontier), ROW_CHUNK)):
-            pass
-        reached = mark[:-1]
-        reached &= dist < 0
-        frontier = None  # freed before the next one is listed
-        frontier = np.flatnonzero(reached)
-        dist[frontier] = d
-    return dist
+            def scatter(lo: int) -> None:
+                mark[step(frontier[lo:lo + ROW_CHUNK])] = True
+
+            for _ in in_blocks(scatter, range(0, len(frontier), ROW_CHUNK)):
+                pass
+            reached = mark[:-1]
+            reached &= dist < 0
+            frontier = None  # freed before the next one is listed
+            frontier = np.flatnonzero(reached)
+            dist[frontier] = d
+    return seen if num_vertices is None else dist
 
 
-def bfs_distances(g: GraphData, root: int,
-                  max_depth: int | None = None) -> np.ndarray:
+def _first_of_runs(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first key of each run of equal keys in sorted keys
+    (the slice keeps it empty for no keys)."""
+    return np.r_[True, keys[1:] != keys[:-1]][:len(keys)]
+
+
+def bfs_distances(g: GraphData, root: int) -> np.ndarray:
     """Distance from root to every vertex: the :func:`walk` over g's rows."""
     return walk(lambda block: np.take(g.rows, block, axis=0),
-                g.num_vertices, [root], max_depth)
+                g.num_vertices, [root])
 
 
 def bfs_layers(g: GraphData, root: int) -> tuple[list[int], int]:

@@ -59,7 +59,6 @@ Symbol = tuple
 Word = Sequence[Symbol]
 
 DEFAULT_ENUM_CAP_BITS = 24
-DEFAULT_CLOSURE_CAP = 1 << 20  # elements of a subgroup_closure
 
 # Largest n whose phi is tabulated (2^(n^2+n) entries): by the scalar kernel
 # from its bit loop, by the packed one from its row formula; above, per call.
@@ -551,23 +550,3 @@ def derived_basis(ctx: GroupContext) -> list[Element]:
     """
     ident = gf2_identity(ctx.n)
     return generator_images(ctx, ident, ident)[2 * ctx.n:]
-
-
-def subgroup_closure(ctx: GroupContext,
-                     gens: Iterable[Element]) -> set[Element]:
-    """Closure of a generating set under multiplication (plain BFS)."""
-    gens = list(gens)
-    seen = {IDENTITY}
-    frontier = [IDENTITY]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens:
-                p = mul(ctx, h, g)
-                if p not in seen:
-                    seen.add(p)
-                    nxt.append(p)
-                    if len(seen) > DEFAULT_CLOSURE_CAP:
-                        raise CapExceededError("subgroup closure exceeded cap")
-        frontier = nxt
-    return seen

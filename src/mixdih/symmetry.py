@@ -15,12 +15,13 @@ fixed sample of every ``gl_action`` permutation.
 
 Each shared graph algorithm has one implementation.  One frontier walk,
 ``graphs.walk``, serves BFS (``graphs.bfs_distances`` over a graph's
-rows) and orbit closure (``orbit_closure`` over permutation arrays,
-behind the 2-arc count, the side orbits and the |Aut| search).  This
-module owns the other two: ``color_refinement`` (behind
-``equitable_refinement`` and the individualization-refinement search in
-``autgroup``) and ``is_graph_automorphism``, the one edge-map predicate
-(an automorphism, or with a target graph an isomorphism).
+rows), orbit closure (``orbit_closure`` over permutation arrays, behind
+the 2-arc count, the side orbits and the |Aut| search) and the Cayley
+ball (``ball_intersect_derived``, over packed elements).  This module
+owns the other two: ``color_refinement`` (behind ``equitable_refinement``
+and the individualization-refinement search in ``autgroup``) and
+``is_graph_automorphism``, the one edge-map predicate (an automorphism,
+or with a target graph an isomorphism).
 
 Edge transitivity has one exhaustive witness at every rank,
 ``edge_regular_witness``, with two counts: the row count
@@ -409,18 +410,16 @@ def ball_intersect_derived(ctx: GroupContext, radius: int) -> list[Element]:
     """Elements of the derived subgroup within the given Cayley-ball radius
     of the identity.
 
-    The ball grows lazily from the group as B_r = B_{r-1} u S B_{r-1}, so
-    no Cayley graph is built (the radius-4 ball is tiny compared to the
-    group).
+    The ball is the ``graphs.walk`` over packed elements from the identity
+    to depth radius, stepping by left multiplication with S, so no Cayley
+    graph is built (the radius-4 ball is tiny compared to the group).
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     ops = packed_ops(ctx)
-    ball = np.zeros(1, dtype=ops.dtype)
     s_list = connection_set(ctx)
-    for _ in range(radius):
-        ball = np.unique(np.concatenate(
-            [ball] + [ops.left_mul(s, ball) for s in s_list]))
+    ball = walk(lambda z: np.concatenate([ops.left_mul(s, z) for s in s_list]),
+                None, np.zeros(1, dtype=ops.dtype), radius)
     mask_ab = (1 << (2 * ctx.n)) - 1
     return [ctx.unpack(int(z)) for z in ball[(ball & mask_ab) == 0]]
 

@@ -1,6 +1,6 @@
 """Shared fixtures: mutated collection rules and corrupted coset graphs
-for the mutation tests, and a traced allocation peak for the memory
-tests."""
+for the mutation tests, a traced allocation peak for the memory tests,
+and the subgroup generated by a set of elements."""
 
 import dataclasses
 import tracemalloc
@@ -8,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mixdih.group import GroupContext
+from mixdih.graphs import walk
+from mixdih.group import GroupContext, mul
 
 
 class MutantContext(GroupContext):
@@ -118,3 +119,21 @@ def _peak_alloc(fn) -> int:
 def peak_alloc():
     """peak_alloc(fn): see :func:`_peak_alloc`."""
     return _peak_alloc
+
+
+def _span(ctx, gens) -> set:
+    """The subgroup generated by gens: the key walk over packed elements
+    from the identity, stepping by the scalar product with each of
+    them."""
+    def step(block):
+        return np.array([ctx.pack(mul(ctx, ctx.unpack(int(z)), g))
+                         for z in block for g in gens], dtype=object)
+
+    return {ctx.unpack(int(z))
+            for z in walk(step, None, np.zeros(1, dtype=object))}
+
+
+@pytest.fixture
+def span():
+    """span(ctx, gens): see :func:`_span`."""
+    return _span

@@ -101,6 +101,33 @@ def test_graph_cap_without_force(capsys):
     assert "force" in err
 
 
+def test_graph_cap_leaves_no_output_file(tmp_path, capsys):
+    out_path = tmp_path / "sigma4.edges"
+    code, _, err = run_cli(capsys, "graph", "--n", "4", "--kind", "sigma",
+                           "--out", str(out_path))
+    assert code == 2 and err.startswith("error: ")
+    assert not out_path.exists()
+
+
+def test_graph_unopenable_output_is_an_input_error(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "x.edges"
+    code, out, err = run_cli(capsys, "graph", "--n", "2", "--kind", "sigma",
+                             "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "No such file or directory" in err and str(out_path) in err
+
+
+def test_graph_memory_error_is_an_input_error(monkeypatch, capsys):
+    def no_memory(ctx, force):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.gr, "build_sigma", no_memory)
+    code, out, err = run_cli(capsys, "graph", "--n", "2", "--kind", "sigma")
+    assert code == 2 and out == ""
+    assert err == "error: MemoryError\n"
+
+
 def test_graph_linegraph_cap_before_any_build(monkeypatch, capsys):
     # L(sigma(3)) has one vertex per element, 2^24 > the 2^23 cap; the cap
     # must stop it before sigma(3) is built

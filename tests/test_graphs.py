@@ -28,6 +28,7 @@ from mixdih.graphs import (
     build_gamma,
     build_sigma,
     connection_set,
+    coset_rows,
     coset_vertex,
     export_graph,
     export_labels,
@@ -40,6 +41,7 @@ from mixdih.graphs import (
     parse_edgelist,
     quotient_by_derived,
     vertex_rep,
+    walk,
 )
 from mixdih.group import (
     CapExceededError,
@@ -209,15 +211,55 @@ def test_bfs_matches_deque_reference(monkeypatch, seed):
     g = from_pairs(nv, pairs)
     assert g.rows[:, -1].min() < 0  # padded
     roots = (order[0], order[cut2], order[-1], rng.randrange(nv))
-    # row blocks of 1 split every frontier across blocks
+    # row blocks of 1 split every frontier across blocks; the depth-limited
+    # walks step over the same rows as bfs_distances
     for chunk in (graphs.ROW_CHUNK, 1):
         monkeypatch.setattr(graphs, "ROW_CHUNK", chunk)
         for root in roots:
             for depth in (None, 0, 1, 2, 3):
-                dist = bfs_distances(g, root, depth)
+                dist = bfs_distances(g, root) if depth is None \
+                    else walk(rows_step(g), nv, [root], depth)
                 assert dist.dtype == np.int32  # the index dtype of nv ids
                 assert dist.tolist() == deque_bfs(nv, pairs, root, depth), \
                     (chunk, root, depth)
+
+
+def rows_step(g):
+    """The walk step of BFS: a block's rows."""
+    return lambda block: np.take(g.rows, block, axis=0)
+
+
+def test_key_walk_is_the_dense_walk_at_every_radius(monkeypatch, ctx2,
+                                                    gamma2, sigma2):
+    # keys that index no array (num_vertices=None) reach the ids that the
+    # dense walk over the built rows reaches, at every radius, also in row
+    # blocks of 7: left multiplication by S on Gamma_2 (the ids are the
+    # packed elements) and the closed-form coset_rows on Sigma_2 (a table
+    # of steps per block) from a vertex of each side
+    ops = packed_ops(ctx2)
+    half = sigma2.half
+
+    def left_mul(block):
+        return np.concatenate([ops.left_mul(s, block)
+                               for s in connection_set(ctx2)])
+
+    def cosets(block):
+        x, y = block[block < half], block[block >= half] - half
+        return np.concatenate([coset_rows(ctx2, "X", x) + half,
+                               coset_rows(ctx2, "Y", y)])  # 2-D steps
+
+    for chunk in (graphs.ROW_CHUNK, 7):
+        monkeypatch.setattr(graphs, "ROW_CHUNK", chunk)
+        for g, step, root in ((gamma2, left_mul, 0), (sigma2.graph, cosets, 0),
+                              (sigma2.graph, cosets, half)):
+            depth = int(bfs_distances(g, root).max())
+            for radius in range(depth + 2):
+                dense = walk(rows_step(g), g.num_vertices, [root], radius)
+                keys = walk(step, None, np.array([root], dtype=ops.dtype),
+                            radius)
+                assert keys.dtype == ops.dtype
+                assert keys.tolist() == np.flatnonzero(dense >= 0).tolist(), \
+                    (chunk, root, radius)
 
 
 # -- connection set and Cayley graph -------------------------------------------
@@ -693,6 +735,28 @@ def test_graph_suite_builds_the_quotient_once(monkeypatch):
     assert calls == {"quotient_by_derived": 1}
 
 
+def test_export_roundtrip_sees_a_moved_edge(monkeypatch):
+    # a writer that prints the quotient's edge 0-4 as 1-4, in the edge list
+    # and in the dot text, keeps every count of the export
+    real = graphs._write_edges
+
+    def moved(g, out, literals):
+        buf = io.StringIO()
+        real(g, buf, literals)
+        first, sep, end = literals
+        edge, wrong = f"{first}0{sep}4{end}", f"{first}1{sep}4{end}"
+        assert buf.getvalue().startswith(edge)
+        out.write(buf.getvalue().replace(edge, wrong, 1))
+
+    monkeypatch.setattr(graphs, "_write_edges", moved)
+    check = {c.name: c for c in run_suite(2, "graphs").checks}
+    roundtrip = check["export-roundtrip"]
+    assert roundtrip.status == "fail"
+    assert roundtrip.actual == {"deterministic": True,
+                                "edgelist_roundtrip": False, "dot_edges": 15}
+    assert check["derived-quotient-cover"].status == "pass"
+
+
 def test_quotient_is_k44(ctx2, sigma2):
     q = quotient_by_derived(ctx2, sigma2)
     assert q.num_vertices == 8
@@ -952,7 +1016,7 @@ def test_bfs_in_small_blocks_matches_default_chunks(monkeypatch, sigma2,
         for root in range(0, g.num_vertices, 9):
             yield bfs_distances(g, root)
             if root % 99 == 0:
-                yield from (bfs_distances(g, root, depth)
+                yield from (walk(rows_step(g), g.num_vertices, [root], depth)
                             for depth in range(11))
 
     want = [list(runs(g)) for g in (sigma2.graph, gamma2)]

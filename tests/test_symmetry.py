@@ -10,8 +10,8 @@ import pytest
 
 from mixdih import graphs, symmetry
 from mixdih.bulk import PackedOps, packed_ops
-from mixdih.graphs import GraphConsistencyError, bfs_distances, build_gamma, \
-    build_sigma, coset_vertex, graph_from_edges, quotient_by_derived, \
+from mixdih.graphs import GraphConsistencyError, build_gamma, build_sigma, \
+    coset_vertex, graph_from_edges, quotient_by_derived, \
     vertex_rep, walk
 from mixdih.group import (
     IDENTITY,
@@ -590,6 +590,18 @@ def test_walk_follows_a_long_cycle():
     assert walk(lambda block: cycle[block], nv, [0], max_depth=5).tolist() \
         == list(range(6)) + [-1] * (nv - 6)
     assert orbit_closure([cycle], [700], nv).all()
+    # the same cycle on Python ints above 64 bits, walked as keys that
+    # index no array: the object-dtype path of the key walk
+    base = 1 << 80
+
+    def succ(block):
+        return base + (block - base + 1) % nv
+
+    root = np.array([base + 700], dtype=object)
+    assert walk(succ, None, root).tolist() == [base + x for x in range(nv)]
+    keys = walk(succ, None, root, max_depth=5)
+    assert keys.dtype == object
+    assert keys.tolist() == [base + x for x in range(700, 706)]
 
 
 # -- local 2-arc transitivity ------------------------------------------------------
@@ -788,9 +800,13 @@ def test_ball_negative_radius(ctx2):
 
 @pytest.mark.parametrize("radius", range(5))
 def test_ball_with_prebuilt_gamma(ctx2, radius):
-    """The lazily grown ball equals the BFS ball in the built Cayley graph
-    (whose vertex ids are the packed elements)."""
-    ball = np.flatnonzero(bfs_distances(build_gamma(ctx2), 0, radius) >= 0)
+    """The ball of the key walk over packed elements equals the ball of
+    the dense walk over the rows of the built Cayley graph (whose vertex
+    ids are the packed elements)."""
+    gamma = build_gamma(ctx2)
+    ball = np.flatnonzero(walk(lambda block: np.take(gamma.rows, block,
+                                                     axis=0),
+                               gamma.num_vertices, [0], radius) >= 0)
     assert ball_intersect_derived(ctx2, radius) == \
         [ctx2.unpack(int(z)) for z in ball if not z & 0xF]
 
