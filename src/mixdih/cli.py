@@ -1,7 +1,8 @@
 """Command-line interface: info, graph, verify, diagram, element, hall, aut.
 
-All output is deterministic for a fixed seed (timings are zeroed unless
---timing is passed), so repeated runs are byte-identical.
+All output is deterministic for a fixed seed (timings are zeroed and peak
+RSS left out unless --timing is passed), so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true",
-                   help="record wall-clock runtimes (breaks byte-for-byte "
-                        "reproducibility)")
+                   help="record wall-clock runtimes and the peak RSS after "
+                        "each check (breaks byte-for-byte reproducibility)")
 
     p = sub.add_parser("diagram", help="distance diagram of the coset graph")
     _add_n(p)
@@ -167,6 +168,8 @@ def cmd_verify(args) -> int:
                 line += f"  (expected {c.expected!r}, got {c.actual!r})"
             if args.timing:
                 line += f"  [{c.runtime_ms} ms]"
+                if c.peak_rss_mb is not None:
+                    line += f"  [peak {c.peak_rss_mb} MB]"
             print(line)
         print(f"overall: {report.overall}")
     return 0 if report.overall == "pass" else 1

@@ -151,11 +151,17 @@ class GraphData:
         return row[:np.count_nonzero(row >= 0)]
 
     def degrees(self) -> np.ndarray:
-        """Row lengths; a table whose last column holds no -1 is regular,
-        and its degrees are filled in without reading the rest."""
+        """Row lengths in the index dtype; callers only read them.
+
+        Each edge fills two entries of the table, so a table of
+        2 * num_edges entries holds no -1 and the graph is regular: its
+        degrees are a read-only array repeating the width by a zero
+        stride, built without reading the table or allocating per
+        vertex.  Otherwise the entries of each row are counted."""
         nv, width = self.rows.shape
-        if not self.rows.size or self.rows[:, -1].min() >= 0:
-            return np.full(nv, width, self.rows.dtype)
+        if 2 * self.num_edges == self.rows.size:
+            dtype = self.rows.dtype
+            return np.ndarray((nv,), dtype, dtype.type(width), strides=(0,))
         return (self.rows >= 0).sum(axis=1, dtype=self.rows.dtype)
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -244,7 +250,10 @@ def walk(step: Callable[[np.ndarray], np.ndarray], num_vertices: int | None,
     the -1 padding of a graph's rows; the next frontier,
     ``flatnonzero(mark & (dist < 0))``, scans all vertices once per layer:
     O(V * diameter), cheap on the family's graphs (diameter <= 14 at n=3).
-    Returns the steps from the nearest root to every id, -1 if unreached.
+    Frontiers are listed in ``_index_dtype(num_vertices)``.  Returns the
+    steps from the nearest root to every id, -1 if unreached, in int8,
+    one byte per id; a walk deeper than 127 steps widens them once to the
+    index dtype, so they stay exact.
 
     Ids that index no array (``num_vertices=None``; roots an array in
     their dtype) are keys: each block's steps are sorted and deduped, and
@@ -256,8 +265,9 @@ def walk(step: Callable[[np.ndarray], np.ndarray], num_vertices: int | None,
     if num_vertices is None:
         frontier = seen = np.unique(roots)
     else:
-        dist = np.full(num_vertices, -1, _index_dtype(num_vertices))
-        frontier = np.fromiter(roots, dtype=np.int64)
+        dist = np.full(num_vertices, -1, np.int8)
+        id_dtype = _index_dtype(num_vertices)
+        frontier = np.fromiter(roots, dtype=id_dtype)
         dist[frontier] = 0
     d = 0
     while len(frontier) and (max_depth is None or d < max_depth):
@@ -289,7 +299,11 @@ def walk(step: Callable[[np.ndarray], np.ndarray], num_vertices: int | None,
             reached = mark[:-1]
             reached &= dist < 0
             frontier = None  # freed before the next one is listed
-            frontier = np.flatnonzero(reached)
+            frontier = np.flatnonzero(reached).astype(id_dtype)
+            if not len(frontier):
+                break
+            if d > np.iinfo(dist.dtype).max:
+                dist = dist.astype(id_dtype)
             dist[frontier] = d
     return seen if num_vertices is None else dist
 
@@ -616,8 +630,9 @@ def quotient_by_derived(ctx: GroupContext, sigma: Sigma) -> GraphData:
 
 # -- export -----------------------------------------------------------------------
 
-# adjacency entries formatted per write by export_graph
-EXPORT_CHUNK = 1 << 18
+# adjacency entries formatted per write by export_graph; each run in
+# flight holds a few copies of its text, so the runs set the export's peak
+EXPORT_CHUNK = 1 << 16
 
 
 def export_graph(g: GraphData, out: IO[str], fmt: str = "edgelist",

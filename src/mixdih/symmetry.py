@@ -153,7 +153,9 @@ def gl_action(ctx: GroupContext, sigma: Sigma,
 
 
 def is_permutation(perm: VertexPermutation) -> bool:
-    return bool(np.array_equal(np.sort(perm), np.arange(len(perm))))
+    # the ids in perm's own dtype: no int64 array of every id
+    return bool(np.array_equal(np.sort(perm),
+                               np.arange(len(perm), dtype=perm.dtype)))
 
 
 def is_graph_automorphism(g: GraphData, perm: VertexPermutation,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -21,6 +22,7 @@ from . import symmetry as sym
 from .autgroup import automorphism_group_order
 from .bulk import element_dtype, packed_ops
 from .group import (
+    DEFAULT_ENUM_CAP_BITS,
     CapExceededError,
     Element,
     GroupContext,
@@ -64,6 +66,7 @@ class Check:
     expected: object
     actual: object
     runtime_ms: int = 0
+    peak_rss_mb: float | None = None  # recorded under timing only
 
 
 @dataclass
@@ -82,7 +85,9 @@ class VerificationReport:
             "suite": self.suite,
             "checks": [
                 {"name": c.name, "status": c.status, "expected": c.expected,
-                 "actual": c.actual, "runtime_ms": c.runtime_ms}
+                 "actual": c.actual, "runtime_ms": c.runtime_ms,
+                 **({} if c.peak_rss_mb is None
+                    else {"peak_rss_mb": c.peak_rss_mb})}
                 for c in self.checks
             ],
             "overall": self.overall,
@@ -90,6 +95,18 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def _peak_rss_mb() -> float | None:
+    """The peak resident set of this process so far, in MB to one place
+    (``ru_maxrss`` counts KiB on Linux, bytes on macOS); None where there
+    is no ``getrusage``."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (1 << (20 if sys.platform == "darwin" else 10)), 1)
 
 
 def _rng(seed: int, name: str) -> random.Random:
@@ -469,15 +486,15 @@ def check_derived_structure(ctx, samples, rng, cache):
     in_derived = all(h.a == 0 and h.b == 0 for h in basis)
     exp = {"derived_order_exp": u, "basis_in_kernel": True}
     act = {"derived_order_exp": rank, "basis_in_kernel": in_derived}
-    if ctx.total_bits <= EXHAUSTIVE_CAP_BITS:
+    if u <= DEFAULT_ENUM_CAP_BITS:
         ops = packed_ops(ctx)
         gens = [ops.scalar(ctx.pack(h)) for h in basis]
         span = gr.walk(lambda z: np.concatenate([ops.mul(z, g) for g in gens]),
                        None, np.zeros(1, dtype=ops.dtype))
-        kernel = sorted(ctx.pack(h) for h in enumerate_elements(ctx)
-                        if h.a == h.b == 0)
+        # the kernel of the abelianization: a = b = 0 in the low 2n bits
+        kernel = np.arange(1 << u, dtype=ops.dtype) << ops.s2n
         exp["span_equals_kernel"] = True
-        act["span_equals_kernel"] = span.tolist() == kernel
+        act["span_equals_kernel"] = bool(np.array_equal(span, kernel))
         exp["span_size"] = 1 << u
         act["span_size"] = len(span)
     return ("pass" if exp == act else "fail", exp, act)
@@ -962,5 +979,6 @@ def run_suite(n: int, suite: str = "all", samples: int = 10000,
         except Exception as exc:  # a crashed check is a failed check
             status, expected, actual = "fail", None, f"{type(exc).__name__}: {exc}"
         ms = int((time.perf_counter() - t0) * 1000) if timing else 0
-        report.checks.append(Check(name, status, expected, actual, ms))
+        peak = _peak_rss_mb() if timing else None
+        report.checks.append(Check(name, status, expected, actual, ms, peak))
     return report

@@ -271,6 +271,21 @@ def test_mutations_break_the_batteries(mutant):
     assert actual["span_size"] == 16
 
 
+def test_derived_span_is_compared_to_the_kernel_at_rank_three(monkeypatch):
+    """At n=3 (u = 18) the span of the basis products is walked and
+    compared to the kernel: one product dropped halves the span."""
+    ctx = context(3)
+    status, expected, actual = run("derived-subgroup-structure", ctx)
+    assert status == "pass" and actual == expected
+    assert actual["span_size"] == 1 << 18 and actual["span_equals_kernel"]
+    basis = verify.derived_basis
+    monkeypatch.setattr(verify, "derived_basis", lambda c: basis(c)[:-1])
+    status, _, actual = run("derived-subgroup-structure", ctx)
+    assert status == "fail"
+    assert actual["span_size"] == 1 << 17
+    assert actual["span_equals_kernel"] is False
+
+
 def test_recorded_values_own_their_data(monkeypatch):
     """The cross-check keeps copies of the leading samples, not views that
     would keep every whole output array alive."""

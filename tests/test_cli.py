@@ -199,7 +199,31 @@ def test_verify_timing_appends_runtimes(capsys):
     assert lines[-1] == timed_lines[-1] == "overall: pass"
     assert len(lines) == len(timed_lines) == 8
     for line, timed_line in zip(lines[:-1], timed_lines[:-1]):
-        assert re.fullmatch(re.escape(line) + r"  \[\d+ ms\]", timed_line)
+        assert re.fullmatch(re.escape(line) + r"  \[\d+ ms\]"
+                            r"  \[peak \d+\.\d MB\]", timed_line)
+
+
+def test_verify_timing_reports_peak_rss(capsys):
+    # under --timing every check carries the process's peak RSS after it,
+    # which never falls; without it the key is absent and the report is
+    # the same bytes run after run
+    args = ["verify", "--n", "2", "--suite", "all", "--samples", "50",
+            "--json"]
+    code, out, _ = run_cli(capsys, *args, "--timing")
+    checks = json.loads(out)["checks"]
+    assert code == 0 and len(checks) > 1
+    peaks = [c["peak_rss_mb"] for c in checks]
+    assert all(isinstance(p, float) and p > 0 for p in peaks)
+    assert peaks == sorted(peaks)
+    code1, plain1, _ = run_cli(capsys, *args)
+    code2, plain2, _ = run_cli(capsys, *args)
+    assert code1 == code2 == 0 and plain1 == plain2
+    assert "peak_rss_mb" not in plain1
+    code, text, _ = run_cli(capsys, *args[:-1], "--timing")
+    lines = text.splitlines()[:-1]
+    assert code == 0 and len(lines) == len(checks)
+    assert all(re.search(r"  \[\d+ ms\]  \[peak \d+\.\d MB\]$", line)
+               for line in lines)
 
 
 def test_diagram_x(capsys):

@@ -148,6 +148,16 @@ def test_degrees_of_a_regular_graph_allocate_only_the_result(sigma2,
     assert np.array_equal(out[0], np.full(512, 4))
 
 
+def test_degrees_of_a_regular_graph_allocate_nothing_per_vertex(sigma2,
+                                                               torus64,
+                                                               peak_alloc):
+    for g, degree in ((sigma2.graph, 4), (torus64, 6)):
+        out = []
+        assert peak_alloc(lambda: out.append(g.degrees())) <= 512
+        assert np.array_equal(out[0], np.full(g.num_vertices, degree))
+        assert out[0].dtype == np.int32 and not out[0].flags.writeable
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_padded_table_of_irregular_graph_matches_lists(seed):
     rng = random.Random(seed)
@@ -219,7 +229,7 @@ def test_bfs_matches_deque_reference(monkeypatch, seed):
             for depth in (None, 0, 1, 2, 3):
                 dist = bfs_distances(g, root) if depth is None \
                     else walk(rows_step(g), nv, [root], depth)
-                assert dist.dtype == np.int32  # the index dtype of nv ids
+                assert dist.dtype == np.int8  # one byte per id to depth 127
                 assert dist.tolist() == deque_bfs(nv, pairs, root, depth), \
                     (chunk, root, depth)
 
@@ -227,6 +237,85 @@ def test_bfs_matches_deque_reference(monkeypatch, seed):
 def rows_step(g):
     """The walk step of BFS: a block's rows."""
     return lambda block: np.take(g.rows, block, axis=0)
+
+
+def path_pairs(nv):
+    return [(i, i + 1) for i in range(nv - 1)]
+
+
+def test_deep_walk_widens_its_distances_once():
+    # a path walked from one end is as deep as it is long: past depth 127
+    # the int8 record is widened to the index dtype, and stays exact
+    nv = 300
+    g = from_pairs(nv, path_pairs(nv))
+    dist = bfs_distances(g, 0)
+    assert dist.dtype == np.int32 and int(dist.max()) == nv - 1
+    assert dist.tolist() == deque_bfs(nv, path_pairs(nv), 0, None)
+    for depth, dtype in ((127, np.int8), (128, np.int32)):
+        dist = walk(rows_step(g), nv, [0], depth)
+        assert dist.dtype == dtype and int(dist.max()) == depth
+        assert dist.tolist() == deque_bfs(nv, path_pairs(nv), 0, depth)
+    # a walk whose last vertex is at depth 127 stays int8: the layer that
+    # finds no vertex widens nothing
+    dist = bfs_distances(from_pairs(128, path_pairs(128)), 0)
+    assert dist.dtype == np.int8 and dist.tolist() == list(range(128))
+
+
+def torus(side):
+    """The 3-dimensional torus of that side: side^3 vertices of degree 6,
+    diameter 3 * (side // 2), built as a regular table."""
+    v = np.arange(side**3, dtype=np.int32)
+    coords = [v // side**k % side for k in range(3)]
+    cols = []
+    for k in range(3):
+        for step in (1, -1):
+            moved = list(coords)
+            moved[k] = (coords[k] + step) % side
+            cols.append(sum(c * side**j for j, c in enumerate(moved)))
+    return graph_from_rows(np.sort(np.stack(cols, axis=1), axis=1))
+
+
+@pytest.fixture(scope="module")
+def torus64():
+    return torus(64)
+
+
+def test_bfs_allocates_a_byte_record_per_vertex(torus64, peak_alloc):
+    # 2^18 vertices, 97 layers: the int8 distances, the mark of a layer
+    # and its unreached mask are a byte per vertex each; the rest is the
+    # widest layer's rows and their index copy
+    g = torus64
+    assert g.num_vertices == 1 << 18
+    out = []
+    peak = peak_alloc(lambda: out.append(graphs.bfs_layers(g, 0)))
+    layers, unreachable = out[0]
+    assert unreachable == 0 and len(layers) == 97
+    block = max(layers) * g.rows.shape[1] * g.rows.itemsize
+    assert peak <= 3 * g.num_vertices + 2 * block
+
+
+class TextSizes:
+    """A text sink that keeps only the length of each write."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+
+
+@pytest.mark.parametrize("workers", [1, graphs.WORKERS])
+def test_export_allocates_a_few_runs(monkeypatch, torus64, peak_alloc,
+                                     workers):
+    # the temporaries of a run are a few copies of its text, and only the
+    # runs in flight are alive: nothing grows with the whole graph
+    monkeypatch.setattr(graphs, "WORKERS", workers)
+    out = TextSizes()
+    peak = peak_alloc(lambda: export_graph(torus64, out, "edgelist", n=0,
+                                           kind="torus"))
+    runs = out.sizes[1:]  # after the header
+    assert len(runs) >= 4
+    assert peak <= 8 * workers * max(runs)
 
 
 def test_key_walk_is_the_dense_walk_at_every_radius(monkeypatch, ctx2,
@@ -920,6 +1009,23 @@ def test_export_hand_graph(monkeypatch, fmt, chunk):
         assert "  9 -- 10;\n  10 -- 99;\n" in text
     else:
         assert text.endswith("0 9\n0 10\n0 100\n9 10\n10 99\n99 100\n")
+
+
+@pytest.mark.parametrize("fmt", ["edgelist", "dot"])
+def test_export_text_does_not_depend_on_the_run_size(monkeypatch, sigma2,
+                                                     fmt):
+    # runs of one row, of 7 entries and the default: Sigma_2 and a padded
+    # irregular graph (the hand graph's rows end in -1) write the same text
+    hand = from_pairs(102, HAND_PAIRS)
+    assert hand.rows[:, -1].min() < 0
+    for g in (sigma2.graph, hand):
+        texts = set()
+        for chunk in (1, 7, graphs.EXPORT_CHUNK):
+            monkeypatch.setattr(graphs, "EXPORT_CHUNK", chunk)
+            buf = io.StringIO()
+            export_graph(g, buf, fmt, n=2, kind="test")
+            texts.add(buf.getvalue())
+        assert texts == {reference_export(g, fmt, 2, "test")}
 
 
 @pytest.mark.parametrize("fmt", ["edgelist", "dot"])

@@ -36,6 +36,7 @@ from mixdih.symmetry import (
     generator_actions,
     gl_action,
     is_graph_automorphism,
+    is_permutation,
     layer_certificate,
     orbit_closure,
     refined_diagram,
@@ -843,3 +844,15 @@ def test_certificate_inconclusive_on_k44(ctx2, sigma2):
     lc = layer_certificate(q, 0, 4)
     assert lc["certificate"] == "inconclusive"
     assert lc["layers_u"] == lc["layers_v"] == [1, 4, 3]
+
+
+def test_is_permutation_compares_in_the_ids_dtype(peak_alloc):
+    # a sorted copy and the ids, both int32, and the bool comparison: no
+    # int64 array of the ids
+    perm = np.random.default_rng(0).permutation(1 << 16).astype(np.int32)
+    assert is_permutation(perm)
+    assert peak_alloc(lambda: is_permutation(perm)) \
+        <= 2 * perm.nbytes + len(perm) + 4096
+    broken = perm.copy()
+    broken[0] = broken[1]
+    assert not is_permutation(broken)
