@@ -16,7 +16,7 @@ generators that fix the earlier base points -- no stabilizer chains.
 
 The search owns only the tree walk.  Refinement, orbits and the
 automorphism test are the shared ``symmetry.color_refinement``,
-``symmetry.orbit_closure`` (the one frontier walk ``graphs.walk``, from
+``symmetry.orbit_closure`` (the dense frontier walk ``graphs.walk``, from
 the tried points or a base point) and ``symmetry.is_graph_automorphism``.
 """
 

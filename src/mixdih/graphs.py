@@ -11,9 +11,9 @@ the edge-regularity checks.
 The whole-graph loops run in row blocks through one runner,
 :func:`in_blocks`: here the coset-graph build (each ROW_CHUNK key block
 writes its own X and Y rows), the row check of ``graph_from_rows``,
-``Sigma.row_mismatches``, each layer of the one frontier :func:`walk`
-(BFS, orbit closure, the Cayley ball and the derived span) and the runs
-of the edge-list export;
+``Sigma.row_mismatches``, each layer of the two frontier walks,
+:func:`walk` (BFS, orbit closure) and :func:`walk_keys` (the Cayley ball
+and the derived span), and the runs of the edge-list export;
 ``symmetry`` runs two more.  With several blocks the runner uses
 a module thread pool of WORKERS threads, one per CPU this process may
 run on, at most MAX_WORKERS; a loop of one block (every loop at n = 2)
@@ -35,6 +35,7 @@ import numpy as np
 
 from .bulk import packed_ops
 from .group import (
+    EXHAUSTIVE_CAP_BITS,
     CapExceededError,
     Element,
     GroupContext,
@@ -42,7 +43,6 @@ from .group import (
 )
 
 DEFAULT_VERTEX_CAP = 1 << 23
-DEFAULT_CLIQUE_CAP = 4096
 ROW_CHUNK = 1 << 16  # rows per vectorized step of the whole-graph loops
 MAX_WORKERS = 4  # threads of the row-block pool at most
 
@@ -137,14 +137,21 @@ class GraphData:
     Graphs are always simple and undirected.  ``rows`` is the read-only
     neighbor table in ``_index_dtype(num_vertices)``: one sorted row per
     vertex, padded with -1 at its end to the widest row (a regular graph
-    has no padding).  ``sides`` optionally tags a bipartition (0/1 per
-    vertex).
+    has no padding).  ``half`` optionally tags a bipartition: the ids
+    below it are side 0, the others side 1; None when the graph has no
+    sides.
     """
 
     num_vertices: int
     num_edges: int
     rows: np.ndarray
-    sides: np.ndarray | None = None
+    half: int | None = None
+
+    @property
+    def sides(self) -> np.ndarray | None:
+        """Each vertex's side (0/1) in a fresh uint8 array, or None."""
+        return None if self.half is None else (
+            np.arange(self.num_vertices) >= self.half).astype(np.uint8)
 
     def neighbors(self, v: int) -> np.ndarray:
         row = self.rows[v]
@@ -191,7 +198,7 @@ def _index_dtype(count: int):
     return np.int32 if count <= (1 << 31) - 1 else np.int64
 
 
-def graph_from_edges(num_vertices: int, u, v, sides=None) -> GraphData:
+def graph_from_edges(num_vertices: int, u, v) -> GraphData:
     """Build GraphData from endpoint arrays, each edge given once; a loop
     or a repeated edge raises GraphConsistencyError."""
     u = np.asarray(u, dtype=np.int64)
@@ -213,10 +220,10 @@ def graph_from_edges(num_vertices: int, u, v, sides=None) -> GraphData:
     # entry i of the sorted list is number i - (entries before its row)
     rows[src, np.arange(len(src)) - (np.cumsum(degs) - degs)[src]] = dst
     rows.flags.writeable = False
-    return GraphData(num_vertices, len(lo), rows, sides)
+    return GraphData(num_vertices, len(lo), rows)
 
 
-def graph_from_rows(rows: np.ndarray, sides=None) -> GraphData:
+def graph_from_rows(rows: np.ndarray, half: int | None = None) -> GraphData:
     """Build a regular GraphData on its neighbor table, one sorted row
     per vertex: a read-only view of rows, which is copied only when its
     dtype is not the index dtype.
@@ -235,77 +242,84 @@ def graph_from_rows(rows: np.ndarray, sides=None) -> GraphData:
         raise GraphConsistencyError("repeated neighbor in an adjacency row")
     table = rows.astype(_index_dtype(nv), copy=False).view()
     table.flags.writeable = False
-    return GraphData(nv, nv * degree // 2, table, sides)
+    return GraphData(nv, nv * degree // 2, table, half)
 
 
-def walk(step: Callable[[np.ndarray], np.ndarray], num_vertices: int | None,
+def walk(step: Callable[[np.ndarray], np.ndarray], num_vertices: int,
          roots: Iterable[int], max_depth: int | None = None) -> np.ndarray:
-    """The ids within max_depth steps of the roots, all reachable ones
-    when it is None.  ``step`` maps a block of ROW_CHUNK frontier ids (one
+    """The steps from the nearest root to every id in range(num_vertices)
+    within max_depth steps of the roots, all reachable ones when it is
+    None.  ``step`` maps a block of ROW_CHUNK frontier ids (one
     :func:`in_blocks` block) to the ids they reach: a graph's rows, the
-    images under permutations, the products with a generating set.
+    images under permutations.
 
-    Ids in range(num_vertices) are scattered into a fresh mark per layer
+    The reached ids are scattered into a fresh mark per layer
     (idempotent writes, so blocks may run at once) with a spare slot for
     the -1 padding of a graph's rows; the next frontier,
     ``flatnonzero(mark & (dist < 0))``, scans all vertices once per layer:
     O(V * diameter), cheap on the family's graphs (diameter <= 14 at n=3).
     Frontiers are listed in ``_index_dtype(num_vertices)``.  Returns the
-    steps from the nearest root to every id, -1 if unreached, in int8,
-    one byte per id; a walk deeper than 127 steps widens them once to the
-    index dtype, so they stay exact.
-
-    Ids that index no array (``num_vertices=None``; roots an array in
-    their dtype) are keys: each block's steps are sorted and deduped, and
-    one stable argsort merges them into the sorted seen keys, a seen key
-    first, keeping the first of each run of equal keys; the unseen ones
-    are the next frontier.  Returns the sorted keys reached.  Stable sorts
-    (timsort) compare Python ints less than np.unique's quicksort.
+    steps, -1 if unreached, in int8, one byte per id; a walk deeper than
+    127 steps widens them once to the index dtype, so they stay exact.
     """
-    if num_vertices is None:
-        frontier = seen = np.unique(roots)
-    else:
-        dist = np.full(num_vertices, -1, np.int8)
-        id_dtype = _index_dtype(num_vertices)
-        frontier = np.fromiter(roots, dtype=id_dtype)
-        dist[frontier] = 0
+    dist = np.full(num_vertices, -1, np.int8)
+    id_dtype = _index_dtype(num_vertices)
+    frontier = np.fromiter(roots, dtype=id_dtype)
+    dist[frontier] = 0
     d = 0
     while len(frontier) and (max_depth is None or d < max_depth):
         d += 1
-        if num_vertices is None:
-            def unique_steps(lo: int) -> np.ndarray:
-                keys = np.sort(step(frontier[lo:lo + ROW_CHUNK]),
-                               axis=None, kind="stable")
-                return keys[_first_of_runs(keys)]
+        mark = np.zeros(num_vertices + 1, dtype=bool)
 
-            keys = np.concatenate([seen, *in_blocks(
-                unique_steps, range(0, len(frontier), ROW_CHUNK))])
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            first = _first_of_runs(keys)
-            new = first & (order >= len(seen))
-            order = None  # freed before the keys kept are listed
-            seen = keys[first]
-            # the last layer lists no frontier: a lower peak
-            frontier = keys[new] if d != max_depth else keys[:0]
-        else:
-            mark = np.zeros(num_vertices + 1, dtype=bool)
+        def scatter(lo: int) -> None:
+            mark[step(frontier[lo:lo + ROW_CHUNK])] = True
 
-            def scatter(lo: int) -> None:
-                mark[step(frontier[lo:lo + ROW_CHUNK])] = True
+        for _ in in_blocks(scatter, range(0, len(frontier), ROW_CHUNK)):
+            pass
+        reached = mark[:-1]
+        reached &= dist < 0
+        frontier = None  # freed before the next one is listed
+        frontier = np.flatnonzero(reached).astype(id_dtype)
+        if not len(frontier):
+            break
+        if d > np.iinfo(dist.dtype).max:
+            dist = dist.astype(id_dtype)
+        dist[frontier] = d
+    return dist
 
-            for _ in in_blocks(scatter, range(0, len(frontier), ROW_CHUNK)):
-                pass
-            reached = mark[:-1]
-            reached &= dist < 0
-            frontier = None  # freed before the next one is listed
-            frontier = np.flatnonzero(reached).astype(id_dtype)
-            if not len(frontier):
-                break
-            if d > np.iinfo(dist.dtype).max:
-                dist = dist.astype(id_dtype)
-            dist[frontier] = d
-    return seen if num_vertices is None else dist
+
+def walk_keys(step: Callable[[np.ndarray], np.ndarray], roots: np.ndarray,
+              max_depth: int | None = None) -> np.ndarray:
+    """The :func:`walk` over keys, ids that index no array (packed
+    elements at any rank; roots an array in their dtype), stepping, say,
+    by the products with a generating set; returns the sorted keys
+    reached.  Each block's steps are sorted and deduped, and one stable
+    argsort merges them into the sorted seen keys, a seen key first,
+    keeping the first of each run of equal keys; the unseen ones are the
+    next frontier.  Stable sorts (timsort) compare Python ints less than
+    np.unique's quicksort.
+    """
+    frontier = seen = np.unique(roots)
+    d = 0
+    while len(frontier) and (max_depth is None or d < max_depth):
+        d += 1
+
+        def unique_steps(lo: int) -> np.ndarray:
+            keys = np.sort(step(frontier[lo:lo + ROW_CHUNK]),
+                           axis=None, kind="stable")
+            return keys[_first_of_runs(keys)]
+
+        keys = np.concatenate([seen, *in_blocks(
+            unique_steps, range(0, len(frontier), ROW_CHUNK))])
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = _first_of_runs(keys)
+        new = first & (order >= len(seen))
+        order = None  # freed before the keys kept are listed
+        seen = keys[first]
+        # the last layer lists no frontier: a lower peak
+        frontier = keys[new] if d != max_depth else keys[:0]
+    return seen
 
 
 def _first_of_runs(keys: np.ndarray) -> np.ndarray:
@@ -395,7 +409,10 @@ class Sigma:
 
     ctx: GroupContext
     graph: GraphData
-    half: int
+
+    @property
+    def half(self) -> int:  # cosets per side, the first Y-side id
+        return self.graph.half
 
     def edge_ends(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """X and Y ends of the edges of the packed elements z, read off
@@ -512,9 +529,7 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
 
     if not all(in_blocks(fill, range(0, half, ROW_CHUNK))):
         raise GraphConsistencyError("Y rows are not the transpose of X rows")
-    sides = np.zeros(nv, dtype=np.uint8)
-    sides[half:] = 1
-    return Sigma(ctx, graph_from_rows(rows, sides=sides), half)
+    return Sigma(ctx, graph_from_rows(rows, half))
 
 
 # -- intersection graphs and cliques -------------------------------------------
@@ -543,9 +558,9 @@ def maximal_cliques(g: GraphData) -> list[tuple[int, ...]]:
 
     Returns sorted vertex tuples in a deterministic order.
     """
-    if g.num_vertices > DEFAULT_CLIQUE_CAP:
-        raise CapExceededError(
-            f"clique enumeration capped at {DEFAULT_CLIQUE_CAP} vertices")
+    if g.num_vertices > 1 << EXHAUSTIVE_CAP_BITS:
+        raise CapExceededError(f"clique enumeration capped at "
+                               f"{1 << EXHAUSTIVE_CAP_BITS} vertices")
     adj = [0] * g.num_vertices
     for v in range(g.num_vertices):
         for w in g.neighbors(v):
@@ -598,9 +613,12 @@ def quotient_by_derived(ctx: GroupContext, sigma: Sigma) -> GraphData:
     the Y-side class the a block (both are constant under right
     multiplication by derived elements); on both sides that is the low n
     bits of the vertex key.  The class pairs are counted from the X rows,
-    one X class at a time, and every quotient edge must lift to exactly
-    one edge per vertex of its fibers.  The Y rows are read only through
-    ``Sigma.row_mismatches``, which must be 0.
+    one X class at a time, and each of the 2^n x 2^n counts must be the
+    fiber size: every pair of classes is a quotient edge that lifts to
+    exactly one edge per vertex of its fibers.  So the quotient is
+    K_{2^n,2^n}, returned as its rows (X classes 0..2^n-1, Y classes
+    2^n + a).  The Y rows are read only through ``Sigma.row_mismatches``,
+    which must be 0.
     """
     half, n = sigma.half, ctx.n
     two_n = 1 << n
@@ -613,19 +631,14 @@ def quotient_by_derived(ctx: GroupContext, sigma: Sigma) -> GraphData:
     rows = sigma.x_rows().reshape(half >> n, two_n, two_n)
     pairs = np.stack([np.bincount(rows[:, c, :].ravel() & mask,
                                   minlength=two_n) for c in range(two_n)])
-    if np.any(pairs[pairs > 0] != fiber):
+    if np.any(pairs != fiber):
         raise GraphConsistencyError("quotient edges do not lift uniformly")
     if sigma.row_mismatches:
         raise GraphConsistencyError("built rows differ from coset_rows")
-    qu, qv = np.nonzero(pairs)
-    quotient = graph_from_edges(2 * two_n, qu, two_n + qv,
-                                sides=np.array([0] * two_n + [1] * two_n,
-                                               dtype=np.uint8))
-    # normal cover: valency preserved
-    degs = quotient.degrees()
-    if not np.all(degs == two_n):
-        raise GraphConsistencyError("quotient is not regular of valency 2^n")
-    return quotient
+    ids = np.arange(2 * two_n)
+    # each X class's row is every Y class, each Y class's every X class
+    return graph_from_rows(np.where(ids < two_n, two_n, 0)[:, None]
+                           + ids[:two_n], two_n)
 
 
 # -- export -----------------------------------------------------------------------
@@ -719,7 +732,7 @@ def export_labels(g: GraphData, out: IO[str],
     """Vertex table: <id>\\t<side>\\t<label>, side '-' when untagged and
     label ``name(id)``, empty when no naming is given."""
     for v in range(g.num_vertices):
-        side = "-" if g.sides is None else "XY"[g.sides[v]]
+        side = "-" if g.half is None else "XY"[v >= g.half]
         label = "" if name is None else name(v)
         out.write(f"{v}\t{side}\t{label}\n")
 

@@ -59,6 +59,7 @@ Symbol = tuple
 Word = Sequence[Symbol]
 
 DEFAULT_ENUM_CAP_BITS = 24
+EXHAUSTIVE_CAP_BITS = 12  # group enumerations, cliques and line graphs
 
 # Largest n whose phi is tabulated (2^(n^2+n) entries): by the scalar kernel
 # from its bit loop, by the packed one from its row formula; above, per call.

@@ -13,11 +13,12 @@ and the scalar ``InducedAutomorphism.apply``, a ``mul`` fold over it,
 stays as the oracle: it drives ``check_local_2at`` and recomputes a
 fixed sample of every ``gl_action`` permutation.
 
-Each shared graph algorithm has one implementation.  One frontier walk,
-``graphs.walk``, serves BFS (``graphs.bfs_distances`` over a graph's
-rows), orbit closure (``orbit_closure`` over permutation arrays, behind
-the 2-arc count, the side orbits and the |Aut| search) and the Cayley
-ball (``ball_intersect_derived``, over packed elements).  This module
+Each shared graph algorithm has one implementation.  The frontier walk
+over dense ids, ``graphs.walk``, serves BFS (``graphs.bfs_distances``
+over a graph's rows) and orbit closure (``orbit_closure`` over
+permutation arrays, behind the 2-arc count, the side orbits and the |Aut|
+search); the one over keys, ``graphs.walk_keys``, serves the Cayley ball
+(``ball_intersect_derived``, over packed elements).  This module
 owns the other two: ``color_refinement`` (behind ``equitable_refinement``
 and the individualization-refinement search in ``autgroup``) and
 ``is_graph_automorphism``, the one edge-map predicate (an automorphism,
@@ -69,6 +70,7 @@ from .graphs import (
     in_blocks,
     vertex_rep,
     walk,
+    walk_keys,
 )
 from .group import (
     Element,
@@ -412,16 +414,18 @@ def ball_intersect_derived(ctx: GroupContext, radius: int) -> list[Element]:
     """Elements of the derived subgroup within the given Cayley-ball radius
     of the identity.
 
-    The ball is the ``graphs.walk`` over packed elements from the identity
-    to depth radius, stepping by left multiplication with S, so no Cayley
-    graph is built (the radius-4 ball is tiny compared to the group).
+    The ball is the ``graphs.walk_keys`` over packed elements from the
+    identity to depth radius, stepping by left multiplication with S, so
+    no Cayley graph is built (the radius-4 ball is tiny compared to the
+    group).
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     ops = packed_ops(ctx)
     s_list = connection_set(ctx)
-    ball = walk(lambda z: np.concatenate([ops.left_mul(s, z) for s in s_list]),
-                None, np.zeros(1, dtype=ops.dtype), radius)
+    ball = walk_keys(
+        lambda z: np.concatenate([ops.left_mul(s, z) for s in s_list]),
+        np.zeros(1, dtype=ops.dtype), radius)
     mask_ab = (1 << (2 * ctx.n)) - 1
     return [ctx.unpack(int(z)) for z in ball[(ball & mask_ab) == 0]]
 

@@ -23,6 +23,7 @@ from .autgroup import automorphism_group_order
 from .bulk import element_dtype, packed_ops
 from .group import (
     DEFAULT_ENUM_CAP_BITS,
+    EXHAUSTIVE_CAP_BITS,
     CapExceededError,
     Element,
     GroupContext,
@@ -54,7 +55,6 @@ EXPECTED_LAYERS_Y_N2 = [1, 4, 12, 36, 81, 108, 135, 108, 27]
 EXPECTED_CELLS_X_N2 = [[1], [4], [12], [36], [54], [108], [108], [108], [81]]
 EXPECTED_CELLS_Y_N2 = [[1], [4], [12], [36], [9, 72], [108], [27, 108], [108], [27]]
 AUT_ORDER_N2 = 2**15 * 3**5
-EXHAUSTIVE_CAP_BITS = 12  # group enumerations, cliques and line graphs
 
 SUITES = ("core", "graphs", "symmetry", "all")
 
@@ -489,8 +489,9 @@ def check_derived_structure(ctx, samples, rng, cache):
     if u <= DEFAULT_ENUM_CAP_BITS:
         ops = packed_ops(ctx)
         gens = [ops.scalar(ctx.pack(h)) for h in basis]
-        span = gr.walk(lambda z: np.concatenate([ops.mul(z, g) for g in gens]),
-                       None, np.zeros(1, dtype=ops.dtype))
+        span = gr.walk_keys(
+            lambda z: np.concatenate([ops.mul(z, g) for g in gens]),
+            np.zeros(1, dtype=ops.dtype))
         # the kernel of the abelianization: a = b = 0 in the low 2n bits
         kernel = np.arange(1 << u, dtype=ops.dtype) << ops.s2n
         exp["span_equals_kernel"] = True
@@ -634,13 +635,16 @@ def check_cayley_stats(ctx, samples, rng, cache):
 
 def check_coset_graph_stats(ctx, samples, rng, cache):
     sig = _sigma(ctx, cache)
-    g = sig.graph
+    g, half = sig.graph, sig.half
     exp = {"vertices": 2 << (ctx.total_bits - ctx.n),
            "edges": 1 << ctx.total_bits, "valency": 1 << ctx.n,
            "halves": [1 << (ctx.total_bits - ctx.n)] * 2}
+    # the vertices on each side whose whole row lies in the other half
+    halves = [int(np.count_nonzero(((lo <= rows) & (rows < hi)).all(axis=1)))
+              for rows, lo, hi in ((g.rows[:half], half, g.num_vertices),
+                                   (g.rows[half:], 0, half))]
     act = {"vertices": g.num_vertices, "edges": g.num_edges,
-           "valency": _valency(g),
-           "halves": [int((g.sides == 0).sum()), int((g.sides == 1).sum())]}
+           "valency": _valency(g), "halves": halves}
     return ("pass" if exp == act else "fail", exp, act)
 
 
@@ -710,7 +714,7 @@ def check_line_graph_duality(ctx, samples, rng, cache):
 
 def check_quotient_cover(ctx, samples, rng, cache):
     sig = _sigma(ctx, cache)
-    q = _quotient(ctx, cache)  # raises if fibers/valency break
+    q = _quotient(ctx, cache)  # raises unless each class pair lifts evenly
     two_n = 1 << ctx.n
     complete = all(q.has_edge(u, two_n + v)
                    for u in range(two_n) for v in range(two_n))

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mixdih.graphs import walk
+from mixdih.graphs import walk_keys
 from mixdih.group import GroupContext, mul
 
 
@@ -130,7 +130,7 @@ def _span(ctx, gens) -> set:
                          for z in block for g in gens], dtype=object)
 
     return {ctx.unpack(int(z))
-            for z in walk(step, None, np.zeros(1, dtype=object))}
+            for z in walk_keys(step, np.zeros(1, dtype=object))}
 
 
 @pytest.fixture

@@ -42,6 +42,7 @@ from mixdih.graphs import (
     quotient_by_derived,
     vertex_rep,
     walk,
+    walk_keys,
 )
 from mixdih.group import (
     CapExceededError,
@@ -52,7 +53,8 @@ from mixdih.group import (
     mul,
     xgen,
 )
-from mixdih.verify import ScalarOps, check_edge_bijection, run_suite
+from mixdih.verify import ScalarOps, check_coset_graph_stats, \
+    check_edge_bijection, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -320,7 +322,7 @@ def test_export_allocates_a_few_runs(monkeypatch, torus64, peak_alloc,
 
 def test_key_walk_is_the_dense_walk_at_every_radius(monkeypatch, ctx2,
                                                     gamma2, sigma2):
-    # keys that index no array (num_vertices=None) reach the ids that the
+    # keys that index no array (walk_keys) reach the ids that the
     # dense walk over the built rows reaches, at every radius, also in row
     # blocks of 7: left multiplication by S on Gamma_2 (the ids are the
     # packed elements) and the closed-form coset_rows on Sigma_2 (a table
@@ -344,8 +346,8 @@ def test_key_walk_is_the_dense_walk_at_every_radius(monkeypatch, ctx2,
             depth = int(bfs_distances(g, root).max())
             for radius in range(depth + 2):
                 dense = walk(rows_step(g), g.num_vertices, [root], radius)
-                keys = walk(step, None, np.array([root], dtype=ops.dtype),
-                            radius)
+                keys = walk_keys(step, np.array([root], dtype=ops.dtype),
+                                 radius)
                 assert keys.dtype == ops.dtype
                 assert keys.tolist() == np.flatnonzero(dense >= 0).tolist(), \
                     (chunk, root, radius)
@@ -508,6 +510,28 @@ def test_sigma_bipartite(sigma2):
     g = sigma2.graph
     eu, ev = g.edge_array()
     assert np.all(g.sides[eu] != g.sides[ev])
+
+
+def test_sigma_stores_its_sides_as_one_integer():
+    g = build_sigma(context(2)).graph
+    assert g.half == 256
+    # the neighbor table is the only per-vertex array the graph holds
+    assert [k for k, v in vars(g).items() if isinstance(v, np.ndarray)] \
+        == ["rows"]
+    assert g.sides.tolist() == [0] * 256 + [1] * 256
+
+
+def test_coset_graph_stats_count_the_sides_from_the_rows(ctx2, sigma2):
+    status, _, actual = check_coset_graph_stats(ctx2, 0, random.Random(0),
+                                                {"sigma": sigma2})
+    assert (status, actual["halves"]) == ("pass", [256, 256])
+    g = sigma2.graph
+    rows = g.rows.copy()
+    rows[0, 0] = 1  # one entry of X row 0 moved into the X half
+    bad = dataclasses.replace(sigma2, graph=dataclasses.replace(g, rows=rows))
+    status, _, actual = check_coset_graph_stats(ctx2, 0, random.Random(0),
+                                                {"sigma": bad})
+    assert (status, actual["halves"]) == ("fail", [255, 256])
 
 
 def test_edge_bijection(ctx2, sigma2):
@@ -889,6 +913,18 @@ def test_quotient_rejects_corrupted_sigma(ctx2, sigma2):
     rows = g.rows.copy()
     # X vertex 0 trades one neighbor for a Y vertex of another class
     rows[0, 0] ^= 1
+    bad = dataclasses.replace(sigma2, graph=dataclasses.replace(g, rows=rows))
+    with pytest.raises(GraphConsistencyError, match="lift uniformly"):
+        quotient_by_derived(ctx2, bad)
+
+
+def test_quotient_rejects_a_class_pair_with_no_edge(ctx2, sigma2):
+    g = sigma2.graph
+    rows = g.rows.copy()
+    # X class 0 (keys with low bits 0) sends its Y class 1 neighbors to
+    # Y class 2, so the class pair (0, 1) counts no edge
+    x0 = rows[:sigma2.half:4]
+    x0[x0 & 3 == 1] ^= 3
     bad = dataclasses.replace(sigma2, graph=dataclasses.replace(g, rows=rows))
     with pytest.raises(GraphConsistencyError, match="lift uniformly"):
         quotient_by_derived(ctx2, bad)

@@ -12,7 +12,7 @@ from mixdih import graphs, symmetry
 from mixdih.bulk import PackedOps, packed_ops
 from mixdih.graphs import GraphConsistencyError, build_gamma, build_sigma, \
     coset_vertex, graph_from_edges, quotient_by_derived, \
-    vertex_rep, walk
+    vertex_rep, walk, walk_keys
 from mixdih.group import (
     IDENTITY,
     Element,
@@ -599,8 +599,8 @@ def test_walk_follows_a_long_cycle():
         return base + (block - base + 1) % nv
 
     root = np.array([base + 700], dtype=object)
-    assert walk(succ, None, root).tolist() == [base + x for x in range(nv)]
-    keys = walk(succ, None, root, max_depth=5)
+    assert walk_keys(succ, root).tolist() == [base + x for x in range(nv)]
+    keys = walk_keys(succ, root, max_depth=5)
     assert keys.dtype == object
     assert keys.tolist() == [base + x for x in range(700, 706)]
 
