@@ -31,8 +31,8 @@ def _xor_span(images: list[int]) -> np.ndarray:
 
 
 def _gather(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """table[idx]; object-dtype indices (n >= 5) are cast to intp."""
-    return table[idx.astype(np.intp) if idx.dtype == object else idx]
+    """table[idx], by intp indices: numpy's own cast gathers 3x slower."""
+    return np.take(table, idx.astype(np.intp), axis=0)
 
 
 def element_dtype(ctx: GroupContext):
@@ -58,6 +58,10 @@ class PackedOps:
     block (outer) in its low n^2 bits and the t block (psi) above.  Entry
     (m << n) | a of ``phi`` is the t-block that x^a picks up crossing
     w^m, tabulated at n <= 3 (None above, where ``phi_of`` evaluates it).
+    The key maps XOR the bits above the low n with yx words alone, so
+    ``graphs.coset_rows`` reads Σ's rows off the 2^n x 2^n tables they
+    give: entry [b, a] of ``tx`` is the Y key of x^a y^b, [a, c] of
+    ``ty`` the X key of y^c x^a.
     """
 
     def __init__(self, ctx: GroupContext):
@@ -77,6 +81,9 @@ class PackedOps:
         if ctx.n <= _TABLE_MAX_N:
             idx = np.arange(1 << (ctx.dim_w + self.n), dtype=self.dtype)
             self.phi = ctx.phi_rows(idx >> self.n, idx & self.mask_n)
+        low = np.arange(1 << self.n, dtype=self.dtype)
+        self.tx = self.y_coset_key(low | low[:, None] << self.sn)
+        self.ty = self.x_coset_key(self.y_coset(low))
 
     # -- block access -------------------------------------------------------
 

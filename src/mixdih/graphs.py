@@ -33,7 +33,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .bulk import packed_ops
+from .bulk import _gather, packed_ops
 from .group import (
     EXHAUSTIVE_CAP_BITS,
     CapExceededError,
@@ -431,10 +431,10 @@ class Sigma:
 
     @cached_property
     def row_mismatches(self) -> int:
-        """Entries where a built row differs from its closed form
-        :func:`coset_rows`, on both sides, ROW_CHUNK keys at a time.
-        Counted once per Sigma; a ``dataclasses.replace`` copy counts its
-        own rows."""
+        """Entries where a built row differs from :func:`coset_rows` (read
+        off the row tables), on both sides, ROW_CHUNK keys at a time: it
+        sees rows changed after the build.  Counted once per Sigma; a
+        ``dataclasses.replace`` copy counts its own rows."""
         ctx, half = self.ctx, self.half
         xrows, yrows = self.x_rows(), self.graph.rows[half:]
 
@@ -447,6 +447,16 @@ class Sigma:
                        + np.count_nonzero(y != yrows[lo:hi]))
 
         return sum(in_blocks(mismatches, range(0, half, ROW_CHUNK)))
+
+    @cached_property
+    def class_pairs(self) -> np.ndarray:
+        """Entry [c, a]: the X-row entries of class a of the X keys of
+        class c, a class being the low n bits of a key (and of a Y id,
+        half + key); counted once per Sigma."""
+        two_n = 1 << self.ctx.n  # [row block, X class, neighbor]
+        rows = self.x_rows().reshape(self.half >> self.ctx.n, two_n, two_n)
+        return np.stack([np.bincount(rows[:, c, :].ravel() & (two_n - 1),
+                                     minlength=two_n) for c in range(two_n)])
 
 
 def _half(ctx: GroupContext) -> int:
@@ -483,14 +493,17 @@ def coset_rows(ctx: GroupContext, side: str, keys: np.ndarray) -> np.ndarray:
     """The rows of the cosets with these keys on one side ("X" or "Y") in
     closed form, one sorted row of the other side's keys per key: for an
     X key k the Y keys of its members (k << n) | a, for a Y key r the X
-    keys of its members y^c * rep(r)."""
+    keys of its members y^c * rep(r).  Each is the key with its low n
+    bits cleared, XORed with the row of the side's table (``PackedOps.tx``
+    or ``ty``) at those bits: O(1) per entry at every rank."""
     ops = packed_ops(ctx)
-    if side == "X":
-        z = (keys[:, None] << ops.sn) | np.arange(1 << ctx.n, dtype=ops.dtype)
-        return np.sort(ops.y_coset_key(z), axis=1)
-    if side != "Y":
+    if side not in ("X", "Y"):
         raise ValueError(f"side must be 'X' or 'Y', got {side!r}")
-    return np.sort(ops.x_coset_key(ops.y_coset(keys)), axis=1)
+    low = keys & ops.mask_n
+    rows = _gather(ops.tx if side == "X" else ops.ty, low)
+    rows ^= (keys ^ low)[:, None]  # in place: one fresh array per call
+    rows.sort(axis=1)
+    return rows
 
 
 def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
@@ -500,34 +513,41 @@ def build_sigma(ctx: GroupContext, force: bool = False) -> Sigma:
     Vertices are the cosets of both sides, numbered by coset_vertex.
     Both sides' rows come from their closed form :func:`coset_rows`, each
     :func:`in_blocks` block writing the rows of ROW_CHUNK keys per side.
-    The build checks that the Y rows are the transpose of the X rows.
-    With b the b block of X key k, the members y^b * rep(r) for the Y
-    keys r stored in X row k, sorted, must be the block (k << n) | a of
-    X coset k.  Then each such member of Y coset r lies in X coset k, so
-    k is in Y row r, and X row k repeats no key.  Both sides are regular
-    of valency 2^n, and ``graph_from_rows`` checks that the Y rows
-    strictly increase, so the two sides hold equally many distinct pairs,
-    and the Y rows are the transpose.
+    With b the low n bits of X key k, the members y^b * rep(r) (by
+    ``y_member``) of the Y keys r stored in X row k must have k as their
+    high bits, their low n bits covering 0..2^n-1: they are X coset k, so
+    each Y coset r meets it and X row k repeats no key.  X row k holds
+    r = (k ^ b) ^ tx[b, a], of low bits a, and Y row r holds
+    (r ^ a) ^ ty[a, b]: k, by tx[b, a] ^ a ^ ty[a, b] = b, checked for
+    all a, b.  Both sides are regular of valency 2^n, and
+    ``graph_from_rows`` checks that the Y rows strictly increase, so the
+    Y rows are the transpose.
     """
     half = _half(ctx)
     nv = 2 * half
     degree = 1 << ctx.n
     _check_cap(nv, degree, force, "coset graph")
     ops = packed_ops(ctx)
+    low = np.arange(degree, dtype=ops.dtype)
     rows = np.empty((nv, degree), dtype=_index_dtype(nv))
 
     def fill(lo: int) -> bool:
         """Write the rows of one key block; whether its X rows transpose."""
         hi = min(lo + ROW_CHUNK, half)
         keys = np.arange(lo, hi, dtype=ops.dtype)
-        rows[lo:hi] = coset_rows(ctx, "X", keys) + half
-        b = (keys & ops.mask_n)[:, None]  # low n bits of an X key
-        xkeys = (rows[lo:hi] - half).astype(ops.dtype)  # as stored
-        members = np.sort(ops.y_member(xkeys, b), axis=1).ravel()
+        xrows = coset_rows(ctx, "X", keys)
+        xrows += half  # Y ids are half + key
+        rows[lo:hi] = xrows
+        # as stored, one column per X key: the checks run on whole rows
+        xkeys = rows[lo:hi].T.astype(ops.dtype, order="C") - ops.scalar(half)
+        members = ops.y_member(xkeys, keys & ops.mask_n)
         rows[half + lo:half + hi] = coset_rows(ctx, "Y", keys)
-        return np.array_equal(members, np.arange(lo << ctx.n, hi << ctx.n))
+        lows = np.bitwise_or.reduce(ops.scalar(1) << (members & ops.mask_n))
+        return bool(np.all(members >> ops.sn == keys)
+                    and np.all(lows == (1 << degree) - 1))
 
-    if not all(in_blocks(fill, range(0, half, ROW_CHUNK))):
+    if not (np.all(ops.tx ^ low ^ ops.ty.T == low[:, None])
+            and all(in_blocks(fill, range(0, half, ROW_CHUNK)))):
         raise GraphConsistencyError("Y rows are not the transpose of X rows")
     return Sigma(ctx, graph_from_rows(rows, half))
 
@@ -612,26 +632,18 @@ def quotient_by_derived(ctx: GroupContext, sigma: Sigma) -> GraphData:
     The X-side class of a vertex is the b block of its representative,
     the Y-side class the a block (both are constant under right
     multiplication by derived elements); on both sides that is the low n
-    bits of the vertex key.  The class pairs are counted from the X rows,
-    one X class at a time, and each of the 2^n x 2^n counts must be the
+    bits of the vertex key.  The class pairs are counted from the X rows
+    (``Sigma.class_pairs``), and each of the 2^n x 2^n counts must be the
     fiber size: every pair of classes is a quotient edge that lifts to
     exactly one edge per vertex of its fibers.  So the quotient is
     K_{2^n,2^n}, returned as its rows (X classes 0..2^n-1, Y classes
     2^n + a).  The Y rows are read only through ``Sigma.row_mismatches``,
     which must be 0.
     """
-    half, n = sigma.half, ctx.n
-    two_n = 1 << n
-    mask = two_n - 1
+    two_n = 1 << ctx.n
     # half is a multiple of 2^n, so each of the 2^n classes on a side (the
     # low n bits of the key) has the same number of vertices, fiber
-    fiber = half // two_n
-    # [row block, X class, neighbor]; Y ids are half + key, so the low n
-    # bits of an id are its class
-    rows = sigma.x_rows().reshape(half >> n, two_n, two_n)
-    pairs = np.stack([np.bincount(rows[:, c, :].ravel() & mask,
-                                  minlength=two_n) for c in range(two_n)])
-    if np.any(pairs != fiber):
+    if np.any(sigma.class_pairs != sigma.half // two_n):
         raise GraphConsistencyError("quotient edges do not lift uniformly")
     if sigma.row_mismatches:
         raise GraphConsistencyError("built rows differ from coset_rows")

@@ -38,7 +38,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class UnsupportedParameterError(ValueError):
@@ -66,8 +66,7 @@ EXHAUSTIVE_CAP_BITS = 12  # group enumerations, cliques and line graphs
 _TABLE_MAX_N = 3
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     """One group element in normal form: four bit-packed GF(2) blocks."""
 
     a: int = 0  # x-part, n bits

@@ -718,12 +718,14 @@ def check_quotient_cover(ctx, samples, rng, cache):
     two_n = 1 << ctx.n
     complete = all(q.has_edge(u, two_n + v)
                    for u in range(two_n) for v in range(two_n))
+    fiber = sig.half // two_n
     exp = {"vertices": 2 * two_n, "edges": two_n * two_n,
            "valency": two_n, "complete_bipartite": True,
-           "fiber_size": sig.half // two_n}
+           "class_pairs_min": fiber, "class_pairs_max": fiber}
     act = {"vertices": q.num_vertices, "edges": q.num_edges,
            "valency": _valency(q), "complete_bipartite": complete,
-           "fiber_size": sig.half // two_n}
+           "class_pairs_min": int(sig.class_pairs.min()),
+           "class_pairs_max": int(sig.class_pairs.max())}
     return ("pass" if exp == act else "fail", exp, act)
 
 

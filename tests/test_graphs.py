@@ -615,6 +615,69 @@ def test_sigma_rejects_corrupted_y_member(monkeypatch):
             build_sigma(context(2))
 
 
+def test_sigma_rejects_y_member_off_its_x_coset(monkeypatch):
+    # a w bit flipped in the member equal to element 1022 (x2 y1 y2 w t,
+    # which is no y^c x^a of the row tables) keeps its low bits: only the
+    # check of the members' high bits can see it
+    original = PackedOps.y_member
+
+    def corrupt(self, keys, c):
+        out = original(self, keys, c)
+        return out ^ (out == 1022).astype(np.uint32) << np.uint32(4)
+
+    monkeypatch.setattr(PackedOps, "y_member", corrupt)
+    for chunk in (graphs.ROW_CHUNK, 7):
+        monkeypatch.setattr(graphs, "ROW_CHUNK", chunk)
+        with pytest.raises(GraphConsistencyError, match="transpose"):
+            build_sigma(context(2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_coset_rows_match_per_element_keys(n):
+    # the table form against the key maps run on every member: each key
+    # at n=2 and 3, 2^12 random keys per side at n=4 and 5
+    ctx = context(n)
+    ops = packed_ops(ctx)
+    half = graphs._half(ctx)
+    if n <= 3:
+        keys = np.arange(half, dtype=ops.dtype)
+    else:
+        rng = random.Random(n)
+        keys = np.array([rng.randrange(half) for _ in range(1 << 12)],
+                        dtype=ops.dtype)
+    members = (keys[:, None] << ops.sn) | np.arange(1 << n, dtype=ops.dtype)
+    assert np.array_equal(coset_rows(ctx, "X", keys),
+                          np.sort(ops.y_coset_key(members), axis=1))
+    assert np.array_equal(coset_rows(ctx, "Y", keys),
+                          np.sort(ops.x_coset_key(ops.y_coset(keys)), axis=1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_coset_row_tables_transpose(n):
+    # tx[b, a] ^ a ^ ty[a, b] == b: the X-row entry r of key k (low bits
+    # b) that has low bits a holds k in its own Y row
+    ops = packed_ops(context(n))
+    for a in range(1 << n):
+        for b in range(1 << n):
+            assert ops.tx[b, a] ^ a ^ ops.ty[a, b] == b
+
+
+@pytest.mark.parametrize("table, entry", [("tx", (1, 2)), ("ty", (3, 1))])
+def test_sigma_rejects_corrupted_row_table(monkeypatch, table, entry):
+    # one flipped high bit of one table entry moves a key in the rows of
+    # every key with those low bits; the transpose check must see it in
+    # the first block, at one block and at row blocks of 7
+    for chunk in (graphs.ROW_CHUNK, 7):
+        monkeypatch.setattr(graphs, "ROW_CHUNK", chunk)
+        ctx = context(2)
+        ops = packed_ops(ctx)
+        bad = getattr(ops, table).copy()
+        bad[entry] ^= np.uint32(1 << 2)
+        setattr(ops, table, bad)
+        with pytest.raises(GraphConsistencyError, match="transpose"):
+            build_sigma(ctx)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_y_coset_paths_match_general_product(n):
     # y_coset_key, y_coset and left_mul read yx alone; each is compared
