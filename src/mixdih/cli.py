@@ -166,6 +166,8 @@ def cmd_verify(args) -> int:
             line = f"{c.name}: {c.status}"
             if c.status == "fail":
                 line += f"  (expected {c.expected!r}, got {c.actual!r})"
+            elif c.status == "skip":
+                line += f"  ({c.actual})"
             if args.timing:
                 line += f"  [{c.runtime_ms} ms]"
                 if c.peak_rss_mb is not None:

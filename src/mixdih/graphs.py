@@ -18,7 +18,10 @@ and the derived span), and the runs of the edge-list export;
 a module thread pool of WORKERS threads, one per CPU this process may
 run on, at most MAX_WORKERS; a loop of one block (every loop at n = 2)
 runs inline and starts no thread.  Results are taken in block order, so
-graphs, reports and exports are byte-identical to a serial run.
+graphs, reports and exports are byte-identical to a serial run.  The
+pool sets glibc to one arena, with mmap and trim thresholds of 33554432
+and 134217728 bytes, so block temporaries are reused in the heap.  The
+export writes its lines in place, as words from a table of "0000".."9999".
 """
 
 from __future__ import annotations
@@ -56,7 +59,10 @@ def _usable_cpus() -> int:
 
 WORKERS = min(_usable_cpus(), MAX_WORKERS)
 _pool = None  # the row-block ThreadPoolExecutor, started by first use
-M_ARENA_MAX = -8  # glibc's mallopt parameter number
+# glibc's mallopt parameter numbers, and the values the pool sets
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
+MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's largest on 64 bits
+TRIM_THRESHOLD_BYTES = 128 << 20
 
 
 def _start_pool():
@@ -66,9 +72,10 @@ def _start_pool():
     temporaries a block frees stay in its worker's arena, where the main
     thread cannot reuse them: a blocked loop then peaks higher than a
     serial one.  One arena for all threads keeps the serial peak, so the
-    pool sets M_ARENA_MAX to 1 before its threads start; where libc has
-    no mallopt (not glibc) that does nothing.  A forked child has none of
-    the threads and starts its own pool.
+    pool sets M_ARENA_MAX to 1 before its threads start, and the two
+    thresholds keep the blocks' freed temporaries in the heap for the next
+    block; where libc has no mallopt (not glibc) that does nothing.  A
+    forked child has none of the threads and starts its own pool.
     """
     global _pool
     if _pool is None:
@@ -82,6 +89,8 @@ def _start_pool():
             mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
             mallopt.restype = ctypes.c_int
             mallopt(M_ARENA_MAX, 1)
+            mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+            mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
         _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="mixdih-rows")
         if hasattr(os, "register_at_fork"):
             os.register_at_fork(after_in_child=_forget_pool)
@@ -658,6 +667,9 @@ def quotient_by_derived(ctx: GroupContext, sigma: Sigma) -> GraphData:
 # adjacency entries formatted per write by export_graph; each run in
 # flight holds a few copies of its text, so the runs set the export's peak
 EXPORT_CHUNK = 1 << 16
+# "0000".."9999" as little-endian words, the digit groups of _format_lines
+_DIGIT_WORDS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4,
+                                    indexing="ij"), axis=-1).view("<u4").ravel()
 
 
 def export_graph(g: GraphData, out: IO[str], fmt: str = "edgelist",
@@ -697,46 +709,57 @@ def _format_lines(literals: Sequence[str], *columns: np.ndarray) -> str:
     """One line per row i: literals[0], columns[0][i], literals[1], ...,
     literals[-1], the non-negative integers in decimal.
 
-    The lines are laid out as a byte matrix with every number right-aligned
-    in its column's widest width, filled column-major (one contiguous row
-    per byte position) and transposed once.  Leading pads are zero bytes,
-    which only a column whose least value is shorter than its widest can
-    hold; dropping them leaves the lines concatenated in row order.  The
-    digits are taken in uint32 when the column's maximum fits, else uint64.
+    The lines are written row-major into one byte buffer, each number
+    right-aligned in its column's widest width as 4-digit _DIGIT_WORDS
+    stored through strided unaligned word views.  The leftmost group is
+    shifted right past its leading '0's, into its own field, where the
+    group stored next overwrites the zero bytes shifted in; a field
+    narrower than 4 is written byte by byte, as a word would spill into
+    the next line.  Leading pads are zero bytes, which only a column whose
+    least value is shorter than its widest can hold; dropping them leaves
+    the lines in row order.  Digits are uint32 when the maximum fits.
     """
     rows = len(columns[0])
     if rows == 0:
         return ""
     tops = [int(col.max()) for col in columns]
     widths = [len(str(top)) for top in tops]
-    buf = np.empty((sum(map(len, literals)) + sum(widths), rows), np.uint8)
+    size = sum(map(len, literals)) + sum(widths)  # bytes per line
+    buf = np.empty(rows * size, np.uint8)
+    lines = buf.reshape(rows, size)
     padded = False
     pos = 0
     for i, lit in enumerate(literals):
-        lit_bytes = np.frombuffer(lit.encode(), np.uint8)
-        buf[pos:pos + len(lit)] = lit_bytes[:, None]
+        lines[:, pos:pos + len(lit)] = np.frombuffer(lit.encode(), np.uint8)
         pos += len(lit)
         if i == len(columns):
             break
-        x = columns[i].astype(np.uint32 if tops[i] < 1 << 32 else np.uint64)
-        least = int(columns[i].min())
-        low = x.astype(np.uint8)
-        for k in range(widths[i]):  # k digits to the right of this one
-            q = x // 10
-            qlow = q.astype(np.uint8)
-            row = buf[pos + widths[i] - 1 - k]
-            np.subtract(low, qlow * 10, out=row)  # the digit x - 10q, mod 256
-            row += ord("0")
-            if k and least < 10 ** k:  # 0 is written as one digit
-                row[x == 0] = 0
+        width = widths[i]
+        x = values = columns[i].astype(
+            np.uint32 if tops[i] < 1 << 32 else np.uint64)
+        if width < 4:
+            digits = _DIGIT_WORDS.take(x).view(np.uint8).reshape(rows, 4)
+            lines[:, pos:pos + width] = digits[:, 4 - width:]
+        else:
+            groups = []  # right to left
+            for _ in range((width - 1) // 4):
+                q = x // 10000
+                groups.append(_DIGIT_WORDS.take(x - q * 10000))
+                x = q
+            lead = width - 4 * len(groups)  # digits of the leftmost group
+            groups.append(_DIGIT_WORDS.take(x) >> np.uint32(8 * (4 - lead)))
+            starts = [pos, *range(pos + lead, pos + width, 4)]
+            for start, word in zip(starts, reversed(groups)):
+                np.ndarray((rows,), "<u4", buf, start, (size,))[...] = word
+        least = int(values.min())
+        for k in range(1, width):  # k digits to the right of this byte
+            if least < 10 ** k:  # 0 is written as one digit
+                lines[:, pos + width - 1 - k][values < 10 ** k] = 0
                 padded = True
-            x, low = q, qlow
-        pos += widths[i]
-    lines = np.ascontiguousarray(buf.T)  # copied without the GIL
-    del buf  # freed before the lines are decoded: a run peaks lower
+        pos += width
     if padded:
-        return lines.tobytes().translate(None, b"\0").decode("ascii")
-    return str(lines.data, "ascii")  # decoded from the array's own bytes
+        return buf.tobytes().translate(None, b"\0").decode("ascii")
+    return str(buf.data, "ascii")  # decoded from the array's own bytes
 
 
 def export_labels(g: GraphData, out: IO[str],

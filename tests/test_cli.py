@@ -226,6 +226,22 @@ def test_verify_timing_reports_peak_rss(capsys):
                for line in lines)
 
 
+def test_verify_text_prints_skip_reasons(capsys):
+    # at n = 4 every graph check skips on a cap: each text line carries its
+    # reason, which the JSON report already holds as the check's actual
+    args = ["verify", "--n", "4", "--suite", "graphs"]
+    code, text, _ = run_cli(capsys, *args)
+    code_json, out, _ = run_cli(capsys, *args, "--json")
+    assert code == code_json == 0
+    checks = json.loads(out)["checks"]
+    assert checks and all(c["status"] == "skip" for c in checks)
+    assert text.splitlines() == [
+        f"{c['name']}: skip  ({c['actual']})" for c in checks] + [
+        "overall: pass"]
+    assert "coset graph would have 35184372088832 vertices" in text
+    assert run_cli(capsys, *args, "--json")[1] == out
+
+
 def test_diagram_x(capsys):
     code, out, _ = run_cli(capsys, "diagram", "--n", "2", "--root", "X",
                            "--json")

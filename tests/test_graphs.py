@@ -14,6 +14,7 @@ import sys
 import threading
 import time
 from collections import Counter, deque
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -1180,6 +1181,49 @@ def test_format_lines_without_pads(values):
     assert graphs._format_lines(("", " ", "\n"), u, v) == want
 
 
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("edge", [999, 9999, 99999999, 10**12 - 1,
+                                  2**32 - 1])
+def test_format_lines_at_digit_group_edges(edge, wide):
+    # each side of a 4-digit group boundary, alone and together, so a value
+    # fills its field or stops one digit short of it; uint32 digits unless
+    # a value reaches 2^32, and uint64 ones in a column that also holds
+    # 2^40, where the same values sit padded in a 13-digit field
+    extra = [2**40] if wide else []
+    for values in ([edge], [edge + 1], [edge, edge + 1], [edge + 1, edge]):
+        values = values + extra
+        u = np.array(values, dtype=np.int64)
+        v = u[::-1].copy()
+        want = "".join(f"{a} {b}\n" for a, b in zip(values, values[::-1]))
+        assert graphs._format_lines(("", " ", "\n"), u, v) == want
+        assert graphs._format_lines(("<", ">"), u) == "".join(
+            f"<{a}>" for a in values)
+
+
+@pytest.mark.parametrize("literals", [("", "\n"), ("", " ", "\n"),
+                                      ("", "", ";")])
+@pytest.mark.parametrize("digits", [1, 2, 3])
+def test_format_lines_short_fields_stay_in_their_line(literals, digits):
+    # fields of 1-3 digits, the last one followed by a single byte: a
+    # 4-byte word stored there would reach past a run of one row and, in a
+    # longer run, overwrite the start of the next line
+    values = [v for v in (0, 7, 10, 42, 99, 100, 512, 999) if v < 10**digits]
+    rows = [(a, b) for a in values for b in values][::3]
+    for run in [rows, *([row] for row in rows)]:
+        run = [row[:len(literals) - 1] for row in run]
+        cols = [np.array(col, dtype=np.int64) for col in zip(*run)]
+        want = "".join(
+            "".join(f"{lit}{x}" for lit, x in zip(literals, row)) + literals[-1]
+            for row in run)
+        assert graphs._format_lines(literals, *cols) == want
+
+
+def test_digit_words_are_the_four_digit_strings():
+    assert graphs._DIGIT_WORDS.dtype == np.dtype("<u4")
+    assert graphs._DIGIT_WORDS.tobytes() == "".join(
+        f"{i:04d}" for i in range(10000)).encode()
+
+
 def test_export_empty_graph():
     g = from_pairs(2, [])
     for fmt in ("edgelist", "dot"):
@@ -1279,6 +1323,44 @@ def test_worker_block_error_propagates(monkeypatch):
     monkeypatch.setattr(graphs, "coset_rows", corrupt)
     with pytest.raises(GraphConsistencyError, match="corrupted block 20"):
         build_sigma(context(2))
+
+
+@pytest.mark.parametrize("has_mallopt", [True, False])
+def test_pool_sets_malloc_before_its_threads_start(monkeypatch, has_mallopt):
+    # a fake libc records each mallopt call with the threads alive then;
+    # the pool is made after the three calls, and a libc without mallopt
+    # (not glibc) still gets its pool
+    import ctypes
+    from concurrent import futures
+    events = []
+
+    def mallopt(param, value):
+        events.append((param, value, threading.active_count()))
+        return 1
+
+    libc = SimpleNamespace(mallopt=mallopt) if has_mallopt else \
+        SimpleNamespace()
+    real_pool = futures.ThreadPoolExecutor
+
+    def pool(*args, **kwargs):
+        events.append("pool")
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(graphs, "_pool", None)
+    monkeypatch.setattr(graphs, "WORKERS", 2)
+    threads = threading.active_count()
+    try:
+        assert list(graphs.in_blocks(abs, [-1, -2, -3])) == [1, 2, 3]
+    finally:
+        graphs._pool.shutdown()
+    calls = [(graphs.M_ARENA_MAX, 1, threads),
+             (graphs.M_MMAP_THRESHOLD, 32 << 20, threads),
+             (graphs.M_TRIM_THRESHOLD, 128 << 20, threads)]
+    assert events == (calls if has_mallopt else []) + ["pool"]
+    assert (graphs.M_TRIM_THRESHOLD, graphs.M_MMAP_THRESHOLD,
+            graphs.M_ARENA_MAX) == (-1, -3, -8)
 
 
 def test_rank2_suite_starts_no_thread():
