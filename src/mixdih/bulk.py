@@ -206,12 +206,3 @@ class PackedOps:
             raise ValueError("a w or t image leaves the derived subgroup")
         return (_xor_span(images[:n]), _xor_span(images[n:2 * n]),
                 _xor_span(images[2 * n:]))
-
-    def induced_image(self, tables: tuple[np.ndarray, np.ndarray, np.ndarray],
-                      z: np.ndarray) -> np.ndarray:
-        """Elementwise image of x^a y^b w^M t^T under the induced map:
-        x^{a g1} y^{b g2} times D(M, T), whose zero a block adds no
-        collection terms, so the product is an XOR."""
-        x_img, y_img, d_img = tables
-        return (x_img[self.a_of(z)] ^ y_img[self.b_of(z)]
-                ^ d_img[z >> self.s2n])

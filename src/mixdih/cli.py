@@ -174,7 +174,7 @@ def cmd_verify(args) -> int:
                     line += f"  [peak {c.peak_rss_mb} MB]"
             print(line)
         print(f"overall: {report.overall}")
-    return 0 if report.overall == "pass" else 1
+    return 1 if report.overall == "fail" else 0
 
 
 def cmd_diagram(args) -> int:

@@ -14,13 +14,14 @@ writes its own X and Y rows), the row check of ``graph_from_rows``,
 ``Sigma.row_mismatches``, each layer of the two frontier walks,
 :func:`walk` (BFS, orbit closure) and :func:`walk_keys` (the Cayley ball
 and the derived span), and the runs of the edge-list export;
-``symmetry`` runs two more.  With several blocks the runner uses
-a module thread pool of WORKERS threads, one per CPU this process may
-run on, at most MAX_WORKERS; a loop of one block (every loop at n = 2)
-runs inline and starts no thread.  Results are taken in block order, so
-graphs, reports and exports are byte-identical to a serial run.  The
-pool sets glibc to one arena, with mmap and trim thresholds of 33554432
-and 134217728 bytes, so block temporaries are reused in the heap.  The
+``symmetry`` runs two more.  With several blocks the runner starts a
+thread pool of WORKERS threads, one per CPU this process may run on, at
+most MAX_WORKERS, that lasts for that loop, so loops may nest; a loop of
+one block (every loop at n = 2) runs inline and starts no thread.
+Results are taken in block order, so graphs, reports and exports are
+byte-identical to a serial run.  Before each pool starts, glibc is set to
+one arena, with mmap and trim thresholds of 33554432 and 134217728
+bytes, so block temporaries are reused in the heap.  The
 export writes its lines in place, as words from a table of "0000".."9999".
 """
 
@@ -58,48 +59,34 @@ def _usable_cpus() -> int:
 
 
 WORKERS = min(_usable_cpus(), MAX_WORKERS)
-_pool = None  # the row-block ThreadPoolExecutor, started by first use
-# glibc's mallopt parameter numbers, and the values the pool sets
+# glibc's mallopt parameter numbers, and the values each pool sets
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
 MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's largest on 64 bits
 TRIM_THRESHOLD_BYTES = 128 << 20
 
 
-def _start_pool():
-    """The module thread pool, started on first use.
+def _set_malloc() -> None:
+    """One malloc arena, and blocks' temporaries kept in the heap.
 
     glibc gives every thread that allocates its own malloc arena, and the
     temporaries a block frees stay in its worker's arena, where the main
     thread cannot reuse them: a blocked loop then peaks higher than a
-    serial one.  One arena for all threads keeps the serial peak, so the
-    pool sets M_ARENA_MAX to 1 before its threads start, and the two
+    serial one.  One arena for all threads keeps the serial peak, so this
+    runs before a pool's threads start and sets M_ARENA_MAX to 1; the two
     thresholds keep the blocks' freed temporaries in the heap for the next
-    block; where libc has no mallopt (not glibc) that does nothing.  A
-    forked child has none of the threads and starts its own pool.
+    block.  Setting them again is harmless; where libc has no mallopt (not
+    glibc) this does nothing.
     """
-    global _pool
-    if _pool is None:
-        import ctypes
-        from concurrent.futures import ThreadPoolExecutor
-        try:
-            mallopt = ctypes.CDLL(None).mallopt
-        except (OSError, AttributeError):
-            pass
-        else:
-            mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-            mallopt.restype = ctypes.c_int
-            mallopt(M_ARENA_MAX, 1)
-            mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
-            mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
-        _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="mixdih-rows")
-        if hasattr(os, "register_at_fork"):
-            os.register_at_fork(after_in_child=_forget_pool)
-    return _pool
-
-
-def _forget_pool() -> None:
-    global _pool
-    _pool = None
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_ARENA_MAX, 1)
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
 T = TypeVar("T")
@@ -109,29 +96,28 @@ R = TypeVar("R")
 def in_blocks(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
     """fn(item) for every item, yielded in item order.
 
-    With more than one item and more than one CPU the calls run on the
-    module thread pool, at most WORKERS of them in flight: each result
-    taken lets the next item start.  An exception of a block is raised
-    here in that block's turn.  Leaving the loop early (``all`` at its
-    first False) cancels the blocks not yet started and waits for those
-    running.  A single item runs inline and starts no thread.  fn must
-    not itself call in_blocks, whose pool it would wait on.
+    With more than one item and more than one CPU the calls run on a
+    thread pool of WORKERS threads that lasts for this loop, at most
+    WORKERS of them in flight: each result taken lets the next item
+    start.  An exception of a block is raised here in that block's turn.
+    Leaving the loop early (``all`` at its first False) starts no more
+    blocks and waits for those in flight.  A single item runs inline and
+    starts no thread.  fn may itself call in_blocks: the inner loop gets
+    its own pool.
     """
     if len(items) < 2 or WORKERS < 2:
         yield from map(fn, items)
         return
-    pool = _start_pool()
-    rest = iter(items)
-    running = deque(pool.submit(fn, item) for item in islice(rest, WORKERS))
-    try:
+    from concurrent.futures import ThreadPoolExecutor
+    _set_malloc()
+    with ThreadPoolExecutor(WORKERS, thread_name_prefix="mixdih-rows") as pool:
+        rest = iter(items)
+        running = deque(pool.submit(fn, item)
+                        for item in islice(rest, WORKERS))
         while running:
             result = running.popleft().result()
             running.extend(pool.submit(fn, item) for item in islice(rest, 1))
             yield result
-    finally:
-        for future in running:
-            if not future.cancel():
-                future.exception()  # wait; its result is not wanted
 
 
 class GraphConsistencyError(RuntimeError):

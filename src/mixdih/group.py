@@ -480,8 +480,6 @@ class InducedAutomorphism:
                 out = mul(ctx, out, img)
         return out
 
-    __call__ = apply
-
 
 def induced_automorphism(ctx: GroupContext, g1: Sequence[int],
                          g2: Sequence[int]) -> InducedAutomorphism:

@@ -4,14 +4,16 @@ orbit closure, the local 2-arc-transitivity check, BFS distance diagrams,
 coarsest equitable refinement, the radius-4 ball identity in the Cayley
 graph, and the semisymmetry certificate.
 
-Both vertex actions send every representative through one packed element
-map (``PackedOps.mul`` or the induced gather tables of
-``PackedOps.induced_tables``) and read the image vertices off the coset
-keys.  Both GL x GL routes read one image table, ``aut.images`` (the image
-of every pc generator in bit order): the packed tables are its XOR spans,
-and the scalar ``InducedAutomorphism.apply``, a ``mul`` fold over it,
-stays as the oracle: it drives ``check_local_2at`` and recomputes a
-fixed sample of every ``gl_action`` permutation.
+The right action sends every coset representative through
+``PackedOps.mul`` and reads the image vertices off the coset keys.  The
+GL x GL action works on the keys themselves: a key is a class block and
+an H' fibre, and the action is a gather of the class block and of the
+fibre in the tables of ``PackedOps.induced_tables``.  Both GL x GL routes
+read one image table, ``aut.images`` (the image of every pc generator in
+bit order): the packed tables are its XOR spans, and the scalar
+``InducedAutomorphism.apply``, a ``mul`` fold over it, stays as the
+oracle: it drives ``check_local_2at`` and recomputes a fixed sample of
+every ``gl_action`` permutation.
 
 Each shared graph algorithm has one implementation.  The frontier walk
 over dense ids, ``graphs.walk``, serves BFS (``graphs.bfs_distances``
@@ -35,12 +37,12 @@ test its automorphism property.  ``semisymmetry_certificate`` combines
 the witness, the local 2-arc report and the base ``layer_certificate``.
 
 Three whole-graph loops run in row blocks through ``graphs.in_blocks``,
-on its worker threads when there are several blocks and CPUs (one per
-CPU the process may use, at most ``graphs.MAX_WORKERS``): the row pass of
-``is_graph_automorphism``, which stops at the first block in order that
-fails, the action count of ``edge_regular_witness`` and, inside it,
-``Sigma.row_mismatches``.  Blocks are combined in order, so every count
-and report is the same as a serial run's.
+on a thread pool of that loop when there are several blocks and CPUs (one
+thread per CPU the process may use, at most ``graphs.MAX_WORKERS``): the
+row pass of ``is_graph_automorphism``, which stops at the first block in
+order that fails, the action count of ``edge_regular_witness`` and,
+inside it, ``Sigma.row_mismatches``.  Blocks are combined in order, so
+every count and report is the same as a serial run's.
 
 Vertex intransitivity is certified by a side-separating invariant (the BFS
 layer profile) rather than a full automorphism search: an automorphism
@@ -56,7 +58,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bulk import packed_ops
+from .bulk import _gather, packed_ops
 from .graphs import (
     GraphConsistencyError,
     GraphData,
@@ -89,28 +91,20 @@ VertexPermutation = np.ndarray
 
 # -- vertex actions -----------------------------------------------------------
 
-def _vertex_permutation(ctx: GroupContext, sigma: Sigma,
-                        image: Callable[[np.ndarray], np.ndarray]
-                        ) -> VertexPermutation:
-    """Vertex permutation of a packed element map that sends cosets to
-    cosets on the same side: each representative goes through the map and
-    back to its coset key.  int32 wherever the vertex ids fit."""
-    ops = packed_ops(ctx)
-    half = sigma.half
-    keys = np.arange(half, dtype=ops.dtype)  # both sides have half keys
-    perm = np.concatenate([ops.x_coset_key(image(keys << ops.sn)),
-                           ops.y_coset_key(image(ctx.y_rep(keys))) + half])
-    return perm.astype(_index_dtype(2 * half))
-
-
 def right_action(ctx: GroupContext, sigma: Sigma, h: Element) -> VertexPermutation:
     """Vertex permutation of the coset graph from right multiplication by h.
 
     Sends each coset to the coset of rep*h; preserves sides, and is an
     automorphism (the edge through z maps to the edge through z*h).
+    int32 wherever the vertex ids fit.
     """
     ops = packed_ops(ctx)
-    return _vertex_permutation(ctx, sigma, lambda z: ops.mul(z, ctx.pack(h)))
+    half, zh = sigma.half, ctx.pack(h)
+    keys = np.arange(half, dtype=ops.dtype)  # both sides have half keys
+    perm = np.concatenate([ops.x_coset_key(ops.mul(keys << ops.sn, zh)),
+                           ops.y_coset_key(ops.mul(ctx.y_rep(keys), zh))
+                           + half])
+    return perm.astype(_index_dtype(2 * half))
 
 
 def _xy_generators(ctx: GroupContext) -> list[Element]:
@@ -132,21 +126,29 @@ GL_CROSS_CHECK = 16  # vertices per side recomputed by the scalar oracle
 def gl_action(ctx: GroupContext, sigma: Sigma,
               aut: InducedAutomorphism) -> VertexPermutation:
     """Vertex permutation from an induced automorphism (fixes the two base
-    vertices and the side partition).
+    vertices and the side partition), read off the coset keys.
 
-    Every representative goes through the packed image map of
-    ``PackedOps.induced_tables``.  The scalar ``InducedAutomorphism.apply``
-    recomputes GL_CROSS_CHECK evenly spread keys per side, from the base
-    vertex to the key with every block set; a disagreement raises
-    GraphConsistencyError.
+    With the tables (x_img, y_img, D) of ``PackedOps.induced_tables``: the
+    X representative of key k is y^b d, b = k & (2^n - 1) and d in H' of
+    (m,t) word k >> n, and maps to y^{b g2} D(d), of X key
+    y_img[b] >> n | D[k >> n] >> n.  The Y representative of key r is
+    x^a d, and maps to x^{a g1} D(d); its b block is 0, where yx
+    vanishes, so its Y key is x_img[a] | D[r >> n] >> n.  The scalar
+    ``InducedAutomorphism.apply`` recomputes GL_CROSS_CHECK evenly spread
+    keys per side, from the base vertex to the key with every block set;
+    a disagreement raises GraphConsistencyError.
     """
     ops = packed_ops(ctx)
-    tables = ops.induced_tables(aut)
-    perm = _vertex_permutation(ctx, sigma,
-                               lambda z: ops.induced_image(tables, z))
-    keys = np.linspace(0, sigma.half - 1, GL_CROSS_CHECK).round().astype(int)
-    for side, first in (("X", 0), ("Y", sigma.half)):
-        for vid in (keys + first).tolist():
+    x_img, y_img, d_img = ops.induced_tables(aut)
+    half = sigma.half
+    keys = np.arange(half, dtype=ops.dtype)  # both sides have half keys
+    low, fibre = keys & ops.mask_n, _gather(d_img, keys >> ops.sn) >> ops.sn
+    perm = np.concatenate([_gather(y_img >> ops.sn, low) | fibre,
+                           (_gather(x_img, low) | fibre) + half])
+    perm = perm.astype(_index_dtype(2 * half))
+    sample = np.linspace(0, half - 1, GL_CROSS_CHECK).round().astype(int)
+    for side, first in (("X", 0), ("Y", half)):
+        for vid in (sample + first).tolist():
             img = coset_vertex(ctx, side, aut.apply(vertex_rep(ctx, vid)))
             if img != perm[vid]:
                 raise GraphConsistencyError("packed induced map disagrees "

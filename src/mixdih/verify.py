@@ -77,7 +77,12 @@ class VerificationReport:
 
     @property
     def overall(self) -> str:
-        return "pass" if all(c.status != "fail" for c in self.checks) else "fail"
+        """fail if a check failed, else incomplete if none passed (all
+        skipped or inconclusive), else pass."""
+        statuses = {c.status for c in self.checks}
+        if "fail" in statuses:
+            return "fail"
+        return "pass" if "pass" in statuses else "incomplete"
 
     def to_dict(self) -> dict:
         return {

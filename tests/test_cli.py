@@ -10,6 +10,7 @@ import pytest
 from mixdih import cli
 from mixdih.cli import main
 from mixdih.group import context
+from mixdih.verify import Check, VerificationReport
 
 
 def run_cli(capsys, *argv):
@@ -237,9 +238,28 @@ def test_verify_text_prints_skip_reasons(capsys):
     assert checks and all(c["status"] == "skip" for c in checks)
     assert text.splitlines() == [
         f"{c['name']}: skip  ({c['actual']})" for c in checks] + [
-        "overall: pass"]
+        "overall: incomplete"]
     assert "coset graph would have 35184372088832 vertices" in text
     assert run_cli(capsys, *args, "--json")[1] == out
+
+
+@pytest.mark.parametrize("statuses, overall, code", [
+    (["pass", "skip", "inconclusive"], "pass", 0),
+    (["skip", "inconclusive"], "incomplete", 0),
+    (["skip"], "incomplete", 0),
+    (["pass", "skip", "fail"], "fail", 1),
+    (["skip", "fail"], "fail", 1)])
+def test_verify_overall_needs_a_passed_check(capsys, monkeypatch, statuses,
+                                             overall, code):
+    # overall is fail on any failed check, else pass only when some check
+    # passed; verify exits 1 on fail alone
+    report = VerificationReport(2, "all", [
+        Check(f"c{i}", status, None, None)
+        for i, status in enumerate(statuses)])
+    monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: report)
+    got, text, _ = run_cli(capsys, "verify", "--n", "2")
+    assert report.overall == overall and got == code
+    assert text.splitlines()[-1] == f"overall: {overall}"
 
 
 def test_diagram_x(capsys):

@@ -1282,7 +1282,6 @@ def test_runner_stress_more_workers_than_cores(monkeypatch, ctx2, sigma2):
     # 3 rows as at the defaults
     want_bfs = [bfs_distances(sigma2.graph, root) for root in (0, 300)]
     monkeypatch.setattr(graphs, "WORKERS", 8)
-    monkeypatch.setattr(graphs, "_pool", None)
     monkeypatch.setattr(graphs, "ROW_CHUNK", 3)
     lock, live = threading.Lock(), [0, 0]  # in flight now, at most
 
@@ -1306,8 +1305,6 @@ def test_runner_stress_more_workers_than_cores(monkeypatch, ctx2, sigma2):
             assert np.array_equal(bfs_distances(sigma2.graph, root), want)
     finally:
         sys.setswitchinterval(interval)
-        if graphs._pool is not None:
-            graphs._pool.shutdown()
 
 
 def test_worker_block_error_propagates(monkeypatch):
@@ -1328,8 +1325,8 @@ def test_worker_block_error_propagates(monkeypatch):
 @pytest.mark.parametrize("has_mallopt", [True, False])
 def test_pool_sets_malloc_before_its_threads_start(monkeypatch, has_mallopt):
     # a fake libc records each mallopt call with the threads alive then;
-    # the pool is made after the three calls, and a libc without mallopt
-    # (not glibc) still gets its pool
+    # each loop's pool is made after the three calls, and a libc without
+    # mallopt (not glibc) still gets its pools
     import ctypes
     from concurrent import futures
     events = []
@@ -1348,28 +1345,31 @@ def test_pool_sets_malloc_before_its_threads_start(monkeypatch, has_mallopt):
 
     monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
     monkeypatch.setattr(futures, "ThreadPoolExecutor", pool)
-    monkeypatch.setattr(graphs, "_pool", None)
     monkeypatch.setattr(graphs, "WORKERS", 2)
     threads = threading.active_count()
-    try:
+    for _ in range(2):
         assert list(graphs.in_blocks(abs, [-1, -2, -3])) == [1, 2, 3]
-    finally:
-        graphs._pool.shutdown()
     calls = [(graphs.M_ARENA_MAX, 1, threads),
              (graphs.M_MMAP_THRESHOLD, 32 << 20, threads),
              (graphs.M_TRIM_THRESHOLD, 128 << 20, threads)]
-    assert events == (calls if has_mallopt else []) + ["pool"]
+    assert events == 2 * ((calls if has_mallopt else []) + ["pool"])
     assert (graphs.M_TRIM_THRESHOLD, graphs.M_MMAP_THRESHOLD,
             graphs.M_ARENA_MAX) == (-1, -3, -8)
 
 
 def test_rank2_suite_starts_no_thread():
-    # every rank-2 loop is one block, so it runs inline
+    # every rank-2 loop is one block, so it runs inline: with two workers
+    # allowed, the whole suite makes no pool and ends on the main thread
     code = ("import threading\n"
+            "from concurrent import futures\n"
             "from mixdih import graphs\n"
             "from mixdih.verify import run_suite\n"
+            "pools, real_pool = [], futures.ThreadPoolExecutor\n"
+            "futures.ThreadPoolExecutor = lambda *args, **kwargs: ("
+            "pools.append(1) or real_pool(*args, **kwargs))\n"
+            "graphs.WORKERS = 2\n"
             "assert run_suite(2, 'all').overall == 'pass'\n"
-            "print(graphs._pool is None, threading.active_count())\n")
+            "print(len(pools), threading.active_count())\n")
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -1377,20 +1377,67 @@ def test_rank2_suite_starts_no_thread():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "1"]
+    assert proc.stdout.split() == ["0", "1"]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork") or graphs.WORKERS < 2,
-                    reason="needs fork and two CPUs")
-def test_forked_child_starts_its_own_pool():
-    # the child inherits the parent's started pool but none of its threads
-    assert list(graphs.in_blocks(abs, [-1, -2])) == [1, 2]
-    assert graphs._pool is not None
+def row_threads() -> list[str]:
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("mixdih-rows")]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_starts_its_own_pool(monkeypatch):
+    # a child forked after a loop ran on its pool has none of its threads,
+    # and its own loops still run on row threads
+    monkeypatch.setattr(graphs, "WORKERS", 2)
+
+    def block(i):
+        return abs(i), threading.current_thread().name
+
+    assert [r for r, _ in graphs.in_blocks(block, [-1, -2])] == [1, 2]
     pid = os.fork()
     if pid == 0:
         signal.alarm(60)  # a child waiting on the parent's threads dies
-        ok = graphs._pool is None and list(
-            graphs.in_blocks(abs, [-3, -4])) == [3, 4]
+        got = list(graphs.in_blocks(block, [-3, -4]))
+        ok = [r for r, _ in got] == [3, 4] and all(
+            name.startswith("mixdih-rows") for _, name in got)
         os._exit(0 if ok else 1)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_loop_threads_end_with_the_loop(monkeypatch):
+    # the pool's threads run while a loop does and are joined when it
+    # ends, whether it runs out or all() leaves it at its first False
+    monkeypatch.setattr(graphs, "WORKERS", 3)
+    seen = []
+
+    def block(i):
+        seen.append(len(row_threads()))
+        time.sleep(0.001)
+        return i != 10
+
+    assert row_threads() == []
+    assert all(graphs.in_blocks(block, range(10)))
+    assert max(seen) >= 1 and row_threads() == []
+    seen.clear()
+    assert not all(graphs.in_blocks(block, range(200)))
+    assert max(seen) >= 1 and len(seen) < 200 and row_threads() == []
+
+
+def test_a_block_may_run_its_own_loop(monkeypatch):
+    # an inner loop gets its own pool, so an outer block waits on no
+    # thread of its own loop; the whole nest runs under a time limit
+    monkeypatch.setattr(graphs, "WORKERS", 2)
+
+    def outer(i):
+        return sum(graphs.in_blocks(abs, range(-i, 0)))
+
+    got = []
+    nest = threading.Thread(target=lambda: got.append(
+        list(graphs.in_blocks(outer, range(2, 10)))), daemon=True)
+    nest.start()
+    nest.join(timeout=60)
+    assert not nest.is_alive()
+    assert got == [[i * (i + 1) // 2 for i in range(2, 10)]]
+    assert row_threads() == []

@@ -19,6 +19,7 @@ from mixdih.group import (
     context,
     gf2_identity,
     gl_enumerate,
+    gl_generator_pairs,
     induced_automorphism,
     mul,
     xgen,
@@ -456,6 +457,23 @@ def test_gl_action_matches_scalar_reference(ctx2, sigma2):
             aut = induced_automorphism(ctx2, g1, g2)
             assert np.array_equal(gl_action(ctx2, sigma2, aut),
                                   scalar_gl_action(ctx2, sigma2, aut))
+
+
+def test_gl_action_matches_scalar_samples_at_rank3():
+    # the keys' gathers against the scalar word rewrite on 300 seeded
+    # vertices of each side, for every generator pair (the exhaustive
+    # comparison above is rank 2 only)
+    ctx3 = context(3)
+    sigma3 = build_sigma(ctx3)
+    rng = np.random.default_rng(3)
+    half = sigma3.half
+    for pair in gl_generator_pairs(3):
+        aut = induced_automorphism(ctx3, *pair)
+        perm = gl_action(ctx3, sigma3, aut)
+        for side, first in (("X", 0), ("Y", half)):
+            for v in (rng.choice(half, 300, replace=False) + first).tolist():
+                assert perm[v] == coset_vertex(
+                    ctx3, side, aut.apply(vertex_rep(ctx3, v)))
 
 
 def test_gl_cross_check_reaches_the_derived_blocks(ctx2, sigma2):
