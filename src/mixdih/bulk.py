@@ -13,18 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .group import (
-    _TABLE_MAX_N,
-    Element,
-    GroupContext,
-    InducedAutomorphism,
-    mul,
-)
+from .group import _TABLE_MAX_N, Element, GroupContext, mul
 
 
-def _xor_span(images: list[int]) -> np.ndarray:
+def _xor_span(images: list[int], dtype) -> np.ndarray:
     """Entry s is the XOR of images[k] over the set bits k of s."""
-    out = np.zeros(1, dtype=np.uint32)
+    out = np.zeros(1, dtype=dtype)
     for img in images:
         out = np.concatenate([out, out ^ img])
     return out
@@ -187,22 +181,3 @@ class PackedOps:
         column c holds y^c times the representative."""
         return self.y_member(keys[:, None],
                              np.arange(1 << self.n, dtype=self.dtype))
-
-    # -- induced automorphisms ---------------------------------------------------
-
-    def induced_tables(self, aut: InducedAutomorphism
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gather tables of an induced automorphism, read off its image
-        table ``aut.images`` (packed, in bit order): the images of x^a and
-        of y^b, and the XOR-linear map D on the (m,t) bits.
-
-        The images of the w and t generators lie in the derived subgroup,
-        which is elementary abelian, so D is the XOR of the images of the
-        set bits; an image outside it raises ValueError.
-        """
-        n = self.n
-        images = [self.ctx.pack(e) for e in aut.images]
-        if any(z & ((1 << 2 * n) - 1) for z in images[2 * n:]):
-            raise ValueError("a w or t image leaves the derived subgroup")
-        return (_xor_span(images[:n]), _xor_span(images[n:2 * n]),
-                _xor_span(images[2 * n:]))

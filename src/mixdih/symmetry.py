@@ -4,16 +4,16 @@ orbit closure, the local 2-arc-transitivity check, BFS distance diagrams,
 coarsest equitable refinement, the radius-4 ball identity in the Cayley
 graph, and the semisymmetry certificate.
 
-The right action sends every coset representative through
-``PackedOps.mul`` and reads the image vertices off the coset keys.  The
-GL x GL action works on the keys themselves: a key is a class block and
-an H' fibre, and the action is a gather of the class block and of the
-fibre in the tables of ``PackedOps.induced_tables``.  Both GL x GL routes
-read one image table, ``aut.images`` (the image of every pc generator in
-bit order): the packed tables are its XOR spans, and the scalar
-``InducedAutomorphism.apply``, a ``mul`` fold over it, stays as the
-oracle: it drives ``check_local_2at`` and recomputes a fixed sample of
-every ``gl_action`` permutation.
+Both actions are affine on coset keys, a key being a class block and an
+H' fibre: ``_key_permutation`` reads a scalar map (side, vertex id) ->
+vertex id at the fibre-0 key of each class and the unit-fibre keys of
+class 0, and extends it to every key as the XOR table of the class
+images and the XOR span of the unit-fibre images.  The right action's
+map is the scalar ``mul`` by h; the GL x GL action's is the scalar
+``InducedAutomorphism.apply``, a ``mul`` fold over the image table
+``aut.images`` (the image of every pc generator in bit order).  The same
+two maps drive ``check_local_2at``, and ``gl_action`` recomputes a fixed
+sample of every permutation with its map.
 
 Each shared graph algorithm has one implementation.  The frontier walk
 over dense ids, ``graphs.walk``, serves BFS (``graphs.bfs_distances``
@@ -58,7 +58,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bulk import _gather, packed_ops
+from .bulk import _xor_span, packed_ops
 from .graphs import (
     GraphConsistencyError,
     GraphData,
@@ -87,24 +87,56 @@ from .group import (
 )
 
 VertexPermutation = np.ndarray
+VertexMap = Callable[[str, int], int]  # (side, vertex id) -> vertex id
 
 
 # -- vertex actions -----------------------------------------------------------
+
+def _right_mult_map(ctx: GroupContext, g: Element) -> VertexMap:
+    """The id of the coset of the representative times g."""
+    return lambda side, vid: coset_vertex(
+        ctx, side, mul(ctx, vertex_rep(ctx, vid), g))
+
+
+def _aut_map(ctx: GroupContext, aut: InducedAutomorphism) -> VertexMap:
+    """The id of the coset of the representative's image under the scalar
+    ``aut.apply``."""
+    return lambda side, vid: coset_vertex(
+        ctx, side, aut.apply(vertex_rep(ctx, vid)))
+
+
+def _key_permutation(ctx: GroupContext, sigma: Sigma,
+                     image: VertexMap) -> VertexPermutation:
+    """Vertex permutation of a side-preserving map ``image`` that is affine
+    on coset keys, read off 2^n + u probe keys per side.
+
+    A key is a class (its low n bits) and an H' fibre (the u bits above).
+    Right multiplications and the GL x GL pairs send key (c, d) to
+    C[c] ^ L(d), C the images of the fibre-0 keys and L linear over GF(2),
+    so ``image`` is read at those keys and at the unit-fibre keys of class
+    0, whose offsets from C[0] span L.  int32 wherever the ids fit.
+    """
+    half, n, dtype = sigma.half, ctx.n, _index_dtype(2 * sigma.half)
+    units = [1 << (n + k) for k in range(ctx.dim_w + ctx.dim_t)]
+    perm = []
+    for side, first in (("X", 0), ("Y", half)):
+        # Y ids are half + key, and the power of two half is above every
+        # key bit, so it stays in the class images and cancels in offsets
+        probe = [image(side, first + key) for key in [*range(1 << n), *units]]
+        span = _xor_span([img ^ probe[0] for img in probe[1 << n:]], dtype)
+        # key (d << n) | c is entry [d, c]
+        perm.append(span[:, None] ^ np.array(probe[:1 << n], dtype=dtype))
+    return np.concatenate(perm).ravel()
+
 
 def right_action(ctx: GroupContext, sigma: Sigma, h: Element) -> VertexPermutation:
     """Vertex permutation of the coset graph from right multiplication by h.
 
     Sends each coset to the coset of rep*h; preserves sides, and is an
-    automorphism (the edge through z maps to the edge through z*h).
-    int32 wherever the vertex ids fit.
+    automorphism (the edge through z maps to the edge through z*h).  The
+    ``_key_permutation`` of the scalar products rep*h.
     """
-    ops = packed_ops(ctx)
-    half, zh = sigma.half, ctx.pack(h)
-    keys = np.arange(half, dtype=ops.dtype)  # both sides have half keys
-    perm = np.concatenate([ops.x_coset_key(ops.mul(keys << ops.sn, zh)),
-                           ops.y_coset_key(ops.mul(ctx.y_rep(keys), zh))
-                           + half])
-    return perm.astype(_index_dtype(2 * half))
+    return _key_permutation(ctx, sigma, _right_mult_map(ctx, h))
 
 
 def _xy_generators(ctx: GroupContext) -> list[Element]:
@@ -126,33 +158,21 @@ GL_CROSS_CHECK = 16  # vertices per side recomputed by the scalar oracle
 def gl_action(ctx: GroupContext, sigma: Sigma,
               aut: InducedAutomorphism) -> VertexPermutation:
     """Vertex permutation from an induced automorphism (fixes the two base
-    vertices and the side partition), read off the coset keys.
-
-    With the tables (x_img, y_img, D) of ``PackedOps.induced_tables``: the
-    X representative of key k is y^b d, b = k & (2^n - 1) and d in H' of
-    (m,t) word k >> n, and maps to y^{b g2} D(d), of X key
-    y_img[b] >> n | D[k >> n] >> n.  The Y representative of key r is
-    x^a d, and maps to x^{a g1} D(d); its b block is 0, where yx
-    vanishes, so its Y key is x_img[a] | D[r >> n] >> n.  The scalar
-    ``InducedAutomorphism.apply`` recomputes GL_CROSS_CHECK evenly spread
-    keys per side, from the base vertex to the key with every block set;
-    a disagreement raises GraphConsistencyError.
+    vertices and the side partition): the ``_key_permutation`` of the
+    scalar ``InducedAutomorphism.apply``.  The scalar map recomputes
+    GL_CROSS_CHECK evenly spread keys per side, from the base vertex to
+    the key with every block set, against the affine extension; a
+    disagreement raises GraphConsistencyError.
     """
-    ops = packed_ops(ctx)
-    x_img, y_img, d_img = ops.induced_tables(aut)
+    image = _aut_map(ctx, aut)
+    perm = _key_permutation(ctx, sigma, image)
     half = sigma.half
-    keys = np.arange(half, dtype=ops.dtype)  # both sides have half keys
-    low, fibre = keys & ops.mask_n, _gather(d_img, keys >> ops.sn) >> ops.sn
-    perm = np.concatenate([_gather(y_img >> ops.sn, low) | fibre,
-                           (_gather(x_img, low) | fibre) + half])
-    perm = perm.astype(_index_dtype(2 * half))
     sample = np.linspace(0, half - 1, GL_CROSS_CHECK).round().astype(int)
     for side, first in (("X", 0), ("Y", half)):
         for vid in (sample + first).tolist():
-            img = coset_vertex(ctx, side, aut.apply(vertex_rep(ctx, vid)))
-            if img != perm[vid]:
-                raise GraphConsistencyError("packed induced map disagrees "
-                                            f"with the scalar one at {vid}")
+            if image(side, vid) != perm[vid]:
+                raise GraphConsistencyError("affine key map disagrees with "
+                                            f"the scalar one at {vid}")
     return perm
 
 
@@ -218,24 +238,15 @@ def coset_neighbors(ctx: GroupContext, side: str, vid: int) -> list[int]:
             for c in range(1 << ctx.n)]
 
 
-def _stabilizer_maps(ctx: GroupContext,
-                     side: str) -> list[Callable[[str, int], int]]:
+def _stabilizer_maps(ctx: GroupContext, side: str) -> list[VertexMap]:
     """Generator maps (side, vertex id) -> vertex id for the stabilizer of
     the base vertex of a side: right multiplications by that side's
     generators plus the GL x GL generator pairs (two standard generators
     per factor)."""
-    def right_mult_map(g: Element) -> Callable[[str, int], int]:
-        return lambda s, vid: coset_vertex(
-            ctx, s, mul(ctx, vertex_rep(ctx, vid), g))
-
-    def aut_map(aut: InducedAutomorphism) -> Callable[[str, int], int]:
-        return lambda s, vid: coset_vertex(
-            ctx, s, aut.apply(vertex_rep(ctx, vid)))
-
     gens = _xy_generators(ctx)
-    maps = [right_mult_map(g) for g in (gens[:ctx.n] if side == "X"
-                                        else gens[ctx.n:])]
-    return maps + [aut_map(induced_automorphism(ctx, *pair))
+    maps = [_right_mult_map(ctx, g) for g in (gens[:ctx.n] if side == "X"
+                                              else gens[ctx.n:])]
+    return maps + [_aut_map(ctx, induced_automorphism(ctx, *pair))
                    for pair in gl_generator_pairs(ctx.n)]
 
 
@@ -458,9 +469,9 @@ def edge_regular_witness(ctx: GroupContext, sigma: Sigma,
     from ``actions`` fails p_h(X(z)) = X(z*h) or p_h(Y(z)) = Y(z*h).
     With both 0 the generators move edges as right multiplication moves
     elements, and the group acts on itself transitively.  z*h is the
-    one-letter rule ``PackedOps.mul_gen`` and p_h the closed-form
-    ``PackedOps.mul``, so the two kernels are also compared on every such
-    product.
+    one-letter rule ``PackedOps.mul_gen`` and p_h the ``_key_permutation``
+    of the scalar ``group.mul``, so scalar collection with the affine
+    extension is also compared with the packed rule on every such product.
     """
     ops = packed_ops(ctx)
     gens = [ops.scalar(ctx.pack(h)) for h in _xy_generators(ctx)]

@@ -1234,6 +1234,7 @@ def test_export_empty_graph():
 
 # -- the row-block runner ------------------------------------------------------
 
+@pytest.mark.runner
 def test_in_blocks_yields_in_item_order():
     items = list(range(40))
     assert list(graphs.in_blocks(lambda i: i * i, items)) == [
@@ -1241,6 +1242,7 @@ def test_in_blocks_yields_in_item_order():
     assert list(graphs.in_blocks(str, [])) == []
 
 
+@pytest.mark.runner
 def test_in_blocks_stops_at_the_first_false_in_order():
     calls = []
 
@@ -1253,6 +1255,7 @@ def test_in_blocks_stops_at_the_first_false_in_order():
     assert set(range(11)) <= set(calls) <= set(range(11 + graphs.WORKERS))
 
 
+@pytest.mark.runner
 def test_bfs_in_small_blocks_matches_default_chunks(monkeypatch, sigma2,
                                                    gamma2):
     # blocks of 7 frontier rows split a BFS layer into up to 39 blocks on
@@ -1276,6 +1279,7 @@ def test_bfs_in_small_blocks_matches_default_chunks(monkeypatch, sigma2,
         assert all(np.array_equal(a, b) for a, b in zip(got, want_g))
 
 
+@pytest.mark.runner
 def test_runner_stress_more_workers_than_cores(monkeypatch, ctx2, sigma2):
     # 8 workers switching every microsecond: never more than 8 blocks in
     # flight, results in order, and the build and BFS marks of blocks of
@@ -1307,6 +1311,7 @@ def test_runner_stress_more_workers_than_cores(monkeypatch, ctx2, sigma2):
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.runner
 def test_worker_block_error_propagates(monkeypatch):
     # one key block of 37 fails in whichever thread runs it
     original = graphs.coset_rows
@@ -1323,6 +1328,7 @@ def test_worker_block_error_propagates(monkeypatch):
 
 
 @pytest.mark.parametrize("has_mallopt", [True, False])
+@pytest.mark.runner
 def test_pool_sets_malloc_before_its_threads_start(monkeypatch, has_mallopt):
     # a fake libc records each mallopt call with the threads alive then;
     # each loop's pool is made after the three calls, and a libc without
@@ -1357,6 +1363,7 @@ def test_pool_sets_malloc_before_its_threads_start(monkeypatch, has_mallopt):
             graphs.M_ARENA_MAX) == (-1, -3, -8)
 
 
+@pytest.mark.runner
 def test_rank2_suite_starts_no_thread():
     # every rank-2 loop is one block, so it runs inline: with two workers
     # allowed, the whole suite makes no pool and ends on the main thread
@@ -1386,6 +1393,7 @@ def row_threads() -> list[str]:
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.runner
 def test_forked_child_starts_its_own_pool(monkeypatch):
     # a child forked after a loop ran on its pool has none of its threads,
     # and its own loops still run on row threads
@@ -1406,6 +1414,7 @@ def test_forked_child_starts_its_own_pool(monkeypatch):
     assert os.waitstatus_to_exitcode(status) == 0
 
 
+@pytest.mark.runner
 def test_loop_threads_end_with_the_loop(monkeypatch):
     # the pool's threads run while a loop does and are joined when it
     # ends, whether it runs out or all() leaves it at its first False
@@ -1425,6 +1434,7 @@ def test_loop_threads_end_with_the_loop(monkeypatch):
     assert max(seen) >= 1 and len(seen) < 200 and row_threads() == []
 
 
+@pytest.mark.runner
 def test_a_block_may_run_its_own_loop(monkeypatch):
     # an inner loop gets its own pool, so an outer block waits on no
     # thread of its own loop; the whole nest runs under a time limit

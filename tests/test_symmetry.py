@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mixdih import graphs, symmetry
-from mixdih.bulk import PackedOps, packed_ops
+from mixdih.bulk import packed_ops
 from mixdih.graphs import GraphConsistencyError, build_gamma, build_sigma, \
     coset_vertex, graph_from_edges, quotient_by_derived, \
     vertex_rep, walk, walk_keys
@@ -76,6 +76,38 @@ def from_pairs(nv, pairs):
 def test_right_action_identity(ctx2, sigma2):
     p = right_action(ctx2, sigma2, IDENTITY)
     assert np.array_equal(p, np.arange(512))
+
+
+def packed_right_action(ctx, sigma, h):
+    """Reference: every coset representative times h in the closed-form
+    ``PackedOps.mul``, with the image vertices read off the coset keys."""
+    ops = packed_ops(ctx)
+    half, zh = sigma.half, ctx.pack(h)
+    keys = np.arange(half, dtype=ops.dtype)
+    return np.concatenate([ops.x_coset_key(ops.mul(keys << ops.sn, zh)),
+                           ops.y_coset_key(ops.mul(ctx.y_rep(keys), zh))
+                           + half])
+
+
+def test_right_action_is_affine_on_keys_at_rank2(ctx2, sigma2):
+    # the affine extension from 2(2^n + u) probe keys equals the packed
+    # product on every key, for every h
+    for z in range(1 << ctx2.total_bits):
+        h = ctx2.unpack(z)
+        assert np.array_equal(right_action(ctx2, sigma2, h),
+                              packed_right_action(ctx2, sigma2, h))
+
+
+def test_right_action_is_affine_on_keys_at_rank3():
+    # the same on every key for the 6 generators and 3 seeded elements
+    ctx3 = context(3)
+    sigma3 = build_sigma(ctx3)
+    rng = random.Random(33)
+    hs = symmetry._xy_generators(ctx3) + [
+        ctx3.unpack(rng.getrandbits(ctx3.total_bits)) for _ in range(3)]
+    for h in hs:
+        assert np.array_equal(right_action(ctx3, sigma3, h),
+                              packed_right_action(ctx3, sigma3, h))
 
 
 def test_right_action_is_automorphism(ctx2, sigma2):
@@ -186,6 +218,7 @@ def test_right_action_edge_regular(ctx2, sigma2):
     assert orbit_closure(perms, base.tolist(), 1024).all()
 
 
+@pytest.mark.runner
 def test_row_block_loops_match_at_small_blocks(monkeypatch, ctx2, sigma2,
                                                x_neighbor_moved):
     # the same counts and verdicts in blocks of 7 rows (28 elements per
@@ -477,48 +510,53 @@ def test_gl_action_matches_scalar_samples_at_rank3():
 
 
 def test_gl_cross_check_reaches_the_derived_blocks(ctx2, sigma2):
-    # the scalar cross-check covers representatives whose m and t blocks
-    # are set, on both sides
+    # the scalar cross-check, after the 2(2^n + u) probe keys, covers
+    # representatives whose m and t blocks are set, on both sides
     aut = induced_automorphism(ctx2, gf2_identity(2), gf2_identity(2))
     seen, apply = [], aut.apply
     aut.apply = lambda h: seen.append(h) or apply(h)
     gl_action(ctx2, sigma2, aut)
-    assert len(seen) == 2 * GL_CROSS_CHECK
-    for reps in (seen[:GL_CROSS_CHECK], seen[GL_CROSS_CHECK:]):
+    probes = 2 * ((1 << ctx2.n) + ctx2.dim_w + ctx2.dim_t)
+    assert len(seen) == probes + 2 * GL_CROSS_CHECK
+    sampled = seen[probes:]
+    for reps in (sampled[:GL_CROSS_CHECK], sampled[GL_CROSS_CHECK:]):
         assert len(set(reps)) == GL_CROSS_CHECK
         assert any(r.m and r.t for r in reps)
 
 
-def corrupt_derived_table(monkeypatch):
-    """Flip one bit in the last entry of the packed derived table, the
-    image of the (m,t) block with every bit set."""
-    induced_tables = PackedOps.induced_tables
+def corrupt_fibre_span(monkeypatch):
+    """Flip bit u, an H' fibre bit of a key, in the last entry of every
+    fibre span: the image of the fibre with every bit set."""
+    xor_span = symmetry._xor_span
 
-    def corrupted(self, aut):
-        x_img, y_img, d_img = induced_tables(self, aut)
-        d_img = d_img.copy()
-        d_img[-1] ^= np.uint32(1 << (2 * self.n))
-        return x_img, y_img, d_img
-    monkeypatch.setattr(PackedOps, "induced_tables", corrupted)
+    def corrupted(images, dtype):
+        span = xor_span(images, dtype)
+        span[-1] ^= dtype(1 << len(images))
+        return span
+    monkeypatch.setattr(symmetry, "_xor_span", corrupted)
 
 
-def test_gl_action_rejects_a_corrupted_derived_table(ctx2, sigma2,
-                                                     monkeypatch):
-    corrupt_derived_table(monkeypatch)
+def test_actions_reject_a_corrupted_fibre_span(ctx2, sigma2, monkeypatch):
+    good = right_action(ctx2, sigma2, xgen(ctx2, 1))
+    corrupt_fibre_span(monkeypatch)
     aut = induced_automorphism(ctx2, gf2_identity(2), gf2_identity(2))
     with pytest.raises(GraphConsistencyError):
         gl_action(ctx2, sigma2, aut)
+    assert not np.array_equal(right_action(ctx2, sigma2, xgen(ctx2, 1)),
+                              good)
     report = run_suite(2, "symmetry", samples=10)
     status = {c.name: c.status for c in report.checks}
     assert status["gl-action-automorphism"] == "fail"
+    assert status["edge-regular-action"] == "fail"
 
 
-def test_induced_tables_reject_an_image_outside_the_derived_subgroup(ctx2):
+def test_gl_action_rejects_an_image_outside_the_derived_subgroup(ctx2,
+                                                                 sigma2):
     aut = induced_automorphism(ctx2, gf2_identity(2), gf2_identity(2))
     p = 2 * ctx2.n + ctx2.w_index(1, 2)
     aut.images[p] = Element(a=1, m=aut.images[p].m)
-    with pytest.raises(ValueError, match="derived subgroup"):
-        packed_ops(ctx2).induced_tables(aut)
+    with pytest.raises(GraphConsistencyError):
+        gl_action(ctx2, sigma2, aut)
 
 
 # -- orbits ---------------------------------------------------------------------
