@@ -164,7 +164,7 @@ def cmd_verify(args) -> int:
     else:
         for c in report.checks:
             line = f"{c.name}: {c.status}"
-            if c.status == "fail":
+            if c.status in ("fail", "inconclusive"):
                 line += f"  (expected {c.expected!r}, got {c.actual!r})"
             elif c.status == "skip":
                 line += f"  ({c.actual})"

@@ -179,68 +179,98 @@ def check_presentation(ctx, samples, rng, cache):
 #
 # Each random battery states its identity once, as a function over an ops
 # object that maps arrays of packed elements to per-sample verdicts.  The
-# samples are drawn as arrays from a numpy Generator seeded off the check's
-# own stream.  Every sample runs on PackedOps (bulk.py), at every rank, and
-# the group.py kernel, through ScalarOps, recomputes the first
+# samples are drawn as arrays straight from the check's own seeded stream.
+# Every sample runs on PackedOps (bulk.py), at every rank, ROW_CHUNK samples
+# at a time, and the group.py kernel, through ScalarOps, recomputes the first
 # CROSS_CHECK_SAMPLES of them: a sample fails when its identity fails or
 # when any value the identity computed differs between the two kernels.
 
 CROSS_CHECK_SAMPLES = 256
 
 
-def _generator(rng: random.Random) -> np.random.Generator:
-    return np.random.default_rng(rng.getrandbits(64))
-
-
-def _draw(ctx: GroupContext, gen: np.random.Generator, count: int,
+def _draw(ctx: GroupContext, rng: random.Random, count: int,
           bits: int | None = None, shift: int = 0) -> np.ndarray:
     """count packed values whose `bits` bits from bit `shift` up are
-    uniformly random, the rest zero (default: whole elements)."""
+    uniformly random, the rest zero (default: whole elements).
+
+    Each value reads the fewest little-endian bytes of rng.randbytes, 1,
+    2, 4 or 8, that hold `bits`; object arrays (above 64 bits) read them
+    32 bits at a time."""
     bits = ctx.total_bits if bits is None else bits
     dtype = element_dtype(ctx)
-    out = np.zeros(count, dtype=dtype)
-    for low in range(0, bits, 32):
-        word = gen.integers(0, 1 << min(32, bits - low), size=count,
-                            dtype=np.uint64)
-        out |= word.astype(dtype) << low
-    return out << shift
+    if dtype is object:
+        words = np.frombuffer(rng.randbytes(4 * count * -(-bits // 32)),
+                              "<u4").reshape(-1, count)
+        out = np.zeros(count, dtype=object)
+        for w, word in enumerate(words):
+            out |= word.astype(object) << 32 * w
+        return (out & ((1 << bits) - 1)) << shift
+    width = next(w for w in (1, 2, 4, 8) if 8 * w >= bits)
+    out = np.frombuffer(rng.randbytes(width * count), f"<u{width}") \
+        .astype(dtype)
+    out &= dtype((1 << bits) - 1)
+    out <<= shift
+    return out
 
 
-def _draw_letters(ctx: GroupContext, gen: np.random.Generator,
+# _LOW_MASKS[high]: the low bits that a draw below high needs
+_LOW_MASKS = np.array([0] + [(1 << (h - 1).bit_length()) - 1
+                             for h in range(1, 256)], dtype=np.uint8)
+
+
+def _below(rng: random.Random, high, size: int) -> np.ndarray:
+    """size uniform uint8 draws in [0, high), high an int or a uint8
+    array of size entries, each in 1..255.
+
+    Each entry masks one byte of the stream to the bits that high - 1
+    needs and keeps it if it is below high; the rejected entries draw
+    again, in order, until none is left."""
+    high = np.asarray(high, dtype=np.uint8)
+    high, mask = (np.broadcast_to(a, size) for a in (high, _LOW_MASKS[high]))
+    out = np.frombuffer(rng.randbytes(size), np.uint8) & mask
+    redo = np.flatnonzero(out >= high)
+    while redo.size:
+        out[redo] = np.frombuffer(rng.randbytes(redo.size), np.uint8) \
+            & mask[redo]
+        redo = redo[out[redo] >= high[redo]]
+    return out
+
+
+def _draw_letters(ctx: GroupContext, rng: random.Random,
                   shape: tuple[int, int]) -> np.ndarray:
     """Packed generator letters: a uniform kind (x, y, w or t), then
     uniform 0-based indices, with i < k for t."""
-    return 1 << _letter_positions(ctx, gen, shape).astype(element_dtype(ctx))
+    letters = _letter_positions(ctx, rng, shape).astype(element_dtype(ctx))
+    return np.left_shift(1, letters, out=letters)
 
 
-def _letter_positions(ctx: GroupContext, gen: np.random.Generator,
+def _letter_positions(ctx: GroupContext, rng: random.Random,
                       shape: tuple[int, int]) -> np.ndarray:
-    """Bit positions of the letters of _draw_letters, as int16; its own
-    function so that the draws are freed before the letters are built.
+    """Bit positions of the letters of _draw_letters, in the smallest
+    dtype that holds total_bits (uint8 up to n = 7); its own function so
+    that the draws are freed before the letters are built.
 
-    Each draw is int64, the stream's dtype, and is cast to int16 at once.
-    The kind selects by np.where, as np.choose would widen it to intp."""
-    n = ctx.n
-
-    def draw(low, high):
-        return gen.integers(low, high, size=shape).astype(np.int16)
-    kind, i, j = draw(0, 4), draw(0, n), draw(0, n)
-    pair = _t_pair(gen, n, draw(1, n))  # t_(i,k,j) takes 1 <= i < k <= n
+    The draws, in stream order, are the kind, i, j, then the t pair: i
+    uniform in [1, n), then k uniform in (i, n]."""
+    n, size = ctx.n, shape[0] * shape[1]
+    dtype = np.min_scalar_type(ctx.total_bits)
+    kind, i, j = (_below(rng, high, size).astype(dtype, copy=False)
+                  for high in (4, n, n))
+    # pair_index(i, k) is that of (i, i + 1) plus k - i - 1, which is
+    # uniform in [0, n - i)
+    first = np.array([ctx.pair_index(a, a + 1) for a in range(1, n)], dtype)
+    i0 = _below(rng, n - 1, size)  # i - 1
+    pos = _below(rng, (n - 1) - i0, size).astype(dtype, copy=False)
+    pos += first[i0]
+    del i0
     # t: 2n + dim_w + pair*n + j, w: 2n + i*n + j, y: n + i, x: i
-    pos = np.where(kind == 3, ctx.dim_w + n * pair, n * i) + (2 * n + j)
-    return np.where(kind < 2, n * kind + i, pos)
-
-
-def _t_pair(gen: np.random.Generator, n: int, ti: np.ndarray) -> np.ndarray:
-    """pair_index(i, k) for each i in ti, with k drawn uniform in (i, n],
-    entry by entry in order.  The draw widens an array bound to int64, so
-    k is drawn ROW_CHUNK entries at a time."""
-    tk = np.empty_like(ti)
-    flat, out = ti.reshape(-1), tk.reshape(-1)
-    for lo in range(0, flat.size, gr.ROW_CHUNK):
-        out[lo:lo + gr.ROW_CHUNK] = gen.integers(
-            flat[lo:lo + gr.ROW_CHUNK] + 1, n + 1)
-    return (ti - 1) * (2 * n - ti) // 2 + (tk - ti - 1)
+    pos *= n
+    pos += ctx.dim_w
+    np.copyto(pos, n * i, where=kind != 3)
+    pos += j
+    pos += 2 * n
+    np.copyto(pos, n * kind + i, where=kind < 2)
+    return pos.reshape(shape)
 
 
 class ScalarOps:
@@ -309,19 +339,25 @@ class _Recorded:
 
 def _battery(ctx: GroupContext, identity, *samples: np.ndarray):
     """Tally identity(ops, *samples), a per-sample bool array, on
-    PackedOps, with the scalar cross-check on the leading samples."""
-    keep = min(len(samples[0]), CROSS_CHECK_SAMPLES)
-    full = _Recorded(packed_ops(ctx), keep)
+    PackedOps ROW_CHUNK samples at a time, with the scalar cross-check on
+    the leading samples: only the first block is recorded."""
+    count = len(samples[0])
+    keep = min(count, CROSS_CHECK_SAMPLES)
+    ops = packed_ops(ctx)
+    full = _Recorded(ops, keep)
     sub = _Recorded(ScalarOps(ctx), keep)
-    ok = identity(full, *samples)
+    ok = np.empty(count, dtype=bool)
+    for lo in range(0, count, gr.ROW_CHUNK):
+        ok[lo:lo + gr.ROW_CHUNK] = identity(
+            ops if lo else full, *(s[lo:lo + gr.ROW_CHUNK] for s in samples))
     ok[:keep] &= identity(sub, *(s[:keep] for s in samples))
     for p, s in zip(full.values, sub.values, strict=True):
         ok[:keep] &= p == s
     return _tally(ok)
 
 
-def _whole_elements(ctx, gen, count, k):
-    return [_draw(ctx, gen, count) for _ in range(k)]
+def _whole_elements(ctx, rng, count, k):
+    return [_draw(ctx, rng, count) for _ in range(k)]
 
 
 def check_jacobi(ctx, samples, rng, cache):
@@ -330,8 +366,7 @@ def check_jacobi(ctx, samples, rng, cache):
                                ops.comm(ops.comm(b, c), a)),
                        ops.comm(ops.comm(c, a), b))
         return prod == 0
-    return _battery(ctx, jacobi,
-                    *_whole_elements(ctx, _generator(rng), samples, 3))
+    return _battery(ctx, jacobi, *_whole_elements(ctx, rng, samples, 3))
 
 
 def check_witt_hall(ctx, samples, rng, cache):
@@ -340,39 +375,34 @@ def check_witt_hall(ctx, samples, rng, cache):
             return ops.conj(ops.comm(ops.comm(u, ops.inv(v)), w), v)
         return ops.mul(ops.mul(term(x, y, z), term(y, z, x)),
                        term(z, x, y)) == 0
-    return _battery(ctx, witt_hall,
-                    *_whole_elements(ctx, _generator(rng), samples, 3))
+    return _battery(ctx, witt_hall, *_whole_elements(ctx, rng, samples, 3))
 
 
 def check_class3(ctx, samples, rng, cache):
     def vanishes(ops, g, h, k, l):
         return ops.comm(ops.comm(ops.comm(g, h), k), l) == 0
-    return _battery(ctx, vanishes,
-                    *_whole_elements(ctx, _generator(rng), samples, 4))
+    return _battery(ctx, vanishes, *_whole_elements(ctx, rng, samples, 4))
 
 
 def check_h3_central(ctx, samples, rng, cache):
     def fixed(ops, t, r):
         # t^r = t, written out so that r^-1 is one of the compared values
         return ops.mul(ops.inv(r), ops.mul(t, r)) == t
-    gen = _generator(rng)
-    t_only = _draw(ctx, gen, samples, ctx.dim_t, 2 * ctx.n + ctx.dim_w)
-    return _battery(ctx, fixed, t_only, _draw(ctx, gen, samples))
+    t_only = _draw(ctx, rng, samples, ctx.dim_t, 2 * ctx.n + ctx.dim_w)
+    return _battery(ctx, fixed, t_only, _draw(ctx, rng, samples))
 
 
 def check_double_comm_landing(ctx, samples, rng, cache):
     below_t = (1 << (2 * ctx.n + ctx.dim_w)) - 1  # the a, b and m blocks
     def lands(ops, g, h, k):
         return (ops.comm(ops.comm(g, h), k) & below_t) == 0
-    return _battery(ctx, lands,
-                    *_whole_elements(ctx, _generator(rng), samples, 3))
+    return _battery(ctx, lands, *_whole_elements(ctx, rng, samples, 3))
 
 
 def check_derived_involutions(ctx, samples, rng, cache):
     def involutions(ops, g, h):
         return (ops.mul(g, g) == 0) & (ops.comm(g, h) == 0)
-    gen = _generator(rng)
-    g, h = (_draw(ctx, gen, samples, ctx.dim_w + ctx.dim_t, 2 * ctx.n)
+    g, h = (_draw(ctx, rng, samples, ctx.dim_w + ctx.dim_t, 2 * ctx.n)
             for _ in range(2))
     return _battery(ctx, involutions, g, h)
 
@@ -395,9 +425,8 @@ def check_y_absorption(ctx, samples, rng, cache):
     def absorbed(ops, a, b, b2):
         return ((ops.comm(ops.comm(b, a), b2) == 0)
                 & (ops.comm(ops.comm(a, b), b2) == 0))
-    gen = _generator(rng)
-    a = _draw(ctx, gen, samples)
-    b, b2 = (_draw(ctx, gen, samples, ctx.n, ctx.n) for _ in range(2))
+    a = _draw(ctx, rng, samples)
+    b, b2 = (_draw(ctx, rng, samples, ctx.n, ctx.n) for _ in range(2))
     return _battery(ctx, absorbed, a, b, b2)
 
 
@@ -424,8 +453,7 @@ def check_abelianization_hom(ctx, samples, rng, cache):
     ab = (1 << 2 * ctx.n) - 1  # the image in the derived quotient: (a, b)
     def homomorphism(ops, g, h):
         return (ops.mul(g, h) & ab) == ((g ^ h) & ab)
-    return _battery(ctx, homomorphism,
-                    *_whole_elements(ctx, _generator(rng), samples, 2))
+    return _battery(ctx, homomorphism, *_whole_elements(ctx, rng, samples, 2))
 
 
 def _associative(ops, g, h, k):
@@ -434,15 +462,14 @@ def _associative(ops, g, h, k):
 
 def check_associativity(ctx, samples, rng, cache):
     return _battery(ctx, _associative,
-                    *_whole_elements(ctx, _generator(rng), 10 * samples, 3))
+                    *_whole_elements(ctx, rng, 10 * samples, 3))
 
 
 def check_associativity_exhaustive(ctx, samples, rng, cache):
     if ctx.total_bits > EXHAUSTIVE_CAP_BITS:
         raise CapExceededError("exhaustive-subset associativity kept small")
-    subset = _draw(ctx, _generator(rng), 32)
-    return _battery(ctx, _associative,
-                    *subset[np.indices((32, 32, 32)).reshape(3, -1)])
+    triples = np.indices((32, 32, 32), dtype=np.uint8).reshape(3, -1)
+    return _battery(ctx, _associative, *_draw(ctx, rng, 32)[triples])
 
 
 def check_strategy_independence(ctx, samples, rng, cache):
@@ -450,8 +477,7 @@ def check_strategy_independence(ctx, samples, rng, cache):
         halves = ops.mul(ops.evaluate_word(words[:, :10]),
                          ops.evaluate_word(words[:, 10:]))
         return ops.evaluate_word(words) == halves
-    return _battery(ctx, independent,
-                    _draw_letters(ctx, _generator(rng), (samples, 20)))
+    return _battery(ctx, independent, _draw_letters(ctx, rng, (samples, 20)))
 
 
 def check_inverse(ctx, samples, rng, cache):
@@ -462,7 +488,7 @@ def check_inverse(ctx, samples, rng, cache):
         h_inv = ops.inv(h)
         return ((ops.mul(h, h_inv) == 0)
                 & (h_inv == ops.evaluate_word(h[:, None] & bits)))
-    return _battery(ctx, involution, _draw(ctx, _generator(rng), samples))
+    return _battery(ctx, involution, _draw(ctx, rng, samples))
 
 
 def check_encoding_roundtrip(ctx, samples, rng, cache):
@@ -476,10 +502,9 @@ def check_coset_key_invariance(ctx, samples, rng, cache):
     def invariant(ops, h, gx, gy):
         return ((ops.x_coset_key(ops.mul(gx, h)) == ops.x_coset_key(h))
                 & (ops.y_coset_key(ops.mul(gy, h)) == ops.y_coset_key(h)))
-    gen = _generator(rng)
-    h = _draw(ctx, gen, samples)
-    gx = _draw(ctx, gen, samples, ctx.n)
-    gy = _draw(ctx, gen, samples, ctx.n, ctx.n)
+    h = _draw(ctx, rng, samples)
+    gx = _draw(ctx, rng, samples, ctx.n)
+    gy = _draw(ctx, rng, samples, ctx.n, ctx.n)
     return _battery(ctx, invariant, h, gx, gy)
 
 

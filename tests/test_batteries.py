@@ -2,7 +2,10 @@
 the scalar cross-check of the leading samples, and the two independent
 phi computations behind the two kernels."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 
 from mixdih import verify
 from mixdih.bulk import PackedOps, element_dtype, packed_ops
+from mixdih.graphs import ROW_CHUNK
 from mixdih.group import (
     GroupContext,
     comm,
@@ -21,6 +25,7 @@ from mixdih.group import (
 )
 from mixdih.verify import CORE_CHECKS, CROSS_CHECK_SAMPLES, run_suite
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHECKS = dict(CORE_CHECKS)
 BATTERIES = [
     "jacobi-identity", "witt-hall-identity", "class3-vanishing",
@@ -72,7 +77,7 @@ def test_mul_gen_fold_matches_evaluate_word():
 @pytest.mark.parametrize("n", [2, 3])
 def test_random_words_match_evaluate_word(n):
     ctx = context(n)
-    letters = verify._draw_letters(ctx, np.random.default_rng(n), (300, 20))
+    letters = verify._draw_letters(ctx, random.Random(n), (300, 20))
     assert np.all(letters & (letters - np.uint32(1)) == 0)  # single bits
     assert int(letters.max()) < 1 << ctx.total_bits
     symbols = word_of(ctx, ctx.unpack((1 << ctx.total_bits) - 1))
@@ -81,14 +86,72 @@ def test_random_words_match_evaluate_word(n):
         [ctx.pack(evaluate_word(ctx, w)) for w in words]
 
 
-def draw_letters_int64(ctx, gen, shape):
-    """The letter draws as an int64 formula with np.choose, the reference
-    that verify._draw_letters must match draw for draw."""
-    n = ctx.n
-    kind = gen.integers(0, 4, size=shape)
-    i, j = gen.integers(0, n, size=shape), gen.integers(0, n, size=shape)
-    ti = gen.integers(1, n, size=shape)
-    tk = gen.integers(ti + 1, n + 1)
+def draw_reference(ctx, rng, count, bits, shift):
+    """verify._draw value by value off the same stream: the fewest whole
+    bytes (1, 2, 4 or 8) per value that hold `bits`, or above 64 element
+    bits 32-bit words, all values' lowest words first."""
+    if ctx.total_bits > 64:
+        words = -(-bits // 32)
+        raw = rng.randbytes(4 * words * count)
+
+        def value(i):
+            return sum(int.from_bytes(raw[4 * (w * count + i):][:4],
+                                      "little") << 32 * w
+                       for w in range(words))
+    else:
+        width = min(w for w in (1, 2, 4, 8) if 8 * w >= bits)
+        raw = rng.randbytes(width * count)
+
+        def value(i):
+            return int.from_bytes(raw[width * i:width * (i + 1)], "little")
+    return [(value(i) & ((1 << bits) - 1)) << shift for i in range(count)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_draw_matches_bytewise_reference(n):
+    """Whole elements and the y, w and t blocks: the same values in the
+    element dtype, and the stream left at the same position."""
+    ctx = context(n)
+    blocks = [(ctx.total_bits, 0), (n, n), (ctx.dim_w, 2 * n),
+              (ctx.dim_t, 2 * n + ctx.dim_w)]
+    for seed, (bits, shift) in enumerate(blocks):
+        got_rng, want_rng = (random.Random(seed) for _ in range(2))
+        got = verify._draw(ctx, got_rng, 3000, bits, shift)
+        assert got.dtype == element_dtype(ctx)
+        assert [int(z) for z in got] == \
+            draw_reference(ctx, want_rng, 3000, bits, shift)
+        assert got_rng.getrandbits(64) == want_rng.getrandbits(64)
+
+
+def below_reference(rng, highs):
+    """Uniform draws in [0, high) for each high, read byte by byte off
+    the stream: each try keeps the byte's low bits that high - 1 needs if
+    they are below high, and the entries not kept try again, in order,
+    once every entry has tried."""
+    out, todo = [None] * len(highs), range(len(highs))
+    while todo:
+        retry = []
+        for idx, byte in zip(todo, rng.randbytes(len(todo))):
+            value = byte % (1 << (highs[idx] - 1).bit_length())
+            if value < highs[idx]:
+                out[idx] = value
+            else:
+                retry.append(idx)
+        todo = retry
+    return out
+
+
+def draw_letters_int64(ctx, rng, shape):
+    """The letter draws as an int64 formula with np.choose over scalar
+    draws from the same stream, the reference that verify._draw_letters
+    must match draw for draw."""
+    n, size = ctx.n, shape[0] * shape[1]
+
+    def below(highs):
+        return np.array(below_reference(rng, highs)).reshape(shape)
+    kind, i, j = (below([high] * size) for high in (4, n, n))
+    ti = below([n - 1] * size) + 1
+    tk = ti + 1 + below((n - ti).ravel().tolist())
     pair = (ti - 1) * (2 * n - ti) // 2 + (tk - ti - 1)
     pos = np.choose(kind, [i, n + i, 2 * n + i * n + j,
                            2 * n + ctx.dim_w + pair * n + j])
@@ -99,22 +162,102 @@ def draw_letters_int64(ctx, gen, shape):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_draw_letters_match_int64_formula(n):
     """Same letters, same dtype and the same stream consumed as the int64
-    formula, including a draw of more than ROW_CHUNK t indices."""
+    formula, including a draw of more than ROW_CHUNK letters."""
     ctx = context(n)
     for seed, shape in [(0, (300, 20)), (1, (4000, 20))]:
-        got_gen, want_gen = (np.random.default_rng(seed) for _ in range(2))
-        got = verify._draw_letters(ctx, got_gen, shape)
-        want = draw_letters_int64(ctx, want_gen, shape)
+        got_rng, want_rng = (random.Random(seed) for _ in range(2))
+        got = verify._draw_letters(ctx, got_rng, shape)
+        want = draw_letters_int64(ctx, want_rng, shape)
         assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert got_gen.integers(1 << 62) == want_gen.integers(1 << 62)
+        assert got_rng.getrandbits(64) == want_rng.getrandbits(64)
+    assert 4000 * 20 > ROW_CHUNK
+
+
+def test_bounded_draws_are_exact():
+    """Every value below each bound is drawn, none at or above it, and a
+    bound that is not a power of two still draws uniformly (3 of them:
+    within 2 % of size / 3 each at this seed and size)."""
+    rng = random.Random(0)
+    for high in range(1, 10):
+        assert set(verify._below(rng, high, 2000).tolist()) == \
+            set(range(high))
+    highs = np.array([h for h in range(1, 9) for _ in range(300)], np.uint8)
+    got = verify._below(rng, highs, len(highs))
+    assert got.dtype == np.uint8 and np.all(got < highs)
+    assert {(int(h), int(v)) for h, v in zip(highs, got)} == \
+        {(h, v) for h in range(1, 9) for v in range(h)}
+    counts = np.bincount(verify._below(rng, 3, 30000))
+    assert np.all(np.abs(counts - 10000) < 200)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_letters_cover_every_generator(n):
+    """Every kind, index and t pair is drawn: the positions are exactly
+    the element's bits, so each t letter is a t_(i,k,j) with
+    1 <= i < k <= n, and every such letter occurs."""
+    ctx = context(n)
+    pos = verify._letter_positions(ctx, random.Random(n), (500, 20))
+    assert sorted(set(pos.ravel().tolist())) == list(range(ctx.total_bits))
+    t_letters = {ctx.bit_symbols[p] for p in pos.ravel().tolist()
+                 if ctx.bit_symbols[p][0] == "t"}
+    assert t_letters == {("t", i, k, j) for i in range(1, n + 1)
+                         for k in range(i + 1, n + 1)
+                         for j in range(1, n + 1)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "2", "--suite", "all"],
+    ["--n", "3", "--suite", "core", "--samples", "1000"]])
+def test_verify_never_imports_numpy_random(argv):
+    """The batteries draw from the check's own random.Random: a whole
+    verify run leaves numpy.random unimported."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    code = ("import contextlib, io, sys\n"
+            "from mixdih.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main(['verify', *{argv!r}])\n"
+            "print(code, sorted(m for m in sys.modules\n"
+            "                   if m.startswith('numpy.random')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_draw_letters_peak_alloc(peak_alloc):
-    """The int64 formula peaks near 16 MB for these 2e5 letters."""
+    """The int64 formula peaked near 16 MB for these 2e5 letters and the
+    numpy generator's draws near 3.1 MB.  The uint8 draws measure
+    1.54 MiB, of which 0.76 MiB are the letters; the bound leaves 0.21
+    MiB (13 %) of margin."""
     ctx = context(2)
-    gen = np.random.default_rng(0)
-    assert peak_alloc(lambda: verify._draw_letters(ctx, gen, (10000, 20))) \
-        < 4 << 20
+    rng = random.Random(0)
+    assert peak_alloc(lambda: verify._draw_letters(ctx, rng, (10000, 20))) \
+        < 7 << 18
+
+
+def test_battery_peak_alloc(peak_alloc, monkeypatch):
+    """With blocks of 1024 samples, each n = 2 battery's traced peak is
+    at most twice its sample arrays (a draw holds its random bytes next
+    to the array it builds from them) plus 32 elements per sample of one
+    block.  Measured: at most 2.02 times the samples (the letters), and
+    at most 23 elements per block sample above twice the samples
+    (inverse-involution).  Evaluated whole, jacobi-identity's 10^4
+    triples held 11.6 elements of temporaries per sample."""
+    ctx = context(2)
+    monkeypatch.setattr(verify.gr, "ROW_CHUNK", 1024)
+    sample_bytes = {}
+    battery = verify._battery
+
+    def spy(ctx, identity, *samples):
+        sample_bytes[name] = sum(s.nbytes for s in samples)
+        return battery(ctx, identity, *samples)
+    monkeypatch.setattr(verify, "_battery", spy)
+    block = 32 * 1024 * np.dtype(element_dtype(ctx)).itemsize
+    for name in BATTERIES:
+        peak = peak_alloc(lambda: run(name, ctx, samples=10000))
+        assert peak <= 2 * sample_bytes[name] + block, name
 
 
 def psi_reference(ctx, a, b):
@@ -160,9 +303,9 @@ def test_packed_phi_matches_collection_loop(n):
         idx = np.arange(1 << (ctx.dim_w + n), dtype=ops.dtype)
         m, a = idx >> n, idx & ctx._mask_n
     else:
-        gen = np.random.default_rng(n)
-        m = verify._draw(ctx, gen, 1 << 16, ctx.dim_w)
-        a = verify._draw(ctx, gen, 1 << 16, n)
+        rng = random.Random(n)
+        m = verify._draw(ctx, rng, 1 << 16, ctx.dim_w)
+        a = verify._draw(ctx, rng, 1 << 16, n)
     assert ops.phi_of(m << 2 * n, a).tolist() == \
         [ctx._phi_loop(x, y) for x, y in zip(m.tolist(), a.tolist())]
 
@@ -171,8 +314,8 @@ def test_packed_phi_matches_collection_loop(n):
 def test_packed_comm_conj_match_scalar(n):
     ctx = context(n)
     ops = packed_ops(ctx)
-    gen = np.random.default_rng(n)
-    g, h = (verify._draw(ctx, gen, 2000) for _ in range(2))
+    rng = random.Random(n)
+    g, h = (verify._draw(ctx, rng, 2000) for _ in range(2))
     pairs = [(ctx.unpack(int(a)), ctx.unpack(int(b))) for a, b in zip(g, h)]
     assert ops.comm(g, h).tolist() == [ctx.pack(comm(ctx, a, b))
                                        for a, b in pairs]

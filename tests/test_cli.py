@@ -243,6 +243,24 @@ def test_verify_text_prints_skip_reasons(capsys):
     assert run_cli(capsys, *args, "--json")[1] == out
 
 
+def test_verify_text_prints_inconclusive_reasons(capsys, monkeypatch):
+    # an inconclusive line ends in the same reason a fail line gives
+    from mixdih import symmetry
+    certificate = symmetry.semisymmetry_certificate
+    monkeypatch.setattr(symmetry, "semisymmetry_certificate", lambda *a: {
+        **certificate(*a), "intransitivity_certificate": "inconclusive",
+        "pass": False})
+    code, text, _ = run_cli(capsys, "verify", "--n", "2", "--suite",
+                            "symmetry", "--samples", "100")
+    assert code == 0
+    assert ("semisymmetry-certificate: inconclusive  (expected "
+            "{'edge_transitive': True, 'intransitivity_certificate': "
+            "'layer-profile'}, got {'edge_transitive': True, "
+            "'intransitivity_certificate': 'inconclusive'})"
+            ) in text.splitlines()
+    assert text.splitlines()[-1] == "overall: pass"
+
+
 @pytest.mark.parametrize("statuses, overall, code", [
     (["pass", "skip", "inconclusive"], "pass", 0),
     (["skip", "inconclusive"], "incomplete", 0),

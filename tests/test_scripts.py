@@ -1,7 +1,9 @@
 """Smoke runs of the experiment scripts at their n=2 defaults (and of the
 ball scan at n=4), each in a fresh interpreter, checking the exit code
-and the lines they print."""
+and the lines they print; and the summary that scripts/bench_pairs.py
+writes, on synthetic runs."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -63,3 +65,89 @@ def test_ball_scan_at_rank_four():
     lines = run_script("ball_scan.py", "--n", "4", "--max-radius", "4")
     assert "n=4: |S'| = 225 distinct commutators [x,y]" in lines
     assert "radius 4: 226 derived elements  <- {1} u S'" in lines
+
+
+# -- scripts/bench_pairs.py -----------------------------------------------------
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", os.path.join(ROOT, "scripts", "bench_pairs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def synthetic_run(side, seed, wall, checks, attempted=10, failed=0):
+    return {"side": side, "workload": "w", "seed": seed, "trace": 0,
+            "result": {"correct": failed == 0, "attempted": attempted,
+                       "failed": failed,
+                       "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                                   "checks_passed": {"value": checks,
+                                                     "unit": "count"}}}}
+
+
+METRICS = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+           {"name": "checks_passed", "better": "higher", "bound": 0.02}]
+
+
+def test_bench_pairs_alternates_sides_and_holds_out_a_seed():
+    bp = load_bench_pairs()
+    assert bp.schedule(3) == [
+        (1, ("change", "parent")), (2, ("parent", "change")),
+        (3, ("change", "parent")), (9001, ("change", "parent"))]
+
+
+def test_bench_pairs_summary_of_synthetic_runs():
+    """Five pairs with parent walls 1..5 s and change walls 0.5 s lower
+    except a tie in pair 5; the held-out pair stays out of the medians
+    and the wins, and counts in the operations."""
+    bp = load_bench_pairs()
+    runs = []
+    for seed, change in zip(range(1, 6), [0.5, 1.5, 2.5, 3.5, 5.0]):
+        runs += [synthetic_run("parent", seed, float(seed), 46),
+                 synthetic_run("change", seed, change, 46)]
+    runs += [synthetic_run("change", 9001, 9.0, 45, failed=1),
+             synthetic_run("parent", 9001, 0.1, 46)]
+    summary = bp.summarize(runs, METRICS)
+    wall = summary["pairs"]["wall_s"]
+    # exclusive quartiles of 1..5 are 1.5 and 4.5
+    assert wall["parent"] == {"median": 3.0, "q1": 1.5, "q3": 4.5}
+    assert wall["change"] == {"median": 2.5, "q1": 1.0, "q3": 4.25}
+    assert (wall["change_better_pairs"], wall["ties"], wall["pairs"]) == \
+        (4, 1, 5)
+    assert wall["median_change_worse_by"] == pytest.approx(-1 / 6)
+    assert wall["within_bound"]
+    # 0.5 s apart against a parent interquartile range of 3 s
+    assert not wall["medians_apart_by_more_than_parent_iqr"]
+    assert wall["held_out_9001"] == {"parent": 0.1, "change": 9.0}
+    assert wall["change_over_parent_median"] == pytest.approx(5 / 6)
+    checks = summary["pairs"]["checks_passed"]
+    assert (checks["change_better_pairs"], checks["ties"]) == (0, 5)
+    assert checks["median_change_worse_by"] == 0 and checks["within_bound"]
+    assert summary["operations"] == {
+        "parent": {"attempted": 60, "failed": 0},
+        "change": {"attempted": 60, "failed": 1}}
+
+
+def test_bench_pairs_summary_flags_a_worse_change():
+    """A higher-is-better metric that drops, and a lower-is-better one
+    that rises past its bound with every pair worse."""
+    bp = load_bench_pairs()
+    runs = []
+    for seed in (1, 2, 3):
+        runs += [synthetic_run("parent", seed, 1.0 + seed / 100, 46),
+                 synthetic_run("change", seed, 2.0 + seed / 100, 40)]
+    pairs = bp.summarize(runs, METRICS)["pairs"]
+    assert pairs["wall_s"]["change_better_pairs"] == 0
+    assert pairs["wall_s"]["median_change_worse_by"] == pytest.approx(
+        1 / 1.02)
+    assert not pairs["wall_s"]["within_bound"]
+    assert pairs["wall_s"]["medians_apart_by_more_than_parent_iqr"]
+    assert pairs["wall_s"]["held_out_9001"] == {"parent": None,
+                                               "change": None}
+    checks = pairs["checks_passed"]
+    assert checks["median_change_worse_by"] == pytest.approx(6 / 46)
+    assert not checks["within_bound"]
+    # one pair: the quartiles are the value itself
+    one = bp.summarize(runs[:2], METRICS)["pairs"]["wall_s"]
+    assert one["parent"] == {"median": 1.01, "q1": 1.01, "q3": 1.01}
