@@ -127,14 +127,14 @@ def _build_kind(ctx, kind: str, force: bool):
     if kind == "gamma":
         return (gr.build_gamma(ctx, force=force),
                 lambda v: format_element(ctx, ctx.unpack(v)))
+    if kind == "quotient":
+        return gr.quotient_by_derived(ctx), None
     if kind == "linegraph":  # one vertex per edge of sigma: it is gamma
         gr._check_cap(1 << ctx.total_bits, 2 * ((1 << ctx.n) - 1), force,
                       "line graph")
     sig = gr.build_sigma(ctx, force=force)
     if kind == "sigma":
         return sig.graph, lambda v: format_element(ctx, gr.vertex_rep(ctx, v))
-    if kind == "quotient":
-        return gr.quotient_by_derived(ctx, sig), None
     if kind == "linegraph":
         return gr.line_graph(sig.graph), None
     raise ValueError(kind)
@@ -173,6 +173,8 @@ def cmd_verify(args) -> int:
                 if c.peak_rss_mb is not None:
                     line += f"  [peak {c.peak_rss_mb} MB]"
             print(line)
+        print("summary: " + ", ".join(
+            f"{count} {status}" for status, count in report.summary.items()))
         print(f"overall: {report.overall}")
     return 1 if report.overall == "fail" else 0
 
@@ -264,7 +266,10 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (ValueError, CapExceededError, OSError, MemoryError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        msg = str(exc) or type(exc).__name__
+        if isinstance(exc, CapExceededError) and "force" in args:
+            msg += "; pass --force to build anyway"  # graph and diagram
+        print(f"error: {msg}", file=sys.stderr)
         return 2
 
 

@@ -1,7 +1,7 @@
 """Graph constructions: the Cayley graph over the whole group, the
 bipartite coset-intersection graph, intersection graphs of vertex sets
-(line graphs, clique graphs), the derived-subgroup quotient, and
-deterministic exports.
+(line graphs, clique graphs), the derived-subgroup quotient and its
+voltage table (no coset graph built), and deterministic exports.
 
 Adjacency in the Cayley graph is by LEFT multiplication: g is adjacent to
 s*g for s in S = (X union Y) \\ {1}.  Right multiplication is reserved for
@@ -364,8 +364,7 @@ def _check_cap(num_vertices: int, valency: int, force: bool,
         raise CapExceededError(
             f"{what} would have {num_vertices} vertices "
             f"(> {DEFAULT_VERTEX_CAP}), a "
-            f"{size}-byte neighbor table; pass force=True / --force to "
-            f"build anyway")
+            f"{size}-byte neighbor table")
 
 
 # -- Cayley graph --------------------------------------------------------------
@@ -415,23 +414,17 @@ class Sigma:
         ops = packed_ops(self.ctx)
         return ops.x_coset_key(z), ops.y_coset_key(z) + ops.scalar(self.half)
 
-    def x_rows(self) -> np.ndarray:
-        """The built X rows, one (sorted) row of 2^n Y ids per X key; a
-        graph whose rows are not all of that length raises
-        GraphConsistencyError."""
-        rows = self.graph.rows
-        if rows.shape[1] != 1 << self.ctx.n:
-            raise GraphConsistencyError("rows are not of length 2^n")
-        return rows[:self.half]
-
     @cached_property
     def row_mismatches(self) -> int:
         """Entries where a built row differs from :func:`coset_rows` (read
         off the row tables), on both sides, ROW_CHUNK keys at a time: it
         sees rows changed after the build.  Counted once per Sigma; a
-        ``dataclasses.replace`` copy counts its own rows."""
-        ctx, half = self.ctx, self.half
-        xrows, yrows = self.x_rows(), self.graph.rows[half:]
+        ``dataclasses.replace`` copy counts its own rows.  Rows of another
+        length than 2^n raise GraphConsistencyError."""
+        ctx, half, rows = self.ctx, self.half, self.graph.rows
+        if rows.shape[1] != 1 << ctx.n:
+            raise GraphConsistencyError("rows are not of length 2^n")
+        xrows, yrows = rows[:half], rows[half:]
 
         def mismatches(lo: int) -> int:
             hi = min(lo + ROW_CHUNK, half)
@@ -442,16 +435,6 @@ class Sigma:
                        + np.count_nonzero(y != yrows[lo:hi]))
 
         return sum(in_blocks(mismatches, range(0, half, ROW_CHUNK)))
-
-    @cached_property
-    def class_pairs(self) -> np.ndarray:
-        """Entry [c, a]: the X-row entries of class a of the X keys of
-        class c, a class being the low n bits of a key (and of a Y id,
-        half + key); counted once per Sigma."""
-        two_n = 1 << self.ctx.n  # [row block, X class, neighbor]
-        rows = self.x_rows().reshape(self.half >> self.ctx.n, two_n, two_n)
-        return np.stack([np.bincount(rows[:, c, :].ravel() & (two_n - 1),
-                                     minlength=two_n) for c in range(two_n)])
 
 
 def _half(ctx: GroupContext) -> int:
@@ -620,28 +603,24 @@ def maximal_cliques(g: GraphData) -> list[tuple[int, ...]]:
 
 # -- derived-subgroup quotient ---------------------------------------------------
 
-def quotient_by_derived(ctx: GroupContext, sigma: Sigma) -> GraphData:
-    """Quotient of the coset graph by the right action of the derived
-    subgroup: complete bipartite of valency 2^n, with uniform fibers.
+def voltages(ctx: GroupContext) -> np.ndarray:
+    """The voltages zeta[b, a] = ``PackedOps.tx[b, a] >> n`` in Z_2^u.
+    A key is its class (low n bits) and v in Z_2^u; by :func:`coset_rows`
+    X vertex (b, v) meets Y vertex (a, v ^ zeta[b, a]), so the coset graph
+    is the derived graph K_{2^n,2^n} x_zeta Z_2^u (Gross and Tucker,
+    *Topological Graph Theory*, 1987, ch. 2)."""
+    ops = packed_ops(ctx)
+    return ops.tx >> ops.sn
 
-    The X-side class of a vertex is the b block of its representative,
-    the Y-side class the a block (both are constant under right
-    multiplication by derived elements); on both sides that is the low n
-    bits of the vertex key.  The class pairs are counted from the X rows
-    (``Sigma.class_pairs``), and each of the 2^n x 2^n counts must be the
-    fiber size: every pair of classes is a quotient edge that lifts to
-    exactly one edge per vertex of its fibers.  So the quotient is
-    K_{2^n,2^n}, returned as its rows (X classes 0..2^n-1, Y classes
-    2^n + a).  The Y rows are read only through ``Sigma.row_mismatches``,
-    which must be 0.
-    """
+
+def quotient_by_derived(ctx: GroupContext) -> GraphData:
+    """Quotient of the coset graph by the right action of the derived
+    subgroup, whose classes are the low n bits of the keys (the b block on
+    the X side, the a block on the Y side): K_{2^n,2^n}, returned as its
+    rows (X classes 0..2^n-1, Y classes 2^n + a).  That the coset graph
+    covers it, as the derived graph of :func:`voltages`, is checked by
+    ``verify``'s derived-quotient-cover on the voltage table."""
     two_n = 1 << ctx.n
-    # half is a multiple of 2^n, so each of the 2^n classes on a side (the
-    # low n bits of the key) has the same number of vertices, fiber
-    if np.any(sigma.class_pairs != sigma.half // two_n):
-        raise GraphConsistencyError("quotient edges do not lift uniformly")
-    if sigma.row_mismatches:
-        raise GraphConsistencyError("built rows differ from coset_rows")
     ids = np.arange(2 * two_n)
     # each X class's row is every Y class, each Y class's every X class
     return graph_from_rows(np.where(ids < two_n, two_n, 0)[:, None]

@@ -84,6 +84,12 @@ class VerificationReport:
             return "fail"
         return "pass" if "pass" in statuses else "incomplete"
 
+    @property
+    def summary(self) -> dict[str, int]:
+        """The number of checks of each status, statuses in sorted order."""
+        return {s: sum(c.status == s for c in self.checks)
+                for s in ("fail", "inconclusive", "pass", "skip")}
+
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -95,6 +101,7 @@ class VerificationReport:
                     else {"peak_rss_mb": c.peak_rss_mb})}
                 for c in self.checks
             ],
+            "summary": self.summary,
             "overall": self.overall,
         }
 
@@ -466,8 +473,6 @@ def check_associativity(ctx, samples, rng, cache):
 
 
 def check_associativity_exhaustive(ctx, samples, rng, cache):
-    if ctx.total_bits > EXHAUSTIVE_CAP_BITS:
-        raise CapExceededError("exhaustive-subset associativity kept small")
     triples = np.indices((32, 32, 32), dtype=np.uint8).reshape(3, -1)
     return _battery(ctx, _associative, *_draw(ctx, rng, 32)[triples])
 
@@ -641,8 +646,7 @@ def _layers(ctx, cache):
 
 
 def _quotient(ctx, cache):
-    return _cached(cache, "quotient",
-                   lambda: gr.quotient_by_derived(ctx, _sigma(ctx, cache)))
+    return _cached(cache, "quotient", lambda: gr.quotient_by_derived(ctx))
 
 
 def _valency(g):
@@ -743,19 +747,29 @@ def check_line_graph_duality(ctx, samples, rng, cache):
 
 
 def check_quotient_cover(ctx, samples, rng, cache):
-    sig = _sigma(ctx, cache)
-    q = _quotient(ctx, cache)  # raises unless each class pair lifts evenly
-    two_n = 1 << ctx.n
-    complete = all(q.has_edge(u, two_n + v)
-                   for u in range(two_n) for v in range(two_n))
-    fiber = sig.half // two_n
+    """The coset graph is a connected cover of K_{2^n,2^n}, read off the
+    2^n x 2^n tables at every rank: ``PackedOps.tx`` holds the scalar Y
+    keys of x^a y^b; entry [b, a] is of class a, so each X vertex meets
+    each Y class once; and the voltages of the (2^n - 1)^2 fundamental
+    cycles X0-Ya-Xb-Y0 (tree: the edges at class 0) span Z_2^u."""
+    q, ops = _quotient(ctx, cache), packed_ops(ctx)
+    two_n, u, half = 1 << ctx.n, ctx.total_bits - 2 * ctx.n, gr._half(ctx)
+    scalar = np.array([[gr.coset_vertex(ctx, "Y", Element(a=a, b=b)) - half
+                        for a in range(two_n)] for b in range(two_n)],
+                      dtype=ops.dtype)
+    zeta = gr.voltages(ctx)
+    cycles = zeta[1:, 1:] ^ zeta[:1, 1:] ^ zeta[1:, :1] ^ zeta[0, 0]
+    complete = all(q.has_edge(a, two_n + b)
+                   for a in range(two_n) for b in range(two_n))
     exp = {"vertices": 2 * two_n, "edges": two_n * two_n,
            "valency": two_n, "complete_bipartite": True,
-           "class_pairs_min": fiber, "class_pairs_max": fiber}
+           "table_mismatches": 0, "class_mismatches": 0, "cycle_rank": u}
     act = {"vertices": q.num_vertices, "edges": q.num_edges,
            "valency": _valency(q), "complete_bipartite": complete,
-           "class_pairs_min": int(sig.class_pairs.min()),
-           "class_pairs_max": int(sig.class_pairs.max())}
+           "table_mismatches": int(np.count_nonzero(ops.tx != scalar)),
+           "class_mismatches": int(np.count_nonzero(
+               (ops.tx & ops.mask_n) != np.arange(two_n))),
+           "cycle_rank": gf2_rank(int(c) for c in cycles.ravel())}
     return ("pass" if exp == act else "fail", exp, act)
 
 

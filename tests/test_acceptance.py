@@ -55,6 +55,7 @@ from mixdih.verify import (
     check_h3_central,
     check_jacobi,
     check_product_formula,
+    check_quotient_cover,
     check_vertex_orbits_sides,
     check_commutator_symmetry,
     check_witt_hall,
@@ -207,22 +208,33 @@ def test_criterion_06_clique_line_duality(ctx2, sigma2, gamma2):
            "512 coset cliques; clique graph ~ sigma; line graph ~ gamma")
 
 
+def _connected_cover(ctx, sigma):
+    """The voltages' cycle rank is u, and the built coset graph is
+    connected: two routes to one claim."""
+    _, exp, act = check_quotient_cover(ctx, 1, random.Random(0), {})
+    rank_full = act["cycle_rank"] == exp["cycle_rank"] == ctx.dim_w + ctx.dim_t
+    return rank_full and is_connected(sigma.graph)
+
+
 def test_criterion_07_quotient_n2(ctx2, sigma2):
-    q = quotient_by_derived(ctx2, sigma2)
+    q = quotient_by_derived(ctx2)
     complete = all(q.has_edge(u, 4 + v) for u in range(4) for v in range(4))
     ok = (q.num_vertices == 8 and q.num_edges == 16 and complete
-          and set(q.degrees().tolist()) == {4})
-    report("criterion-07 derived quotient n=2", ok, "K_{4,4}, valency kept")
+          and set(q.degrees().tolist()) == {4}
+          and _connected_cover(ctx2, sigma2))
+    report("criterion-07 derived quotient n=2", ok,
+           "K_{4,4}, valency kept, a connected cover")
 
 
 @pytest.mark.slow
 def test_criterion_07_quotient_n3(ctx3, sigma3):
-    q = quotient_by_derived(ctx3, sigma3)
+    q = quotient_by_derived(ctx3)
     complete = all(q.has_edge(u, 8 + v) for u in range(8) for v in range(8))
     ok = (q.num_vertices == 16 and q.num_edges == 64 and complete
-          and set(q.degrees().tolist()) == {8})
+          and set(q.degrees().tolist()) == {8}
+          and _connected_cover(ctx3, sigma3))
     report("criterion-07 derived quotient n=3 (stretch)", ok,
-           "K_{8,8}, valency kept")
+           "K_{8,8}, valency kept, a connected cover")
 
 
 class _Digest:

@@ -81,9 +81,7 @@ def test_vertex_cap():
 
 
 def test_quotient_aut_order():
-    ctx = context(2)
-    sig = build_sigma(ctx)
-    q = quotient_by_derived(ctx, sig)
+    q = quotient_by_derived(context(2))
     assert automorphism_group_order(q) == 1152
 
 

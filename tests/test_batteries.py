@@ -495,9 +495,6 @@ def test_passing_reports_count_samples(n):
     checks = {c.name: c for c in rep.checks}
     for name in BATTERIES:
         c = checks[name]
-        if c.status == "skip":  # the exhaustive subset is kept to n = 2
-            assert n == 3 and name == "associativity-exhaustive-subset"
-            continue
         want = REPORTED.get(name, lambda s: s)(300)
         assert c.status == "pass"
         assert c.expected == c.actual == {"failures": 0, "samples": want}
@@ -505,11 +502,31 @@ def test_passing_reports_count_samples(n):
 
 def test_rank4_core_reports_sample_counts():
     rep = run_suite(4, "core", samples=200)
-    assert Counter(c.status for c in rep.checks) == {"pass": 23, "skip": 4}
+    assert Counter(c.status for c in rep.checks) == {"pass": 24, "skip": 3}
     checks = {c.name: c for c in rep.checks}
     assert checks["associativity"].actual == {"failures": 0, "samples": 2000}
     assert checks["inverse-involution"].actual == \
         {"failures": 0, "samples": 200}
+
+
+# The checks that skip at n = 4: those that enumerate the group or build
+# the Cayley or coset graph, and the ones kept to n = 2.
+SKIPPED_AT_RANK4 = [
+    "normal-form-enumeration", "multiplication-latin-square",
+    "abelianization-kernel", "cayley-graph-stats", "coset-graph-stats",
+    "edge-bijection", "clique-coset-duality", "line-graph-duality",
+    "right-action-automorphism", "right-action-homomorphism",
+    "edge-regular-action", "gl-action-automorphism", "vertex-orbits-sides",
+    "distance-layer-profiles", "equitable-diagram-cells",
+    "semisymmetry-certificate", "aut-group-order"]
+
+
+def test_rank4_suite_skips_only_the_named_checks():
+    rep = run_suite(4, "all", samples=1000)
+    assert [c.name for c in rep.checks if c.status == "skip"] == \
+        SKIPPED_AT_RANK4
+    assert rep.summary == {"fail": 0, "inconclusive": 0,
+                           "pass": len(rep.checks) - 17, "skip": 17}
 
 
 @pytest.mark.parametrize("samples", [0, -1])

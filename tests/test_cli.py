@@ -86,7 +86,7 @@ def test_graph_labels_name_every_vertex_at_rank3(monkeypatch):
     monkeypatch.setattr(cli.gr, "build_sigma",
                         lambda ctx, force: SimpleNamespace(graph=None))
     monkeypatch.setattr(cli.gr, "build_gamma", lambda ctx, force: None)
-    monkeypatch.setattr(cli.gr, "quotient_by_derived", lambda ctx, sig: None)
+    monkeypatch.setattr(cli.gr, "quotient_by_derived", lambda ctx: None)
     ctx = context(3)
     _, name = cli._build_kind(ctx, "sigma", False)
     assert name(1) == "a:0;b:1;w:0;t:0"
@@ -99,7 +99,36 @@ def test_graph_labels_name_every_vertex_at_rank3(monkeypatch):
 def test_graph_cap_without_force(capsys):
     code, _, err = run_cli(capsys, "graph", "--n", "4", "--kind", "sigma")
     assert code == 2
-    assert "force" in err
+    assert err.rstrip().endswith("; pass --force to build anyway")
+
+
+def test_graph_quotient_builds_no_sigma(monkeypatch, capsys):
+    # K_{2^n,2^n} is written from its closed form: the same bytes as the
+    # quotient of the built coset graph, with build_sigma out of reach
+    def no_build(ctx, force=False):
+        raise AssertionError("sigma was built")
+
+    expected = {fmt: run_cli(capsys, "graph", "--n", "2", "--kind",
+                             "quotient", "--format", fmt)[1]
+                for fmt in ("edgelist", "dot")}
+    monkeypatch.setattr(cli.gr, "build_sigma", no_build)
+    for fmt, text in expected.items():
+        assert run_cli(capsys, "graph", "--n", "2", "--kind", "quotient",
+                       "--format", fmt) == (0, text, "")
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_graph_quotient_past_the_sigma_cap(capsys, n):
+    code, out, err = run_cli(capsys, "graph", "--n", str(n), "--kind",
+                             "quotient")
+    lines = out.splitlines()
+    assert code == 0 and err == ""
+    assert lines[0] == (f"# hn-graph n={n} kind=quotient "
+                        f"vertices={2 << n} edges={4 ** n}")
+    assert len(lines) == 1 + 4 ** n
+    two_n = 1 << n
+    assert lines[1] == f"0 {two_n}"
+    assert lines[-1] == f"{two_n - 1} {2 * two_n - 1}"
 
 
 def test_graph_cap_leaves_no_output_file(tmp_path, capsys):
@@ -198,8 +227,10 @@ def test_verify_timing_appends_runtimes(capsys):
     lines, timed_lines = plain.splitlines(), timed.splitlines()
     assert "coset-graph-stats: pass" in lines  # no runtime without --timing
     assert lines[-1] == timed_lines[-1] == "overall: pass"
-    assert len(lines) == len(timed_lines) == 8
-    for line, timed_line in zip(lines[:-1], timed_lines[:-1]):
+    assert lines[-2] == timed_lines[-2] == \
+        "summary: 0 fail, 0 inconclusive, 7 pass, 0 skip"
+    assert len(lines) == len(timed_lines) == 9
+    for line, timed_line in zip(lines[:-2], timed_lines[:-2]):
         assert re.fullmatch(re.escape(line) + r"  \[\d+ ms\]"
                             r"  \[peak \d+\.\d MB\]", timed_line)
 
@@ -221,25 +252,34 @@ def test_verify_timing_reports_peak_rss(capsys):
     assert code1 == code2 == 0 and plain1 == plain2
     assert "peak_rss_mb" not in plain1
     code, text, _ = run_cli(capsys, *args[:-1], "--timing")
-    lines = text.splitlines()[:-1]
+    lines = text.splitlines()[:-2]  # the checks, not summary and overall
     assert code == 0 and len(lines) == len(checks)
     assert all(re.search(r"  \[\d+ ms\]  \[peak \d+\.\d MB\]$", line)
                for line in lines)
 
 
 def test_verify_text_prints_skip_reasons(capsys):
-    # at n = 4 every graph check skips on a cap: each text line carries its
-    # reason, which the JSON report already holds as the check's actual
+    # at n = 4 the graph checks that build a graph skip on a cap, and the
+    # two that read the quotient pass: each skip line carries its reason,
+    # which the JSON report already holds as the check's actual, and no
+    # reason names a flag that verify does not take
     args = ["verify", "--n", "4", "--suite", "graphs"]
     code, text, _ = run_cli(capsys, *args)
     code_json, out, _ = run_cli(capsys, *args, "--json")
     assert code == code_json == 0
-    checks = json.loads(out)["checks"]
-    assert checks and all(c["status"] == "skip" for c in checks)
+    report = json.loads(out)
+    checks = report["checks"]
+    passing = {"derived-quotient-cover", "export-roundtrip"}
+    assert [c["name"] for c in checks if c["status"] == "pass"] == \
+        sorted(passing)
+    assert report["summary"] == {"fail": 0, "inconclusive": 0, "pass": 2,
+                                 "skip": 5}
     assert text.splitlines() == [
-        f"{c['name']}: skip  ({c['actual']})" for c in checks] + [
-        "overall: incomplete"]
+        f"{c['name']}: pass" if c["name"] in passing
+        else f"{c['name']}: skip  ({c['actual']})" for c in checks] + [
+        "summary: 0 fail, 0 inconclusive, 2 pass, 5 skip", "overall: pass"]
     assert "coset graph would have 35184372088832 vertices" in text
+    assert "force" not in text
     assert run_cli(capsys, *args, "--json")[1] == out
 
 

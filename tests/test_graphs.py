@@ -48,6 +48,7 @@ from mixdih.graphs import (
 from mixdih.group import (
     CapExceededError,
     Element,
+    GroupContext,
     IDENTITY,
     context,
     format_element,
@@ -55,7 +56,7 @@ from mixdih.group import (
     xgen,
 )
 from mixdih.verify import ScalarOps, check_coset_graph_stats, \
-    check_edge_bijection, run_suite
+    check_edge_bijection, check_quotient_cover, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -900,9 +901,9 @@ def test_graph_suite_builds_the_quotient_once(monkeypatch):
     calls = Counter()
     real = graphs.quotient_by_derived
 
-    def counted(ctx, sigma):
+    def counted(ctx):
         calls["quotient_by_derived"] += 1
-        return real(ctx, sigma)
+        return real(ctx)
 
     monkeypatch.setattr(graphs, "quotient_by_derived", counted)
     report = run_suite(2, "graphs")
@@ -934,8 +935,8 @@ def test_export_roundtrip_sees_a_moved_edge(monkeypatch):
     assert check["derived-quotient-cover"].status == "pass"
 
 
-def test_quotient_is_k44(ctx2, sigma2):
-    q = quotient_by_derived(ctx2, sigma2)
+def test_quotient_is_k44(ctx2):
+    q = quotient_by_derived(ctx2)
     assert q.num_vertices == 8
     assert q.num_edges == 16
     assert set(q.degrees().tolist()) == {4}
@@ -966,37 +967,114 @@ def test_quotient_matches_edge_reference(ctx2, sigma2):
     eu, ev = g.edge_array()
     pairs = np.unique(np.stack([cls[eu], cls[ev]], axis=1), axis=0)
     ref = graph_from_edges(8, pairs[:, 0], pairs[:, 1])
-    q = quotient_by_derived(ctx2, sigma2)
+    q = quotient_by_derived(ctx2)
     assert q.num_edges == ref.num_edges == 16
     assert np.array_equal(q.rows, ref.rows)
     assert q.sides.tolist() == [0] * 4 + [1] * 4
 
 
-def test_quotient_rejects_corrupted_sigma(ctx2, sigma2):
+def _edge_bijection(ctx, sigma):
+    return check_edge_bijection(ctx, 200, random.Random(0), {"sigma": sigma})
+
+
+def test_edge_bijection_rejects_corrupted_sigma(ctx2, sigma2):
     g = sigma2.graph
     rows = g.rows.copy()
     # X vertex 0 trades one neighbor for a Y vertex of another class
     rows[0, 0] ^= 1
     bad = dataclasses.replace(sigma2, graph=dataclasses.replace(g, rows=rows))
-    with pytest.raises(GraphConsistencyError, match="lift uniformly"):
-        quotient_by_derived(ctx2, bad)
+    assert _edge_bijection(ctx2, sigma2)[0] == "pass"
+    assert _edge_bijection(ctx2, bad)[0] == "fail"
 
 
-def test_quotient_rejects_a_class_pair_with_no_edge(ctx2, sigma2):
+def test_edge_bijection_rejects_a_class_pair_with_no_edge(ctx2, sigma2):
     g = sigma2.graph
     rows = g.rows.copy()
     # X class 0 (keys with low bits 0) sends its Y class 1 neighbors to
-    # Y class 2, so the class pair (0, 1) counts no edge
+    # Y class 2, so the class pair (0, 1) has no edge
     x0 = rows[:sigma2.half:4]
     x0[x0 & 3 == 1] ^= 3
     bad = dataclasses.replace(sigma2, graph=dataclasses.replace(g, rows=rows))
-    with pytest.raises(GraphConsistencyError, match="lift uniformly"):
-        quotient_by_derived(ctx2, bad)
+    assert _edge_bijection(ctx2, bad) == \
+        ("fail", "phi(z) = {X-coset(z), Y-coset(z)}", "mismatch")
+
+
+def _quotient_cover(ctx):
+    return check_quotient_cover(ctx, 1, random.Random(0), {})
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_quotient_cover_at_every_rank(n):
+    # the claim is read off the 2^n x 2^n tables: no coset graph is built;
+    # the cycles span the derived subgroup, of rank n^2 (n + 1) / 2
+    status, _, act = _quotient_cover(context(n))
+    assert status == "pass" and act["cycle_rank"] == n * n * (n + 1) // 2
+
+
+def test_voltages_are_the_high_bits_of_the_y_keys(ctx2):
+    tx = packed_ops(ctx2).tx
+    zeta = graphs.voltages(ctx2)
+    assert zeta.shape == (4, 4)
+    assert np.array_equal(zeta << 2 | (tx & 3), tx)
+    # X vertex (b, v), key b | v << n, meets Y vertex (a, v ^ zeta[b, a])
+    keys = np.arange(64, dtype=np.uint32)
+    for b in range(4):
+        rows = coset_rows(ctx2, "X", keys << 2 | b)
+        want = np.sort((keys[:, None] ^ zeta[b]) << 2 | np.arange(4), axis=1)
+        assert np.array_equal(rows, want)
+
+
+def test_quotient_cover_sees_one_flipped_voltage_bit():
+    # a fresh context, so that the edited table is its own
+    ctx = GroupContext(2)
+    ops = packed_ops(ctx)
+    assert _quotient_cover(ctx)[0] == "pass"
+    ops.tx = ops.tx.copy()
+    ops.tx[2, 1] ^= np.uint32(1 << ctx.n)  # a bit of the voltage, not class
+    status, _, act = _quotient_cover(ctx)
+    assert status == "fail"
+    assert act["table_mismatches"] == 1 and act["class_mismatches"] == 0
+
+
+def test_quotient_cover_fails_on_trivial_voltages(monkeypatch):
+    # voltages whose fundamental cycles are all 0: a disconnected cover
+    monkeypatch.setattr(graphs, "voltages", lambda ctx: np.zeros(
+        (1 << ctx.n, 1 << ctx.n), dtype=packed_ops(ctx).dtype))
+    status, exp, act = _quotient_cover(context(2))
+    assert status == "fail"
+    assert exp["cycle_rank"] == 6 and act["cycle_rank"] == 0
+
+
+def _derived_graph(ctx, zeta):
+    """The derived graph of K_{2^n,2^n} over these voltages, built edge by
+    edge: X vertex (b, v) meets Y vertex (a, v ^ zeta[b, a])."""
+    n, half = ctx.n, 1 << (ctx.total_bits - ctx.n)
+    v = np.arange(half >> n, dtype=np.int64)[:, None, None]
+    b, a = np.arange(1 << n)[:, None], np.arange(1 << n)
+    zeta = zeta.astype(np.int64)
+    x = np.broadcast_to(v << n | b, (len(v), 1 << n, 1 << n))
+    y = half + ((v ^ zeta) << n | a)
+    return graph_from_edges(2 * half, x.ravel(), y.ravel())
+
+
+def test_cycle_rank_agrees_with_connectivity_off_the_family(ctx2, sigma2,
+                                                            monkeypatch):
+    # the derived graph of the true voltages is sigma(2), which is
+    # connected; with the top voltage bit cleared, the cycles span half of
+    # Z_2^6 and it splits
+    zeta = graphs.voltages(ctx2)
+    assert np.array_equal(_derived_graph(ctx2, zeta).rows, sigma2.graph.rows)
+    assert _quotient_cover(ctx2)[2]["cycle_rank"] == 6
+    assert is_connected(sigma2.graph)
+    low = zeta & np.uint32(31)
+    monkeypatch.setattr(graphs, "voltages", lambda ctx: low)
+    assert _quotient_cover(ctx2)[2]["cycle_rank"] == 5
+    assert not is_connected(_derived_graph(ctx2, low))
 
 # -- export -------------------------------------------------------------------------------
 
-def test_export_edgelist_header_and_content(ctx2, sigma2):
-    q = quotient_by_derived(ctx2, sigma2)
+def test_export_edgelist_header_and_content(ctx2):
+    q = quotient_by_derived(ctx2)
     buf = io.StringIO()
     export_graph(q, buf, "edgelist", n=2, kind="quotient")
     lines = buf.getvalue().splitlines()
@@ -1009,9 +1087,9 @@ def test_export_edgelist_header_and_content(ctx2, sigma2):
     assert nv == 8 and len(edges) == 16
 
 
-def test_export_dot_roundtrip(ctx2, sigma2):
+def test_export_dot_roundtrip(ctx2):
     import re
-    q = quotient_by_derived(ctx2, sigma2)
+    q = quotient_by_derived(ctx2)
     buf = io.StringIO()
     export_graph(q, buf, "dot", n=2, kind="quotient")
     text = buf.getvalue()
@@ -1036,8 +1114,8 @@ def test_export_labels(ctx2, sigma2):
     assert vid == "256" and side == "Y"
 
 
-def test_export_deterministic(ctx2, sigma2):
-    q = quotient_by_derived(ctx2, sigma2)
+def test_export_deterministic(ctx2):
+    q = quotient_by_derived(ctx2)
     a, b = io.StringIO(), io.StringIO()
     export_graph(q, a, "edgelist", n=2, kind="quotient")
     export_graph(q, b, "edgelist", n=2, kind="quotient")
@@ -1072,7 +1150,7 @@ def _family_graph(kind, ctx2, sigma2, gamma2):
     if kind == "gamma":
         return gamma2
     if kind == "quotient":
-        return quotient_by_derived(ctx2, sigma2)
+        return quotient_by_derived(ctx2)
     return line_graph(sigma2.graph)
 
 

@@ -290,9 +290,10 @@ def test_checks_see_a_y_row_moved(ctx2, sigma2, x_neighbor_moved,
     got = statuses(run_suite(2, "graphs")) | statuses(run_suite(2, "symmetry"))
     for name in ("edge-regular-action", "right-action-automorphism",
                  "semisymmetry-certificate", "edge-bijection",
-                 "clique-coset-duality", "line-graph-duality",
-                 "derived-quotient-cover", "export-roundtrip"):
+                 "clique-coset-duality", "line-graph-duality"):
         assert got[name] == "fail", name
+    # the quotient and its cover claim are read off the voltage table
+    assert got["derived-quotient-cover"] == got["export-roundtrip"] == "pass"
 
 
 def test_derived_automorphism_check_agrees_with_the_predicate(ctx2, sigma2):
@@ -410,8 +411,8 @@ def test_suite_shares_actions_and_base_bfs(monkeypatch):
 
 
 def test_suite_compares_rows_once(monkeypatch):
-    # one build and one row pass, though edge-bijection, the witness,
-    # line-graph-duality and the quotient all read the row count
+    # one build and one row pass, though edge-bijection, the witness and
+    # line-graph-duality all read the row count
     sides, real = [], graphs.coset_rows
 
     def counted(ctx, side, keys):
@@ -437,7 +438,7 @@ def test_edge_ends_reject_another_edge_layout(ctx2, sigma2):
     bad = dataclasses.replace(sigma2, graph=dataclasses.replace(g, rows=rows))
     # rows of another length than 2^n are refused before any comparison
     with pytest.raises(GraphConsistencyError, match="length 2"):
-        bad.x_rows()
+        bad.row_mismatches
     with pytest.raises(GraphConsistencyError, match="length 2"):
         edge_regular_witness(ctx2, bad, generator_actions(ctx2, bad))
     with pytest.raises(GraphConsistencyError, match="length 2"):
@@ -711,8 +712,8 @@ def test_layers_from_y(ctx2, sigma2):
     assert sum(d.layers) == 512
 
 
-def test_layers_k44(ctx2, sigma2):
-    q = quotient_by_derived(ctx2, sigma2)
+def test_layers_k44(ctx2):
+    q = quotient_by_derived(ctx2)
     assert distance_layers(q, 0).layers == [1, 4, 3]
 
 
@@ -725,9 +726,9 @@ def test_layers_disconnected_reports_unreachable():
 
 # -- equitable refinement -----------------------------------------------------------------
 
-def test_equitable_k44_single_seed(ctx2, sigma2):
+def test_equitable_k44_single_seed(ctx2):
     # K44 is walk-regular: the all-in-one seed is already equitable
-    q = quotient_by_derived(ctx2, sigma2)
+    q = quotient_by_derived(ctx2)
     part = equitable_refinement(q, [list(range(8))])
     assert [len(c) for c in part.cells] == [8]
     assert part.counts == [[4]]
@@ -894,9 +895,9 @@ def test_certificate_passes(ctx2, sigma2):
     assert (cert["layers_X"][4], cert["layers_Y"][4]) == (54, 81)
 
 
-def test_certificate_inconclusive_on_k44(ctx2, sigma2):
+def test_certificate_inconclusive_on_k44(ctx2):
     # K44 is vertex-transitive: equal profiles, correctly inconclusive
-    q = quotient_by_derived(ctx2, sigma2)
+    q = quotient_by_derived(ctx2)
     lc = layer_certificate(q, 0, 4)
     assert lc["certificate"] == "inconclusive"
     assert lc["layers_u"] == lc["layers_v"] == [1, 4, 3]
