@@ -11,13 +11,13 @@ the edge-regularity checks.
 The whole-graph loops run in row blocks through one runner,
 :func:`in_blocks`: here the coset-graph build (each ROW_CHUNK key block
 writes its own X and Y rows), the row check of ``graph_from_rows``,
-``Sigma.row_mismatches``, each layer of the two frontier walks,
-:func:`walk` (BFS, orbit closure) and :func:`walk_keys` (the Cayley ball
-and the derived span), and the runs of the edge-list export;
-``symmetry`` runs two more.  With several blocks the runner starts a
-thread pool of WORKERS threads, one per CPU this process may run on, at
-most MAX_WORKERS, that lasts for that loop, so loops may nest; a loop of
-one block (every loop at n = 2) runs inline and starts no thread.
+``Sigma.row_mismatches``, each layer of the one frontier walk,
+:func:`walk` over dense ids (BFS, orbit closure, the derived span), and
+the runs of the edge-list export; ``symmetry`` runs two more.  With
+several blocks the runner starts a thread pool of WORKERS threads, one
+per CPU this process may run on, at most MAX_WORKERS, that lasts for
+that loop, so loops may nest; a loop of one block (every loop at n = 2)
+runs inline and starts no thread.
 Results are taken in block order, so graphs, reports and exports are
 byte-identical to a serial run.  Before each pool starts, glibc is set to
 one arena, with mmap and trim thresholds of 33554432 and 134217728
@@ -246,7 +246,7 @@ def walk(step: Callable[[np.ndarray], np.ndarray], num_vertices: int,
     within max_depth steps of the roots, all reachable ones when it is
     None.  ``step`` maps a block of ROW_CHUNK frontier ids (one
     :func:`in_blocks` block) to the ids they reach: a graph's rows, the
-    images under permutations.
+    images under permutations, the H' fibres of products.
 
     The reached ids are scattered into a fresh mark per layer
     (idempotent writes, so blocks may run at once) with a spare slot for
@@ -281,46 +281,6 @@ def walk(step: Callable[[np.ndarray], np.ndarray], num_vertices: int,
             dist = dist.astype(id_dtype)
         dist[frontier] = d
     return dist
-
-
-def walk_keys(step: Callable[[np.ndarray], np.ndarray], roots: np.ndarray,
-              max_depth: int | None = None) -> np.ndarray:
-    """The :func:`walk` over keys, ids that index no array (packed
-    elements at any rank; roots an array in their dtype), stepping, say,
-    by the products with a generating set; returns the sorted keys
-    reached.  Each block's steps are sorted and deduped, and one stable
-    argsort merges them into the sorted seen keys, a seen key first,
-    keeping the first of each run of equal keys; the unseen ones are the
-    next frontier.  Stable sorts (timsort) compare Python ints less than
-    np.unique's quicksort.
-    """
-    frontier = seen = np.unique(roots)
-    d = 0
-    while len(frontier) and (max_depth is None or d < max_depth):
-        d += 1
-
-        def unique_steps(lo: int) -> np.ndarray:
-            keys = np.sort(step(frontier[lo:lo + ROW_CHUNK]),
-                           axis=None, kind="stable")
-            return keys[_first_of_runs(keys)]
-
-        keys = np.concatenate([seen, *in_blocks(
-            unique_steps, range(0, len(frontier), ROW_CHUNK))])
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        first = _first_of_runs(keys)
-        new = first & (order >= len(seen))
-        order = None  # freed before the keys kept are listed
-        seen = keys[first]
-        # the last layer lists no frontier: a lower peak
-        frontier = keys[new] if d != max_depth else keys[:0]
-    return seen
-
-
-def _first_of_runs(keys: np.ndarray) -> np.ndarray:
-    """Mask of the first key of each run of equal keys in sorted keys
-    (the slice keeps it empty for no keys)."""
-    return np.r_[True, keys[1:] != keys[:-1]][:len(keys)]
 
 
 def bfs_distances(g: GraphData, root: int) -> np.ndarray:

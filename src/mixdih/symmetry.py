@@ -15,16 +15,16 @@ map is the scalar ``mul`` by h; the GL x GL action's is the scalar
 two maps drive ``check_local_2at``, and ``gl_action`` recomputes a fixed
 sample of every permutation with its map.
 
-Each shared graph algorithm has one implementation.  The frontier walk
-over dense ids, ``graphs.walk``, serves BFS (``graphs.bfs_distances``
+Each shared graph algorithm has one implementation.  The one frontier
+walk, ``graphs.walk`` over dense ids, serves BFS (``graphs.bfs_distances``
 over a graph's rows) and orbit closure (``orbit_closure`` over
 permutation arrays, behind the 2-arc count, the side orbits and the |Aut|
-search); the one over keys, ``graphs.walk_keys``, serves the Cayley ball
-(``ball_intersect_derived``, over packed elements).  This module
-owns the other two: ``color_refinement`` (behind ``equitable_refinement``
-and the individualization-refinement search in ``autgroup``) and
-``is_graph_automorphism``, the one edge-map predicate (an automorphism,
-or with a target graph an isomorphism).
+search).  The Cayley ball needs no walk: ``ball_intersect_derived`` meets
+two half-radius balls in the middle, pairing the elements of one class
+of H/H'.  This module owns the other two: ``color_refinement`` (behind
+``equitable_refinement`` and the individualization-refinement search in
+``autgroup``) and ``is_graph_automorphism``, the one edge-map predicate
+(an automorphism, or with a target graph an isomorphism).
 
 Edge transitivity has one exhaustive witness at every rank,
 ``edge_regular_witness``, with two counts: the row count
@@ -72,7 +72,6 @@ from .graphs import (
     in_blocks,
     vertex_rep,
     walk,
-    walk_keys,
 )
 from .group import (
     Element,
@@ -425,22 +424,34 @@ def refined_diagram(g: GraphData, root: int,
 
 def ball_intersect_derived(ctx: GroupContext, radius: int) -> list[Element]:
     """Elements of the derived subgroup within the given Cayley-ball radius
-    of the identity.
+    of the identity, sorted by packed key, by meet in the middle.
 
-    The ball is the ``graphs.walk_keys`` over packed elements from the
-    identity to depth radius, stepping by left multiplication with S, so
-    no Cayley graph is built (the radius-4 ball is tiny compared to the
-    group).
+    Every word of length <= r is g*h with g in the ball B_ceil(r/2) and h
+    in B_floor(r/2), each ball B_k = {1} u S*B_(k-1) built by ``np.unique``
+    over the ``PackedOps.left_mul`` images, so neither the radius-r ball
+    nor a Cayley graph is built.  H/H' is elementary abelian on the low 2n
+    bits (the a and b blocks), so g*h lies in H' exactly when g and h
+    share those bits: the products are taken over those pairs only.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     ops = packed_ops(ctx)
     s_list = connection_set(ctx)
-    ball = walk_keys(
-        lambda z: np.concatenate([ops.left_mul(s, z) for s in s_list]),
-        np.zeros(1, dtype=ops.dtype), radius)
-    mask_ab = (1 << (2 * ctx.n)) - 1
-    return [ctx.unpack(int(z)) for z in ball[(ball & mask_ab) == 0]]
+    balls = [np.zeros(1, dtype=ops.dtype)]
+    for _ in range((radius + 1) // 2):
+        balls.append(np.unique(np.concatenate(
+            [balls[0], *(ops.left_mul(s, balls[-1]) for s in s_list)])))
+    g, h = balls[(radius + 1) // 2], balls[radius // 2]
+    mask_ab = ops.scalar((1 << (2 * ctx.n)) - 1)
+    h = h[np.argsort(h & mask_ab)]
+    h_low, g_low = h & mask_ab, g & mask_ab
+    # the h of g's class are h[lo:lo + count], listed g by g
+    lo = np.searchsorted(h_low, g_low, "left")
+    count = np.searchsorted(h_low, g_low, "right") - lo
+    pairs = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count),
+                                               count)
+    ball = np.unique(ops.mul(np.repeat(g, count), h[pairs]))
+    return [ctx.unpack(int(z)) for z in ball]
 
 
 def commutator_square(ctx: GroupContext) -> list[Element]:

@@ -8,8 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mixdih.graphs import walk_keys
-from mixdih.group import GroupContext, mul
+from mixdih.group import IDENTITY, GroupContext, mul
 
 
 class MutantContext(GroupContext):
@@ -122,15 +121,13 @@ def peak_alloc():
 
 
 def _span(ctx, gens) -> set:
-    """The subgroup generated by gens: the key walk over packed elements
-    from the identity, stepping by the scalar product with each of
-    them."""
-    def step(block):
-        return np.array([ctx.pack(mul(ctx, ctx.unpack(int(z)), g))
-                         for z in block for g in gens], dtype=object)
-
-    return {ctx.unpack(int(z))
-            for z in walk_keys(step, np.zeros(1, dtype=object))}
+    """The subgroup generated by gens: the closure of the identity under
+    the scalar product with each of them."""
+    span = frontier = {IDENTITY}
+    while frontier:
+        frontier = {mul(ctx, z, g) for z in frontier for g in gens} - span
+        span = span | frontier
+    return span
 
 
 @pytest.fixture

@@ -429,6 +429,28 @@ def test_derived_span_is_compared_to_the_kernel_at_rank_three(monkeypatch):
     assert actual["span_equals_kernel"] is False
 
 
+def test_derived_span_fails_when_a_product_leaves_the_kernel(monkeypatch):
+    """The span walks the fibres of H': the products by the last basis
+    element are given a nonzero a block, fibre bits kept, and each goes to
+    the walk's spare slot, so the span loses the half it reached and the
+    check fails.  Shifting the low bits away would have hidden the fault."""
+    ctx = context(2)
+    assert run("derived-subgroup-structure", ctx)[0] == "pass"
+    ops = packed_ops(ctx)
+    last = ops.scalar(ctx.pack(verify.derived_basis(ctx)[-1]))
+    mul = ops.mul
+
+    def faulty(z1, z2):
+        out = mul(z1, z2)
+        return out | ops.scalar(1) if z2 == last else out
+
+    monkeypatch.setattr(ops, "mul", faulty)
+    status, expected, actual = run("derived-subgroup-structure", ctx)
+    assert status == "fail"
+    assert actual["span_size"] == 1 << 5 < expected["span_size"] == 1 << 6
+    assert actual["span_equals_kernel"] is False
+
+
 def test_recorded_values_own_their_data(monkeypatch):
     """The cross-check keeps copies of the leading samples, not views that
     would keep every whole output array alive."""

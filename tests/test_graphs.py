@@ -43,7 +43,6 @@ from mixdih.graphs import (
     quotient_by_derived,
     vertex_rep,
     walk,
-    walk_keys,
 )
 from mixdih.group import (
     CapExceededError,
@@ -320,39 +319,6 @@ def test_export_allocates_a_few_runs(monkeypatch, torus64, peak_alloc,
     runs = out.sizes[1:]  # after the header
     assert len(runs) >= 4
     assert peak <= 8 * workers * max(runs)
-
-
-def test_key_walk_is_the_dense_walk_at_every_radius(monkeypatch, ctx2,
-                                                    gamma2, sigma2):
-    # keys that index no array (walk_keys) reach the ids that the
-    # dense walk over the built rows reaches, at every radius, also in row
-    # blocks of 7: left multiplication by S on Gamma_2 (the ids are the
-    # packed elements) and the closed-form coset_rows on Sigma_2 (a table
-    # of steps per block) from a vertex of each side
-    ops = packed_ops(ctx2)
-    half = sigma2.half
-
-    def left_mul(block):
-        return np.concatenate([ops.left_mul(s, block)
-                               for s in connection_set(ctx2)])
-
-    def cosets(block):
-        x, y = block[block < half], block[block >= half] - half
-        return np.concatenate([coset_rows(ctx2, "X", x) + half,
-                               coset_rows(ctx2, "Y", y)])  # 2-D steps
-
-    for chunk in (graphs.ROW_CHUNK, 7):
-        monkeypatch.setattr(graphs, "ROW_CHUNK", chunk)
-        for g, step, root in ((gamma2, left_mul, 0), (sigma2.graph, cosets, 0),
-                              (sigma2.graph, cosets, half)):
-            depth = int(bfs_distances(g, root).max())
-            for radius in range(depth + 2):
-                dense = walk(rows_step(g), g.num_vertices, [root], radius)
-                keys = walk_keys(step, np.array([root], dtype=ops.dtype),
-                                 radius)
-                assert keys.dtype == ops.dtype
-                assert keys.tolist() == np.flatnonzero(dense >= 0).tolist(), \
-                    (chunk, root, radius)
 
 
 # -- connection set and Cayley graph -------------------------------------------
