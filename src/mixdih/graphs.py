@@ -12,8 +12,9 @@ The whole-graph loops run in row blocks through one runner,
 :func:`in_blocks`: here the coset-graph build (each ROW_CHUNK key block
 writes its own X and Y rows), the row check of ``graph_from_rows``,
 ``Sigma.row_mismatches``, each layer of the one frontier walk,
-:func:`walk` over dense ids (BFS, orbit closure, the derived span), and
-the runs of the edge-list export; ``symmetry`` runs two more.  With
+:func:`walk` over dense ids (BFS, orbit closure, the derived span) in
+spans of 16 * ROW_CHUNK ids, and the runs of the edge-list export;
+``symmetry`` runs two more.  With
 several blocks the runner starts a thread pool of WORKERS threads, one
 per CPU this process may run on, at most MAX_WORKERS, that lasts for
 that loop, so loops may nest; a loop of one block (every loop at n = 2)
@@ -47,7 +48,7 @@ from .group import (
 )
 
 DEFAULT_VERTEX_CAP = 1 << 23
-ROW_CHUNK = 1 << 16  # rows per vectorized step of the whole-graph loops
+ROW_CHUNK = 1 << 14  # rows per vectorized step of the whole-graph loops
 MAX_WORKERS = 4  # threads of the row-block pool at most
 
 
@@ -244,43 +245,43 @@ def walk(step: Callable[[np.ndarray], np.ndarray], num_vertices: int,
          roots: Iterable[int], max_depth: int | None = None) -> np.ndarray:
     """The steps from the nearest root to every id in range(num_vertices)
     within max_depth steps of the roots, all reachable ones when it is
-    None.  ``step`` maps a block of ROW_CHUNK frontier ids (one
-    :func:`in_blocks` block) to the ids they reach: a graph's rows, the
-    images under permutations, the H' fibres of products.
+    None.  ``step`` maps at most ROW_CHUNK frontier ids to the ids they
+    reach: a graph's rows, the images under permutations, the H' fibres
+    of products.
 
-    The reached ids are scattered into a fresh mark per layer
-    (idempotent writes, so blocks may run at once) with a spare slot for
-    the -1 padding of a graph's rows; the next frontier,
-    ``flatnonzero(mark & (dist < 0))``, scans all vertices once per layer:
-    O(V * diameter), cheap on the family's graphs (diameter <= 14 at n=3).
-    Frontiers are listed in ``_index_dtype(num_vertices)``.  Returns the
-    steps, -1 if unreached, in int8, one byte per id; a walk deeper than
-    127 steps widens them once to the index dtype, so they stay exact.
+    The only per-id state is the distance record, whose spare slot holds
+    0, so the -1 padding of a graph's rows reads as reached.  Layer d is
+    ``dist == d``: each :func:`in_blocks` block lists it over a span of
+    16 * ROW_CHUNK ids (spans of ROW_CHUNK ids double a Sigma_3 BFS),
+    steps it ROW_CHUNK ids at a time and writes d + 1 over the reached
+    -1s, so blocks may run at once in any order.  O(V * diameter), cheap
+    on the family's graphs (diameter <= 14 at n=3).  Returns the steps,
+    -1 if unreached, in int8; a layer past depth 127 writes -2, and only
+    if it reaches an id is the record widened to the index dtype.
     """
-    dist = np.full(num_vertices, -1, np.int8)
-    id_dtype = _index_dtype(num_vertices)
-    frontier = np.fromiter(roots, dtype=id_dtype)
-    dist[frontier] = 0
-    d = 0
-    while len(frontier) and (max_depth is None or d < max_depth):
+    dist = np.full(num_vertices + 1, -1, np.int8)
+    dist[-1] = 0  # the spare slot
+    dist[np.fromiter(roots, np.intp)] = 0
+    span, d = ROW_CHUNK << 4, 0
+    while max_depth is None or d < max_depth:
+        value = d + 1 if d < np.iinfo(dist.dtype).max else -2
+
+        def advance(lo: int) -> int:
+            front = np.flatnonzero(dist[lo:min(lo + span, num_vertices)] == d)
+            front += lo
+            for i in range(0, len(front), ROW_CHUNK):
+                reached = np.asarray(step(front[i:i + ROW_CHUNK]), np.intp)
+                reached = reached[dist[reached] == -1]
+                dist[reached] = value
+            return len(front)
+
+        if not sum(in_blocks(advance, range(0, num_vertices, span))):
+            break  # layer d is empty
+        if value < 0 and np.any(dist == value):
+            dist = dist.astype(_index_dtype(num_vertices))
+            dist[dist == value] = d + 1
         d += 1
-        mark = np.zeros(num_vertices + 1, dtype=bool)
-
-        def scatter(lo: int) -> None:
-            mark[step(frontier[lo:lo + ROW_CHUNK])] = True
-
-        for _ in in_blocks(scatter, range(0, len(frontier), ROW_CHUNK)):
-            pass
-        reached = mark[:-1]
-        reached &= dist < 0
-        frontier = None  # freed before the next one is listed
-        frontier = np.flatnonzero(reached).astype(id_dtype)
-        if not len(frontier):
-            break
-        if d > np.iinfo(dist.dtype).max:
-            dist = dist.astype(id_dtype)
-        dist[frontier] = d
-    return dist
+    return dist[:-1]
 
 
 def bfs_distances(g: GraphData, root: int) -> np.ndarray:
@@ -298,10 +299,7 @@ def bfs_layers(g: GraphData, root: int) -> tuple[list[int], int]:
 
 
 def is_connected(g: GraphData) -> bool:
-    if g.num_vertices == 0:
-        return True
-    _, unreachable = bfs_layers(g, 0)
-    return unreachable == 0
+    return g.num_vertices == 0 or bfs_layers(g, 0)[1] == 0
 
 
 # -- group generator set ------------------------------------------------------

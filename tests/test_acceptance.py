@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from mixdih import hall
+from mixdih import graphs, hall
 from mixdih.autgroup import automorphism_group_order
 from mixdih.bulk import packed_ops
 from mixdih.graphs import (
@@ -254,6 +254,24 @@ def test_sigma3_export_digest(sigma3):
     export_graph(sigma3.graph, sink, "edgelist", n=3, kind="sigma")
     assert sink.sha.hexdigest() == (
         "3aa317d683e5b3d3bc718a1cbb9d3d4b06e8cbc3f09a167a5eb084ad9c3883f7")
+
+
+@pytest.mark.slow
+def test_sigma3_build_and_bfs_stay_near_the_table(ctx3, sigma3, peak_alloc):
+    # each loop holds, per block in flight, a few blocks of ROW_CHUNK rows
+    # of 2^3 int32 entries above the 128 MiB table, and the BFS also its
+    # byte record: at most 10 blocks per worker each, which keeps Sigma_3
+    # within 20 MiB of its table even on MAX_WORKERS threads
+    block = graphs.ROW_CHUNK * 8 * 4
+    assert 10 * block * graphs.MAX_WORKERS <= 20 << 20
+    budget = 10 * block * graphs.WORKERS
+    out = []
+    build = peak_alloc(lambda: out.append(build_sigma(ctx3)))
+    assert build - out[0].graph.rows.nbytes <= budget
+    out.clear()  # the second table is freed before the BFS
+    g = sigma3.graph
+    bfs = peak_alloc(lambda: out.append(graphs.bfs_layers(g, 0)))
+    assert out[0][1] == 0 and bfs - (g.num_vertices + 1) <= budget
 
 
 @pytest.mark.parametrize("n,arcs", [(2, 12), (3, 56)])

@@ -284,17 +284,21 @@ def torus64():
 
 
 def test_bfs_allocates_a_byte_record_per_vertex(torus64, peak_alloc):
-    # 2^18 vertices, 97 layers: the int8 distances, the mark of a layer
-    # and its unreached mask are a byte per vertex each; the rest is the
-    # widest layer's rows and their index copy
+    # 2^18 vertices, 97 layers: the int8 record is a byte per vertex, and
+    # the frontier mask of a span of 16 * ROW_CHUNK ids a byte per id of
+    # the span; the rest is a sub-block's rows, at most ROW_CHUNK of the
+    # widest layer, and their index copy per block in flight
     g = torus64
     assert g.num_vertices == 1 << 18
     out = []
     peak = peak_alloc(lambda: out.append(graphs.bfs_layers(g, 0)))
     layers, unreachable = out[0]
     assert unreachable == 0 and len(layers) == 97
-    block = max(layers) * g.rows.shape[1] * g.rows.itemsize
-    assert peak <= 3 * g.num_vertices + 2 * block
+    span = min(16 * graphs.ROW_CHUNK, g.num_vertices)
+    in_flight = min(graphs.WORKERS, -(-g.num_vertices // span))
+    rows = min(max(layers), graphs.ROW_CHUNK) * g.rows.shape[1] \
+        * g.rows.itemsize
+    assert peak <= g.num_vertices + span + in_flight * 3 * rows
 
 
 class TextSizes:
@@ -1302,11 +1306,11 @@ def test_in_blocks_stops_at_the_first_false_in_order():
 @pytest.mark.runner
 def test_bfs_in_small_blocks_matches_default_chunks(monkeypatch, sigma2,
                                                    gamma2):
-    # blocks of 7 frontier rows split a BFS layer into up to 39 blocks on
-    # the pool: BFS from every 9th root (both sides of sigma), at every
-    # depth from every 99th, as at the default chunk (the build and the
-    # exports in small blocks are compared by
-    # test_sigma_row_blocks_match_default_build and
+    # spans of 16 * 7 ids, stepped 7 frontier ids at a time, split each
+    # BFS layer into 5 (sigma) or 10 (gamma) blocks on the pool: BFS from
+    # every 9th root (both sides of sigma), at every depth from every 99th,
+    # as at the default chunk (the build and the exports in small blocks
+    # are compared by test_sigma_row_blocks_match_default_build and
     # test_export_matches_per_edge_reference)
     def runs(g):
         for root in range(0, g.num_vertices, 9):
@@ -1326,8 +1330,8 @@ def test_bfs_in_small_blocks_matches_default_chunks(monkeypatch, sigma2,
 @pytest.mark.runner
 def test_runner_stress_more_workers_than_cores(monkeypatch, ctx2, sigma2):
     # 8 workers switching every microsecond: never more than 8 blocks in
-    # flight, results in order, and the build and BFS marks of blocks of
-    # 3 rows as at the defaults
+    # flight, results in order, and the build and the BFS records of
+    # blocks of 3 rows as at the defaults
     want_bfs = [bfs_distances(sigma2.graph, root) for root in (0, 300)]
     monkeypatch.setattr(graphs, "WORKERS", 8)
     monkeypatch.setattr(graphs, "ROW_CHUNK", 3)

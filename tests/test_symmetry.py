@@ -621,7 +621,8 @@ def test_orbits_match_closure(seed):
 def test_walk_from_a_root_set_is_the_union_of_single_root_walks(
         monkeypatch, seed):
     # the steps from a root set are the fewest from any one of its roots,
-    # also when row blocks of 1 split every frontier across blocks
+    # also when spans of 16 ids, stepped one id at a time, split every
+    # frontier across up to 4 blocks
     rng = random.Random(seed)
     nv = rng.randint(1, 60)
     perms = random_perms(rng, nv)[-2:]  # few maps: orbits of several layers
