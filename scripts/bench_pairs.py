@@ -6,7 +6,9 @@ Usage: python scripts/bench_pairs.py PARENT CHANGE --workload verify-n2
            [--pairs 10] [--seconds 25] [--out BENCH_verify-n2.json]
            [--claim TEXT]
 
-PARENT and CHANGE are the roots of two checkouts; each side runs its own
+PARENT and CHANGE are the roots of two checkouts whose absolute paths
+have equal length, as peak RSS moves with that length: otherwise it
+prints one line and exits 2.  Each side runs its own
 `perfbench/run.py --trace 0` from its root.  Pair p runs seed p, change
 first when p is odd and parent first when it is even; a last pair runs
 the held-out seed 9001, change first.  The end-to-end metrics, their
@@ -137,11 +139,18 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="default: BENCH_<workload>.json")
     ap.add_argument("--claim", default="none")
     args = ap.parse_args(argv)
+    roots = {"parent": args.parent, "change": args.change}
+    lengths = {side: len(os.path.abspath(r)) for side, r in roots.items()}
+    if lengths["parent"] != lengths["change"]:
+        print(f"error: the checkouts' absolute paths differ in length "
+              f"({lengths['parent']} and {lengths['change']} characters), "
+              "which moves peak RSS; use paths of equal length",
+              file=sys.stderr)
+        return 2
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     seconds = args.seconds or bench["run_seconds"]
-    roots = {"parent": args.parent, "change": args.change}
     runs = []
     for seed, sides in schedule(args.pairs):
         for side in sides:
@@ -151,11 +160,6 @@ def main(argv=None) -> int:
                          "result": run_side(roots[side], args.workload,
                                             seed, seconds)})
 
-    lengths = sorted({len(os.path.abspath(r)) for r in roots.values()})
-    where = (f"both checkouts sat at paths of equal length ({lengths[0]} "
-             "characters)" if len(lengths) == 1 else
-             f"the checkouts sat at paths of {lengths[0]} and {lengths[1]} "
-             "characters")
     out = {
         "benchmark": f"perfbench/run.py --workload W --seed S --seconds "
                      f"{seconds:g} --trace 0, run from the root of each "
@@ -167,7 +171,8 @@ def main(argv=None) -> int:
                  "first, even pairs parent first (seeds 1-"
                  f"{args.pairs} are pairs 1-{args.pairs}), then the "
                  f"held-out seed {HELD_OUT_SEED} pair (change first); "
-                 + where,
+                 "both checkouts sat at paths of equal length "
+                 f"({lengths['parent']} characters)",
         "claim": args.claim,
         "summary": summarize(runs, bench["end_to_end"]),
         "runs": runs,

@@ -53,9 +53,11 @@ class PackedOps:
     (m << n) | a of ``phi`` is the t-block that x^a picks up crossing
     w^m, tabulated at n <= 3 (None above, where ``phi_of`` evaluates it).
     The key maps XOR the bits above the low n with yx words alone, so
-    ``graphs.coset_rows`` reads Σ's rows off the 2^n x 2^n tables they
-    give: entry [b, a] of ``tx`` is the Y key of x^a y^b, [a, c] of
-    ``ty`` the X key of y^c x^a.
+    one 2^n x 2^n table carries Σ: entry [b, a] of ``tx`` is the Y key of
+    x^a y^b, whose bits above the low n are the voltage of which Σ is the
+    derived graph (``graphs.voltages``).  ``graphs.coset_rows`` reads the
+    X rows off it and the Y rows off its transpose; verify's
+    derived-quotient-cover checks every entry with the scalar key.
     """
 
     def __init__(self, ctx: GroupContext):
@@ -77,7 +79,6 @@ class PackedOps:
             self.phi = ctx.phi_rows(idx >> self.n, idx & self.mask_n)
         low = np.arange(1 << self.n, dtype=self.dtype)
         self.tx = self.y_coset_key(low | low[:, None] << self.sn)
-        self.ty = self.x_coset_key(self.y_coset(low))
 
     # -- block access -------------------------------------------------------
 
@@ -145,18 +146,16 @@ class PackedOps:
             out = self.mul_gen(out, letters)
         return out
 
-    def y_left(self, c, z: np.ndarray) -> np.ndarray:
-        """Elementwise y^c * z: y^c crosses x^a by the yx word of (a, c)
-        and meets no phi (phi(0, a) is 0)."""
-        mt = _gather(self.yx, (self.a_of(z) << self.sn) | c)
-        return z ^ (c << self.sn) ^ (mt << self.s2n)
-
     def left_mul(self, s: Element, z: np.ndarray) -> np.ndarray:
         """s*z for one fixed s in X or in Y: an XOR of the a block for s
-        in X, which adds no collection terms, else y_left."""
+        in X, which adds no collection terms; y^c crosses x^a by the yx
+        word of (a, c) and meets no phi (phi(0, a) is 0)."""
         if s.m or s.t or (s.a and s.b):
             raise ValueError("left_mul takes s in X or in Y")
-        return z ^ s.a if s.a else self.y_left(s.b, z)
+        if s.a:
+            return z ^ s.a
+        mt = _gather(self.yx, (self.a_of(z) << self.sn) | s.b)
+        return z ^ (s.b << self.sn) ^ (mt << self.s2n)
 
     # -- canonical coset keys ---------------------------------------------------
 
@@ -171,13 +170,3 @@ class PackedOps:
         mt = (z >> self.s2n) ^ _gather(self.yx, (a << self.sn) | self.b_of(z))
         return a | (mt << self.sn)
 
-    def y_member(self, keys: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Elementwise y^c times the b = 0 representative of the Y-side
-        coset with key keys."""
-        return self.y_left(c, self.ctx.y_rep(keys))
-
-    def y_coset(self, keys: np.ndarray) -> np.ndarray:
-        """Members of the Y-side cosets with these keys, one row per key:
-        column c holds y^c times the representative."""
-        return self.y_member(keys[:, None],
-                             np.arange(1 << self.n, dtype=self.dtype))

@@ -12,8 +12,9 @@ images and the XOR span of the unit-fibre images.  The right action's
 map is the scalar ``mul`` by h; the GL x GL action's is the scalar
 ``InducedAutomorphism.apply``, a ``mul`` fold over the image table
 ``aut.images`` (the image of every pc generator in bit order).  The same
-two maps drive ``check_local_2at``, and ``gl_action`` recomputes a fixed
-sample of every permutation with its map.
+two maps drive ``check_local_2at`` on the 2-arcs read off
+``graphs.coset_rows``, and ``gl_action`` recomputes a fixed sample of
+every permutation with its map.
 
 Each shared graph algorithm has one implementation.  The one frontier
 walk, ``graphs.walk`` over dense ids, serves BFS (``graphs.bfs_distances``
@@ -30,8 +31,10 @@ Edge transitivity has one exhaustive witness at every rank,
 ``edge_regular_witness``, with two counts: the row count
 ``Sigma.row_mismatches``, taken once per Sigma against the closed form
 ``graphs.coset_rows`` (the built rows of both sides are the edges of the
-elements z), and the action count (each of the 2n generator actions
-moves the edge of z to the edge of z*h).  The action count gives the
+elements z; both are read off one voltage table, of which Σ is the
+derived graph, and verify's derived-quotient-cover checks that table
+against the scalar coset keys), and the action count (each of the 2n
+generator actions moves the edge of z to the edge of z*h).  The action count gives the
 right action's homomorphism property, and both counts with a permutation
 test its automorphism property.  ``semisymmetry_certificate`` combines
 the witness, the local 2-arc report and the base ``layer_certificate``.
@@ -64,10 +67,12 @@ from .graphs import (
     GraphData,
     ROW_CHUNK,
     Sigma,
+    _half,
     _index_dtype,
     bfs_distances,
     bfs_layers,
     connection_set,
+    coset_rows,
     coset_vertex,
     in_blocks,
     vertex_rep,
@@ -218,25 +223,6 @@ def orbit_closure(perms: Sequence[np.ndarray], points: Iterable[int],
 
 # -- local 2-arc machinery ---------------------------------------------------
 
-def _other(side: str) -> str:
-    return "Y" if side == "X" else "X"
-
-
-def coset_neighbors(ctx: GroupContext, side: str, vid: int) -> list[int]:
-    """Neighbors of the coset vertex vid on the given side, computed
-    locally from the group.
-
-    The edges through the coset of z are indexed by its members, so the
-    neighbors of an X-side coset are the Y-cosets of its 2^n members and
-    vice versa.
-    """
-    rep = vertex_rep(ctx, vid)
-    return [coset_vertex(ctx, _other(side),
-                         mul(ctx, Element(a=c) if side == "X"
-                             else Element(b=c), rep))
-            for c in range(1 << ctx.n)]
-
-
 def _stabilizer_maps(ctx: GroupContext, side: str) -> list[VertexMap]:
     """Generator maps (side, vertex id) -> vertex id for the stabilizer of
     the base vertex of a side: right multiplications by that side's
@@ -252,10 +238,20 @@ def _stabilizer_maps(ctx: GroupContext, side: str) -> list[VertexMap]:
 def rooted_two_arcs(ctx: GroupContext,
                     side: str) -> list[tuple[int, int, int]]:
     """All 2-arcs (u, v, w), u != w, starting at the base vertex u of the
-    given side, as vertex-id triples."""
+    given side, as vertex-id triples read off the closed-form rows
+    ``graphs.coset_rows``: the base vertex's row, then each neighbor's."""
+    half, ops = _half(ctx), packed_ops(ctx)
+
+    def rows(side: str, vids: list[int]) -> list[list[int]]:
+        first = 0 if side == "X" else half  # an X row holds Y keys
+        keys = np.array(vids, dtype=ops.dtype) - ops.scalar(first)
+        return (coset_rows(ctx, side, keys) + (half - first)).tolist()
+
     root = coset_vertex(ctx, side, IDENTITY)
-    return [(root, v, w) for v in coset_neighbors(ctx, side, root)
-            for w in coset_neighbors(ctx, _other(side), v) if w != root]
+    middles = rows(side, [root])[0]
+    ends = rows("Y" if side == "X" else "X", middles)
+    return [(root, v, w) for v, row in zip(middles, ends)
+            for w in row if w != root]
 
 
 def check_local_2at(ctx: GroupContext) -> dict:
@@ -263,21 +259,24 @@ def check_local_2at(ctx: GroupContext) -> dict:
 
     The stabilizer generators (right multiplications by the side's
     subgroup, plus the GL x GL pairs) act on the 2-arcs rooted at the base
-    vertex of each side; the check passes iff each side yields a single
-    orbit.  Vertex transitivity of the group on each side then certifies
-    local 2-arc-transitivity at every root.  The computation is local and
-    does not need the full graph.
+    vertex of each side, each scalar map run once per vertex of the arcs;
+    the check passes iff each side yields a single orbit.  Vertex
+    transitivity of the group on each side then certifies local
+    2-arc-transitivity at every root, without the full graph.
     """
     report: dict = {"n": ctx.n, "sides": {}}
-    ok = True
+    ok, half = True, _half(ctx)
     for side in ("X", "Y"):
         arcs = rooted_two_arcs(ctx, side)
         maps = _stabilizer_maps(ctx, side)
-        # a KeyError here means a generator moved the root
         index = {arc: i for i, arc in enumerate(arcs)}
-        other = _other(side)
-        perms = [np.array([index[(m(side, u), m(other, v), m(side, w))]
-                           for u, v, w in arcs]) for m in maps]
+        perms = []
+        for m in maps:
+            image = {vid: m("XY"[vid >= half], vid)
+                     for vid in set().union(*arcs)}
+            # a KeyError here means a generator moved the root
+            perms.append(np.array([index[image[u], image[v], image[w]]
+                                   for u, v, w in arcs]))
         # a closure is an orbit only under permutations
         seen, count = np.zeros(len(arcs), dtype=bool), 0
         while not seen.all():  # one closure per orbit

@@ -551,6 +551,16 @@ def test_rank4_suite_skips_only_the_named_checks():
                            "pass": len(rep.checks) - 17, "skip": 17}
 
 
+def test_rank6_suite_skips_only_the_named_checks():
+    # the same caps hold at n = 6 (a = 138), where the 2-arc check's
+    # scalar maps take most of the ~3 s
+    rep = run_suite(6, "all", samples=1000)
+    assert [c.name for c in rep.checks if c.status == "skip"] == \
+        SKIPPED_AT_RANK4
+    assert rep.summary == {"fail": 0, "inconclusive": 0,
+                           "pass": len(rep.checks) - 17, "skip": 17}
+
+
 @pytest.mark.parametrize("samples", [0, -1])
 def test_run_suite_refuses_fewer_than_one_sample(samples):
     # no sampled check may pass on nothing

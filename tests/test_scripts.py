@@ -151,3 +151,18 @@ def test_bench_pairs_summary_flags_a_worse_change():
     # one pair: the quartiles are the value itself
     one = bp.summarize(runs[:2], METRICS)["pairs"]["wall_s"]
     assert one["parent"] == {"median": 1.01, "q1": 1.01, "q3": 1.01}
+
+
+def test_bench_pairs_refuses_paths_of_different_lengths(tmp_path, capsys,
+                                                       monkeypatch):
+    # peak RSS moves with the checkout's path length: no run starts and no
+    # file is written
+    bp = load_bench_pairs()
+    monkeypatch.setattr(bp, "run_side", lambda *a: pytest.fail("ran"))
+    monkeypatch.chdir(tmp_path)
+    short, longer = tmp_path / "p", tmp_path / "ch"
+    assert bp.main([str(short), str(longer), "--workload", "w"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "differ in length" in err
+    assert list(tmp_path.iterdir()) == []

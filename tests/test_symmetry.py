@@ -30,7 +30,6 @@ from mixdih.symmetry import (
     ball_intersect_derived,
     check_local_2at,
     commutator_square,
-    coset_neighbors,
     distance_layers,
     edge_regular_witness,
     equitable_refinement,
@@ -653,13 +652,31 @@ def test_walk_follows_a_long_cycle():
 
 # -- local 2-arc transitivity ------------------------------------------------------
 
-def test_coset_neighbors_of_base(ctx2):
-    root = coset_vertex(ctx2, "X", IDENTITY)
-    nbrs = coset_neighbors(ctx2, "X", root)
-    # the Y-cosets of X's members x^c, whose b = 0 reps pack to c
-    assert [vertex_rep(ctx2, v) for v in nbrs] == \
-        [Element(a=c) for c in range(4)]
-    assert nbrs == [256 + c for c in range(4)]
+def scalar_neighbors(ctx, side, vid):
+    """Sorted neighbor ids of vertex vid: the other side's cosets of the
+    2^n members x^c * rep (X side) or y^c * rep (Y side), by scalar
+    products."""
+    rep, other = vertex_rep(ctx, vid), "Y" if side == "X" else "X"
+    letter = (lambda c: Element(a=c)) if side == "X" else \
+        (lambda c: Element(b=c))
+    return sorted(coset_vertex(ctx, other, mul(ctx, letter(c), rep))
+                  for c in range(1 << ctx.n))
+
+
+def test_coset_neighbors_of_base():
+    # the 2-arcs read off coset_rows against scalar neighbors of the base
+    # vertex and of each of its neighbors, at n=2 and 3
+    for n in (2, 3):
+        ctx = context(n)
+        half = graphs._half(ctx)
+        # the Y-cosets of X's members x^c, whose b = 0 reps pack to c
+        assert scalar_neighbors(ctx, "X", 0) == [half + c
+                                                 for c in range(1 << n)]
+        for side, other in (("X", "Y"), ("Y", "X")):
+            root = coset_vertex(ctx, side, IDENTITY)
+            want = [(root, v, w) for v in scalar_neighbors(ctx, side, root)
+                    for w in scalar_neighbors(ctx, other, v) if w != root]
+            assert rooted_two_arcs(ctx, side) == want, (n, side)
 
 
 @pytest.mark.parametrize("n,count", [(2, 12), (3, 56)])
