@@ -25,10 +25,11 @@ per CPU this process may run on, at most MAX_WORKERS, that lasts for
 that loop, so loops may nest; a loop of one block (every loop at n = 2)
 runs inline and starts no thread.
 Results are taken in block order, so graphs, reports and exports are
-byte-identical to a serial run.  Before each pool starts, glibc is set to
-one arena, with mmap and trim thresholds of 33554432 and 134217728
-bytes, so block temporaries are reused in the heap.  The
-export writes its lines in place, as words from a table of "0000".."9999".
+byte-identical to a serial run.  Before every loop of several blocks,
+inline or pooled, glibc is set to one arena, with mmap and trim
+thresholds of 33554432 and 134217728 bytes, so block temporaries are
+reused in the heap.  The export writes its lines in place, as words
+from a table of "0000".."9999".
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def _usable_cpus() -> int:
 
 
 WORKERS = min(_usable_cpus(), MAX_WORKERS)
-# glibc's mallopt parameter numbers, and the values each pool sets
+# glibc's mallopt parameter numbers, and the values a multi-block loop sets
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
 MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's largest on 64 bits
 TRIM_THRESHOLD_BYTES = 128 << 20
@@ -78,10 +79,10 @@ def _set_malloc() -> None:
     temporaries a block frees stay in its worker's arena, where the main
     thread cannot reuse them: a blocked loop then peaks higher than a
     serial one.  One arena for all threads keeps the serial peak, so this
-    runs before a pool's threads start and sets M_ARENA_MAX to 1; the two
-    thresholds keep the blocks' freed temporaries in the heap for the next
-    block.  Setting them again is harmless; where libc has no mallopt (not
-    glibc) this does nothing.
+    runs before every loop of several blocks (a pool's threads start
+    after it) and sets M_ARENA_MAX to 1; the two thresholds keep the
+    blocks' freed temporaries in the heap for the next block.  Setting
+    them again is harmless; without mallopt (not glibc) it does nothing.
     """
     import ctypes
     try:
@@ -102,20 +103,21 @@ R = TypeVar("R")
 def in_blocks(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
     """fn(item) for every item, yielded in item order.
 
-    With more than one item and more than one CPU the calls run on a
-    thread pool of WORKERS threads that lasts for this loop, at most
-    WORKERS of them in flight: each result taken lets the next item
-    start.  An exception of a block is raised here in that block's turn.
-    Leaving the loop early (``all`` at its first False) starts no more
-    blocks and waits for those in flight.  A single item runs inline and
-    starts no thread.  fn may itself call in_blocks: the inner loop gets
-    its own pool.
+    More than one item first sets :func:`_set_malloc`'s allocator policy,
+    and with more than one CPU the calls then run on a thread pool of
+    WORKERS threads that lasts for this loop, at most WORKERS in flight:
+    each result taken lets the next item start.  An exception of a block
+    is raised here in that block's turn.  Leaving the loop early (``all``
+    at its first False) starts no more blocks and waits for those in
+    flight.  A single item runs inline and starts no thread.  fn may
+    itself call in_blocks: the inner loop gets its own pool.
     """
+    if len(items) > 1:
+        _set_malloc()
     if len(items) < 2 or WORKERS < 2:
         yield from map(fn, items)
         return
     from concurrent.futures import ThreadPoolExecutor
-    _set_malloc()
     with ThreadPoolExecutor(WORKERS, thread_name_prefix="mixdih-rows") as pool:
         rest = iter(items)
         running = deque(pool.submit(fn, item)

@@ -187,10 +187,10 @@ def check_presentation(ctx, samples, rng, cache):
 # Each random battery states its identity once, as a function over an ops
 # object that maps arrays of packed elements to per-sample verdicts.  The
 # samples are drawn as arrays straight from the check's own seeded stream.
-# Every sample runs on PackedOps (bulk.py), at every rank, ROW_CHUNK samples
-# at a time, and the group.py kernel, through ScalarOps, recomputes the first
-# CROSS_CHECK_SAMPLES of them: a sample fails when its identity fails or
-# when any value the identity computed differs between the two kernels.
+# Every sample runs on PackedOps (bulk.py), at every rank: the first
+# CROSS_CHECK_SAMPLES as one call that the group.py kernel, through ScalarOps,
+# repeats, the rest ROW_CHUNK at a time.  A sample fails when its identity
+# fails or when any value the identity computed differs between the kernels.
 
 CROSS_CHECK_SAMPLES = 256
 
@@ -327,39 +327,38 @@ class ScalarOps:
 
 
 class _Recorded:
-    """Forwards to an ops object and keeps a copy of the first `keep`
-    samples of every array it returns (a view would keep the whole array
-    alive)."""
+    """Forwards to an ops object and keeps every array it returns."""
 
-    def __init__(self, ops, keep: int):
-        self.ops, self.keep, self.values = ops, keep, []
+    def __init__(self, ops):
+        self.ops, self.values = ops, []
 
     def __getattr__(self, name):
         fn = getattr(self.ops, name)
 
         def call(*args):
             out = fn(*args)
-            self.values.append(out[:self.keep].copy())
+            self.values.append(out)
             return out
         return call
 
 
 def _battery(ctx: GroupContext, identity, *samples: np.ndarray):
-    """Tally identity(ops, *samples), a per-sample bool array, on
-    PackedOps ROW_CHUNK samples at a time, with the scalar cross-check on
-    the leading samples: only the first block is recorded."""
+    """Tally identity(ops, *samples), a per-sample bool array.  The first
+    CROSS_CHECK_SAMPLES samples run as one recorded PackedOps call, which
+    ScalarOps repeats value by value; the rest run on PackedOps ROW_CHUNK
+    samples at a time."""
     count = len(samples[0])
     keep = min(count, CROSS_CHECK_SAMPLES)
     ops = packed_ops(ctx)
-    full = _Recorded(ops, keep)
-    sub = _Recorded(ScalarOps(ctx), keep)
+    packed, scalar = _Recorded(ops), _Recorded(ScalarOps(ctx))
     ok = np.empty(count, dtype=bool)
-    for lo in range(0, count, gr.ROW_CHUNK):
-        ok[lo:lo + gr.ROW_CHUNK] = identity(
-            ops if lo else full, *(s[lo:lo + gr.ROW_CHUNK] for s in samples))
-    ok[:keep] &= identity(sub, *(s[:keep] for s in samples))
-    for p, s in zip(full.values, sub.values, strict=True):
+    head = [s[:keep] for s in samples]
+    ok[:keep] = identity(packed, *head) & identity(scalar, *head)
+    for p, s in zip(packed.values, scalar.values, strict=True):
         ok[:keep] &= p == s
+    for lo in range(keep, count, gr.ROW_CHUNK):
+        ok[lo:lo + gr.ROW_CHUNK] = identity(
+            ops, *(s[lo:lo + gr.ROW_CHUNK] for s in samples))
     return _tally(ok)
 
 

@@ -452,8 +452,9 @@ def test_derived_span_fails_when_a_product_leaves_the_kernel(monkeypatch):
 
 
 def test_recorded_values_own_their_data(monkeypatch):
-    """The cross-check keeps copies of the leading samples, not views that
-    would keep every whole output array alive."""
+    """The cross-check keeps the outputs of its own call on the leading
+    samples, arrays of their own, not views that would keep a whole
+    block's output array alive."""
     recorders = []
 
     class Recorded(verify._Recorded):

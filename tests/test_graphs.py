@@ -1367,8 +1367,9 @@ def test_worker_block_error_propagates(monkeypatch):
 @pytest.mark.runner
 def test_pool_sets_malloc_before_its_threads_start(monkeypatch, has_mallopt):
     # a fake libc records each mallopt call with the threads alive then;
-    # each loop's pool is made after the three calls, and a libc without
-    # mallopt (not glibc) still gets its pools
+    # each loop of several blocks makes the three calls first, then on two
+    # workers its pool and on one none, and a libc without mallopt (not
+    # glibc) still gets its pools
     import ctypes
     from concurrent import futures
     events = []
@@ -1387,16 +1388,38 @@ def test_pool_sets_malloc_before_its_threads_start(monkeypatch, has_mallopt):
 
     monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
     monkeypatch.setattr(futures, "ThreadPoolExecutor", pool)
-    monkeypatch.setattr(graphs, "WORKERS", 2)
     threads = threading.active_count()
-    for _ in range(2):
-        assert list(graphs.in_blocks(abs, [-1, -2, -3])) == [1, 2, 3]
     calls = [(graphs.M_ARENA_MAX, 1, threads),
              (graphs.M_MMAP_THRESHOLD, 32 << 20, threads),
              (graphs.M_TRIM_THRESHOLD, 128 << 20, threads)]
-    assert events == 2 * ((calls if has_mallopt else []) + ["pool"])
+    for workers in (2, 1):
+        monkeypatch.setattr(graphs, "WORKERS", workers)
+        events.clear()
+        for _ in range(2):
+            assert list(graphs.in_blocks(abs, [-1, -2, -3])) == [1, 2, 3]
+        assert list(graphs.in_blocks(abs, [-4])) == [4]  # no call
+        pools = ["pool"] if workers > 1 else []
+        assert events == 2 * ((calls if has_mallopt else []) + pools)
     assert (graphs.M_TRIM_THRESHOLD, graphs.M_MMAP_THRESHOLD,
             graphs.M_ARENA_MAX) == (-1, -3, -8)
+
+
+@pytest.mark.runner
+def test_suite_report_ignores_row_blocks_and_workers(monkeypatch):
+    # ROW_CHUNK and WORKERS set speed only: at blocks of 7 rows (and 7
+    # samples past each battery's 256 cross-checked ones) or at the
+    # default, on one worker or two, the rank-2 suite passes every check
+    # with the same report
+    reports = set()
+    for chunk in (7, graphs.ROW_CHUNK):
+        for workers in (1, 2):
+            monkeypatch.setattr(graphs, "ROW_CHUNK", chunk)
+            monkeypatch.setattr(graphs, "WORKERS", workers)
+            report = run_suite(2, "all", samples=300, seed=5)
+            assert report.summary == {"fail": 0, "inconclusive": 0,
+                                      "pass": 46, "skip": 0}
+            reports.add(report.to_json())
+    assert len(reports) == 1
 
 
 @pytest.mark.runner
