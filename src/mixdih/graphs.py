@@ -141,20 +141,14 @@ class GraphData:
     neighbor table in ``_index_dtype(num_vertices)``: one sorted row per
     vertex, padded with -1 at its end to the widest row (a regular graph
     has no padding).  ``half`` optionally tags a bipartition: the ids
-    below it are side 0, the others side 1; None when the graph has no
-    sides.
+    below it are side 0, the others side 1 (vertex v's side is
+    ``v >= half``); None when the graph has no sides.
     """
 
     num_vertices: int
     num_edges: int
     rows: np.ndarray
     half: int | None = None
-
-    @property
-    def sides(self) -> np.ndarray | None:
-        """Each vertex's side (0/1) in a fresh uint8 array, or None."""
-        return None if self.half is None else (
-            np.arange(self.num_vertices) >= self.half).astype(np.uint8)
 
     def neighbors(self, v: int) -> np.ndarray:
         row = self.rows[v]
@@ -249,12 +243,11 @@ def graph_from_rows(rows: np.ndarray, half: int | None = None) -> GraphData:
 
 
 def walk(step: Callable[[np.ndarray], np.ndarray], num_vertices: int,
-         roots: Iterable[int], max_depth: int | None = None) -> np.ndarray:
+         roots: Iterable[int]) -> np.ndarray:
     """The steps from the nearest root to every id in range(num_vertices)
-    within max_depth steps of the roots, all reachable ones when it is
-    None.  ``step`` maps at most ROW_CHUNK frontier ids to the ids they
-    reach: a graph's rows, the images under permutations, the H' fibres
-    of products.
+    that the roots reach.  ``step`` maps at most ROW_CHUNK frontier ids to
+    the ids they reach: a graph's rows, the images under permutations, the
+    H' fibres of products.
 
     The only per-id state is the distance record, whose spare slot holds
     0, so the -1 padding of a graph's rows reads as reached.  Layer d is
@@ -270,7 +263,7 @@ def walk(step: Callable[[np.ndarray], np.ndarray], num_vertices: int,
     dist[-1] = 0  # the spare slot
     dist[np.fromiter(roots, np.intp)] = 0
     span, d = ROW_CHUNK << 4, 0
-    while max_depth is None or d < max_depth:
+    while True:
         value = d + 1 if d < np.iinfo(dist.dtype).max else -2
 
         def advance(lo: int) -> int:

@@ -28,7 +28,7 @@ for the x bits and toggles any other bit; :func:`mul` and :func:`inv`
 run it too, and everything else (comm, word evaluation) is built on
 those.  An automorphism induced by GL_n(2) x GL_n(2) is its table
 :func:`generator_images`, the image of every pc generator in bit order;
-its ``apply`` folds ``mul`` over the images of the set bits.  The closed
+its ``apply`` XORs the packed images of the set bits.  The closed
 form of a whole product (outer, phi and psi terms at once) lives only in
 the packed kernel of ``bulk.py``.
 """
@@ -73,10 +73,6 @@ class Element(NamedTuple):
     b: int = 0  # y-part, n bits
     m: int = 0  # w-part, n*n bits, row-major (i,j)
     t: int = 0  # t-part, n*n*(n-1)/2 bits, lexicographic (i,k,j), i<k
-
-    def key(self) -> tuple[int, int, int, int]:
-        """Block tuple used for the canonical element ordering."""
-        return (self.a, self.b, self.m, self.t)
 
 
 IDENTITY = Element()
@@ -125,22 +121,10 @@ class GroupContext:
             raise IndexError(f"generator index {sym} out of range for n={self.n}")
         raise ValueError(f"unknown generator kind {sym!r}")
 
-    def w_index(self, i: int, j: int) -> int:
-        """Bit position of the w-block entry (i,j), row-major."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexError(f"w index ({i},{j}) out of range for n={self.n}")
-        return (i - 1) * self.n + (j - 1)
-
     def pair_index(self, i: int, k: int) -> int:
         if not (1 <= i < k <= self.n):
             raise IndexError(f"pair ({i},{k}) needs 1 <= i < k <= n")
         return (i - 1) * (2 * self.n - i) // 2 + (k - i - 1)
-
-    def t_index(self, i: int, k: int, j: int) -> int:
-        """Bit position of the t-block entry (i,k,j), lexicographic, i<k."""
-        if not (1 <= j <= self.n):
-            raise IndexError(f"t index ({i},{k},{j}) out of range")
-        return self.pair_index(i, k) * self.n + (j - 1)
 
     # -- packing ----------------------------------------------------------
 
@@ -323,11 +307,6 @@ def comm(ctx: GroupContext, g: Element, h: Element) -> Element:
     return mul(ctx, mul(ctx, mul(ctx, inv(ctx, g), inv(ctx, h)), g), h)
 
 
-def abelianization(ctx: GroupContext, h: Element) -> tuple[int, int]:
-    """Image of h in the derived quotient: the (a, b) pair."""
-    return (h.a, h.b)
-
-
 def enumerate_elements(ctx: GroupContext) -> Iterator[Element]:
     """All 2^total_bits normal forms in increasing packed-encoding order."""
     if ctx.total_bits > DEFAULT_ENUM_CAP_BITS:
@@ -445,7 +424,7 @@ def generator_images(ctx: GroupContext, g1: GF2Matrix,
     """Image of every pc generator, in bit order, under the automorphism
     that the pair (g1, g2) induces: x_i goes to x^(row i of g1), y_j to
     y^(row j of g2), w_ij to [x_i', y_j'] (row-major) and t_(i,k,j) to
-    [w_ij', x_k'] for i < k (in ``t_index`` order)."""
+    [w_ij', x_k'] for i < k (lexicographic in (i, k, j))."""
     xs = [Element(a=row) for row in g1]
     ys = [Element(b=row) for row in g2]
     ws = [comm(ctx, x, y) for x in xs for y in ys]
@@ -471,14 +450,16 @@ class InducedAutomorphism:
         self.images = generator_images(self.ctx, self.g1, self.g2)
 
     def apply(self, h: Element) -> Element:
-        """Image of h: the product, in bit order, of the images of the pc
-        generators of its normal-form word."""
-        ctx, z = self.ctx, self.ctx.pack(h)
-        out = IDENTITY
-        for p, img in enumerate(self.images):
-            if z >> p & 1:
-                out = mul(ctx, out, img)
-        return out
+        """Image of h: the XOR of the packed images of the pc generators
+        of its word, which is their product in bit order while the x images
+        lie in X, the y images in Y and the w and t images in H' (a = b =
+        0), as :func:`generator_images` makes them: no x letter is moved."""
+        ctx, z, out = self.ctx, self.ctx.pack(h), 0
+        while z:
+            low = z & -z
+            z ^= low
+            out ^= ctx.pack(self.images[low.bit_length() - 1])
+        return ctx.unpack(out)
 
 
 def induced_automorphism(ctx: GroupContext, g1: Sequence[int],

@@ -5,13 +5,14 @@ coarsest equitable refinement, the radius-4 ball identity in the Cayley
 graph, and the semisymmetry certificate.
 
 Both actions are affine on coset keys, a key being a class block and an
-H' fibre: ``_key_permutation`` reads a scalar map (side, vertex id) ->
-vertex id at the fibre-0 key of each class and the unit-fibre keys of
-class 0, and extends it to every key as the XOR table of the class
-images and the XOR span of the unit-fibre images.  The right action's
-map is the scalar ``mul`` by h; the GL x GL action's is the scalar
-``InducedAutomorphism.apply``, a ``mul`` fold over the image table
-``aut.images`` (the image of every pc generator in bit order).  The same
+H' fibre: ``_key_permutation`` reads a scalar map vertex id -> vertex id
+at the fibre-0 key of each class and the unit-fibre keys of class 0,
+and extends it to every key as the XOR table of the class images and
+the XOR span of the unit-fibre images.  The right action's map is the
+scalar ``mul`` by h; the GL x GL action's is the scalar
+``InducedAutomorphism.apply``, an XOR over the image table ``aut.images``
+(the image of every pc generator in bit order) whose blocks ``_aut_map``
+checks once.  The same
 two maps drive ``check_local_2at`` on the 2-arcs read off
 ``graphs.coset_rows``, and ``gl_action`` recomputes a fixed sample of
 every permutation with its map.
@@ -91,22 +92,30 @@ from .group import (
 )
 
 VertexPermutation = np.ndarray
-VertexMap = Callable[[str, int], int]  # (side, vertex id) -> vertex id
+VertexMap = Callable[[int], int]  # vertex id -> vertex id, on its side
 
 
 # -- vertex actions -----------------------------------------------------------
 
 def _right_mult_map(ctx: GroupContext, g: Element) -> VertexMap:
     """The id of the coset of the representative times g."""
-    return lambda side, vid: coset_vertex(
-        ctx, side, mul(ctx, vertex_rep(ctx, vid), g))
+    half = _half(ctx)
+    return lambda vid: coset_vertex(
+        ctx, "XY"[vid >= half], mul(ctx, vertex_rep(ctx, vid), g))
 
 
 def _aut_map(ctx: GroupContext, aut: InducedAutomorphism) -> VertexMap:
     """The id of the coset of the representative's image under the scalar
-    ``aut.apply``."""
-    return lambda side, vid: coset_vertex(
-        ctx, side, aut.apply(vertex_rep(ctx, vid)))
+    ``aut.apply``, whose XOR needs every x image in X, every y image in Y
+    and every w or t image in H' (a = b = 0): else GraphConsistencyError."""
+    n, half, images = ctx.n, _half(ctx), aut.images
+    if not (all(img == Element(a=img.a) for img in images[:n])
+            and all(img == Element(b=img.b) for img in images[n:2 * n])
+            and not any(img.a or img.b for img in images[2 * n:])):
+        raise GraphConsistencyError("a generator image lies outside its "
+                                    "block of X, Y or H'")
+    return lambda vid: coset_vertex(
+        ctx, "XY"[vid >= half], aut.apply(vertex_rep(ctx, vid)))
 
 
 def _key_permutation(ctx: GroupContext, sigma: Sigma,
@@ -123,10 +132,10 @@ def _key_permutation(ctx: GroupContext, sigma: Sigma,
     half, n, dtype = sigma.half, ctx.n, _index_dtype(2 * sigma.half)
     units = [1 << (n + k) for k in range(ctx.dim_w + ctx.dim_t)]
     perm = []
-    for side, first in (("X", 0), ("Y", half)):
+    for first in (0, half):
         # Y ids are half + key, and the power of two half is above every
         # key bit, so it stays in the class images and cancels in offsets
-        probe = [image(side, first + key) for key in [*range(1 << n), *units]]
+        probe = [image(first + key) for key in [*range(1 << n), *units]]
         span = _xor_span([img ^ probe[0] for img in probe[1 << n:]], dtype)
         # key (d << n) | c is entry [d, c]
         perm.append(span[:, None] ^ np.array(probe[:1 << n], dtype=dtype))
@@ -172,11 +181,10 @@ def gl_action(ctx: GroupContext, sigma: Sigma,
     perm = _key_permutation(ctx, sigma, image)
     half = sigma.half
     sample = np.linspace(0, half - 1, GL_CROSS_CHECK).round().astype(int)
-    for side, first in (("X", 0), ("Y", half)):
-        for vid in (sample + first).tolist():
-            if image(side, vid) != perm[vid]:
-                raise GraphConsistencyError("affine key map disagrees with "
-                                            f"the scalar one at {vid}")
+    for vid in np.concatenate([sample, sample + half]).tolist():
+        if image(vid) != perm[vid]:
+            raise GraphConsistencyError("affine key map disagrees with "
+                                        f"the scalar one at {vid}")
     return perm
 
 
@@ -224,10 +232,10 @@ def orbit_closure(perms: Sequence[np.ndarray], points: Iterable[int],
 # -- local 2-arc machinery ---------------------------------------------------
 
 def _stabilizer_maps(ctx: GroupContext, side: str) -> list[VertexMap]:
-    """Generator maps (side, vertex id) -> vertex id for the stabilizer of
-    the base vertex of a side: right multiplications by that side's
-    generators plus the GL x GL generator pairs (two standard generators
-    per factor)."""
+    """Generator maps vertex id -> vertex id for the stabilizer of the
+    base vertex of a side: right multiplications by that side's generators
+    plus the GL x GL generator pairs (two standard generators per
+    factor)."""
     gens = _xy_generators(ctx)
     maps = [_right_mult_map(ctx, g) for g in (gens[:ctx.n] if side == "X"
                                               else gens[ctx.n:])]
@@ -265,15 +273,14 @@ def check_local_2at(ctx: GroupContext) -> dict:
     2-arc-transitivity at every root, without the full graph.
     """
     report: dict = {"n": ctx.n, "sides": {}}
-    ok, half = True, _half(ctx)
+    ok = True
     for side in ("X", "Y"):
         arcs = rooted_two_arcs(ctx, side)
         maps = _stabilizer_maps(ctx, side)
         index = {arc: i for i, arc in enumerate(arcs)}
         perms = []
         for m in maps:
-            image = {vid: m("XY"[vid >= half], vid)
-                     for vid in set().union(*arcs)}
+            image = {vid: m(vid) for vid in set().union(*arcs)}
             # a KeyError here means a generator moved the root
             perms.append(np.array([index[image[u], image[v], image[w]]
                                    for u, v, w in arcs]))

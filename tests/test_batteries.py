@@ -552,6 +552,23 @@ def test_rank4_suite_skips_only_the_named_checks():
                            "pass": len(rep.checks) - 17, "skip": 17}
 
 
+SNAPSHOTS = os.path.join(os.path.dirname(__file__), "snapshots")
+
+
+@pytest.mark.parametrize("n, samples, name", [
+    (2, 10000, "report-n2.json"),
+    (4, 1000, "report-n4-samples1000.json"),
+    (5, 1000, "report-n5-samples1000.json"),
+], ids=["n2", "n4", "n5"])
+def test_suite_reports_match_snapshots(n, samples, name):
+    # byte for byte the report of `mixdih verify --n N --suite all --json`
+    # (with --samples 1000 at n = 4 and 5); a change that alters a report
+    # on purpose writes the file anew with that command
+    with open(os.path.join(SNAPSHOTS, name), "rb") as fh:
+        want = fh.read()
+    assert run_suite(n, "all", samples=samples).to_json().encode() == want
+
+
 def test_rank6_suite_skips_only_the_named_checks():
     # the same caps hold at n = 6 (a = 138), where the 2-arc check's
     # scalar maps take most of the ~3 s

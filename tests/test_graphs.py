@@ -42,7 +42,6 @@ from mixdih.graphs import (
     parse_edgelist,
     quotient_by_derived,
     vertex_rep,
-    walk,
 )
 from mixdih.group import (
     CapExceededError,
@@ -184,8 +183,8 @@ def test_padded_table_of_irregular_graph_matches_lists(seed):
 
 # -- BFS -----------------------------------------------------------------------
 
-def deque_bfs(nv, pairs, root, max_depth):
-    """Reference: textbook queue BFS, no expansion past max_depth."""
+def deque_bfs(nv, pairs, root):
+    """Reference: textbook queue BFS."""
     adj = [[] for _ in range(nv)]
     for u, v in pairs:
         adj[u].append(v)
@@ -195,8 +194,6 @@ def deque_bfs(nv, pairs, root, max_depth):
     queue = deque([root])
     while queue:
         x = queue.popleft()
-        if max_depth is not None and dist[x] >= max_depth:
-            continue
         for y in adj[x]:
             if dist[y] < 0:
                 dist[y] = dist[x] + 1
@@ -226,22 +223,13 @@ def test_bfs_matches_deque_reference(monkeypatch, seed):
     roots = (order[0], order[cut2], order[-1], rng.randrange(nv))
     # at ROW_CHUNK = 1 the walk lists each layer over spans of 16 ids, so
     # 3 to 10 blocks list it and write its next layer concurrently, each
-    # stepping one id at a time; the depth-limited walks step over the
-    # same rows as bfs_distances
+    # stepping one id at a time
     for chunk in (graphs.ROW_CHUNK, 1):
         monkeypatch.setattr(graphs, "ROW_CHUNK", chunk)
         for root in roots:
-            for depth in (None, 0, 1, 2, 3):
-                dist = bfs_distances(g, root) if depth is None \
-                    else walk(rows_step(g), nv, [root], depth)
-                assert dist.dtype == np.int8  # one byte per id to depth 127
-                assert dist.tolist() == deque_bfs(nv, pairs, root, depth), \
-                    (chunk, root, depth)
-
-
-def rows_step(g):
-    """The walk step of BFS: a block's rows."""
-    return lambda block: np.take(g.rows, block, axis=0)
+            dist = bfs_distances(g, root)
+            assert dist.dtype == np.int8  # one byte per id to depth 127
+            assert dist.tolist() == deque_bfs(nv, pairs, root), (chunk, root)
 
 
 def path_pairs(nv):
@@ -255,15 +243,14 @@ def test_deep_walk_widens_its_distances_once():
     g = from_pairs(nv, path_pairs(nv))
     dist = bfs_distances(g, 0)
     assert dist.dtype == np.int32 and int(dist.max()) == nv - 1
-    assert dist.tolist() == deque_bfs(nv, path_pairs(nv), 0, None)
-    for depth, dtype in ((127, np.int8), (128, np.int32)):
-        dist = walk(rows_step(g), nv, [0], depth)
-        assert dist.dtype == dtype and int(dist.max()) == depth
-        assert dist.tolist() == deque_bfs(nv, path_pairs(nv), 0, depth)
+    assert dist.tolist() == deque_bfs(nv, path_pairs(nv), 0)
     # a walk whose last vertex is at depth 127 stays int8: the layer that
-    # finds no vertex widens nothing
+    # finds no vertex widens nothing; one more vertex, at depth 128,
+    # widens the record
     dist = bfs_distances(from_pairs(128, path_pairs(128)), 0)
     assert dist.dtype == np.int8 and dist.tolist() == list(range(128))
+    dist = bfs_distances(from_pairs(129, path_pairs(129)), 0)
+    assert dist.dtype == np.int32 and dist.tolist() == list(range(129))
 
 
 def torus(side):
@@ -425,7 +412,7 @@ def test_canonical_coset_y_minimal_by_enumeration(ctx2):
     for _ in range(200):
         h = ctx2.unpack(rng.getrandbits(10))
         members = [mul(ctx2, Element(b=b), h) for b in range(4)]
-        best = min(members, key=lambda e: e.key())
+        best = min(members)
         assert vertex_rep(ctx2, coset_vertex(ctx2, "Y", h)) == best
         assert best.b == 0
 
@@ -475,15 +462,16 @@ def test_sigma_stats(sigma2):
     assert g.num_vertices == 512
     assert g.num_edges == 1024
     assert set(g.degrees().tolist()) == {4}
-    assert int((g.sides == 0).sum()) == 256
-    assert int((g.sides == 1).sum()) == 256
+    sides = np.arange(g.num_vertices) >= g.half
+    assert int((sides == 0).sum()) == 256
+    assert int((sides == 1).sum()) == 256
     assert is_connected(g)
 
 
 def test_sigma_bipartite(sigma2):
     g = sigma2.graph
     eu, ev = g.edge_array()
-    assert np.all(g.sides[eu] != g.sides[ev])
+    assert np.all((eu >= g.half) != (ev >= g.half))
 
 
 def test_sigma_stores_its_sides_as_one_integer():
@@ -492,7 +480,8 @@ def test_sigma_stores_its_sides_as_one_integer():
     # the neighbor table is the only per-vertex array the graph holds
     assert [k for k, v in vars(g).items() if isinstance(v, np.ndarray)] \
         == ["rows"]
-    assert g.sides.tolist() == [0] * 256 + [1] * 256
+    assert (np.arange(g.num_vertices) >= g.half).tolist() == \
+        [False] * 256 + [True] * 256
 
 
 def test_coset_graph_stats_count_the_sides_from_the_rows(ctx2, sigma2):
@@ -667,10 +656,10 @@ def test_sigma_row_blocks_match_default_build(monkeypatch, sigma2):
     # are partial
     monkeypatch.setattr(graphs, "ROW_CHUNK", 7)
     blocked = build_sigma(context(2))
-    for got, want in ((blocked.graph.rows, sigma2.graph.rows),
-                      (blocked.graph.sides, sigma2.graph.sides)):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+    got, want = blocked.graph, sigma2.graph
+    assert got.rows.dtype == want.rows.dtype
+    assert np.array_equal(got.rows, want.rows)
+    assert got.half == want.half
 
 
 @pytest.mark.parametrize("resort", [False, True])
@@ -928,7 +917,7 @@ def test_quotient_matches_edge_reference(ctx2, sigma2):
     q = quotient_by_derived(ctx2)
     assert q.num_edges == ref.num_edges == 16
     assert np.array_equal(q.rows, ref.rows)
-    assert q.sides.tolist() == [0] * 4 + [1] * 4
+    assert q.half == 4 and q.num_vertices == 8
 
 
 def _edge_bijection(ctx, sigma):
@@ -1296,16 +1285,13 @@ def test_bfs_in_small_blocks_matches_default_chunks(monkeypatch, sigma2,
                                                    gamma2):
     # spans of 16 * 7 ids, stepped 7 frontier ids at a time, split each
     # BFS layer into 5 (sigma) or 10 (gamma) blocks on the pool: BFS from
-    # every 9th root (both sides of sigma), at every depth from every 99th,
-    # as at the default chunk (the build and the exports in small blocks
-    # are compared by test_sigma_row_blocks_match_default_build and
+    # every 9th root (both sides of sigma) as at the default chunk (the
+    # build and the exports in small blocks are compared by
+    # test_sigma_row_blocks_match_default_build and
     # test_export_matches_per_edge_reference)
     def runs(g):
         for root in range(0, g.num_vertices, 9):
             yield bfs_distances(g, root)
-            if root % 99 == 0:
-                yield from (walk(rows_step(g), g.num_vertices, [root], depth)
-                            for depth in range(11))
 
     want = [list(runs(g)) for g in (sigma2.graph, gamma2)]
     monkeypatch.setattr(graphs, "ROW_CHUNK", 7)

@@ -11,7 +11,6 @@ from mixdih.group import (
     EncodingError,
     IDENTITY,
     UnsupportedParameterError,
-    abelianization,
     comm,
     context,
     derived_basis,
@@ -54,6 +53,17 @@ def rand_elem(ctx, rng):
     return ctx.unpack(rng.getrandbits(ctx.total_bits))
 
 
+def w_bit(ctx, i, j):
+    """Bit of w_ij in the w block: its letter less the x and y blocks."""
+    return ctx.letter(("w", i, j)) - 2 * ctx.n
+
+
+def t_bit(ctx, i, k, j):
+    """Bit of t_(i,k,j) in the t block: its letter less the x, y and w
+    blocks."""
+    return ctx.letter(("t", i, k, j)) - 2 * ctx.n - ctx.dim_w
+
+
 # -- context ---------------------------------------------------------------
 
 def test_context_dimensions(ctx2, ctx3):
@@ -70,14 +80,26 @@ def test_context_rejects_small_n():
         context(0)
 
 
-def test_index_maps_bijective(ctx3):
-    n = ctx3.n
-    w_seen = {ctx3.w_index(i, j) for i in range(1, n + 1)
-              for j in range(1, n + 1)}
-    assert w_seen == set(range(ctx3.dim_w))
-    t_seen = {ctx3.t_index(i, k, j) for i in range(1, n + 1)
-              for k in range(i + 1, n + 1) for j in range(1, n + 1)}
-    assert t_seen == set(range(ctx3.dim_t))
+def test_letter_is_the_bit_table():
+    # at n = 2..7, letter maps bit_symbols one-to-one onto the bit
+    # positions, and each kind's symbols, in lexicographic index order,
+    # fill its block of pack from the lowest bit: x in a, y in b, w_ij
+    # row-major in m and t_(i,k,j), i < k, in t
+    for n in range(2, 8):
+        ctx = context(n)
+        r = range(1, n + 1)
+        blocks = [("a", [("x", i) for i in r]),
+                  ("b", [("y", j) for j in r]),
+                  ("m", [("w", i, j) for i in r for j in r]),
+                  ("t", [("t", i, k, j) for i in r for k in r if i < k
+                         for j in r])]
+        bits = [ctx.letter(sym) for sym in ctx.bit_symbols]
+        assert sorted(bits) == list(range(ctx.total_bits))
+        assert sorted(ctx.bit_symbols) == sorted(
+            sym for _, syms in blocks for sym in syms)
+        for field, syms in blocks:
+            assert [ctx.unpack(1 << ctx.letter(sym)) for sym in syms] == \
+                [Element(**{field: 1 << p}) for p in range(len(syms))]
 
 
 def test_pack_unpack_roundtrip(ctx3):
@@ -106,7 +128,7 @@ def test_mulgen_w_over_other_x(ctx2):
     # crossing x2 over w11 produces the (1,2,1) central element
     w11 = comm(ctx2, xgen(ctx2, 1), ygen(ctx2, 1))
     r = mul_gen(ctx2, w11, ("x", 2))
-    assert r == Element(a=2, m=1, t=1 << ctx2.t_index(1, 2, 1))
+    assert r == Element(a=2, m=1, t=1 << t_bit(ctx2, 1, 2, 1))
 
 
 def test_mulgen_bad_index(ctx2):
@@ -124,7 +146,7 @@ def test_mulgen_tau_symmetry_normalisation(ctx2):
     # [[x2,y1],x1] lands on the same basis element as [[x1,y1],x2]
     w21 = comm(ctx2, xgen(ctx2, 2), ygen(ctx2, 1))
     r = mul_gen(ctx2, w21, ("x", 1))
-    assert r.t == 1 << ctx2.t_index(1, 2, 1)
+    assert r.t == 1 << t_bit(ctx2, 1, 2, 1)
 
 
 # -- mul / inv / comm ----------------------------------------------------------
@@ -183,8 +205,8 @@ def test_comm_examples(ctx2):
     assert comm(ctx2, xgen(ctx2, 1), ygen(ctx2, 1)) == Element(m=1)
     assert comm(ctx2, xgen(ctx2, 1), xgen(ctx2, 2)) == IDENTITY
     c = comm(ctx2, mul(ctx2, xgen(ctx2, 1), xgen(ctx2, 2)), ygen(ctx2, 1))
-    assert c.m == (1 << ctx2.w_index(1, 1)) | (1 << ctx2.w_index(2, 1))
-    assert c.t == 1 << ctx2.t_index(1, 2, 1)  # exact value from collection
+    assert c.m == (1 << w_bit(ctx2, 1, 1)) | (1 << w_bit(ctx2, 2, 1))
+    assert c.t == 1 << t_bit(ctx2, 1, 2, 1)  # exact value from collection
 
 
 # -- words -------------------------------------------------------------------
@@ -206,15 +228,15 @@ def test_word_of_roundtrip(ctx3):
 
 def block_word(ctx, h):
     """Reference: the normal-form word read block by block through the
-    index maps."""
+    bit table."""
     n = ctx.n
     out = [("x", i) for i in range(1, n + 1) if h.a >> (i - 1) & 1]
     out += [("y", j) for j in range(1, n + 1) if h.b >> (j - 1) & 1]
     out += [("w", i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-            if h.m >> ctx.w_index(i, j) & 1]
+            if h.m >> w_bit(ctx, i, j) & 1]
     out += [("t", i, k, j) for i in range(1, n + 1)
             for k in range(i + 1, n + 1) for j in range(1, n + 1)
-            if h.t >> ctx.t_index(i, k, j) & 1]
+            if h.t >> t_bit(ctx, i, k, j) & 1]
     return out
 
 
@@ -270,17 +292,17 @@ def test_asymmetric_collection_breaks_group_laws(mutant):
 
 def test_abelianization_examples(ctx2):
     w11 = comm(ctx2, xgen(ctx2, 1), ygen(ctx2, 1))
-    assert abelianization(ctx2, w11) == (0, 0)
+    assert (w11.a, w11.b) == (0, 0)
     h = mul(ctx2, xgen(ctx2, 1), ygen(ctx2, 2))
-    assert abelianization(ctx2, h) == (1, 2)
+    assert (h.a, h.b) == (1, 2)
 
 
 def test_abelianization_surjective_kernel_exact(ctx2):
     images = set()
     kernel = []
     for h in enumerate_elements(ctx2):
-        images.add(abelianization(ctx2, h))
-        if abelianization(ctx2, h) == (0, 0):
+        images.add((h.a, h.b))
+        if (h.a, h.b) == (0, 0):
             kernel.append(h)
     assert len(images) == 16
     assert len(kernel) == 64
@@ -380,7 +402,7 @@ def test_induced_automorphism_swap(ctx2):
     # swapping x1 <-> x2 sends w11 to w21
     aut = induced_automorphism(ctx2, (2, 1), gf2_identity(2))
     w11 = comm(ctx2, xgen(ctx2, 1), ygen(ctx2, 1))
-    assert aut.apply(w11) == Element(m=1 << ctx2.w_index(2, 1))
+    assert aut.apply(w11) == Element(m=1 << w_bit(ctx2, 2, 1))
 
 
 def test_induced_automorphism_rejects_singular(ctx2):
@@ -428,12 +450,12 @@ def per_kind_apply(ctx, imgs, h):
     return out
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_image_table_matches_per_kind_reference(n):
     ctx = context(n)
     mats = gl_enumerate(2)
     pairs = ([(g1, g2) for g1 in mats for g2 in mats] if n == 2
-             else gl_generator_pairs(3))
+             else gl_generator_pairs(n))
     assert len(pairs) == (36 if n == 2 else 4)
     rng = random.Random(11)
     for g1, g2 in pairs:
