@@ -26,11 +26,13 @@ the rule is one helper that moves x letters left past a y, w and t
 block, one x_k at a time.  The one-letter step :func:`mul_gen` runs it
 for the x bits and toggles any other bit; :func:`mul` and :func:`inv`
 run it too, and everything else (comm, word evaluation) is built on
-those.  An automorphism induced by GL_n(2) x GL_n(2) is its table
-:func:`generator_images`, the image of every pc generator in bit order;
-its ``apply`` XORs the packed images of the set bits.  The closed
-form of a whole product (outer, phi and psi terms at once) lives only in
-the packed kernel of ``bulk.py``.
+those.  Every GF(2)-linear map on packed bits is one :func:`xor_fold`,
+the XOR of its images of the set bits: ``outer``, :func:`gf2_mat_mul`
+and the automorphism induced by GL_n(2) x GL_n(2), whose table
+:func:`generator_images` (the image of every pc generator in bit order)
+its ``apply`` folds, packed once.  The closed form of a whole product
+(outer, phi and psi terms at once) lives only in the packed kernel of
+``bulk.py``.
 """
 
 from __future__ import annotations
@@ -173,14 +175,7 @@ class GroupContext:
     def outer(self, a: int, b: int) -> int:
         """w-block of y^b x^a collected (and of [x^a, y^b]): row k is b
         for each set bit k of a."""
-        n, m = self.n, 0
-        aa = a
-        while aa:
-            low = aa & -aa
-            aa ^= low
-            k = low.bit_length()  # 1-based row
-            m ^= b << ((k - 1) * n)
-        return m
+        return xor_fold([b << (k * self.n) for k in range(self.n)], a)
 
     def phi(self, m: int, a: int) -> int:
         """t-block picked up when x^a crosses w^m during collection."""
@@ -208,6 +203,17 @@ class GroupContext:
 
     def __repr__(self) -> str:
         return f"GroupContext(n={self.n}, total_bits={self.total_bits})"
+
+
+def xor_fold(images: Sequence[int], s: int) -> int:
+    """The XOR of images[k] over the set bits k of s: the GF(2)-linear map
+    with these images of the unit vectors, at s."""
+    out = 0
+    while s:
+        low = s & -s
+        s ^= low
+        out ^= images[low.bit_length() - 1]
+    return out
 
 
 def context(n: int) -> GroupContext:
@@ -362,15 +368,7 @@ def gf2_identity(n: int) -> GF2Matrix:
 
 def gf2_mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
     """Row-vector convention: (ab)[i] = sum of b[j] over set bits j of a[i]."""
-    out = []
-    for row in a:
-        acc, rr = 0, row
-        while rr:
-            low = rr & -rr
-            rr ^= low
-            acc ^= b[low.bit_length() - 1]
-        out.append(acc)
-    return tuple(out)
+    return tuple(xor_fold(b, row) for row in a)
 
 
 def gf2_rank(rows: Iterable[int]) -> int:
@@ -436,30 +434,27 @@ def generator_images(ctx: GroupContext, g1: GF2Matrix,
 @dataclass
 class InducedAutomorphism:
     """Automorphism induced by a pair of GL_n(2) matrices on X and Y,
-    held as its table ``images`` of :func:`generator_images`."""
+    held as its table ``images`` of :func:`generator_images`, packed."""
 
     ctx: GroupContext
     g1: GF2Matrix
     g2: GF2Matrix
     images: list[Element] = field(init=False, repr=False)
+    _packed: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.ctx.n
         if not (gf2_is_invertible(self.g1, n) and gf2_is_invertible(self.g2, n)):
             raise ValueError("induced automorphism needs invertible matrices")
         self.images = generator_images(self.ctx, self.g1, self.g2)
+        self._packed = [self.ctx.pack(img) for img in self.images]
 
     def apply(self, h: Element) -> Element:
-        """Image of h: the XOR of the packed images of the pc generators
-        of its word, which is their product in bit order while the x images
+        """Image of h: the ``xor_fold`` of the packed images over pack(h),
+        the product of its letters' images in bit order while the x images
         lie in X, the y images in Y and the w and t images in H' (a = b =
-        0), as :func:`generator_images` makes them: no x letter is moved."""
-        ctx, z, out = self.ctx, self.ctx.pack(h), 0
-        while z:
-            low = z & -z
-            z ^= low
-            out ^= ctx.pack(self.images[low.bit_length() - 1])
-        return ctx.unpack(out)
+        0), as :func:`generator_images` makes them: no x letter moves."""
+        return self.ctx.unpack(xor_fold(self._packed, self.ctx.pack(h)))
 
 
 def induced_automorphism(ctx: GroupContext, g1: Sequence[int],

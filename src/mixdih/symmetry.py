@@ -5,17 +5,15 @@ coarsest equitable refinement, the radius-4 ball identity in the Cayley
 graph, and the semisymmetry certificate.
 
 Both actions are affine on coset keys, a key being a class block and an
-H' fibre: ``_key_permutation`` reads a scalar map vertex id -> vertex id
-at the fibre-0 key of each class and the unit-fibre keys of class 0,
-and extends it to every key as the XOR table of the class images and
-the XOR span of the unit-fibre images.  The right action's map is the
-scalar ``mul`` by h; the GL x GL action's is the scalar
-``InducedAutomorphism.apply``, an XOR over the image table ``aut.images``
-(the image of every pc generator in bit order) whose blocks ``_aut_map``
-checks once.  The same
-two maps drive ``check_local_2at`` on the 2-arcs read off
-``graphs.coset_rows``, and ``gl_action`` recomputes a fixed sample of
-every permutation with its map.
+H' fibre: ``_affine_keys`` reads a scalar map vertex id -> vertex id at
+the fibre-0 key of each class and the unit-fibre keys of class 0, for
+the class images and unit-fibre offsets.  ``_key_permutation`` extends
+them to every key, ``check_local_2at`` to the 2-arc vertices read off
+``graphs.coset_rows`` (a ``group.xor_fold`` each).  The scalar map is
+``mul`` by h for a right action and ``InducedAutomorphism.apply`` for a
+GL x GL pair, an XOR over the image table ``aut.images`` whose blocks
+``_aut_map`` checks once; ``gl_action`` and ``check_local_2at``
+recompute a sample with it (``_cross_check``).
 
 Each shared graph algorithm has one implementation.  The one frontier
 walk, ``graphs.walk`` over dense ids, serves BFS (``graphs.bfs_distances``
@@ -88,6 +86,7 @@ from .group import (
     induced_automorphism,
     mul,
     xgen,
+    xor_fold,
     ygen,
 )
 
@@ -118,28 +117,36 @@ def _aut_map(ctx: GroupContext, aut: InducedAutomorphism) -> VertexMap:
         ctx, "XY"[vid >= half], aut.apply(vertex_rep(ctx, vid)))
 
 
-def _key_permutation(ctx: GroupContext, sigma: Sigma,
-                     image: VertexMap) -> VertexPermutation:
-    """Vertex permutation of a side-preserving map ``image`` that is affine
-    on coset keys, read off 2^n + u probe keys per side.
+def _affine_keys(ctx: GroupContext,
+                 image: VertexMap) -> list[tuple[list[int], list[int]]]:
+    """Per side (X, then Y), the class images C and unit-fibre offsets of
+    a side-preserving map ``image``, read off 2^n + u probe keys.
 
     A key is a class (its low n bits) and an H' fibre (the u bits above).
-    Right multiplications and the GL x GL pairs send key (c, d) to
-    C[c] ^ L(d), C the images of the fibre-0 keys and L linear over GF(2),
-    so ``image`` is read at those keys and at the unit-fibre keys of class
-    0, whose offsets from C[0] span L.  int32 wherever the ids fit.
+    Right multiplications and the GL x GL pairs send key (d << n) | c to
+    C[c] ^ xor_fold(offsets, d): C holds the images of the fibre-0 keys,
+    the offsets those of the unit-fibre keys of class 0 from C[0].
     """
-    half, n, dtype = sigma.half, ctx.n, _index_dtype(2 * sigma.half)
+    half, n = _half(ctx), ctx.n
     units = [1 << (n + k) for k in range(ctx.dim_w + ctx.dim_t)]
-    perm = []
+    sides = []
     for first in (0, half):
         # Y ids are half + key, and the power of two half is above every
         # key bit, so it stays in the class images and cancels in offsets
         probe = [image(first + key) for key in [*range(1 << n), *units]]
-        span = _xor_span([img ^ probe[0] for img in probe[1 << n:]], dtype)
-        # key (d << n) | c is entry [d, c]
-        perm.append(span[:, None] ^ np.array(probe[:1 << n], dtype=dtype))
-    return np.concatenate(perm).ravel()
+        sides.append((probe[:1 << n],
+                      [img ^ probe[0] for img in probe[1 << n:]]))
+    return sides
+
+
+def _key_permutation(ctx: GroupContext, sigma: Sigma,
+                     image: VertexMap) -> VertexPermutation:
+    """Vertex permutation of a map affine on coset keys: ``_affine_keys``
+    on every key (d << n) | c, entry [d, c].  int32 wherever ids fit."""
+    dtype = _index_dtype(2 * sigma.half)
+    return np.concatenate([(_xor_span(offsets, dtype)[:, None]
+                            ^ np.array(classes, dtype=dtype)).ravel()
+                           for classes, offsets in _affine_keys(ctx, image)])
 
 
 def right_action(ctx: GroupContext, sigma: Sigma, h: Element) -> VertexPermutation:
@@ -165,26 +172,32 @@ def generator_actions(ctx: GroupContext,
     return [right_action(ctx, sigma, h) for h in _xy_generators(ctx)]
 
 
-GL_CROSS_CHECK = 16  # vertices per side recomputed by the scalar oracle
+GL_CROSS_CHECK = 16  # scalar recomputations per side or 2-arc generator
+
+
+def _cross_check(image: VertexMap, affine, ids: Sequence[int]) -> None:
+    """The scalar map ``image`` recomputes GL_CROSS_CHECK of the sorted
+    ``ids``, first to last, spread evenly by integer arithmetic (ids pass
+    2^63 from n = 5), against the affine map ``affine`` indexed by id: a
+    disagreement raises GraphConsistencyError."""
+    for i in range(GL_CROSS_CHECK):
+        vid = ids[i * (len(ids) - 1) // (GL_CROSS_CHECK - 1)]
+        if image(vid) != affine[vid]:
+            raise GraphConsistencyError("affine key map disagrees with "
+                                        f"the scalar one at {vid}")
 
 
 def gl_action(ctx: GroupContext, sigma: Sigma,
               aut: InducedAutomorphism) -> VertexPermutation:
     """Vertex permutation from an induced automorphism (fixes the two base
     vertices and the side partition): the ``_key_permutation`` of the
-    scalar ``InducedAutomorphism.apply``.  The scalar map recomputes
-    GL_CROSS_CHECK evenly spread keys per side, from the base vertex to
-    the key with every block set, against the affine extension; a
-    disagreement raises GraphConsistencyError.
+    scalar ``InducedAutomorphism.apply``, with a ``_cross_check`` of the
+    keys of each side, from the base vertex to the key with every bit set.
     """
     image = _aut_map(ctx, aut)
     perm = _key_permutation(ctx, sigma, image)
-    half = sigma.half
-    sample = np.linspace(0, half - 1, GL_CROSS_CHECK).round().astype(int)
-    for vid in np.concatenate([sample, sample + half]).tolist():
-        if image(vid) != perm[vid]:
-            raise GraphConsistencyError("affine key map disagrees with "
-                                        f"the scalar one at {vid}")
+    for first in (0, sigma.half):
+        _cross_check(image, perm, range(first, first + sigma.half))
     return perm
 
 
@@ -266,21 +279,26 @@ def check_local_2at(ctx: GroupContext) -> dict:
     """Transitivity of the base-vertex stabilizers on rooted 2-arcs.
 
     The stabilizer generators (right multiplications by the side's
-    subgroup, plus the GL x GL pairs) act on the 2-arcs rooted at the base
-    vertex of each side, each scalar map run once per vertex of the arcs;
-    the check passes iff each side yields a single orbit.  Vertex
+    subgroup, plus the GL x GL pairs) map the vertices of the 2-arcs
+    rooted at the base vertex of each side by their ``_affine_keys``,
+    with a ``_cross_check`` of the sorted vertices per generator.  The
+    check passes iff each side yields a single orbit.  Vertex
     transitivity of the group on each side then certifies local
     2-arc-transitivity at every root, without the full graph.
     """
-    report: dict = {"n": ctx.n, "sides": {}}
-    ok = True
+    n, half, low = ctx.n, _half(ctx), (1 << ctx.n) - 1
+    report: dict = {"n": n, "sides": {}}
     for side in ("X", "Y"):
         arcs = rooted_two_arcs(ctx, side)
-        maps = _stabilizer_maps(ctx, side)
         index = {arc: i for i, arc in enumerate(arcs)}
+        verts = sorted(set().union(*arcs))
         perms = []
-        for m in maps:
-            image = {vid: m(vid) for vid in set().union(*arcs)}
+        for m in _stabilizer_maps(ctx, side):
+            affine, image = _affine_keys(ctx, m), {}
+            for vid in verts:  # key (d << n) | c is vid % half
+                cls, offs = affine[vid >= half]
+                image[vid] = cls[vid & low] ^ xor_fold(offs, vid % half >> n)
+            _cross_check(m, image, verts)
             # a KeyError here means a generator moved the root
             perms.append(np.array([index[image[u], image[v], image[w]]
                                    for u, v, w in arcs]))
@@ -289,16 +307,13 @@ def check_local_2at(ctx: GroupContext) -> dict:
         while not seen.all():  # one closure per orbit
             seen |= orbit_closure(perms, [int(np.argmin(seen))], len(arcs))
             count += 1
-        expected = (1 << ctx.n) * ((1 << ctx.n) - 1)
         report["sides"][side] = {
             "two_arcs": len(arcs),
-            "expected_two_arcs": expected,
             "orbits": count,
-            "pass": (count == 1 and len(arcs) == expected
+            "pass": (count == 1 and len(arcs) == (1 << n) * ((1 << n) - 1)
                      and all(map(is_permutation, perms))),
         }
-        ok = ok and report["sides"][side]["pass"]
-    report["pass"] = ok
+    report["pass"] = all(entry["pass"] for entry in report["sides"].values())
     return report
 
 

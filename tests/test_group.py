@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from mixdih.bulk import _xor_span
 from mixdih.group import (
     CapExceededError,
     Element,
@@ -35,6 +36,7 @@ from mixdih.group import (
     verify_presentation,
     word_of,
     xgen,
+    xor_fold,
     ygen,
 )
 
@@ -388,6 +390,29 @@ def test_gl_generators_generate(n):
         frontier = nxt
     order = {2: 6, 3: 168, 4: 20160}[n]
     assert len(seen) == order
+
+
+def test_xor_fold_is_the_xor_span():
+    # entry s of the span is the fold at s, for every s
+    rng = random.Random(12)
+    for width in (0, 1, 5, 9):
+        images = [rng.getrandbits(100) for _ in range(width)]
+        span = _xor_span(images, object)
+        assert [xor_fold(images, s) for s in range(1 << width)] == \
+            span.tolist()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_outer_matches_a_row_loop(n):
+    # row k of the w block is b for each set bit k of a, row by row
+    ctx = context(n)
+    for a in range(1 << n):
+        for b in range(1 << n):
+            want = 0
+            for k in range(n):
+                if a >> k & 1:
+                    want ^= b << (k * n)
+            assert ctx.outer(a, b) == want, (a, b)
 
 
 def test_induced_automorphism_identity(ctx2):

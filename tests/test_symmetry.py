@@ -23,6 +23,7 @@ from mixdih.group import (
     induced_automorphism,
     mul,
     xgen,
+    xor_fold,
     ygen,
 )
 from mixdih.symmetry import (
@@ -704,6 +705,65 @@ def test_local_2at_fails_without_gl(monkeypatch):
     rep = check_local_2at(context(2))
     assert not rep["pass"]
     assert rep["sides"]["X"]["orbits"] > 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_affine_keys_match_the_scalar_maps_on_the_arcs(n):
+    # the per-vertex route: every stabilizer generator's scalar map on
+    # every vertex of the 2-arcs of both sides, against the affine map
+    # C[c] ^ xor_fold(offsets, d) of key (d << n) | c
+    ctx = context(n)
+    half = graphs._half(ctx)
+    for side in ("X", "Y"):
+        verts = set().union(*rooted_two_arcs(ctx, side))
+        for m in symmetry._stabilizer_maps(ctx, side):
+            affine = symmetry._affine_keys(ctx, m)
+            for vid in verts:
+                classes, offsets = affine[vid >= half]
+                key = vid - half if vid >= half else vid
+                assert m(vid) == classes[key % (1 << n)] ^ \
+                    xor_fold(offsets, key >> n), (n, side, vid)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_local_2at_calls_the_scalar_maps_only_at_probes_and_samples(
+        n, monkeypatch):
+    # 2(2^n + u) probe keys and GL_CROSS_CHECK sampled arc vertices per
+    # generator, whatever the number of arc vertices
+    ctx = context(n)
+    real, calls = symmetry._stabilizer_maps, Counter()
+    monkeypatch.setattr(symmetry, "_stabilizer_maps", lambda ctx, side: [
+        lambda vid, m=m, key=(side, i): calls.update([key]) or m(vid)
+        for i, m in enumerate(real(ctx, side))])
+    assert check_local_2at(ctx)["pass"]
+    per_generator = 2 * ((1 << n) + ctx.dim_w + ctx.dim_t) + GL_CROSS_CHECK
+    gens = n + len(gl_generator_pairs(n))
+    assert calls == {(side, i): per_generator
+                     for side in ("X", "Y") for i in range(gens)}
+
+
+def test_local_2at_rejects_a_map_wrong_at_a_sampled_vertex(monkeypatch):
+    ctx = context(2)
+    real = symmetry._stabilizer_maps
+    first, seen = real(ctx, "X")[0], []
+    monkeypatch.setattr(symmetry, "_stabilizer_maps", lambda ctx, side: [
+        lambda vid: seen.append(vid) or first(vid)] if side == "X" else [])
+    check_local_2at(ctx)
+    # the calls past the probes are the sampled arc vertices
+    probes = 2 * ((1 << ctx.n) + ctx.dim_w + ctx.dim_t)
+    assert len(seen) == probes + GL_CROSS_CHECK
+    target = next(v for v in seen[probes:] if v not in seen[:probes])
+    monkeypatch.setattr(symmetry, "_stabilizer_maps", lambda ctx, side: [
+        lambda vid, m=m: m(vid) ^ (vid == target) for m in real(ctx, side)])
+    with pytest.raises(GraphConsistencyError):
+        check_local_2at(ctx)
+    report = run_suite(2, "symmetry", samples=10)
+    status = {c.name: c.status for c in report.checks}
+    assert status["local-2-arc-transitivity"] == "fail"
+    assert [c.actual for c in report.checks
+            if c.name == "local-2-arc-transitivity"] == [
+        "GraphConsistencyError: affine key map disagrees with the scalar "
+        f"one at {target}"]
 
 
 # -- distance diagrams -----------------------------------------------------------------
