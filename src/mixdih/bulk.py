@@ -16,11 +16,16 @@ import numpy as np
 from .group import _TABLE_MAX_N, Element, GroupContext, mul
 
 
-def _xor_span(images: list[int], dtype) -> np.ndarray:
-    """Entry s is the XOR of images[k] over the set bits k of s."""
-    out = np.zeros(1, dtype=dtype)
-    for img in images:
-        out = np.concatenate([out, out ^ img])
+def xor_fold_array(images: list[int], s: np.ndarray, dtype) -> np.ndarray:
+    """Entry i is the ``group.xor_fold`` of images at s[i]: the XOR of
+    images[k] over the set bits k of s[i], read off the XOR span of
+    log2 len(s) images at a time (at s = arange(2^k), the span of k)."""
+    out, w = np.zeros(len(s), dtype=dtype), max(1, len(s).bit_length() - 1)
+    for lo in range(0, len(images), w):
+        span = np.zeros(1, dtype=dtype)
+        for img in images[lo:lo + w]:
+            span = np.concatenate([span, span ^ img])
+        out ^= _gather(span, s >> lo & len(span) - 1)
     return out
 
 

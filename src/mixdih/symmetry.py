@@ -8,10 +8,10 @@ Both actions are affine on coset keys, a key being a class block and an
 H' fibre: ``_affine_keys`` reads a scalar map vertex id -> vertex id at
 the fibre-0 key of each class and the unit-fibre keys of class 0, for
 the class images and unit-fibre offsets.  ``_key_permutation`` extends
-them to every key, ``check_local_2at`` to the 2-arc vertices read off
-``graphs.coset_rows`` (a ``group.xor_fold`` each).  The scalar map is
-``mul`` by h for a right action and ``InducedAutomorphism.apply`` for a
-GL x GL pair, an XOR over the image table ``aut.images`` whose blocks
+them to every key and ``check_local_2at`` to the 2-arc vertices read off
+``graphs.coset_rows``, both by ``bulk.xor_fold_array``.  The scalar map
+is ``mul`` by h for a right action and ``InducedAutomorphism.apply`` for
+a GL x GL pair, an XOR over the image table ``aut.images`` whose blocks
 ``_aut_map`` checks once; ``gl_action`` and ``check_local_2at``
 recompute a sample with it (``_cross_check``).
 
@@ -60,7 +60,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bulk import _xor_span, packed_ops
+from .bulk import _gather, packed_ops, xor_fold_array
 from .graphs import (
     GraphConsistencyError,
     GraphData,
@@ -86,7 +86,6 @@ from .group import (
     induced_automorphism,
     mul,
     xgen,
-    xor_fold,
     ygen,
 )
 
@@ -143,8 +142,8 @@ def _key_permutation(ctx: GroupContext, sigma: Sigma,
                      image: VertexMap) -> VertexPermutation:
     """Vertex permutation of a map affine on coset keys: ``_affine_keys``
     on every key (d << n) | c, entry [d, c].  int32 wherever ids fit."""
-    dtype = _index_dtype(2 * sigma.half)
-    return np.concatenate([(_xor_span(offsets, dtype)[:, None]
+    dtype, fibres = _index_dtype(2 * sigma.half), np.arange(sigma.half >> ctx.n)
+    return np.concatenate([(xor_fold_array(offsets, fibres, dtype)[:, None]
                             ^ np.array(classes, dtype=dtype)).ravel()
                            for classes, offsets in _affine_keys(ctx, image)])
 
@@ -175,16 +174,16 @@ def generator_actions(ctx: GroupContext,
 GL_CROSS_CHECK = 16  # scalar recomputations per side or 2-arc generator
 
 
-def _cross_check(image: VertexMap, affine, ids: Sequence[int]) -> None:
+def _cross_check(image: VertexMap, ids: Sequence, images: Sequence) -> None:
     """The scalar map ``image`` recomputes GL_CROSS_CHECK of the sorted
     ``ids``, first to last, spread evenly by integer arithmetic (ids pass
-    2^63 from n = 5), against the affine map ``affine`` indexed by id: a
-    disagreement raises GraphConsistencyError."""
+    2^63 from n = 5), against their affine ``images``, a parallel
+    sequence: a disagreement raises GraphConsistencyError."""
     for i in range(GL_CROSS_CHECK):
-        vid = ids[i * (len(ids) - 1) // (GL_CROSS_CHECK - 1)]
-        if image(vid) != affine[vid]:
+        at = i * (len(ids) - 1) // (GL_CROSS_CHECK - 1)
+        if image(int(ids[at])) != images[at]:
             raise GraphConsistencyError("affine key map disagrees with "
-                                        f"the scalar one at {vid}")
+                                        f"the scalar one at {ids[at]}")
 
 
 def gl_action(ctx: GroupContext, sigma: Sigma,
@@ -196,8 +195,8 @@ def gl_action(ctx: GroupContext, sigma: Sigma,
     """
     image = _aut_map(ctx, aut)
     perm = _key_permutation(ctx, sigma, image)
-    for first in (0, sigma.half):
-        _cross_check(image, perm, range(first, first + sigma.half))
+    for first, images in zip((0, sigma.half), np.split(perm, 2)):
+        _cross_check(image, range(first, first + sigma.half), images)
     return perm
 
 
@@ -256,52 +255,57 @@ def _stabilizer_maps(ctx: GroupContext, side: str) -> list[VertexMap]:
                    for pair in gl_generator_pairs(ctx.n)]
 
 
-def rooted_two_arcs(ctx: GroupContext,
-                    side: str) -> list[tuple[int, int, int]]:
+def rooted_two_arcs(ctx: GroupContext, side: str) -> np.ndarray:
     """All 2-arcs (u, v, w), u != w, starting at the base vertex u of the
-    given side, as vertex-id triples read off the closed-form rows
-    ``graphs.coset_rows``: the base vertex's row, then each neighbor's."""
+    given side, in increasing order: an (A, 3) array of vertex ids in the
+    packed dtype, read off the sorted rows ``graphs.coset_rows``, the base
+    vertex's row, then each neighbor's."""
     half, ops = _half(ctx), packed_ops(ctx)
 
-    def rows(side: str, vids: list[int]) -> list[list[int]]:
+    def rows(side: str, vids: np.ndarray) -> np.ndarray:
         first = 0 if side == "X" else half  # an X row holds Y keys
-        keys = np.array(vids, dtype=ops.dtype) - ops.scalar(first)
-        return (coset_rows(ctx, side, keys) + (half - first)).tolist()
+        return coset_rows(ctx, side, vids - first) + (half - first)
 
-    root = coset_vertex(ctx, side, IDENTITY)
-    middles = rows(side, [root])[0]
+    root = np.array([coset_vertex(ctx, side, IDENTITY)], dtype=ops.dtype)
+    middles = rows(side, root)[0]
     ends = rows("Y" if side == "X" else "X", middles)
-    return [(root, v, w) for v, row in zip(middles, ends)
-            for w in row if w != root]
+    arcs = np.stack(np.broadcast_arrays(root, middles[:, None], ends), -1)
+    return arcs[ends != root]
 
 
 def check_local_2at(ctx: GroupContext) -> dict:
     """Transitivity of the base-vertex stabilizers on rooted 2-arcs.
 
     The stabilizer generators (right multiplications by the side's
-    subgroup, plus the GL x GL pairs) map the vertices of the 2-arcs
-    rooted at the base vertex of each side by their ``_affine_keys``,
-    with a ``_cross_check`` of the sorted vertices per generator.  The
+    subgroup, plus the GL x GL pairs) map the sorted vertices of the
+    2-arcs rooted at the base vertex of each side by their
+    ``_affine_keys``, with a ``_cross_check`` per generator, and an arc
+    mapped onto no rooted 2-arc raises GraphConsistencyError.  The
     check passes iff each side yields a single orbit.  Vertex
     transitivity of the group on each side then certifies local
     2-arc-transitivity at every root, without the full graph.
     """
-    n, half, low = ctx.n, _half(ctx), (1 << ctx.n) - 1
+    n, half, ops = ctx.n, _half(ctx), packed_ops(ctx)
     report: dict = {"n": n, "sides": {}}
     for side in ("X", "Y"):
         arcs = rooted_two_arcs(ctx, side)
-        index = {arc: i for i, arc in enumerate(arcs)}
-        verts = sorted(set().union(*arcs))
+        verts, pos = np.unique(arcs, return_inverse=True)
+        pos, base = pos.reshape(arcs.shape), [len(verts) ** 2, len(verts), 1]
+        codes = pos @ base  # vertex positions in base len(verts): ascending
+        keys = (verts[verts < half], verts[verts >= half] - half)
         perms = []
         for m in _stabilizer_maps(ctx, side):
-            affine, image = _affine_keys(ctx, m), {}
-            for vid in verts:  # key (d << n) | c is vid % half
-                cls, offs = affine[vid >= half]
-                image[vid] = cls[vid & low] ^ xor_fold(offs, vid % half >> n)
-            _cross_check(m, image, verts)
-            # a KeyError here means a generator moved the root
-            perms.append(np.array([index[image[u], image[v], image[w]]
-                                   for u, v, w in arcs]))
+            image = np.concatenate([
+                _gather(np.array(cls, dtype=ops.dtype), key & ops.mask_n)
+                ^ xor_fold_array(offsets, key >> ops.sn, ops.dtype)
+                for (cls, offsets), key in zip(_affine_keys(ctx, m), keys)])
+            _cross_check(m, verts, image)
+            perm = np.searchsorted(codes, np.searchsorted(verts, image)[pos]
+                                   @ base) % len(arcs)
+            if not np.array_equal(arcs[perm], image[pos]):
+                raise GraphConsistencyError("a stabilizer generator maps a "
+                                            "rooted 2-arc off the 2-arcs")
+            perms.append(perm)
         # a closure is an orbit only under permutations
         seen, count = np.zeros(len(arcs), dtype=bool), 0
         while not seen.all():  # one closure per orbit

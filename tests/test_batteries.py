@@ -570,8 +570,7 @@ def test_suite_reports_match_snapshots(n, samples, name):
 
 
 def test_rank6_suite_skips_only_the_named_checks():
-    # the same caps hold at n = 6 (a = 138), where the 2-arc check's
-    # scalar maps take most of the ~3 s
+    # the same caps hold at n = 6 (a = 138)
     rep = run_suite(6, "all", samples=1000)
     assert [c.name for c in rep.checks if c.status == "skip"] == \
         SKIPPED_AT_RANK4

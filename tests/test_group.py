@@ -3,9 +3,10 @@ commutators, the presentation, automorphisms and encodings."""
 
 import random
 
+import numpy as np
 import pytest
 
-from mixdih.bulk import _xor_span
+from mixdih.bulk import xor_fold_array
 from mixdih.group import (
     CapExceededError,
     Element,
@@ -393,13 +394,24 @@ def test_gl_generators_generate(n):
 
 
 def test_xor_fold_is_the_xor_span():
-    # entry s of the span is the fold at s, for every s
+    # entry i of the array fold is the scalar fold at s[i], for maps of
+    # 0 to 100 bits into object and int64 words, over inputs of 0 to 4096
+    # entries (spans of 1 to 12 images, and a narrower last slice); at
+    # s = arange(2^k) it is the whole span
     rng = random.Random(12)
-    for width in (0, 1, 5, 9):
-        images = [rng.getrandbits(100) for _ in range(width)]
-        span = _xor_span(images, object)
-        assert [xor_fold(images, s) for s in range(1 << width)] == \
-            span.tolist()
+    for dtype, image_bits in ((object, 100), (np.int64, 62)):
+        for width in (0, 1, 5, 9, 100):
+            images = [rng.getrandbits(image_bits) for _ in range(width)]
+            s_dtype = object if width > 62 else np.int64
+            for length in (0, 1, 7, 4096):
+                s = [rng.getrandbits(width) for _ in range(length)]
+                got = xor_fold_array(images, np.array(s, dtype=s_dtype), dtype)
+                assert got.dtype == dtype
+                assert got.tolist() == [xor_fold(images, x) for x in s]
+            if width <= 9:
+                span = xor_fold_array(images, np.arange(1 << width), dtype)
+                assert span.tolist() == [xor_fold(images, x)
+                                         for x in range(1 << width)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

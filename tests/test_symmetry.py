@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mixdih import graphs, symmetry
+from mixdih import bulk, graphs, symmetry
 from mixdih.bulk import packed_ops
 from mixdih.graphs import GraphConsistencyError, bfs_distances, \
     build_gamma, build_sigma, coset_vertex, graph_from_edges, \
@@ -23,7 +23,6 @@ from mixdih.group import (
     induced_automorphism,
     mul,
     xgen,
-    xor_fold,
     ygen,
 )
 from mixdih.symmetry import (
@@ -526,15 +525,15 @@ def test_gl_cross_check_reaches_the_derived_blocks(ctx2, sigma2):
 
 
 def corrupt_fibre_span(monkeypatch):
-    """Flip bit u, an H' fibre bit of a key, in the last entry of every
-    fibre span: the image of the fibre with every bit set."""
-    xor_span = symmetry._xor_span
+    """Flip bit u, an H' fibre bit of a key, wherever the array fold of the
+    u fibre offsets runs at the fibre with every bit set."""
+    fold = bulk.xor_fold_array
 
-    def corrupted(images, dtype):
-        span = xor_span(images, dtype)
-        span[-1] ^= dtype(1 << len(images))
-        return span
-    monkeypatch.setattr(symmetry, "_xor_span", corrupted)
+    def corrupted(images, s, dtype):
+        out = fold(images, s, dtype)
+        out[s == (1 << len(images)) - 1] ^= 1 << len(images)
+        return out
+    monkeypatch.setattr(symmetry, "xor_fold_array", corrupted)
 
 
 def test_actions_reject_a_corrupted_fibre_span(ctx2, sigma2, monkeypatch):
@@ -680,7 +679,8 @@ def test_coset_neighbors_of_base():
             root = coset_vertex(ctx, side, IDENTITY)
             want = [(root, v, w) for v in scalar_neighbors(ctx, side, root)
                     for w in scalar_neighbors(ctx, other, v) if w != root]
-            assert rooted_two_arcs(ctx, side) == want, (n, side)
+            assert rooted_two_arcs(ctx, side).tolist() == \
+                [list(arc) for arc in want], (n, side)
 
 
 @pytest.mark.parametrize("n,count", [(2, 12), (3, 56)])
@@ -707,22 +707,40 @@ def test_local_2at_fails_without_gl(monkeypatch):
     assert rep["sides"]["X"]["orbits"] > 1
 
 
+def test_local_2at_rejects_a_generator_that_moves_the_root(monkeypatch):
+    # right multiplication by y_1 maps the X base vertex to another X
+    # vertex, so the images of its rooted 2-arcs are no rooted 2-arcs
+    real = symmetry._stabilizer_maps
+
+    def maps(ctx, side):
+        extra = symmetry._right_mult_map(ctx, ygen(ctx, 1))
+        return real(ctx, side) + ([extra] if side == "X" else [])
+    monkeypatch.setattr(symmetry, "_stabilizer_maps", maps)
+    with pytest.raises(GraphConsistencyError):
+        check_local_2at(context(2))
+    report = run_suite(2, "symmetry", samples=10)
+    status = {c.name: c.status for c in report.checks}
+    assert status["local-2-arc-transitivity"] == "fail"
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_affine_keys_match_the_scalar_maps_on_the_arcs(n):
-    # the per-vertex route: every stabilizer generator's scalar map on
-    # every vertex of the 2-arcs of both sides, against the affine map
-    # C[c] ^ xor_fold(offsets, d) of key (d << n) | c
-    ctx = context(n)
-    half = graphs._half(ctx)
-    for side in ("X", "Y"):
-        verts = set().union(*rooted_two_arcs(ctx, side))
-        for m in symmetry._stabilizer_maps(ctx, side):
-            affine = symmetry._affine_keys(ctx, m)
-            for vid in verts:
-                classes, offsets = affine[vid >= half]
-                key = vid - half if vid >= half else vid
-                assert m(vid) == classes[key % (1 << n)] ^ \
-                    xor_fold(offsets, key >> n), (n, side, vid)
+def test_affine_keys_match_the_scalar_maps_on_the_arcs(n, monkeypatch):
+    # the images that check_local_2at computes for every stabilizer
+    # generator, C[c] ^ xor_fold_array(offsets, d) of key (d << n) | c and
+    # handed to _cross_check with the sorted arc vertices, against the
+    # generator's scalar map on every vertex of the 2-arcs of both sides
+    ctx, calls = context(n), []
+    real = symmetry._cross_check
+    monkeypatch.setattr(symmetry, "_cross_check", lambda m, ids, images:
+                        calls.append((m, ids, images)) or real(m, ids, images))
+    assert check_local_2at(ctx)["pass"]
+    gens = n + len(gl_generator_pairs(n))
+    assert len(calls) == 2 * gens
+    for side, side_calls in (("X", calls[:gens]), ("Y", calls[gens:])):
+        verts = np.unique(rooted_two_arcs(ctx, side)).tolist()
+        for m, ids, images in side_calls:
+            assert ids.tolist() == verts, (n, side)
+            assert images.tolist() == [m(vid) for vid in verts], (n, side)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
